@@ -1,9 +1,10 @@
 """Multi-reference alignment over SO(2) from first and second moments.
 
-Generate randomly rotated noisy observations of bandlimited signals and
-images, estimate the signal and the rotation distribution by frequency
-marching or a spectral method, evaluate eigenvector-perturbation error
-bounds, and run deterministic recovery-error sweeps.
+Generate randomly rotated noisy observations of bandlimited images (a 1-D
+signal is the image with one radial coefficient per frequency), estimate
+the image and the rotation distribution by frequency marching or a spectral
+method, evaluate eigenvector-perturbation error bounds, and run
+deterministic recovery-error sweeps.
 """
 
 from .errors import (
@@ -14,29 +15,20 @@ from .errors import (
     So2MraError,
     VanishingCoefficientError,
 )
-from .freq_march import (
-    FMOptions,
-    RecoveryResult,
-    fm_recover_1d,
-    fm_recover_1d_robust,
-    fm_recover_2d,
-)
-from .harness import ExperimentConfig, run_bound_sweep, run_experiment, run_n_sweep, run_snr_sweep
+from .freq_march import FMOptions, RecoveryResult, fm_recover_2d
+from .harness import ExperimentConfig, run_experiment
 from .metrics import ErrorReport, aggregate, recovery_error, sigma_for_snr, snr
 from .moments import (
     MomentAccumulator,
     MomentPair,
     debias,
     empirical_moments,
-    population_moments,
-    population_moments_1d,
     population_moments_2d,
 )
 from .signal_model import (
     FBImage,
     ObservationBatch,
     RotationDistribution,
-    TrigSignal,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -50,10 +42,8 @@ from .spectral import (
     EigOptions,
     SpectralReport,
     circulant_project,
-    davis_kahan_bound_1d,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
-    spectral_recover_1d,
     spectral_recover_2d,
 )
 
@@ -66,14 +56,9 @@ __all__ = [
     "VanishingCoefficientError",
     "FMOptions",
     "RecoveryResult",
-    "fm_recover_1d",
-    "fm_recover_1d_robust",
     "fm_recover_2d",
     "ExperimentConfig",
-    "run_bound_sweep",
     "run_experiment",
-    "run_n_sweep",
-    "run_snr_sweep",
     "ErrorReport",
     "aggregate",
     "recovery_error",
@@ -83,13 +68,10 @@ __all__ = [
     "MomentPair",
     "debias",
     "empirical_moments",
-    "population_moments",
-    "population_moments_1d",
     "population_moments_2d",
     "FBImage",
     "ObservationBatch",
     "RotationDistribution",
-    "TrigSignal",
     "generate_observations",
     "make_experiment_distribution",
     "make_experiment_signal_2d",
@@ -101,9 +83,7 @@ __all__ = [
     "EigOptions",
     "SpectralReport",
     "circulant_project",
-    "davis_kahan_bound_1d",
     "davis_kahan_bound_2d",
     "min_bound_over_rotations",
-    "spectral_recover_1d",
     "spectral_recover_2d",
 ]

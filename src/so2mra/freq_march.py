@@ -1,8 +1,9 @@
 """Frequency-marching recovery of a signal and its rotation distribution.
 
-Both the 1-D and 2-D variants reduce the debiased second moment to the ratio
-matrix ``S = 2*pi * D_{M1}^{-1} M2 D_{M1}^{-H}``, whose entries depend only on
-the rotation distribution: ``S[k1, k2] = rho[k1-k2] / (rho[k1]*conj(rho[k2]))``.
+The debiased second moment reduces to the ratio matrix
+``S = 2*pi * D_{M1}^{-1} M2 D_{M1}^{-H}``, whose entries depend only on the
+rotation distribution: ``S[k1, k2] = rho[k1-k2] / (rho[k1]*conj(rho[k2]))``
+for every radial pair of the blocks ``k1`` and ``k2``.
 The marching recursion then recovers ``rho[k]`` for ``k = 1..2B`` from low to
 high frequency, and the signal follows from the first moment.
 
@@ -15,13 +16,13 @@ errors on empirical moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import MomentConsistencyError, VanishingCoefficientError
 from .moments import MomentPair, debias
-from .signal_model import FBImage, RotationDistribution, TrigSignal, TWO_PI, UNIFORM_DENSITY
+from .signal_model import FBImage, RotationDistribution, TWO_PI, UNIFORM_DENSITY
 
 RELATIVE_M1_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
@@ -34,7 +35,7 @@ class FMOptions:
     ``weights_omega[k]`` holds the weights over ``k' = 1..k-1`` used for
     ``2 <= k <= B``; ``weights_omega_tilde[k]`` the weights over
     ``k' = k-B..B`` used for ``B+1 <= k <= 2B``; ``weights_q[(k1, k2)]`` the
-    radial-reduction weights of the robust 2-D variant.  Each family must sum
+    radial-reduction weights of the robust variant.  Each family must sum
     to one; missing entries default to uniform weights.
     """
 
@@ -60,7 +61,7 @@ class FMOptions:
 class RecoveryResult:
     """Recovered signal and rotation distribution plus per-run diagnostics."""
 
-    signal_est: Union[TrigSignal, FBImage]
+    signal_est: FBImage
     rho_est: RotationDistribution
     diagnostics: dict
 
@@ -141,49 +142,6 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
     return rho, residuals
 
 
-def _distribution_from_march(B: int, rho_nonneg: np.ndarray) -> RotationDistribution:
-    return RotationDistribution.from_positive(B, rho_nonneg[1:])
-
-
-def _recover_1d(m: MomentPair, opts: FMOptions) -> RecoveryResult:
-    dim = m.dim
-    if dim % 2 != 1:
-        raise ValueError("1-D moments must have odd dimension 2B+1")
-    B = (dim - 1) // 2
-    s, min_abs_m1, tol = _ratio_matrix(m, opts.tol_m1)
-    rho_nonneg, residuals = _march(s, B, opts)
-    rho_est = _distribution_from_march(B, rho_nonneg)
-    denom = TWO_PI * rho_est.coeffs[np.arange(-B, B + 1) + 2 * B]
-    x_est = m.M1 / denom
-    diagnostics = {
-        "variant": opts.variant,
-        "gauge": "rho[1] phase fixed to zero",
-        "min_abs_m1": min_abs_m1,
-        "tol_m1": tol,
-        "residuals": residuals,
-    }
-    return RecoveryResult(TrigSignal(B, x_est), rho_est, diagnostics)
-
-
-def fm_recover_1d(m: MomentPair, opts: FMOptions = FMOptions()) -> RecoveryResult:
-    """Marching recovery from 1-D moments (plain or robust per ``opts.variant``)."""
-    return _recover_1d(m, opts)
-
-
-def fm_recover_1d_robust(m: MomentPair, opts: FMOptions = FMOptions()) -> RecoveryResult:
-    """Robust marching recovery from 1-D moments, regardless of ``opts.variant``."""
-    return _recover_1d(
-        m,
-        FMOptions(
-            variant="robust",
-            weights_omega=opts.weights_omega,
-            weights_omega_tilde=opts.weights_omega_tilde,
-            weights_q=opts.weights_q,
-            tol_m1=opts.tol_m1,
-        ),
-    )
-
-
 def _reduce_radial(s_full: np.ndarray, B: int, qk: np.ndarray, opts: FMOptions) -> np.ndarray:
     """Collapse the block ratio matrix to one entry per ``(k1, k2)``.
 
@@ -211,10 +169,11 @@ def _reduce_radial(s_full: np.ndarray, B: int, qk: np.ndarray, opts: FMOptions) 
 def fm_recover_2d(
     m: MomentPair, image_shape: tuple, opts: FMOptions = FMOptions()
 ) -> RecoveryResult:
-    """Marching recovery from 2-D block moments.
+    """Marching recovery from block moments.
 
     ``image_shape`` is ``(B, radial_bandwidths)`` with ``radial_bandwidths``
-    holding ``Q_k`` for ``k = 0..B``.
+    holding ``Q_k`` for ``k = 0..B``; all ``Q_k = 1`` is the 1-D model.  The
+    marching recursion is plain or robust per ``opts.variant``.
     """
     B, qk = image_shape
     qk = np.asarray(qk, dtype=np.int64)
@@ -227,7 +186,7 @@ def fm_recover_2d(
     s_full, min_abs_m1, tol = _ratio_matrix(m, opts.tol_m1)
     s = _reduce_radial(s_full, B, qk, opts)
     rho_nonneg, residuals = _march(s, B, opts)
-    rho_est = _distribution_from_march(B, rho_nonneg)
+    rho_est = RotationDistribution.from_positive(B, rho_nonneg[1:])
     k_index = np.repeat(ks, sizes)
     denom = TWO_PI * rho_est.coeffs[k_index + 2 * B]
     x_est = m.M1 / denom

@@ -25,6 +25,7 @@ from .freq_march import FMOptions, fm_recover_2d
 from .metrics import aggregate, recovery_error, sigma_for_snr
 from .moments import MomentAccumulator, MomentPair, population_moments_2d
 from .signal_model import (
+    UNIFORM_DENSITY,
     FBImage,
     generate_observations,
     make_experiment_distribution,
@@ -56,8 +57,9 @@ CSV_COLUMNS = (
     "bound",
 )
 
-# Errors that mark a single trial/algorithm as failed instead of aborting.
-_TRIAL_ERRORS = (So2MraError, ValueError, FloatingPointError, np.linalg.LinAlgError)
+# Expected numerical failures, which mark a single trial/algorithm as failed
+# instead of aborting; any other exception is a bug and propagates.
+_TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
 
 
 def _default_snr_grid() -> tuple:
@@ -91,7 +93,7 @@ class ExperimentConfig:
     threads: int = 1
     tol_pos: float = 0.05
     rank_tol: float = 1e-3
-    rotation_grid: int = 0  # 0 = automatic: the 2B+1 grid rotations the bound is stated over
+    rotation_grid: int = 1
     sigma_misspec: float = 1.0
     chunk: int = 65536
     snr_grid: tuple | None = None
@@ -137,8 +139,12 @@ class ExperimentConfig:
             raise ConfigError("trials, n, threads and chunk must be positive")
         if not 0.0 <= cfg.margin <= 0.5:
             raise ConfigError("margin must lie in [0, 0.5]")
-        if cfg.snr <= 0 or cfg.eta < 0 or cfg.rotation_grid < 0:
-            raise ConfigError("snr must be positive, eta nonnegative, rotation_grid >= 0")
+        if cfg.snr <= 0 or cfg.eta < 0 or cfg.rotation_grid < 1:
+            raise ConfigError("snr must be positive, eta nonnegative, rotation_grid >= 1")
+        if not cfg.sigma_misspec > 0:
+            raise ConfigError("sigma_misspec must be positive")
+        if not 0.0 <= cfg.tol_pos < UNIFORM_DENSITY:
+            raise ConfigError("tol_pos must lie in [0, 1/(2*pi))")
         return cfg
 
 
@@ -280,11 +286,7 @@ def _bound_point(cfg: ExperimentConfig, image: FBImage, base, eta: float) -> dic
     shape = (image.B, image.radial_bandwidths)
     result, _ = spectral_recover_2d(m, shape, EigOptions())
     err = recovery_error(result.signal_est, image).relative_error
-    # Default rotation set: the 2B+1 discrete rotations appearing in the
-    # bound itself.  Finer grids can tighten individual points but make the
-    # minimised bound erratic along the sweep.
-    grid = cfg.rotation_grid if cfg.rotation_grid >= 1 else 2 * cfg.b + 1
-    _angle, report = min_bound_over_rotations(image, rho, grid, recovery=result)
+    _angle, report = min_bound_over_rotations(image, rho, cfg.rotation_grid, recovery=result)
     bound = report.bound if report is not None and report.all_conditions_met() else None
     return {
         "experiment": cfg.experiment,
@@ -301,7 +303,7 @@ def _bound_point(cfg: ExperimentConfig, image: FBImage, base, eta: float) -> dic
     }
 
 
-def _run_bound_sweep(cfg: ExperimentConfig) -> list[dict]:
+def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Exact-moment sweep of the perturbation strength with one fixed base draw.
 
     A single ground truth is used across the grid so that both the measured
@@ -332,33 +334,12 @@ def _run_bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_snr_sweep(cfg: ExperimentConfig) -> list[dict]:
-    cfg = cfg.validated()
-    if cfg.experiment != "snr_sweep":
-        raise ConfigError("config is not an snr_sweep")
-    return _run_sampling_sweep(cfg)
-
-
-def run_n_sweep(cfg: ExperimentConfig) -> list[dict]:
-    cfg = cfg.validated()
-    if cfg.experiment != "n_sweep":
-        raise ConfigError("config is not an n_sweep")
-    return _run_sampling_sweep(cfg)
-
-
-def run_bound_sweep(cfg: ExperimentConfig) -> list[dict]:
-    cfg = cfg.validated()
-    if cfg.experiment != "bound_sweep":
-        raise ConfigError("config is not a bound_sweep")
-    return _run_bound_sweep(cfg)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     cfg = cfg.validated()
     runner = {
         "snr_sweep": _run_sampling_sweep,
         "n_sweep": _run_sampling_sweep,
-        "bound_sweep": _run_bound_sweep,
+        "bound_sweep": _bound_sweep,
     }[cfg.experiment]
     return runner(cfg)
 
@@ -420,10 +401,11 @@ def _parse_value(text: str):
 _KEY_ALIASES = {"out": "out_path", "seed": "master_seed", "algos": "algorithms"}
 
 
-def config_from_sources(file_values: dict, cli_values: dict) -> ExperimentConfig:
+def config_from_sources(*sources: dict) -> ExperimentConfig:
+    """Merge configuration layers, lowest priority first, into a config."""
     allowed = {f.name for f in fields(ExperimentConfig)}
     merged = {}
-    for source in (file_values, cli_values):
+    for source in sources:
         for key, value in source.items():
             key = _KEY_ALIASES.get(key, key)
             if key not in allowed:
@@ -459,34 +441,44 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the full-scale preset (n=1e6; 400 trials for the SNR sweep, 800 for the n sweep)",
+        help="use the full-scale preset (n=1e6; 400 trials for the SNR sweep, 800 for the n sweep)"
+        " for every value the config file and the flags leave unset",
     )
     return parser
 
 
-def apply_paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
+def _paper_scale_preset(experiment: str) -> dict:
     """Full-scale preset: n=1e6 observations; 400/800 trials per sweep type."""
-    if cfg.experiment == "snr_sweep":
-        return replace(cfg, n=1_000_000, trials=400)
-    if cfg.experiment == "n_sweep":
-        return replace(cfg, trials=800)
-    return cfg
+    if experiment == "snr_sweep":
+        return {"n": 1_000_000, "trials": 400}
+    if experiment == "n_sweep":
+        return {"trials": 800}
+    return {}
+
+
+def config_from_argv(argv=None) -> ExperimentConfig:
+    """Validated config from the command line.
+
+    Layers, lowest priority first: the ``--paper-scale`` preset, the config
+    file, the flags.  The preset depends on the experiment, which the file
+    and the flags choose.
+    """
+    args = _build_parser().parse_args(argv)
+    file_values = load_config_file(args.config) if args.config else {}
+    cli_values = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("config", "paper_scale") and value is not None
+    }
+    cfg = config_from_sources(file_values, cli_values)
+    if args.paper_scale:
+        cfg = config_from_sources(_paper_scale_preset(cfg.experiment), file_values, cli_values)
+    return cfg.validated()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        cli_values = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("config", "paper_scale") and value is not None
-        }
-        cfg = config_from_sources(file_values, cli_values)
-        if args.paper_scale:
-            cfg = apply_paper_scale(cfg)
-        cfg = cfg.validated()
+        cfg = config_from_argv(argv)
         rows = run_experiment(cfg)
         write_csv(rows, cfg.out_path)
     except (ConfigError, OSError) as exc:

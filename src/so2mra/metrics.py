@@ -7,12 +7,12 @@ from typing import Union
 
 import numpy as np
 
-from .signal_model import FBImage, RotationDistribution, TrigSignal
+from .signal_model import FBImage, RotationDistribution
 
 GRID_FACTOR = 16
 NEWTON_ITERATIONS = 30
 
-Estimable = Union[TrigSignal, FBImage, RotationDistribution, np.ndarray]
+Estimable = Union[FBImage, RotationDistribution, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class ErrorReport:
 
 
 def _coeffs_and_k(obj: Estimable) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(obj, (TrigSignal, FBImage)):
+    if isinstance(obj, FBImage):
         return obj.coeffs, obj.k_values
     if isinstance(obj, RotationDistribution):
         return obj.coeffs, np.arange(-2 * obj.B, 2 * obj.B + 1)
@@ -86,11 +86,10 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     return ErrorReport(relative_error=rel, best_angle=best, aligned_estimate=aligned)
 
 
-def snr(signal: Union[TrigSignal, FBImage], sigma: float) -> float:
+def snr(signal: FBImage, sigma: float) -> float:
     """Total signal power over total in-band noise power.
 
-    Equals ``sum_k P[k] / ((2B+1) * sigma^2)`` in 1-D and
-    ``sum_kq P[k, q] / ((2B+1) * Q * sigma^2)`` for uniform-Q images; the
+    Equals ``sum_kq P[k, q] / ((2B+1) * Q * sigma^2)`` for uniform-Q images; the
     denominator is the coefficient count times the per-coefficient variance.
     """
     if sigma <= 0:
@@ -98,7 +97,7 @@ def snr(signal: Union[TrigSignal, FBImage], sigma: float) -> float:
     return float(signal.power_spectrum.sum()) / (signal.size * sigma**2)
 
 
-def sigma_for_snr(signal: Union[TrigSignal, FBImage], target_snr: float) -> float:
+def sigma_for_snr(signal: FBImage, target_snr: float) -> float:
     """Noise level achieving the requested SNR for this signal."""
     if target_snr <= 0:
         raise ValueError("target SNR must be positive")

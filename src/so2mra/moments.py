@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import FBImage, ObservationBatch, RotationDistribution, Signal, TrigSignal, TWO_PI
+from .signal_model import FBImage, ObservationBatch, RotationDistribution, TWO_PI
 
 DEFAULT_CHUNK = 4096
 
@@ -32,6 +32,8 @@ class MomentPair:
         m2 = np.asarray(self.M2, dtype=np.complex128)
         if m1.ndim != 1 or m2.shape != (m1.size, m1.size):
             raise ValueError("M1 must be a vector and M2 a matching square matrix")
+        if not (np.isfinite(m1).all() and np.isfinite(m2).all() and np.isfinite(self.sigma)):
+            raise ValueError("M1, M2 and sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         scale = max(1.0, float(np.abs(m2).max(initial=0.0)))
@@ -47,39 +49,19 @@ class MomentPair:
         return self.M1.size
 
 
-def _population_moments(
-    coeffs: np.ndarray, k_index: np.ndarray, rho: RotationDistribution, sigma: float
-) -> MomentPair:
-    off = 2 * rho.B
-    m1 = TWO_PI * coeffs * rho.coeffs[k_index + off]
-    t = rho.coeffs[(k_index[:, None] - k_index[None, :]) + off]
-    m2 = TWO_PI * np.outer(coeffs, coeffs.conj()) * t
-    m2 = m2 + sigma**2 * np.eye(coeffs.size)
-    return MomentPair(m1, m2, sigma, debiased=False)
-
-
-def population_moments_1d(
-    signal: TrigSignal, rho: RotationDistribution, sigma: float
-) -> MomentPair:
-    """Exact moments of the 1-D observation model."""
-    if signal.B != rho.B:
-        raise ValueError("signal and distribution bandwidths must agree")
-    return _population_moments(signal.coeffs, signal.k_values, rho, sigma)
-
-
 def population_moments_2d(
     image: FBImage, rho: RotationDistribution, sigma: float
 ) -> MomentPair:
-    """Exact moments of the 2-D observation model (block structure over k)."""
+    """Exact moments of the observation model (block structure over k)."""
     if image.B != rho.B:
         raise ValueError("image and distribution bandwidths must agree")
-    return _population_moments(image.coeffs, image.k_values, rho, sigma)
-
-
-def population_moments(signal: Signal, rho: RotationDistribution, sigma: float) -> MomentPair:
-    if isinstance(signal, TrigSignal):
-        return population_moments_1d(signal, rho, sigma)
-    return population_moments_2d(signal, rho, sigma)
+    k_index = image.k_values
+    off = 2 * rho.B
+    m1 = TWO_PI * image.coeffs * rho.coeffs[k_index + off]
+    t = rho.coeffs[(k_index[:, None] - k_index[None, :]) + off]
+    m2 = TWO_PI * np.outer(image.coeffs, image.coeffs.conj()) * t
+    m2 = m2 + sigma**2 * np.eye(image.size)
+    return MomentPair(m1, m2, sigma, debiased=False)
 
 
 class MomentAccumulator:

@@ -1,8 +1,8 @@
 """Domain types and samplers for rotational alignment in coefficient space.
 
-Everything lives in coefficient space: 1-D signals as Fourier coefficients
-``x[k]`` for ``k = -B..B``, images as steerable (angular/radial) coefficients
-``x[k, q]`` over ``{(k, q): -B <= k <= B, 0 <= q < Q_k}``, and rotation
+Everything lives in coefficient space: images as steerable (angular/radial)
+coefficients ``x[k, q]`` over ``{(k, q): -B <= k <= B, 0 <= q < Q_k}`` (a 1-D
+signal on the circle is the case ``Q_k = 1``), and rotation
 distributions as Fourier coefficients ``rho[k]`` for ``k = -2B..2B`` of a
 density on ``[0, 2*pi)``.  An in-plane rotation by ``phi`` acts on a
 coefficient with angular index ``k`` as multiplication by ``exp(-1j*k*phi)``.
@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,51 +38,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def _check_conj_symmetric(coeffs: np.ndarray, what: str) -> None:
     scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
     if not np.allclose(coeffs, coeffs[::-1].conj(), rtol=0.0, atol=1e-12 * scale):
         raise ValueError(f"{what} requires conjugate-symmetric coefficients")
-
-
-@dataclass(frozen=True)
-class TrigSignal:
-    """Bandlimited 1-D signal on the circle, stored as Fourier coefficients.
-
-    ``coeffs[j]`` is the coefficient of ``exp(1j*k*theta)`` with ``k = j - B``,
-    so the vector runs over ``k = -B..B`` and has length ``2B+1``.  When
-    ``is_real`` is set, ``coeffs[-k] == conj(coeffs[k])`` is enforced.
-    """
-
-    B: int
-    coeffs: np.ndarray
-    is_real: bool = False
-
-    def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("bandwidth must be nonnegative")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (2 * self.B + 1,):
-            raise ValueError(
-                f"expected {2 * self.B + 1} coefficients, got shape {coeffs.shape}"
-            )
-        if self.is_real:
-            _check_conj_symmetric(coeffs, "a real signal")
-        object.__setattr__(self, "coeffs", _readonly(coeffs))
-
-    def __getitem__(self, k: int) -> complex:
-        return self.coeffs[k + self.B]
-
-    @property
-    def k_values(self) -> np.ndarray:
-        return np.arange(-self.B, self.B + 1)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def power_spectrum(self) -> np.ndarray:
-        return np.abs(self.coeffs) ** 2
 
 
 @dataclass(frozen=True)
@@ -92,7 +56,8 @@ class FBImage:
     ``radial_bandwidths[|k|]`` gives the number of radial coefficients
     ``Q_k`` for each angular frequency (symmetric in k).  Coefficients are
     stored flat in lexicographic order: blocks ``k = -B..B``, each holding
-    ``q = 0..Q_|k|-1``.
+    ``q = 0..Q_|k|-1``.  A 1-D signal with Fourier coefficients ``x[k]`` is the
+    image with every ``Q_k = 1``, so ``x[k]`` is ``x[k, 0]``.
     """
 
     B: int
@@ -110,6 +75,7 @@ class FBImage:
         size = int(qk.sum() * 2 - qk[0])
         if coeffs.shape != (size,):
             raise ValueError(f"expected {size} coefficients, got shape {coeffs.shape}")
+        _check_finite(coeffs, "image coefficients")
         object.__setattr__(self, "radial_bandwidths", _readonly(qk))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
         if self.is_real:
@@ -179,6 +145,7 @@ class RotationDistribution:
             raise ValueError(
                 f"expected {4 * self.B + 1} coefficients, got shape {coeffs.shape}"
             )
+        _check_finite(coeffs, "rotation density coefficients")
         dc = coeffs[2 * self.B]
         if abs(dc - UNIFORM_DENSITY) > 1e-12:
             raise ValueError("rho[0] must equal 1/(2*pi)")
@@ -243,21 +210,15 @@ class RotationDistribution:
         return nodes, np.concatenate([dens, dens[:1]])
 
 
-Signal = Union[TrigSignal, FBImage]
-
-
 @dataclass(frozen=True)
 class ObservationBatch:
     """Coefficient-space observations: one randomly rotated noisy copy per row."""
 
-    representation: str  # "1d" | "2d"
     data: np.ndarray
     sigma: float
     true_angles: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.representation not in ("1d", "2d"):
-            raise ValueError("representation must be '1d' or '2d'")
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise ValueError("data must be a (n, dim) matrix")
@@ -363,11 +324,9 @@ def rotate_distribution(rho: RotationDistribution, angle: float) -> RotationDist
     return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol, rho.grid_size)
 
 
-def rotate_signal(signal: Signal, angle: float) -> Signal:
-    """Rotate a signal or image: ``x[k, .] -> x[k, .] * exp(-1j*k*angle)``."""
+def rotate_signal(signal: FBImage, angle: float) -> FBImage:
+    """Rotate an image: ``x[k, .] -> x[k, .] * exp(-1j*k*angle)``."""
     coeffs = signal.coeffs * np.exp(-1j * signal.k_values * angle)
-    if isinstance(signal, TrigSignal):
-        return TrigSignal(signal.B, coeffs, signal.is_real)
     return FBImage(signal.B, signal.radial_bandwidths, coeffs, signal.is_real)
 
 
@@ -436,7 +395,7 @@ def _negative_partners(k_index: np.ndarray) -> np.ndarray:
 
 
 def generate_observations(
-    signal: Signal,
+    signal: FBImage,
     rho: RotationDistribution,
     n: int,
     sigma: float,
@@ -449,7 +408,6 @@ def generate_observations(
         raise ValueError("sigma must be nonnegative")
     angles = sample_rotations(rho, n, rng)
     k_index = signal.k_values
-    representation = "1d" if isinstance(signal, TrigSignal) else "2d"
     # exp(-1j*k*phi) per unique k, expanded to the flat layout
     pos_k = np.arange(0, signal.B + 1)
     e_pos = np.exp(-1j * np.outer(angles, pos_k))
@@ -457,4 +415,4 @@ def generate_observations(
     data = signal.coeffs[None, :] * e_all[:, k_index + signal.B]
     del e_pos, e_all
     data += _conjugate_noise(k_index, n, sigma, rng)
-    return ObservationBatch(representation, data, sigma, angles)
+    return ObservationBatch(data, sigma, angles)

@@ -23,8 +23,6 @@ from .moments import MomentPair, debias
 from .signal_model import (
     FBImage,
     RotationDistribution,
-    Signal,
-    TrigSignal,
     TWO_PI,
     rotate_distribution,
     rotate_signal,
@@ -40,7 +38,7 @@ class EigOptions:
     """Numerical knobs for the eigendecomposition-based steps.
 
     ``rank_tol`` is the relative threshold below which eigenvalues count as
-    zero in the low-rank 2-D problem (use ``RANK_TOL_EMPIRICAL`` for sampled
+    zero in the low-rank problem (use ``RANK_TOL_EMPIRICAL`` for sampled
     moments).  ``tie_tol`` is the window inside which two candidate isolation
     gaps count as tied (the larger ``|lambda|`` wins).  ``degeneracy_tol`` is
     the relative gap under which an eigenvalue is treated as degenerate when
@@ -145,44 +143,6 @@ def _select_isolated(lams: np.ndarray, tie_tol: float) -> tuple[int, float]:
     return int(best), float(gaps[best])
 
 
-def _spectral_core(
-    m: MomentPair,
-    anchor: int,
-    restrict_rank: bool,
-    opts: EigOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Shared eigenvector-extraction steps of the 1-D and 2-D algorithms.
-
-    Returns ``(x_est, x_tilde, eigenvalues_scanned, kappa, gap)``.
-    """
-    if not m.debiased:
-        m = debias(m)
-    p = np.diag(m.M2).real
-    if p.min() <= 0.0:
-        raise MomentConsistencyError(
-            f"power-spectrum entry {p.min():.3g} is not positive after debiasing"
-        )
-    inv_sqrt = 1.0 / np.sqrt(p)
-    mat = m.M2 * np.outer(inv_sqrt, inv_sqrt)
-    lams, vecs = np.linalg.eigh(mat)
-    lams = lams[::-1]
-    vecs = vecs[:, ::-1]
-    if restrict_rank:
-        keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
-        if not keep.any():
-            raise MomentConsistencyError("no eigenvalue above the rank threshold")
-        lams = lams[keep]
-        vecs = vecs[:, keep]
-    kappa, gap = _select_isolated(lams, opts.tie_tol)
-    x_tilde = np.sqrt(float(m.dim)) * vecs[:, kappa]
-    if abs(x_tilde[anchor]) < PHASE_ANCHOR_TOL:
-        raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
-    beta = np.exp(1j * (np.angle(m.M1[anchor]) - np.angle(x_tilde[anchor])))
-    x_tilde = beta * x_tilde
-    x_est = np.sqrt(p) * x_tilde
-    return x_est, x_tilde, lams, kappa, gap
-
-
 def _rho_from_first_moment(
     m1: np.ndarray, x_est: np.ndarray, k_index: np.ndarray, B: int
 ) -> RotationDistribution:
@@ -198,41 +158,16 @@ def _rho_from_first_moment(
     return RotationDistribution.from_positive(B, pos)
 
 
-def spectral_recover_1d(
-    m: MomentPair, opts: EigOptions = EigOptions()
-) -> tuple[RecoveryResult, SpectralReport]:
-    """Spectral recovery from 1-D moments.
-
-    All ``2B+1`` eigenvalues are scanned for the most isolated one; the
-    corresponding eigenvector carries the signal phases up to a grid rotation
-    and a global phase fixed by the DC entry of the first moment.
-    """
-    dim = m.dim
-    if dim % 2 != 1:
-        raise ValueError("1-D moments must have odd dimension 2B+1")
-    B = (dim - 1) // 2
-    k_index = np.arange(-B, B + 1)
-    x_est, x_tilde, lams, kappa, gap = _spectral_core(
-        m, anchor=B, restrict_rank=False, opts=opts
-    )
-    rho_est = _rho_from_first_moment(m.M1, x_est, k_index, B)
-    result = RecoveryResult(
-        TrigSignal(B, x_est),
-        rho_est,
-        {"x_tilde": x_tilde, "kappa": kappa, "gap": gap},
-    )
-    report = SpectralReport(eigenvalues=lams, kappa=kappa, gap=gap)
-    return result, report
-
-
 def spectral_recover_2d(
     m: MomentPair, image_shape: tuple, opts: EigOptions = EigOptions()
 ) -> tuple[RecoveryResult, SpectralReport]:
-    """Spectral recovery from 2-D block moments (uniform radial bandwidth only).
+    """Spectral recovery from block moments (uniform radial bandwidth only).
 
-    Only eigenvalues above ``opts.rank_tol`` (relative) are scanned: the
-    conjugated second moment has rank at most ``2B+1``, the rest of the
-    spectrum is structural zeros.
+    Only eigenvalues above ``opts.rank_tol`` (relative) are scanned for the
+    most isolated one: the conjugated second moment has rank at most
+    ``2B+1``, the rest of the spectrum is structural zeros.  The chosen
+    eigenvector carries the signal phases up to a grid rotation and a global
+    phase, which the first ``k = 0`` entry of the first moment fixes.
     """
     B, qk = image_shape
     qk = np.asarray(qk, dtype=np.int64)
@@ -240,15 +175,34 @@ def spectral_recover_2d(
         raise ValueError("image_shape must be (B, Q_k for k = 0..B)")
     if not (qk == qk[0]).all():
         raise ValueError("the spectral path requires a uniform radial bandwidth")
-    q = int(qk[0])
     ks = np.arange(-B, B + 1)
     k_index = np.repeat(ks, qk[np.abs(ks)])
     if m.dim != k_index.size:
         raise ValueError("moment dimension does not match the image shape")
     anchor = int(np.flatnonzero(k_index == 0)[0])
-    x_est, x_tilde, lams, kappa, gap = _spectral_core(
-        m, anchor=anchor, restrict_rank=True, opts=opts
-    )
+    if not m.debiased:
+        m = debias(m)
+    p = np.diag(m.M2).real
+    if p.min() <= 0.0:
+        raise MomentConsistencyError(
+            f"power-spectrum entry {p.min():.3g} is not positive after debiasing"
+        )
+    inv_sqrt = 1.0 / np.sqrt(p)
+    mat = m.M2 * np.outer(inv_sqrt, inv_sqrt)
+    lams, vecs = np.linalg.eigh(mat)
+    lams = lams[::-1]
+    vecs = vecs[:, ::-1]
+    keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
+    if not keep.any():
+        raise MomentConsistencyError("no eigenvalue above the rank threshold")
+    lams = lams[keep]
+    vecs = vecs[:, keep]
+    kappa, gap = _select_isolated(lams, opts.tie_tol)
+    x_tilde = np.sqrt(float(m.dim)) * vecs[:, kappa]
+    if abs(x_tilde[anchor]) < PHASE_ANCHOR_TOL:
+        raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
+    x_tilde = np.exp(1j * (np.angle(m.M1[anchor]) - np.angle(x_tilde[anchor]))) * x_tilde
+    x_est = np.sqrt(p) * x_tilde
     rho_est = _rho_from_first_moment(m.M1, x_est, k_index, B)
     result = RecoveryResult(
         FBImage(B, qk, x_est),
@@ -284,20 +238,39 @@ def _inner_sign_condition(
     return best >= 0.0
 
 
-def _davis_kahan(
-    lam_t: np.ndarray,
-    lam_c: np.ndarray,
-    p: np.ndarray,
-    s_b: float,
-    s_b_eff: float,
-    dim_factor: float,
-    x: Signal,
-    kappa_policy,
-    opts: EigOptions,
-    recovery: Optional[RecoveryResult],
-    k_index: np.ndarray,
-    B: int,
+def davis_kahan_bound_2d(
+    x: FBImage,
+    rho: RotationDistribution,
+    kappa_policy="max_gap",
+    opts: EigOptions = EigOptions(),
+    recovery: Optional[RecoveryResult] = None,
 ) -> SpectralReport:
+    """Evaluation-side error bound for the spectral algorithm.
+
+    The block matrices expand each Toeplitz/circulant entry into a constant
+    ``Q x Q`` block; only their nonzero eigenvalues (relative threshold
+    ``opts.rank_tol``) enter the gap computation, and the squared circulant
+    distance scales as ``Q^2 * s_b``.  Where applicable the bound is
+    ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.  ``inner_sign`` is
+    only checked when a recovery result is supplied.
+    """
+    if x.B != rho.B:
+        raise ValueError("image and distribution bandwidths must agree")
+    if not x.uniform_q:
+        raise ValueError("the bound requires a uniform radial bandwidth")
+    B = rho.B
+    q = int(x.radial_bandwidths[0])
+    ca = circulant_project(rho)
+    s_b_eff = q**2 * ca.s_b
+
+    def nonzero_desc(mat: np.ndarray) -> np.ndarray:
+        lams = np.sort(np.linalg.eigvalsh(block_ones_expand(mat, q)))[::-1]
+        keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
+        return lams[keep]
+
+    lam_t = nonzero_desc(toeplitz_matrix(rho))
+    lam_c = nonzero_desc(circulant_matrix(ca.v_opt))
+
     if isinstance(kappa_policy, (int, np.integer)):
         kappa = int(kappa_policy)
         if not 0 <= kappa < lam_t.size:
@@ -319,7 +292,6 @@ def _davis_kahan(
         d2 = np.abs(others_c - lam_t[kappa]).min() if others_c.size else np.inf
         delta = float(max(d1, d2))
 
-    p_max = float(p.max())
     scale = max(np.abs(lam_t).max(initial=0.0), np.abs(lam_c).max(initial=0.0), 1e-30)
     deg_tol = opts.degeneracy_tol * scale
 
@@ -339,106 +311,23 @@ def _davis_kahan(
     if recovery is not None and "x_tilde" in recovery.diagnostics:
         x_tilde_true = x.coeffs / np.abs(x.coeffs)
         conditions["inner_sign"] = _inner_sign_condition(
-            recovery.diagnostics["x_tilde"], x_tilde_true, k_index, B
+            recovery.diagnostics["x_tilde"], x_tilde_true, x.k_values, B
         )
-    bound = bound_value(s_b_eff, delta, p_max, dim_factor)
+    bound = bound_value(s_b_eff, delta, float(x.power_spectrum.max()), float(q * (2 * B + 1)))
     return SpectralReport(
         eigenvalues=lam_t,
         kappa=kappa,
         gap=gap,
         delta_kappa=delta,
-        s_b=s_b,
+        s_b=ca.s_b,
         bound=bound,
         conditions_met=conditions,
         eigenvalues_circ=lam_c,
     )
 
 
-def davis_kahan_bound_1d(
-    x: TrigSignal,
-    rho: RotationDistribution,
-    kappa_policy="max_gap",
-    opts: EigOptions = EigOptions(),
-    recovery: Optional[RecoveryResult] = None,
-) -> SpectralReport:
-    """Evaluation-side error bound for the 1-D spectral algorithm.
-
-    Builds the Toeplitz matrix and its circulant projection, compares their
-    spectra at the chosen index, and evaluates the sin-theta bound
-    ``2*(2B+1)*P_max*(1 - sqrt(1 - s_b/delta^2))`` where applicable.
-    ``inner_sign`` is only checked when a recovery result is supplied.
-    """
-    if x.B != rho.B:
-        raise ValueError("signal and distribution bandwidths must agree")
-    B = rho.B
-    ca = circulant_project(rho)
-    lam_t = np.sort(np.linalg.eigvalsh(toeplitz_matrix(rho)))[::-1]
-    lam_c = np.sort(np.linalg.eigvalsh(circulant_matrix(ca.v_opt)))[::-1]
-    return _davis_kahan(
-        lam_t,
-        lam_c,
-        x.power_spectrum,
-        ca.s_b,
-        ca.s_b,
-        float(2 * B + 1),
-        x,
-        kappa_policy,
-        opts,
-        recovery,
-        x.k_values,
-        B,
-    )
-
-
-def davis_kahan_bound_2d(
-    x: FBImage,
-    rho: RotationDistribution,
-    kappa_policy="max_gap",
-    opts: EigOptions = EigOptions(),
-    recovery: Optional[RecoveryResult] = None,
-) -> SpectralReport:
-    """Evaluation-side error bound for the 2-D spectral algorithm.
-
-    The block matrices expand each Toeplitz/circulant entry into a constant
-    ``Q x Q`` block; only their nonzero eigenvalues (relative threshold
-    ``opts.rank_tol``) enter the gap computation, and the squared circulant
-    distance scales as ``Q^2 * s_b``.
-    """
-    if x.B != rho.B:
-        raise ValueError("image and distribution bandwidths must agree")
-    if not x.uniform_q:
-        raise ValueError("the 2-D bound requires a uniform radial bandwidth")
-    B = rho.B
-    q = int(x.radial_bandwidths[0])
-    ca = circulant_project(rho)
-    t_big = block_ones_expand(toeplitz_matrix(rho), q)
-    c_big = block_ones_expand(circulant_matrix(ca.v_opt), q)
-
-    def nonzero_desc(mat: np.ndarray) -> np.ndarray:
-        lams = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
-        return lams[keep]
-
-    lam_t = nonzero_desc(t_big)
-    lam_c = nonzero_desc(c_big)
-    return _davis_kahan(
-        lam_t,
-        lam_c,
-        x.power_spectrum,
-        ca.s_b,
-        q**2 * ca.s_b,
-        float(q * (2 * B + 1)),
-        x,
-        kappa_policy,
-        opts,
-        recovery,
-        x.k_values,
-        B,
-    )
-
-
 def min_bound_over_rotations(
-    x: Signal,
+    x: FBImage,
     rho: RotationDistribution,
     grid_size: int,
     kappa_policy="max_gap",
@@ -455,12 +344,7 @@ def min_bound_over_rotations(
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    if isinstance(x, FBImage):
-        evaluate = davis_kahan_bound_2d
-        q_sq = int(x.radial_bandwidths[0]) ** 2
-    else:
-        evaluate = davis_kahan_bound_1d
-        q_sq = 1
+    q_sq = int(x.radial_bandwidths[0]) ** 2
     best_angle = 0.0
     best_report = None
     fallback = (np.inf, 0.0, None)  # (ratio to applicability, angle, report)
@@ -471,7 +355,7 @@ def min_bound_over_rotations(
         # signal rotated by -alpha.
         rho_a = rotate_distribution(rho, alpha)
         x_a = rotate_signal(x, -alpha)
-        report = evaluate(x_a, rho_a, kappa_policy, opts, recovery)
+        report = davis_kahan_bound_2d(x_a, rho_a, kappa_policy, opts, recovery)
         if report.bound is not None:
             if best_report is None or report.bound < best_report.bound:
                 best_angle, best_report = alpha, report

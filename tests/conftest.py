@@ -6,19 +6,30 @@ import pytest
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
-    TrigSignal,
     UNIFORM_DENSITY,
 )
 
 
+def signal_1d(coeffs, real=False):
+    """1-D signal with Fourier coefficients ``x[-B..B]``: the Q_k = 1 image."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    B = (coeffs.size - 1) // 2
+    return FBImage(B, np.ones(B + 1, dtype=np.int64), coeffs, is_real=real)
+
+
+def shape_1d(B):
+    """``image_shape`` of a 1-D signal of bandwidth ``B``."""
+    return (B, np.ones(B + 1, dtype=np.int64))
+
+
 def random_signal_1d(B, rng, real=True):
-    """Non-vanishing conjugate-symmetric signal with moduli in [0.5, 1.5]."""
+    """Non-vanishing conjugate-symmetric 1-D signal with moduli in [0.5, 1.5]."""
     mods = rng.uniform(0.5, 1.5, B)
     phases = rng.uniform(0, 2 * np.pi, B)
     pos = mods * np.exp(1j * phases)
     zero = rng.uniform(0.5, 1.5) * (1.0 if rng.integers(0, 2) else -1.0)
     coeffs = np.concatenate([pos[::-1].conj(), [zero], pos])
-    return TrigSignal(B, coeffs, is_real=real)
+    return signal_1d(coeffs, real=real)
 
 
 def random_rho(B, rng, min_mod=0.2, max_mod=1.0):

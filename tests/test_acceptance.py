@@ -14,17 +14,17 @@ from scipy import stats
 
 from so2mra.harness import ExperimentConfig, rows_to_csv, run_experiment
 from so2mra.metrics import recovery_error
-from so2mra.moments import population_moments_1d, population_moments_2d
+from so2mra.moments import population_moments_2d
 from so2mra.signal_model import (
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
 )
-from so2mra.freq_march import fm_recover_1d, fm_recover_2d
-from so2mra.spectral import circulant_project, spectral_recover_1d, spectral_recover_2d
+from so2mra.freq_march import fm_recover_2d
+from so2mra.spectral import circulant_project, spectral_recover_2d
 from so2mra.harness import simulate_empirical_moments
 
-from conftest import random_image, random_rho, random_signal_1d, rho_truncation
+from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
 
 from test_spectral import isolated_gap_ok
 
@@ -45,8 +45,8 @@ def test_criterion_1_exact_fm_1d():
             rng = np.random.default_rng((1, B, seed))
             x = random_signal_1d(B, rng)
             rho = random_rho(B, rng)
-            m = population_moments_1d(x, rho, sigma=0.4)
-            rec = fm_recover_1d(m)
+            m = population_moments_2d(x, rho, sigma=0.4)
+            rec = fm_recover_2d(m, shape_1d(B))
             ok &= recovery_error(rec.signal_est, x).relative_error < 1e-9
             ok &= recovery_error(rec.rho_est, rho).relative_error < 1e-9
             count += 1
@@ -85,7 +85,7 @@ def test_criterion_3_exact_spectral():
         rho = make_experiment_distribution(B, rng)
         if not isolated_gap_ok(rho):
             continue
-        rec, _ = spectral_recover_1d(population_moments_1d(x, rho, 0.3))
+        rec, _ = spectral_recover_2d(population_moments_2d(x, rho, 0.3), shape_1d(B))
         ok &= recovery_error(rec.signal_est, x).relative_error < 1e-8
         ok &= (
             recovery_error(rho_truncation(rec.rho_est, B), rho_truncation(rho, B)).relative_error
@@ -123,7 +123,7 @@ def test_criterion_4_moment_oracle_equivalence():
         rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
         sig = 0.5
         emp = simulate_empirical_moments(x, rho, n, sig, rng)
-        pop = population_moments_1d(x, rho, sig)
+        pop = population_moments_2d(x, rho, sig)
         bound = 6 * max(sig**2, float(np.abs(x.coeffs).max()) ** 2) / np.sqrt(n)
         ok &= float(np.abs(emp.M2 - pop.M2).max()) < bound
     for seed in range(5):

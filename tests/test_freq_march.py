@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import FMOptions, fm_recover_1d, fm_recover_1d_robust, fm_recover_2d
+from so2mra.freq_march import FMOptions, fm_recover_2d
 from so2mra.harness import simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
-from so2mra.moments import MomentPair, population_moments_1d, population_moments_2d
+from so2mra.moments import MomentPair, population_moments_2d
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
-    TrigSignal,
     UNIFORM_DENSITY,
     make_experiment_distribution,
     perturb_distribution,
@@ -17,7 +16,7 @@ from so2mra.signal_model import (
     rotate_signal,
 )
 
-from conftest import random_image, random_rho, random_signal_1d
+from conftest import random_image, random_rho, random_signal_1d, shape_1d, signal_1d
 
 
 class TestExactRecovery1D:
@@ -25,7 +24,7 @@ class TestExactRecovery1D:
         rng = np.random.default_rng(0)
         x = random_signal_1d(10, rng)
         rho = random_rho(10, rng)
-        rec = fm_recover_1d(population_moments_1d(x, rho, sigma=0.6))
+        rec = fm_recover_2d(population_moments_2d(x, rho, sigma=0.6), shape_1d(x.B))
         assert recovery_error(rec.signal_est, x).relative_error < 1e-10
         assert recovery_error(rec.rho_est, rho).relative_error < 1e-10
 
@@ -36,7 +35,7 @@ class TestExactRecovery1D:
                 rng = np.random.default_rng((B, seed))
                 x = random_signal_1d(B, rng)
                 rho = random_rho(B, rng)
-                rec = fm_recover_1d(population_moments_1d(x, rho, sigma=0.3))
+                rec = fm_recover_2d(population_moments_2d(x, rho, sigma=0.3), shape_1d(x.B))
                 assert recovery_error(rec.signal_est, x).relative_error < 1e-9
                 assert recovery_error(rec.rho_est, rho).relative_error < 1e-9
                 count += 1
@@ -51,7 +50,7 @@ class TestExactRecovery1D:
         pos[0] = abs(pos[0])
         rho = RotationDistribution.from_positive(B, pos)
         x = random_signal_1d(B, rng)
-        rec = fm_recover_1d(population_moments_1d(x, rho, sigma=0.2))
+        rec = fm_recover_2d(population_moments_2d(x, rho, sigma=0.2), shape_1d(x.B))
         assert np.abs(rec.rho_est.coeffs - rho.coeffs).max() < 1e-12
         assert np.abs(rec.signal_est.coeffs - x.coeffs).max() < 1e-12
 
@@ -63,13 +62,13 @@ class TestExactRecovery1D:
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         sigma = sigma_for_snr(x, 100.0)
         m = simulate_empirical_moments(x, rho, 1_000_000, sigma, rng)
-        rec = fm_recover_1d(m)
+        rec = fm_recover_2d(m, shape_1d(x.B))
         assert recovery_error(rec.signal_est, x).relative_error < 2e-4
 
     def test_b0_passthrough(self):
-        x = TrigSignal(0, np.array([1.5 + 0j]))
+        x = signal_1d([1.5])
         rho = RotationDistribution.uniform(0)
-        rec = fm_recover_1d(population_moments_1d(x, rho, sigma=0.1))
+        rec = fm_recover_2d(population_moments_2d(x, rho, sigma=0.1), shape_1d(x.B))
         assert np.allclose(rec.signal_est.coeffs, x.coeffs)
 
     def test_vanishing_m1_raises(self):
@@ -78,10 +77,10 @@ class TestExactRecovery1D:
         coeffs = random_signal_1d(B, rng).coeffs.copy()
         coeffs[0] = 0.0
         coeffs[-1] = 0.0
-        x = TrigSignal(B, coeffs)
+        x = signal_1d(coeffs)
         rho = random_rho(B, rng)
         with pytest.raises(VanishingCoefficientError):
-            fm_recover_1d(population_moments_1d(x, rho, sigma=0.1))
+            fm_recover_2d(population_moments_2d(x, rho, sigma=0.1), shape_1d(x.B))
 
     def test_inconsistent_moments_raise(self):
         # A second moment with the wrong sign on S[1,1] is rejected.
@@ -89,7 +88,7 @@ class TestExactRecovery1D:
         m2 = -np.eye(3, dtype=complex)
         m = MomentPair(m1, m2, 0.0, debiased=True)
         with pytest.raises(MomentConsistencyError):
-            fm_recover_1d(m)
+            fm_recover_2d(m, shape_1d(1))
 
 
 class TestRobustVariant:
@@ -97,9 +96,9 @@ class TestRobustVariant:
         rng = np.random.default_rng(3)
         x = random_signal_1d(7, rng)
         rho = random_rho(7, rng)
-        m = population_moments_1d(x, rho, sigma=0.4)
-        plain = fm_recover_1d(m)
-        robust = fm_recover_1d_robust(m)
+        m = population_moments_2d(x, rho, sigma=0.4)
+        plain = fm_recover_2d(m, shape_1d(x.B))
+        robust = fm_recover_2d(m, shape_1d(x.B), FMOptions(variant="robust"))
         assert np.abs(plain.rho_est.coeffs - robust.rho_est.coeffs).max() < 1e-10
         assert np.abs(plain.signal_est.coeffs - robust.signal_est.coeffs).max() < 1e-10
 
@@ -114,8 +113,8 @@ class TestRobustVariant:
         m = simulate_empirical_moments(x, rho, 20_000, sigma, rng)
         weights = {k: np.eye(k - 1)[-1] for k in range(3, B + 1)}
         opts = FMOptions(variant="robust", weights_omega=weights)
-        plain = fm_recover_1d(m)
-        robust = fm_recover_1d(m, opts)
+        plain = fm_recover_2d(m, shape_1d(B))
+        robust = fm_recover_2d(m, shape_1d(B), opts)
         for k in range(2, B + 1):
             ang_p = np.angle(plain.rho_est[k])
             ang_r = np.angle(robust.rho_est[k])
@@ -135,16 +134,12 @@ class TestRobustVariant:
             rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
             sigma = sigma_for_snr(x, 100.0)
             m = simulate_empirical_moments(x, rho, 100_000, sigma, rng)
-            try:
-                plain_errors.append(recovery_error(fm_recover_1d(m).signal_est, x).relative_error)
-            except MomentConsistencyError:
-                plain_errors.append(np.inf)
-            try:
-                robust_errors.append(
-                    recovery_error(fm_recover_1d_robust(m).signal_est, x).relative_error
-                )
-            except MomentConsistencyError:
-                robust_errors.append(np.inf)
+            for variant, errors in (("plain", plain_errors), ("robust", robust_errors)):
+                try:
+                    rec = fm_recover_2d(m, shape_1d(10), FMOptions(variant=variant))
+                    errors.append(recovery_error(rec.signal_est, x).relative_error)
+                except MomentConsistencyError:
+                    errors.append(np.inf)
         assert np.median(robust_errors) <= np.median(plain_errors)
 
 
@@ -156,18 +151,6 @@ class TestExactRecovery2D:
         rec = fm_recover_2d(population_moments_2d(img, rho, 0.5), (10, np.full(11, 2)))
         assert recovery_error(rec.signal_est, img).relative_error < 1e-10
         assert recovery_error(rec.rho_est, rho).relative_error < 1e-10
-
-    def test_q1_bitwise_equals_1d(self):
-        rng = np.random.default_rng(6)
-        B = 4
-        x = random_signal_1d(B, rng)
-        img = FBImage(B, np.ones(B + 1, dtype=np.int64), x.coeffs, is_real=True)
-        rho = random_rho(B, rng)
-        m = population_moments_1d(x, rho, 0.3)
-        rec1 = fm_recover_1d(m)
-        rec2 = fm_recover_2d(m, (B, np.ones(B + 1, dtype=np.int64)))
-        assert np.array_equal(rec1.signal_est.coeffs, rec2.signal_est.coeffs)
-        assert np.array_equal(rec1.rho_est.coeffs, rec2.rho_est.coeffs)
 
     def test_nonuniform_radial_bandwidths(self):
         rng = np.random.default_rng(7)
@@ -222,12 +205,12 @@ class TestInvariants:
         x = random_signal_1d(B, rng)
         rho = random_rho(B, rng)
         alpha = 1.1
-        m_base = population_moments_1d(x, rho, 0.4)
-        m_rot = population_moments_1d(rotate_signal(x, alpha), rotate_distribution(rho, -alpha), 0.4)
+        m_base = population_moments_2d(x, rho, 0.4)
+        m_rot = population_moments_2d(rotate_signal(x, alpha), rotate_distribution(rho, -alpha), 0.4)
         assert np.abs(m_base.M1 - m_rot.M1).max() < 1e-14
         assert np.abs(m_base.M2 - m_rot.M2).max() < 1e-14
-        err_base = recovery_error(fm_recover_1d(m_base).signal_est, x).relative_error
-        err_rot = recovery_error(fm_recover_1d(m_rot).signal_est, x).relative_error
+        err_base = recovery_error(fm_recover_2d(m_base, shape_1d(x.B)).signal_est, x).relative_error
+        err_rot = recovery_error(fm_recover_2d(m_rot, shape_1d(x.B)).signal_est, x).relative_error
         assert abs(err_base - err_rot) < 1e-12
 
     def test_idempotent_on_reconstructed_moments(self):
@@ -235,9 +218,9 @@ class TestInvariants:
         B = 6
         x = random_signal_1d(B, rng)
         rho = random_rho(B, rng)
-        rec = fm_recover_1d(population_moments_1d(x, rho, 0.2))
-        m2 = population_moments_1d(rec.signal_est, rec.rho_est, 0.0)
-        rec2 = fm_recover_1d(m2)
+        rec = fm_recover_2d(population_moments_2d(x, rho, 0.2), shape_1d(x.B))
+        m2 = population_moments_2d(rec.signal_est, rec.rho_est, 0.0)
+        rec2 = fm_recover_2d(m2, shape_1d(x.B))
         assert np.abs(rec2.signal_est.coeffs - rec.signal_est.coeffs).max() < 1e-12
         assert np.abs(rec2.rho_est.coeffs - rec.rho_est.coeffs).max() < 1e-12
 
@@ -245,7 +228,7 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         x = random_signal_1d(3, rng)
         rho = random_rho(3, rng)
-        rec = fm_recover_1d(population_moments_1d(x, rho, 0.1))
+        rec = fm_recover_2d(population_moments_2d(x, rho, 0.1), shape_1d(x.B))
         assert rec.diagnostics["variant"] == "plain"
         assert rec.diagnostics["min_abs_m1"] > 0
         assert rec.diagnostics["residuals"].max() < 1e-10

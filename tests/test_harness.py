@@ -1,21 +1,20 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from so2mra import harness
 from so2mra.errors import ConfigError
 from so2mra.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
-    apply_paper_scale,
+    config_from_argv,
     config_from_sources,
     load_config_file,
     main,
     rows_to_csv,
-    run_bound_sweep,
     run_experiment,
-    run_n_sweep,
-    run_snr_sweep,
     write_csv,
 )
 
@@ -51,11 +50,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(margin=0.7).validated()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sigma_misspec": 0.0},
+            {"sigma_misspec": -1.0},
+            {"tol_pos": -0.01},
+            {"tol_pos": 1.0 / (2.0 * np.pi)},
+            {"tol_pos": 0.5},
+            {"rotation_grid": 0},
+        ],
+    )
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad).validated()
+
 
 class TestSamplingSweeps:
     def test_snr_sweep_rows(self):
         cfg = ExperimentConfig(**TINY_SNR)
-        rows = run_snr_sweep(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 2 * len(ALGORITHMS)
         for row in rows:
             assert row["grid_param_name"] == "snr"
@@ -68,7 +82,7 @@ class TestSamplingSweeps:
         cfg = ExperimentConfig(
             experiment="n_sweep", b=3, q=2, snr=100.0, trials=2, n_grid=(500, 2000), master_seed=3
         )
-        rows = run_n_sweep(cfg)
+        rows = run_experiment(cfg)
         values = sorted({row["grid_param_value"] for row in rows})
         assert values == [500, 2000]
         by_n = {
@@ -78,25 +92,37 @@ class TestSamplingSweeps:
         assert by_n[2000]["median_error"] < by_n[500]["median_error"]
 
     def test_runner_dispatch_enforced(self):
-        cfg = ExperimentConfig(**TINY_SNR)
+        # run_experiment validates before it dispatches on the experiment.
+        cfg = ExperimentConfig(**{**TINY_SNR, "n_grid": (500,)})
         with pytest.raises(ConfigError):
-            run_n_sweep(cfg)
+            run_experiment(cfg)
 
     def test_algorithm_subset(self):
         cfg = ExperimentConfig(**{**TINY_SNR, "algorithms": ("spectral",)})
-        rows = run_snr_sweep(cfg)
+        rows = run_experiment(cfg)
         assert {row["algorithm"] for row in rows} == {"spectral"}
 
     def test_failures_recorded_not_raised(self):
         # A grossly misspecified sigma drives the debiased power spectrum
         # negative, so the recoveries fail and are counted per row.
         cfg = ExperimentConfig(**{**TINY_SNR, "sigma_misspec": 50.0})
-        rows = run_snr_sweep(cfg)
+        rows = run_experiment(cfg)
         assert any(row["failures"] > 0 for row in rows)
+
+    @pytest.mark.parametrize("exc", [TypeError, ValueError])
+    def test_programming_errors_propagate(self, monkeypatch, exc):
+        # Only expected numerical failures count as failed trials; a bug in a
+        # recovery (here a stand-in shape error) must abort the sweep.
+        def broken(*args, **kwargs):
+            raise exc("operands could not be broadcast together")
+
+        monkeypatch.setattr(harness, "fm_recover_2d", broken)
+        with pytest.raises(exc):
+            run_experiment(ExperimentConfig(**TINY_SNR))
 
     def test_fixed_ground_truth_shares_instance(self):
         cfg = ExperimentConfig(**{**TINY_SNR, "fixed_ground_truth": True})
-        rows = run_snr_sweep(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 2 * len(ALGORITHMS)
 
 
@@ -106,7 +132,7 @@ class TestBoundSweep:
             experiment="bound_sweep", b=3, q=2, eta_grid=(0.005, 0.02, 0.08), rotation_grid=24,
             master_seed=5,
         )
-        rows = run_bound_sweep(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 3
         sbs = [row["s_b"] for row in rows]
         assert all(s > 0 for s in sbs)
@@ -198,17 +224,38 @@ class TestConfigFileAndCli:
         rc = main(["--experiment", "snr_sweep", "--trials", "0", "--out", str(out)])
         assert rc == 2
 
+    def test_main_exit_code_2_on_out_of_range_values(self, tmp_path):
+        cfg_file = tmp_path / "cfg.txt"
+        out = tmp_path / "res.csv"
+        cfg_file.write_text(
+            "experiment = snr_sweep\nb = 3\nq = 2\nn = 500\ntrials = 1\n"
+            "sigma_misspec = -1\ntol_pos = 0.5\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_main_missing_config_file(self, tmp_path):
         rc = main([str(tmp_path / "nope.txt")])
         assert rc == 2
 
     def test_paper_scale_preset(self):
-        snr_cfg = apply_paper_scale(ExperimentConfig(experiment="snr_sweep"))
+        snr_cfg = config_from_argv(["--experiment", "snr_sweep", "--paper-scale"])
         assert snr_cfg.n == 1_000_000 and snr_cfg.trials == 400
-        n_cfg = apply_paper_scale(ExperimentConfig(experiment="n_sweep"))
+        n_cfg = config_from_argv(["--experiment", "n_sweep", "--paper-scale"])
         assert n_cfg.trials == 800
-        b_cfg = apply_paper_scale(ExperimentConfig(experiment="bound_sweep"))
+        b_cfg = config_from_argv(["--experiment", "bound_sweep", "--paper-scale"])
         assert b_cfg.trials == ExperimentConfig().trials
+
+    def test_explicit_values_beat_paper_scale(self, tmp_path):
+        cfg = config_from_argv(["--trials", "3", "--n", "1000", "--paper-scale"])
+        assert (cfg.experiment, cfg.trials, cfg.n) == ("snr_sweep", 3, 1000)
+        path = tmp_path / "cfg.txt"
+        path.write_text("experiment = snr_sweep\ntrials = 5\n", encoding="utf-8")
+        cfg = config_from_argv([str(path), "--paper-scale"])
+        assert (cfg.trials, cfg.n) == (5, 1_000_000)
+        cfg = config_from_argv([str(path), "--trials", "7", "--paper-scale"])
+        assert cfg.trials == 7
 
     def test_main_exit_code_3_on_failed_trials(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from so2mra.metrics import aggregate, recovery_error, sigma_for_snr, snr
-from so2mra.signal_model import TrigSignal, make_experiment_signal_2d, rotate_signal
+from so2mra.signal_model import make_experiment_signal_2d, rotate_signal
 
-from conftest import random_image, random_signal_1d
+from conftest import random_image, random_signal_1d, signal_1d
 
 
 def brute_force_error(est, truth, k, n_grid=1_000_000):
@@ -37,7 +37,7 @@ class TestRecoveryError:
         rng = np.random.default_rng(2)
         B = 5
         truth = random_signal_1d(B, rng)
-        est = TrigSignal(B, truth.coeffs + 0.1 * (rng.standard_normal(11) + 1j * rng.standard_normal(11)))
+        est = signal_1d(truth.coeffs + 0.1 * (rng.standard_normal(11) + 1j * rng.standard_normal(11)))
         rep = recovery_error(est, truth)
         brute = brute_force_error(est.coeffs, truth.coeffs, truth.k_values)
         assert rep.relative_error <= brute + 1e-9
@@ -48,7 +48,7 @@ class TestRecoveryError:
         rng = np.random.default_rng(3)
         B = 3
         truth = random_signal_1d(B, rng)
-        est = TrigSignal(B, truth.coeffs + 0.2 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)))
+        est = signal_1d(truth.coeffs + 0.2 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)))
         rep = recovery_error(est, truth)
         k = truth.k_values
         errs = [
@@ -73,7 +73,7 @@ class TestRecoveryError:
         rng = np.random.default_rng(5)
         for _ in range(20):
             truth = random_signal_1d(4, rng)
-            est = TrigSignal(4, truth.coeffs * np.exp(-1j * truth.k_values * rng.uniform(0, 2 * np.pi)))
+            est = signal_1d(truth.coeffs * np.exp(-1j * truth.k_values * rng.uniform(0, 2 * np.pi)))
             unaligned = np.linalg.norm(est.coeffs - truth.coeffs) ** 2 / np.linalg.norm(truth.coeffs) ** 2
             assert recovery_error(est, truth).relative_error <= unaligned + 1e-12
 
@@ -81,9 +81,7 @@ class TestRecoveryError:
         rng = np.random.default_rng(6)
         for _ in range(100):
             truth = random_signal_1d(5, rng)
-            est = TrigSignal(
-                5, truth.coeffs + 0.3 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
-            )
+            est = signal_1d(truth.coeffs + 0.3 * (rng.standard_normal(11) + 1j * rng.standard_normal(11)))
             rep = recovery_error(est, truth)
             brute = brute_force_error(est.coeffs, truth.coeffs, truth.k_values, n_grid=100_000)
             assert rep.relative_error <= brute + 1e-9
@@ -91,7 +89,7 @@ class TestRecoveryError:
     def test_aligned_estimate_invariant(self):
         rng = np.random.default_rng(7)
         truth = random_signal_1d(3, rng)
-        est = TrigSignal(3, truth.coeffs + 0.1j * rng.standard_normal(7))
+        est = signal_1d(truth.coeffs + 0.1j * rng.standard_normal(7))
         rep = recovery_error(est, truth)
         recomputed = np.linalg.norm(rep.aligned_estimate - truth.coeffs) ** 2
         assert rep.relative_error == pytest.approx(
@@ -99,7 +97,7 @@ class TestRecoveryError:
         )
 
     def test_zero_norm_truth_raises(self):
-        z = TrigSignal(1, np.zeros(3))
+        z = signal_1d(np.zeros(3))
         x = random_signal_1d(1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             recovery_error(x, z)
@@ -109,7 +107,7 @@ class TestRecoveryError:
         rng = np.random.default_rng(8)
         B = 4
         truth = random_signal_1d(B, rng)
-        est = TrigSignal(B, truth.coeffs + 0.2 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)))
+        est = signal_1d(truth.coeffs + 0.2 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)))
         rep = recovery_error(est, truth)
         k = truth.k_values
         norm_sq = np.linalg.norm(truth.coeffs) ** 2
@@ -127,7 +125,7 @@ class TestSnr:
 
     def test_scaling_homogeneity(self):
         x = random_signal_1d(3, np.random.default_rng(1))
-        scaled = TrigSignal(3, 2.5 * x.coeffs)
+        scaled = signal_1d(2.5 * x.coeffs)
         assert snr(scaled, 0.7) == pytest.approx(2.5**2 * snr(x, 0.7), rel=1e-12)
 
     def test_sigma_scaling(self):

@@ -7,11 +7,9 @@ from so2mra.moments import (
     MomentPair,
     debias,
     empirical_moments,
-    population_moments_1d,
     population_moments_2d,
 )
 from so2mra.signal_model import (
-    FBImage,
     ObservationBatch,
     RotationDistribution,
     UNIFORM_DENSITY,
@@ -28,9 +26,9 @@ class TestPopulation1D:
     def test_uniform_distribution(self):
         rng = np.random.default_rng(0)
         x = random_signal_1d(3, rng)
-        m = population_moments_1d(x, RotationDistribution.uniform(3), sigma=0.4)
+        m = population_moments_2d(x, RotationDistribution.uniform(3), sigma=0.4)
         expected_m1 = np.zeros(7, dtype=complex)
-        expected_m1[3] = x[0]
+        expected_m1[3] = x[0, 0]
         assert np.allclose(m.M1, expected_m1, atol=1e-14)
         assert np.allclose(m.M2, np.diag(np.abs(x.coeffs) ** 2) + 0.16 * np.eye(7), atol=1e-14)
 
@@ -40,7 +38,7 @@ class TestPopulation1D:
         B = 2
         x = random_signal_1d(B, rng)
         rho = RotationDistribution.from_positive(B, np.full(2 * B, UNIFORM_DENSITY, dtype=complex))
-        m = population_moments_1d(x, rho, sigma=0.3)
+        m = population_moments_2d(x, rho, sigma=0.3)
         assert np.allclose(m.M1, x.coeffs, atol=1e-14)
         assert np.allclose(m.M2, np.outer(x.coeffs, x.coeffs.conj()) + 0.09 * np.eye(5), atol=1e-14)
 
@@ -49,7 +47,7 @@ class TestPopulation1D:
         B, n, sig = 3, 1_000_000, 0.5
         x = random_signal_1d(B, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
-        pop = population_moments_1d(x, rho, sig)
+        pop = population_moments_2d(x, rho, sig)
         acc = MomentAccumulator(x.size)
         fourth = np.zeros((x.size, x.size))
         remaining, chunk = n, 65536
@@ -69,17 +67,6 @@ class TestPopulation1D:
 
 
 class TestPopulation2D:
-    def test_q1_reduces_to_1d(self):
-        rng = np.random.default_rng(2)
-        B = 3
-        x1 = random_signal_1d(B, rng)
-        img = FBImage(B, np.ones(B + 1, dtype=np.int64), x1.coeffs, is_real=True)
-        rho = random_rho(B, rng)
-        m1d = population_moments_1d(x1, rho, 0.25)
-        m2d = population_moments_2d(img, rho, 0.25)
-        assert np.array_equal(m1d.M1, m2d.M1)
-        assert np.array_equal(m1d.M2, m2d.M2)
-
     def test_uniform_distribution_block_structure(self):
         # Uniform rho keeps only the k1 == k2 blocks: rank-one x_k x_k^H on
         # the block diagonal, so diag(M2) is the power spectrum plus sigma^2.
@@ -129,14 +116,14 @@ class TestEmpirical:
 
     def test_two_observations_average(self):
         rows = np.array([[1 + 1j, 2.0], [3.0, -1j]], dtype=complex)
-        batch = ObservationBatch("1d", rows, sigma=0.0)
+        batch = ObservationBatch(rows, sigma=0.0)
         m = empirical_moments(batch)
         assert np.allclose(m.M1, rows.mean(axis=0))
         expected = 0.5 * (np.outer(rows[0], rows[0].conj()) + np.outer(rows[1], rows[1].conj()))
         assert np.allclose(m.M2, expected, atol=1e-15)
 
     def test_empty_batch(self):
-        batch = ObservationBatch("1d", np.zeros((0, 3), dtype=complex), sigma=0.1)
+        batch = ObservationBatch(np.zeros((0, 3), dtype=complex), sigma=0.1)
         with pytest.raises(ValueError):
             empirical_moments(batch)
 
@@ -146,7 +133,7 @@ class TestEmpirical:
         x = random_signal_1d(B, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         emp = simulate_empirical_moments(x, rho, n, sig, rng)
-        pop = population_moments_1d(x, rho, sig)
+        pop = population_moments_2d(x, rho, sig)
         bound = 6 * max(sig**2, np.abs(x.coeffs).max() ** 2) / np.sqrt(n)
         assert np.abs(emp.M2 - pop.M2).max() < bound
 
@@ -156,7 +143,7 @@ class TestEmpirical:
         rho = make_experiment_distribution(2, rng)
         batch = generate_observations(x, rho, 500, 0.4, rng)
         perm = rng.permutation(500)
-        shuffled = ObservationBatch("1d", batch.data[perm], batch.sigma)
+        shuffled = ObservationBatch(batch.data[perm], batch.sigma)
         a = empirical_moments(batch)
         b = empirical_moments(shuffled)
         assert np.abs(a.M2 - b.M2).max() < 1e-12 * np.abs(a.M2).max()
@@ -179,7 +166,7 @@ class TestDebias:
         B = 4
         x = random_signal_1d(B, rng)
         rho = make_experiment_distribution(B, rng)
-        m = debias(population_moments_1d(x, rho, sigma=0.8))
+        m = debias(population_moments_2d(x, rho, sigma=0.8))
         k = x.k_values
         t = rho.coeffs[(k[:, None] - k[None, :]) + 2 * B]
         expected = 2 * np.pi * np.outer(x.coeffs, x.coeffs.conj()) * t
@@ -190,7 +177,7 @@ class TestDebias:
     def test_sigma_zero_unchanged(self):
         rng = np.random.default_rng(12)
         x = random_signal_1d(2, rng)
-        m = population_moments_1d(x, RotationDistribution.uniform(2), sigma=0.0)
+        m = population_moments_2d(x, RotationDistribution.uniform(2), sigma=0.0)
         md = debias(m)
         assert np.allclose(md.M2, m.M2, atol=0)
 
@@ -205,7 +192,7 @@ class TestDebias:
     def test_double_debias_raises(self):
         rng = np.random.default_rng(13)
         x = random_signal_1d(2, rng)
-        m = debias(population_moments_1d(x, RotationDistribution.uniform(2), 0.2))
+        m = debias(population_moments_2d(x, RotationDistribution.uniform(2), 0.2))
         with pytest.raises(ValueError):
             debias(m)
 
@@ -213,7 +200,7 @@ class TestDebias:
         rng = np.random.default_rng(14)
         x = random_signal_1d(3, rng)
         rho = make_experiment_distribution(3, rng)
-        md = debias(population_moments_1d(x, rho, 0.3))
+        md = debias(population_moments_2d(x, rho, 0.3))
         assert np.array_equal(md.M2, md.M2.conj().T)
 
 
@@ -222,6 +209,20 @@ class TestMomentPairValidation:
         m2 = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             MomentPair(np.ones(2, dtype=complex), m2, 0.1)
+
+    def test_rejects_non_finite(self):
+        img = random_image(3, 2, np.random.default_rng(15))
+        m = population_moments_2d(img, random_rho(3, np.random.default_rng(16)), 0.2)
+        m2 = m.M2.copy()
+        m2[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            MomentPair(m.M1, m2, m.sigma)
+        m1 = m.M1.copy()
+        m1[1] = np.inf
+        with pytest.raises(ValueError):
+            MomentPair(m1, m.M2, m.sigma)
+        with pytest.raises(ValueError):
+            MomentPair(m.M1, m.M2, np.nan)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):

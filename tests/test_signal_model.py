@@ -4,6 +4,7 @@ from scipy import stats
 
 from so2mra.errors import NotSampleableError
 from so2mra.signal_model import (
+    FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
     generate_observations,
@@ -40,6 +41,22 @@ class TestExperimentSignal:
         img = make_experiment_signal_2d(2, 1, np.random.default_rng(3))
         for k in range(1, 3):
             assert img[-k, 0] == np.conj(img[k, 0])
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_image(self, bad):
+        coeffs = make_experiment_signal_2d(3, 2, np.random.default_rng(0)).coeffs.copy()
+        coeffs[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FBImage(3, np.full(4, 2), coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution(self, bad):
+        pos = make_experiment_distribution(3, np.random.default_rng(1)).positive_coeffs.copy()
+        pos[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RotationDistribution.from_positive(3, pos)
 
 
 class TestExperimentDistribution:

@@ -3,9 +3,8 @@ import pytest
 
 from so2mra.errors import MomentConsistencyError
 from so2mra.metrics import recovery_error
-from so2mra.moments import MomentPair, debias, population_moments_1d, population_moments_2d
+from so2mra.moments import MomentPair, debias, population_moments_2d
 from so2mra.signal_model import (
-    FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
     make_experiment_distribution,
@@ -16,16 +15,15 @@ from so2mra.signal_model import (
 from so2mra.spectral import (
     bound_value,
     circulant_matrix,
+    EigOptions,
     circulant_project,
-    davis_kahan_bound_1d,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
-    spectral_recover_1d,
     spectral_recover_2d,
     toeplitz_matrix,
 )
 
-from conftest import random_image, random_rho, random_signal_1d, rho_truncation
+from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
 
 
 def brute_force_toeplitz(rho):
@@ -110,8 +108,8 @@ class TestSpectralRecovery1D:
             rho = make_experiment_distribution(B, rng)
             if not isolated_gap_ok(rho):
                 continue
-            m = population_moments_1d(x, rho, sigma=0.4)
-            rec, report = spectral_recover_1d(m)
+            m = population_moments_2d(x, rho, sigma=0.4)
+            rec, report = spectral_recover_2d(m, shape_1d(x.B))
             assert recovery_error(rec.signal_est, x).relative_error < 1e-8
             est = rho_truncation(rec.rho_est, B)
             truth = rho_truncation(rho, B)
@@ -124,10 +122,11 @@ class TestSpectralRecovery1D:
         B = 4
         x = random_signal_1d(B, rng)
         rho = RotationDistribution.from_positive(B, np.full(2 * B, UNIFORM_DENSITY, dtype=complex))
-        m = population_moments_1d(x, rho, sigma=0.7)
-        rec, report = spectral_recover_1d(m)
+        m = population_moments_2d(x, rho, sigma=0.7)
+        # Eigenvalues at or below 1e-10 in absolute value are discarded.
+        rec, report = spectral_recover_2d(m, shape_1d(B), EigOptions(rank_tol=1e-10 / (2 * B + 1)))
+        assert report.eigenvalues.shape == (1,)
         assert report.eigenvalues[0] == pytest.approx(2 * B + 1, rel=1e-12)
-        assert np.abs(report.eigenvalues[1:]).max() < 1e-10
         assert recovery_error(rec.signal_est, x).relative_error < 1e-10
 
     def test_error_within_bound_for_perturbed_rho(self):
@@ -135,9 +134,9 @@ class TestSpectralRecovery1D:
         B = 10
         x = random_signal_1d(B, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng), 0.05)
-        m = population_moments_1d(x, rho, sigma=0.0)
-        rec, _ = spectral_recover_1d(m)
-        report = davis_kahan_bound_1d(x, rho, recovery=rec)
+        m = population_moments_2d(x, rho, sigma=0.0)
+        rec, _ = spectral_recover_2d(m, shape_1d(x.B))
+        report = davis_kahan_bound_2d(x, rho, recovery=rec)
         if report.all_conditions_met():
             abs_err = recovery_error(rec.signal_est, x).relative_error * float(
                 np.vdot(x.coeffs, x.coeffs).real
@@ -149,7 +148,7 @@ class TestSpectralRecovery1D:
         B = 6
         x = random_signal_1d(B, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng), 0.08)
-        rec, _ = spectral_recover_1d(population_moments_1d(x, rho, 0.2))
+        rec, _ = spectral_recover_2d(population_moments_2d(x, rho, 0.2), shape_1d(x.B))
         xt = rec.diagnostics["x_tilde"]
         assert np.abs(xt - xt[::-1].conj()).max() < 1e-10
 
@@ -158,7 +157,7 @@ class TestSpectralRecovery1D:
         B = 5
         x = random_signal_1d(B, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng), 0.03)
-        _, report = spectral_recover_1d(population_moments_1d(x, rho, 0.3))
+        _, report = spectral_recover_2d(population_moments_2d(x, rho, 0.3), shape_1d(x.B))
         lam_t = np.sort(np.linalg.eigvalsh(toeplitz_matrix(rho)))[::-1]
         assert np.abs(report.eigenvalues - 2 * np.pi * lam_t).max() < 1e-10
 
@@ -167,7 +166,7 @@ class TestSpectralRecovery1D:
         m2 = np.diag([1.0, 0.5, 1.0]).astype(complex)
         m = MomentPair(m1, m2, sigma=1.0, debiased=False)  # debias drives diag negative
         with pytest.raises(MomentConsistencyError):
-            spectral_recover_1d(m)
+            spectral_recover_2d(m, shape_1d(1))
 
 
 class TestDavisKahan1D:
@@ -175,7 +174,7 @@ class TestDavisKahan1D:
         rng = np.random.default_rng(7)
         x = random_signal_1d(4, rng)
         rho = make_experiment_distribution(4, rng)
-        report = davis_kahan_bound_1d(x, rho)
+        report = davis_kahan_bound_2d(x, rho)
         assert report.s_b < 1e-15
         assert report.bound == 0.0
 
@@ -194,8 +193,8 @@ class TestDavisKahan1D:
         errors, bounds, sbs = [], [], []
         for eta in np.logspace(-3, -1, 8):
             rho = perturb_distribution(base, eta)
-            rec, _ = spectral_recover_1d(population_moments_1d(x, rho, 0.0))
-            report = davis_kahan_bound_1d(x, rho, recovery=rec)
+            rec, _ = spectral_recover_2d(population_moments_2d(x, rho, 0.0), shape_1d(x.B))
+            report = davis_kahan_bound_2d(x, rho, recovery=rec)
             if not report.all_conditions_met():
                 continue
             errors.append(recovery_error(rec.signal_est, x).relative_error * norm_sq)
@@ -223,18 +222,6 @@ class TestSpectralRecovery2D:
         est = rho_truncation(rec.rho_est, B)
         truth = rho_truncation(rho, B)
         assert recovery_error(est, truth).relative_error < 1e-8
-
-    def test_q1_identical_to_1d(self):
-        rng = np.random.default_rng(10)
-        B = 5
-        x = random_signal_1d(B, rng)
-        rho = make_experiment_distribution(B, rng)
-        m = population_moments_1d(x, rho, 0.2)
-        rec1, rep1 = spectral_recover_1d(m)
-        rec2, rep2 = spectral_recover_2d(m, (B, np.ones(B + 1, dtype=np.int64)))
-        assert np.array_equal(rec1.signal_est.coeffs, rec2.signal_est.coeffs)
-        assert np.array_equal(rec1.rho_est.coeffs, rec2.rho_est.coeffs)
-        assert rep1.kappa == rep2.kappa
 
     def test_rank_at_most_2b_plus_1(self):
         rng = np.random.default_rng(11)
@@ -273,18 +260,6 @@ class TestSpectralRecovery2D:
 
 
 class TestDavisKahan2D:
-    def test_q1_reduces_to_1d(self):
-        rng = np.random.default_rng(13)
-        B = 4
-        x = random_signal_1d(B, rng)
-        img = FBImage(B, np.ones(B + 1, dtype=np.int64), x.coeffs, is_real=True)
-        rho = perturb_distribution(make_experiment_distribution(B, rng), 0.05)
-        r1 = davis_kahan_bound_1d(x, rho)
-        r2 = davis_kahan_bound_2d(img, rho)
-        assert r1.delta_kappa == pytest.approx(r2.delta_kappa, rel=1e-12)
-        assert r1.s_b == r2.s_b
-        assert r1.bound == pytest.approx(r2.bound, rel=1e-12)
-
     def test_zero_distance_zero_bound(self):
         rng = np.random.default_rng(14)
         img = make_experiment_signal_2d(3, 2, rng)
@@ -314,8 +289,8 @@ class TestMinBoundOverRotations:
         rng = np.random.default_rng(15)
         x = random_signal_1d(3, rng)
         rho = perturb_distribution(make_experiment_distribution(3, rng), 0.05)
-        r0 = davis_kahan_bound_1d(x, rotate_distribution(rho, 0.0))
-        r2pi = davis_kahan_bound_1d(x, rotate_distribution(rho, 2 * np.pi))
+        r0 = davis_kahan_bound_2d(x, rotate_distribution(rho, 0.0))
+        r2pi = davis_kahan_bound_2d(x, rotate_distribution(rho, 2 * np.pi))
         assert r0.bound == pytest.approx(r2pi.bound, rel=1e-10)
         assert np.allclose(r0.eigenvalues_circ, r2pi.eigenvalues_circ, atol=1e-12)
 
@@ -324,9 +299,21 @@ class TestMinBoundOverRotations:
         x = random_signal_1d(3, rng)
         rho = perturb_distribution(make_experiment_distribution(3, rng), 0.05)
         angle, report = min_bound_over_rotations(x, rho, 1)
-        direct = davis_kahan_bound_1d(x, rho)
+        direct = davis_kahan_bound_2d(x, rho)
         assert angle == 0.0
         assert report.bound == direct.bound
+
+    def test_grid_rotations_leave_bound_unchanged(self):
+        # The 2B+1 grid rotations leave s_b, both spectra and the power
+        # spectrum unchanged, so minimising over them gives the unrotated bound.
+        rng = np.random.default_rng(19)
+        B, Q = 10, 2
+        img = make_experiment_signal_2d(B, Q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng), 0.01)
+        direct = davis_kahan_bound_2d(img, rho)
+        assert direct.bound is not None
+        _, report = min_bound_over_rotations(img, rho, 2 * B + 1)
+        assert report.bound == pytest.approx(direct.bound, rel=1e-10)
 
     def test_minimised_bound_still_dominates(self):
         rng = np.random.default_rng(17)
