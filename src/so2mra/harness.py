@@ -14,6 +14,7 @@ output.  Failed trials are counted per row instead of aborting the sweep.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -27,10 +28,12 @@ from .moments import MomentAccumulator, MomentPair, population_moments_2d
 from .signal_model import (
     UNIFORM_DENSITY,
     FBImage,
+    conjugate_noise_map,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
+    rotation_cdf,
 )
 from .spectral import (
     EigOptions,
@@ -164,9 +167,59 @@ def _ground_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     return image, base
 
 
-def simulate_empirical_moments(
-    signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = 65536
-) -> MomentPair:
+def _fourier_sums(angles: np.ndarray, order: int) -> np.ndarray:
+    """``S_m = sum_i exp(1j*m*angles_i)`` for ``m = 0..order``, by recursive powers."""
+    sums = np.empty(order + 1, dtype=np.complex128)
+    sums[0] = angles.size
+    w = np.exp(1j * angles)
+    power = w.copy()
+    for m in range(1, order + 1):
+        sums[m] = power.sum()
+        power *= w
+    return sums
+
+
+def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
+    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]``.
+
+    ``sums`` holds ``S_m`` for ``m = 0..2B``.  Column ``a`` is
+    ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines, ``-1j`` for sines),
+    and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
+    ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
+    """
+    B = (sums.size - 1) // 2
+    col = np.arange(2 * B + 1)
+    freq = (col + 1) // 2
+    c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
+    signed = np.concatenate([sums[:0:-1].conj(), sums])  # m = -2B..2B
+    plus = signed[2 * B + freq[:, None] + freq[None, :]]
+    minus = signed[2 * B + freq[:, None] - freq[None, :]]
+    return 0.5 * (np.outer(c, c) * plus + np.outer(c, c.conj()) * minus).real
+
+
+def _design_map(signal: FBImage) -> np.ndarray:
+    """Complex ``C`` (dim x (2B+1)) with ``rotate(x, phi) = C @ g(phi)``.
+
+    ``x[k] exp(-1j*k*phi) = x[k] cos(|k| phi) - 1j*sign(k)*x[k] sin(|k| phi)``.
+    """
+    k = signal.k_values
+    rows = np.arange(signal.size)
+    design = np.zeros((signal.size, 2 * signal.B + 1), dtype=np.complex128)
+    design[rows, np.maximum(2 * np.abs(k) - 1, 0)] = signal.coeffs
+    nz = k != 0
+    design[rows[nz], 2 * np.abs(k[nz])] = -1j * np.sign(k[nz]) * signal.coeffs[nz]
+    return design
+
+
+def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L L^T ~ Wishart_dim(dof, I)`` (Bartlett); needs ``dof >= dim``."""
+    lower = np.zeros((dim, dim))
+    lower[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
+    lower[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    return lower
+
+
+def _direct_moments(signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int) -> MomentPair:
     """Generate ``n`` observations chunk-wise and stream them into moments."""
     acc = MomentAccumulator(signal.size)
     remaining = n
@@ -176,6 +229,55 @@ def simulate_empirical_moments(
         acc.update(batch.data)
         remaining -= take
     return acc.finalize(sigma)
+
+
+def simulate_empirical_moments(
+    signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = 65536
+) -> MomentPair:
+    """Draw the empirical moments of ``n`` observations, exactly in distribution.
+
+    Row ``i`` is ``K r_i`` with ``K = [C, sigma U]`` (``_design_map``,
+    ``conjugate_noise_map``) and the real ``r_i = [g(phi_i); z_i]``,
+    ``z_i ~ N(0, I_d)``.  So ``M1 = K Gamma[:, 0] / n`` (``g_0 = 1``) and
+    ``M2 = K Gamma K^H / n``, which is
+    ``(C G^T G C^H + sigma (C G^T Z U^H + h.c.) + sigma^2 U Z^T Z U^H) / n``,
+    where ``Gamma = [G Z]^T [G Z]``.  ``G^T G`` comes from the angle Fourier
+    sums, accumulated over ``chunk`` angles at a time (drawn like
+    ``sample_rotations`` draws them).  Given ``G``, with ``G^T G = L L^T``
+    and ``W ~ N(0, 1)^{p x d}``, ``G^T Z = L W`` and
+    ``Z^T Z = W^T W + Wishart_d(n - p, I)``: ``Gamma = F F^T`` with
+    ``F = [[L, 0], [W^T, Bartlett factor]]``.  When ``n < p + d`` the
+    Wishart term is singular and the observations are generated and
+    accumulated directly, as they are if ``G^T G`` is numerically singular.
+    """
+    if signal.B != rho.B:
+        raise ValueError("signal and distribution bandwidths must agree")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    B, dim = signal.B, signal.size
+    p = 2 * B + 1
+    if n < p + dim:
+        return _direct_moments(signal, rho, n, sigma, rng, chunk)
+    levels, nodes = rotation_cdf(rho)
+    sums = np.zeros(2 * B + 1, dtype=np.complex128)
+    for start in range(0, n, chunk):
+        u = rng.random(min(chunk, n - start))
+        # The sums ignore the order of the angles, and sorted queries make
+        # the interpolation's binary searches several times faster.
+        u.sort()
+        sums += _fourier_sums(np.interp(u, levels, nodes), 2 * B)
+    try:
+        lower = np.linalg.cholesky(_gram_from_sums(sums))
+    except np.linalg.LinAlgError:
+        return _direct_moments(signal, rho, n, sigma, rng, chunk)
+    factor = np.zeros((p + dim, p + dim))
+    factor[:p, :p] = lower
+    factor[p:, :p] = rng.standard_normal((dim, p))
+    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+    k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
+    kf = k_map @ factor
+    m2 = kf @ kf.conj().T / n
+    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma, debiased=False)
 
 
 def _recover(algorithm: str, m: MomentPair, image: FBImage, rank_tol: float):
@@ -247,7 +349,7 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
             key, errors = run(task)
             results[key] = errors
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
             for key, errors in pool.map(run, tasks):
                 results[key] = errors
 

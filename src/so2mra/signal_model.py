@@ -249,11 +249,6 @@ def make_experiment_signal_2d(B: int, Q: int, rng: np.random.Generator) -> FBIma
     return FBImage(B, np.full(B + 1, Q, dtype=np.int64), coeffs, is_real=True)
 
 
-def _min_density_scaled(pos: np.ndarray, gamma: float, B: int, grid_size: int) -> float:
-    rho = RotationDistribution.from_positive(B, gamma * pos, np.inf, grid_size)
-    return rho.min_density
-
-
 def make_experiment_distribution(
     B: int,
     rng: np.random.Generator,
@@ -267,8 +262,8 @@ def make_experiment_distribution(
     closest circulant-compatible value (the Frobenius-optimal weighted
     average), which forces the circulant distance to vanish.  The non-DC
     coefficients are then shrunk by the largest ``gamma`` in ``(0, 1]`` that
-    keeps the density above ``tol_pos`` on the evaluation grid; shrinking is
-    linear, so circulant compatibility is preserved.
+    keeps the density at or above ``tol_pos`` on the evaluation grid;
+    shrinking is linear, so circulant compatibility is preserved.
     """
     if B < 1:
         raise ValueError("need B >= 1")
@@ -279,28 +274,19 @@ def make_experiment_distribution(
     # Closest circulant-compatible coefficients: for each k the pair
     # (rho[k], rho[-(n-k)]) collapses onto the weighted average
     # (k*rho[-(n-k)] + (n-k)*rho[k]) / n, mirrored conjugately.
-    merged = np.empty_like(pos)
-    for k in range(1, n):
-        merged[k - 1] = (k * pos[n - k - 1].conj() + (n - k) * pos[k - 1]) / n
-    pos = merged
+    k = np.arange(1, n)
+    pos = (k * pos[::-1].conj() + (n - k) * pos) / n
 
     if tol_pos > UNIFORM_DENSITY:
         raise DegenerateDrawError("positivity target exceeds the uniform density level")
-
-    def feasible(gamma: float) -> bool:
-        return _min_density_scaled(pos, gamma, B, grid_size) >= tol_pos
-
-    if feasible(1.0):
+    # The grid density is 1/(2*pi) + gamma*f(theta), affine in gamma, so the
+    # largest feasible gamma is closed-form.  The relative 1e-12 shrink keeps
+    # the rounded grid minimum at or above tol_pos.
+    min_full = RotationDistribution.from_positive(B, pos, np.inf, grid_size).min_density
+    if min_full >= tol_pos:
         gamma = 1.0
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        gamma = lo
+        gamma = (UNIFORM_DENSITY - tol_pos) / (UNIFORM_DENSITY - min_full) * (1.0 - 1e-12)
     if gamma <= 1e-6:
         raise DegenerateDrawError("no usable positive rescaling found for this draw")
     return RotationDistribution.from_positive(B, gamma * pos, tol_pos, grid_size)
@@ -330,18 +316,16 @@ def rotate_signal(signal: FBImage, angle: float) -> FBImage:
     return FBImage(signal.B, signal.radial_bandwidths, coeffs, signal.is_real)
 
 
-def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` angles in ``[0, 2*pi)`` from the density by grid inverse-CDF.
+def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Grid inverse-CDF table: ``np.interp(u, levels, nodes)`` maps uniform ``u`` to angles.
 
     The density is evaluated on the uniform grid, clamped at zero, integrated
-    with the trapezoid rule, normalised, and inverted by linear interpolation.
+    with the trapezoid rule and normalised to the CDF ``levels`` at ``nodes``.
     """
     if not rho.sampleable:
         raise NotSampleableError(
             f"density dips to {rho.min_density:.3g}, below -{rho.positivity_tol:.3g}"
         )
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
     nodes, dens = rho.density_grid()
     dens = np.maximum(dens, 0.0)
     dtheta = nodes[1] - nodes[0]
@@ -349,8 +333,13 @@ def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator
     total = cdf[-1]
     if total <= 0.0:
         raise NotSampleableError("density has no positive mass on the grid")
-    u = rng.random(n)
-    return np.interp(u, cdf / total, nodes)
+    return cdf / total, nodes
+
+
+def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` angles in ``[0, 2*pi)`` by interpolating the ``rotation_cdf`` table."""
+    levels, nodes = rotation_cdf(rho)
+    return np.interp(rng.random(n), levels, nodes)
 
 
 def _conjugate_noise(
@@ -382,16 +371,35 @@ def _conjugate_noise(
 
 
 def _negative_partners(k_index: np.ndarray) -> np.ndarray:
-    """For each flat index with ``k > 0`` (in order), the index of ``(-k, q)``."""
-    partners = []
-    order = np.flatnonzero(k_index > 0)
-    for i in order:
-        k = k_index[i]
-        block = np.flatnonzero(k_index == k)
-        q = int(np.where(block == i)[0][0])
-        neg_block = np.flatnonzero(k_index == -k)
-        partners.append(neg_block[q])
-    return np.asarray(partners, dtype=np.int64)
+    """For each flat index with ``k > 0`` (in order), the index of ``(-k, q)``.
+
+    ``k_index`` is block-sorted (``k = -B..B``) and block ``-k`` has the size
+    of block ``k``, so the partner is the start of block ``-k`` plus ``q``.
+    """
+    pos = np.flatnonzero(k_index > 0)
+    k = k_index[pos]
+    return np.searchsorted(k_index, -k) + pos - np.searchsorted(k_index, k)
+
+
+def conjugate_noise_map(k_index: np.ndarray) -> np.ndarray:
+    """Complex ``U`` with ``eps = U @ z`` distributed as unit-sigma conjugate noise.
+
+    For real ``z ~ N(0, I_d)``: a ``k == 0`` entry is ``z_j``; the ``(k, q)``,
+    ``k > 0``, entry is ``(z_j + 1j*z_j') / sqrt(2)`` and its ``(-k, q)``
+    partner ``j'`` the conjugate.  ``U`` is unitary.
+    """
+    dim = k_index.size
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    zero = np.flatnonzero(k_index == 0)
+    u[zero, zero] = 1.0
+    pos = np.flatnonzero(k_index > 0)
+    neg = _negative_partners(k_index)
+    h = 1.0 / np.sqrt(2.0)
+    u[pos, pos] = h
+    u[pos, neg] = 1j * h
+    u[neg, pos] = h
+    u[neg, neg] = -1j * h
+    return u
 
 
 def generate_observations(

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ class TestDeterminism:
         second = rows_to_csv(run_experiment(cfg))
         threaded = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=4)))
         assert first == second == threaded
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # A stand-in pool records its size and runs the tasks in order, so
+        # the test starts no threads.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        cores = os.cpu_count() or 1
+        cfg = ExperimentConfig(**TINY_SNR)
+        pooled = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=cores + 1)))
+        assert sizes == [cores]
+        assert pooled == rows_to_csv(run_experiment(cfg))
 
     def test_seed_changes_output(self):
         cfg = ExperimentConfig(**TINY_SNR)

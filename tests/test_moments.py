@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from so2mra.harness import simulate_empirical_moments
+from so2mra.harness import _fourier_sums, _gram_from_sums, simulate_empirical_moments
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
@@ -11,6 +11,7 @@ from so2mra.moments import (
 )
 from so2mra.signal_model import (
     ObservationBatch,
+    _negative_partners,
     RotationDistribution,
     UNIFORM_DENSITY,
     generate_observations,
@@ -157,6 +158,96 @@ class TestEmpirical:
         a = empirical_moments(batch, chunk=64)
         b = empirical_moments(batch, chunk=1000)
         assert np.abs(a.M2 - b.M2).max() < 1e-13
+
+
+def _oracle_moments(signal, rho, n, sigma, rng, chunk):
+    """Moments of ``n`` generated observations, streamed chunk by chunk."""
+    acc = MomentAccumulator(signal.size)
+    for start in range(0, n, chunk):
+        acc.update(generate_observations(signal, rho, min(chunk, n - start), sigma, rng).data)
+    return acc.finalize(sigma)
+
+
+class TestSufficientStatisticSimulator:
+    @pytest.mark.parametrize("B", [1, 3, 10])
+    def test_gram_from_sums_matches_explicit(self, B):
+        angles = np.random.default_rng(B).uniform(0.0, 2 * np.pi, 5000)
+        k = np.arange(1, B + 1)
+        g = np.empty((angles.size, 2 * B + 1))
+        g[:, 0] = 1.0
+        g[:, 1::2] = np.cos(np.outer(angles, k))
+        g[:, 2::2] = np.sin(np.outer(angles, k))
+        explicit = g.T @ g
+        gram = _gram_from_sums(_fourier_sums(angles, 2 * B))
+        assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_distribution_matches_direct_oracle(self):
+        # Every real and imaginary entry of M1 and M2, over independent
+        # repetitions of each simulator: equal means (two-sample z), equal
+        # spreads and equal correlations between entries (the joint law of
+        # the signal, cross and noise terms, not only each marginal).
+        B, Q, n, sig, reps = 2, 2, 60, 0.6, 3000
+        rng = np.random.default_rng(31)
+        img = make_experiment_signal_2d(B, Q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+
+        def draws(simulate, key):
+            out = []
+            for r in range(reps):
+                m = simulate(img, rho, n, sig, np.random.default_rng((key, r)), 65536)
+                out.append(np.concatenate([m.M1, m.M2.ravel()]))
+            out = np.array(out)
+            return np.concatenate([out.real, out.imag], axis=1)
+
+        new = draws(simulate_empirical_moments, 1)
+        old = draws(_oracle_moments, 2)
+        var_new, var_old = new.var(axis=0, ddof=1), old.var(axis=0, ddof=1)
+        random_entry = var_old > 1e-20
+        # Entries that are exactly zero on the oracle side (Im of real ones).
+        assert np.abs(new[:, ~random_entry]).max() < 1e-12
+        z = (new.mean(axis=0) - old.mean(axis=0))[random_entry] / np.sqrt(
+            (var_new + var_old)[random_entry] / reps
+        )
+        spread = np.sqrt(var_new[random_entry] / var_old[random_entry])
+        assert np.abs(z).max() < 4.5
+        assert 0.9 <= spread.min() and spread.max() <= 1.1
+        corr_new = np.corrcoef(new[:, random_entry].T)
+        corr_old = np.corrcoef(old[:, random_entry].T)
+        assert np.abs(corr_new - corr_old).max() < 0.2
+
+    def test_conjugate_symmetry_for_real_image(self):
+        rng = np.random.default_rng(32)
+        img = make_experiment_signal_2d(3, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
+        m = simulate_empirical_moments(img, rho, 5000, 0.8, rng)
+        k_index = img.k_values
+        mirror = np.arange(img.size)
+        mirror[np.flatnonzero(k_index > 0)] = _negative_partners(k_index)
+        mirror[_negative_partners(k_index)] = np.flatnonzero(k_index > 0)
+        assert np.abs(m.M1[mirror] - m.M1.conj()).max() <= 1e-12
+        assert np.abs(m.M2[np.ix_(mirror, mirror)] - m.M2.conj()).max() <= 1e-12 * np.abs(m.M2).max()
+
+    def test_few_observations_take_direct_path(self):
+        # n < (2B+1) + d leaves the Wishart term singular: the observations
+        # are generated, and the result is the oracle loop's, bit for bit.
+        rng = np.random.default_rng(33)
+        img = make_experiment_signal_2d(2, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(2, rng, tol_pos=0.05), 0.1)
+        n = 5 + img.size - 1
+        a = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(34), 4)
+        b = _oracle_moments(img, rho, n, 0.4, np.random.default_rng(34), 4)
+        assert np.array_equal(a.M1, b.M1) and np.array_equal(a.M2, b.M2)
+        c = simulate_empirical_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
+        d = _oracle_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
+        assert not np.array_equal(c.M2, d.M2)
+
+    def test_input_checks(self):
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(35))
+        rho = RotationDistribution.uniform(2)
+        with pytest.raises(ValueError):
+            simulate_empirical_moments(img, RotationDistribution.uniform(3), 100, 0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            simulate_empirical_moments(img, rho, 100, -0.1, np.random.default_rng(0))
 
 
 class TestDebias:

@@ -7,6 +7,8 @@ from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
+    _negative_partners,
+    conjugate_noise_map,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -82,6 +84,35 @@ class TestExperimentDistribution:
         rho = make_experiment_distribution(4, np.random.default_rng(7))
         assert rho[0] == UNIFORM_DENSITY
         assert np.array_equal(rho.coeffs[::-1].conj(), rho.coeffs)
+
+    @pytest.mark.parametrize("tol_pos", [0.0, 0.05])
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 10])
+    def test_gamma_matches_bisection(self, B, tol_pos):
+        # The closed-form shrink factor against a 40-step bisection on the
+        # same draw; bisection is accurate to 2**-40 absolute.
+        n = 2 * B + 1
+        k = np.arange(1, n)
+        for seed in range(4):
+            rho = make_experiment_distribution(B, np.random.default_rng(seed), tol_pos=tol_pos)
+            draw = np.random.default_rng(seed)
+            pos = draw.random(2 * B) + 1j * draw.random(2 * B)
+            merged = (k * pos[::-1].conj() + (n - k) * pos) / n
+
+            def min_density(gamma):
+                return RotationDistribution.from_positive(B, gamma * merged, np.inf).min_density
+
+            if min_density(1.0) >= tol_pos:
+                reference = 1.0
+            else:
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if min_density(mid) >= tol_pos else (lo, mid)
+                reference = lo
+            gamma = (rho.positive_coeffs / merged).real
+            assert np.allclose(gamma, gamma[0], rtol=1e-14, atol=0.0)
+            assert abs(gamma[0] - reference) <= 2e-12
+            assert rho.min_density >= tol_pos
 
 
 class TestPerturbation:
@@ -186,6 +217,35 @@ class TestObservations:
                 i = img.block_start(k) + q
                 j = img.block_start(-k) + q
                 assert np.allclose(batch.data[:, j], batch.data[:, i].conj(), atol=1e-13)
+
+    @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [3, 1, 4, 2]])
+    def test_negative_partners_match_loop(self, qk):
+        img = FBImage(3, np.array(qk), np.zeros(2 * sum(qk) - qk[0], dtype=complex))
+        k_index = img.k_values
+        expected = []
+        for i in np.flatnonzero(k_index > 0):
+            block = np.flatnonzero(k_index == k_index[i])
+            q = int(np.where(block == i)[0][0])
+            expected.append(np.flatnonzero(k_index == -k_index[i])[q])
+        assert np.array_equal(_negative_partners(k_index), expected)
+        for k in range(1, 4):
+            for q in range(qk[k]):
+                assert _negative_partners(k_index)[sum(qk[1:k]) + q] == img.block_start(-k) + q
+
+    def test_conjugate_noise_map_covariances(self):
+        # E[eps eps^H] = U U^H = I and E[eps eps^T] = U U^T pairs (k, q)
+        # with (-k, q): the covariances of the sampled noise.
+        img = FBImage(2, np.array([1, 2, 3]), np.zeros(11, dtype=complex))
+        k_index = img.k_values
+        u = conjugate_noise_map(k_index)
+        assert np.allclose(u @ u.conj().T, np.eye(11), atol=1e-15)
+        pairing = np.zeros((11, 11))
+        zero = np.flatnonzero(k_index == 0)
+        pairing[zero, zero] = 1.0
+        pos = np.flatnonzero(k_index > 0)
+        neg = _negative_partners(k_index)
+        pairing[pos, neg] = pairing[neg, pos] = 1.0
+        assert np.allclose(u @ u.T, pairing, atol=1e-15)
 
     def test_bandwidth_mismatch(self):
         x = random_signal_1d(2, np.random.default_rng(0))
