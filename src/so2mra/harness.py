@@ -14,10 +14,14 @@ output.  Failed trials are counted per row instead of aborting the sweep.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -436,6 +440,55 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+# (get, set) thread-count entry points of the OpenBLAS in numpy wheels:
+# numpy >= 2.0 first, then numpy 1.22-1.26.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of the OpenBLAS bundled with numpy.
+
+    Empty when numpy's wheel bundles no OpenBLAS (e.g. a system or MKL build).
+    """
+    package = Path(np.__file__).resolve().parent
+    libs = sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")])
+    controls = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                controls.append((getattr(lib, get_name), getattr(lib, set_name)))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _serial_blas():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore its count.
+
+    A trial's matrices are tiny (d x (2B+1+d) at most), so BLAS threads add
+    wake-up latency instead of speed, and their spinning workers occupy a
+    second core: with a busy neighbour on that core an ``n_fixed_gt`` sweep
+    ran at half speed.  Sweeps parallelise over trials with their own pool.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _set in controls]
+    for _get, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_get, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     cfg = cfg.validated()
     runner = {
@@ -443,7 +496,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         "n_sweep": _run_sampling_sweep,
         "bound_sweep": _bound_sweep,
     }[cfg.experiment]
-    return runner(cfg)
+    with _serial_blas():
+        return runner(cfg)
 
 
 def rows_to_csv(rows: list[dict]) -> str:

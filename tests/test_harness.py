@@ -178,6 +178,36 @@ class TestDeterminism:
         assert sizes == [cores]
         assert pooled == rows_to_csv(run_experiment(cfg))
 
+    def test_blas_serial_during_sweep_and_restored(self, monkeypatch):
+        controls = harness._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get_threads, set_threads = controls[0]
+        original = get_threads()
+        set_threads(2)
+        before = get_threads()
+        seen = []
+        real_trial = harness._sampling_trial
+
+        def recording_trial(*args):
+            seen.append(get_threads())
+            return real_trial(*args)
+
+        def failing_trial(*args):
+            raise RuntimeError("trial crashed")
+
+        try:
+            monkeypatch.setattr(harness, "_sampling_trial", recording_trial)
+            run_experiment(ExperimentConfig(**TINY_SNR))
+            assert seen and set(seen) == {1}
+            assert get_threads() == before
+            monkeypatch.setattr(harness, "_sampling_trial", failing_trial)
+            with pytest.raises(RuntimeError):
+                run_experiment(ExperimentConfig(**TINY_SNR))
+            assert get_threads() == before
+        finally:
+            set_threads(original)
+
     def test_seed_changes_output(self):
         cfg = ExperimentConfig(**TINY_SNR)
         other = dataclasses.replace(cfg, master_seed=8)
