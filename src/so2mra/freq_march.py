@@ -8,9 +8,9 @@ The marching recursion then recovers ``rho[k]`` for ``k = 1..2B`` from low to
 high frequency, and the signal follows from the first moment.
 
 The plain recursion uses a single entry of ``S`` per step.  The robust variant
-averages all admissible entries with normalised weights and pins each
-magnitude for ``k <= B`` to the diagonal of ``S``, which mitigates cascading
-errors on empirical moments.
+averages each radial block of ``S`` and all admissible marching estimates
+with uniform weights, and pins each magnitude for ``k <= B`` to the diagonal
+of ``S``, which mitigates cascading errors on empirical moments.
 """
 
 from __future__ import annotations
@@ -32,29 +32,18 @@ DIAGONAL_TOL = 1e-12
 class FMOptions:
     """Options for the marching recursions.
 
-    ``weights_omega[k]`` holds the weights over ``k' = 1..k-1`` used for
-    ``2 <= k <= B``; ``weights_omega_tilde[k]`` the weights over
-    ``k' = k-B..B`` used for ``B+1 <= k <= 2B``; ``weights_q[(k1, k2)]`` the
-    radial-reduction weights of the robust variant.  Each family must sum
-    to one; missing entries default to uniform weights.
+    ``tol_m1`` is the absolute guard on ``|M1|`` below which the diagonal
+    inversion is refused; ``None`` scales ``RELATIVE_M1_TOL`` by ``max|M1|``.
     """
 
     variant: str = "plain"
-    weights_omega: Optional[dict] = None
-    weights_omega_tilde: Optional[dict] = None
-    weights_q: Optional[dict] = None
     tol_m1: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in ("plain", "robust"):
             raise ValueError("variant must be 'plain' or 'robust'")
-        for table in (self.weights_omega, self.weights_omega_tilde, self.weights_q):
-            if table is None:
-                continue
-            for key, w in table.items():
-                w = np.asarray(w, dtype=np.float64)
-                if abs(w.sum() - 1.0) > 1e-12:
-                    raise ValueError(f"weights for {key} must sum to one")
+        if self.tol_m1 is not None and not (np.isfinite(self.tol_m1) and self.tol_m1 >= 0.0):
+            raise ValueError("tol_m1 must be None or a finite value >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,15 +53,6 @@ class RecoveryResult:
     signal_est: FBImage
     rho_est: RotationDistribution
     diagnostics: dict
-
-
-def _weights_for(table: Optional[dict], key, count: int) -> np.ndarray:
-    if table is not None and key in table:
-        w = np.asarray(table[key], dtype=np.float64)
-        if w.size != count:
-            raise ValueError(f"expected {count} weights for {key}, got {w.size}")
-        return w
-    return np.full(count, 1.0 / count)
 
 
 def _ratio_matrix(m: MomentPair, tol_m1: Optional[float]) -> tuple[np.ndarray, float, float]:
@@ -118,9 +98,7 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
     for k in range(2, B + 1):
         if robust:
             kp = np.arange(1, k)
-            w = _weights_for(opts.weights_omega, k, kp.size)
-            terms = rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())
-            blended = np.sum(w * terms)
+            blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).mean()
             if abs(blended) <= 1e-14:
                 raise MomentConsistencyError(
                     f"blended marching estimate for k={k} has undefined phase"
@@ -128,14 +106,18 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
             rho[k] = diag_magnitude(k) * blended / abs(blended)
         else:
             rho[k] = rho[1] / (ent(k, k - 1) * rho[k - 1].conj())
-    for k in range(B + 1, 2 * B + 1):
-        if robust:
-            kp = np.arange(k - B, B + 1)
-            w = _weights_for(opts.weights_omega_tilde, k, kp.size)
-            terms = s[k - kp + B, -kp + B] * rho[k - kp] * rho[kp]
-            rho[k] = np.sum(w * terms)
-        else:
-            rho[k] = ent(k - B, -B) * rho[k - B] * rho[B]
+    high = np.arange(B + 1, 2 * B + 1)
+    if robust:
+        # Every k > B averages s[k-k', -k'] rho[k-k'] rho[k'] over
+        # k' = k-B..B, which reads rho[<= B] only: one gather for all k.
+        k, kp = np.meshgrid(high, np.arange(1, B + 1), indexing="ij")
+        admissible = kp >= k - B
+        k, kp = k[admissible], kp[admissible]  # grouped by k, k' ascending
+        counts = admissible.sum(axis=1)
+        terms = s[k - kp + B, -kp + B] * rho[k - kp] * rho[kp]
+        rho[high] = np.add.reduceat(terms, np.cumsum(counts) - counts) / counts
+    else:
+        rho[high] = s[high, 0] * rho[high - B] * rho[B]
 
     ks = np.arange(1, B + 1)
     residuals = np.abs(TWO_PI * s[ks + B, ks + B].real * np.abs(rho[ks]) ** 2 - 1.0)
@@ -145,25 +127,16 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
 def _reduce_radial(s_full: np.ndarray, B: int, qk: np.ndarray, opts: FMOptions) -> np.ndarray:
     """Collapse the block ratio matrix to one entry per ``(k1, k2)``.
 
-    Plain: take the ``q1 = q2 = 0`` entry of each block.  Robust: weighted
-    average over all radial pairs (uniform unless ``opts.weights_q`` says
-    otherwise).
+    Plain: take the ``q1 = q2 = 0`` entry of each block.  Robust: the mean
+    over all radial pairs of each block.
     """
     ks = np.arange(-B, B + 1)
     sizes = qk[np.abs(ks)]
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    if opts.variant == "plain" and opts.weights_q is None:
-        idx0 = starts
-        return s_full[np.ix_(idx0, idx0)]
-    s = np.empty((2 * B + 1, 2 * B + 1), dtype=np.complex128)
-    for i1, k1 in enumerate(ks):
-        for i2, k2 in enumerate(ks):
-            block = s_full[
-                starts[i1] : starts[i1] + sizes[i1], starts[i2] : starts[i2] + sizes[i2]
-            ]
-            w = _weights_for(opts.weights_q, (int(k1), int(k2)), block.size)
-            s[i1, i2] = np.sum(w.reshape(block.shape) * block)
-    return s
+    if opts.variant == "plain":
+        return s_full[np.ix_(starts, starts)]
+    block_sums = np.add.reduceat(np.add.reduceat(s_full, starts, axis=0), starts, axis=1)
+    return block_sums / np.outer(sizes, sizes)
 
 
 def fm_recover_2d(

@@ -11,6 +11,7 @@ from .signal_model import FBImage, RotationDistribution
 
 GRID_FACTOR = 16
 NEWTON_ITERATIONS = 30
+NEWTON_STEP_TOL = 1e-15
 
 Estimable = Union[FBImage, RotationDistribution, np.ndarray]
 
@@ -34,13 +35,26 @@ def _coeffs_and_k(obj: Estimable) -> tuple[np.ndarray, np.ndarray]:
     return arr, np.arange(-half, half + 1)
 
 
+def _grid_overlap(c: np.ndarray, k_range: np.ndarray, n_grid: int) -> np.ndarray:
+    """``Re sum_k c_k exp(1j*k*phi_j)`` on the grid ``phi_j = 2*pi*j/n_grid``.
+
+    That grid is the FFT grid, so the sum is ``n_grid * ifft`` of ``c``
+    placed at ``k mod n_grid`` (``n_grid`` must exceed the span of ``k``).
+    """
+    buf = np.zeros(n_grid, dtype=np.complex128)
+    buf[k_range % n_grid] = c
+    return (np.fft.ifft(buf) * n_grid).real
+
+
 def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     """Relative squared error after aligning the estimate over all rotations.
 
     Minimises ``|est - exp(-1j*k*phi) . truth|^2 / |truth|^2`` over the
     continuous angle ``phi``.  The objective's rotation-dependent part is the
     real part of a trigonometric polynomial, which is maximised on a dense
-    grid and polished with Newton iterations on its derivative.
+    grid (one FFT) and polished with Newton iterations on its derivative,
+    stopped once a step falls below ``NEWTON_STEP_TOL``.  The polished angle
+    replaces the grid angle when the polish converged or raised the overlap.
     """
     e, ke = _coeffs_and_k(estimate)
     t, kt = _coeffs_and_k(truth)
@@ -57,16 +71,14 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     c = np.zeros(k_range.size, dtype=np.complex128)
     np.add.at(c, ke - k_lo, t.conj() * e)
 
-    def overlap(phi: np.ndarray) -> np.ndarray:
-        return (np.exp(1j * np.outer(phi, k_range)) @ c).real
-
-    grid = np.linspace(0.0, 2.0 * np.pi, GRID_FACTOR * k_range.size, endpoint=False)
-    values = overlap(grid)
-    best = float(grid[int(np.argmax(values))])
-    best_val = float(values.max())
+    n_grid = GRID_FACTOR * k_range.size
+    values = _grid_overlap(c, k_range, n_grid)
+    spacing = 2.0 * np.pi / n_grid
+    j = int(np.argmax(values))
+    best, best_val = j * spacing, float(values[j])
 
     phi = best
-    spacing = grid[1] - grid[0] if grid.size > 1 else 2.0 * np.pi
+    converged = False
     for _ in range(NEWTON_ITERATIONS):
         ph = np.exp(1j * phi * k_range)
         d1 = float((1j * k_range * c * ph).sum().real)
@@ -77,9 +89,13 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
         if abs(step) > spacing:
             break
         phi -= step
-    refined_val = float(overlap(np.array([phi]))[0])
-    if refined_val > best_val:
-        best, best_val = phi % (2.0 * np.pi), refined_val
+        if abs(step) < NEWTON_STEP_TOL:
+            converged = True
+            break
+    # A converged polish is kept even when its gain over the grid point is
+    # below the rounding of the overlap value itself.
+    if converged or float((np.exp(1j * phi * k_range) @ c).real) > best_val:
+        best = phi % (2.0 * np.pi)
 
     aligned = e * np.exp(1j * ke * best)
     rel = float(np.vdot(aligned - t, aligned - t).real) / norm_t

@@ -17,7 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,9 +44,13 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _conj_tol(coeffs: np.ndarray) -> float:
+    """Absolute tolerance of the conjugate-symmetry checks."""
+    return 1e-12 * max(1.0, float(np.abs(coeffs).max(initial=0.0)))
+
+
 def _check_conj_symmetric(coeffs: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
-    if not np.allclose(coeffs, coeffs[::-1].conj(), rtol=0.0, atol=1e-12 * scale):
+    if np.abs(coeffs - coeffs[::-1].conj()).max(initial=0.0) > _conj_tol(coeffs):
         raise ValueError(f"{what} requires conjugate-symmetric coefficients")
 
 
@@ -79,12 +84,13 @@ class FBImage:
         object.__setattr__(self, "radial_bandwidths", _readonly(qk))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
         if self.is_real:
-            for k in range(1, self.B + 1):
-                pos = self.block(k)
-                neg = self.block(-k)
-                scale = max(1.0, float(np.abs(coeffs).max()))
-                if not np.allclose(neg, pos.conj(), rtol=0.0, atol=1e-12 * scale):
-                    raise ValueError("a real image requires x[-k, q] == conj(x[k, q])")
+            k = self.k_values
+            mismatch = max(
+                np.abs(coeffs[_negative_partners(k)] - coeffs[k > 0].conj()).max(initial=0.0),
+                np.abs(coeffs[k == 0].imag).max(),
+            )
+            if mismatch > _conj_tol(coeffs):
+                raise ValueError("a real image requires x[-k, q] == conj(x[k, q])")
 
     @property
     def size(self) -> int:
@@ -126,16 +132,15 @@ class RotationDistribution:
 
     The DC coefficient is pinned to ``1/(2*pi)`` and negative frequencies are
     mirrored from the positive ones, so normalisation and conjugate symmetry
-    hold exactly.  ``sampleable`` records whether the synthesised density
-    stays above ``-positivity_tol`` on the evaluation grid.
+    hold exactly.  ``sampleable`` says whether the synthesised density
+    stays above ``-positivity_tol`` on the evaluation grid; the grid is
+    synthesised on first use only.
     """
 
     B: int
     coeffs: np.ndarray
     positivity_tol: float = 0.0
     grid_size: int = DENSITY_GRID_SIZE
-    sampleable: bool = field(init=False, default=False)
-    min_density: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.B < 0:
@@ -154,11 +159,6 @@ class RotationDistribution:
         pos = coeffs[2 * self.B + 1 :].copy()
         full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY + 0.0j], pos])
         object.__setattr__(self, "coeffs", _readonly(full))
-        dens = self.density_grid()[1]
-        object.__setattr__(self, "min_density", float(dens.min()))
-        object.__setattr__(
-            self, "sampleable", bool(self.min_density >= -self.positivity_tol)
-        )
 
     @classmethod
     def uniform(cls, B: int) -> "RotationDistribution":
@@ -195,19 +195,31 @@ class RotationDistribution:
         k = np.arange(-2 * self.B, 2 * self.B + 1)
         return (np.exp(1j * np.outer(theta, k)) @ self.coeffs).real
 
+    @cached_property
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Density on the closed uniform grid ``theta_j = 2*pi*j/M``, ``j = 0..M``.
 
-        Uses an FFT synthesis; the final node repeats the first (periodicity)
-        so the result is directly usable for trapezoidal integration.
+        Uses an FFT synthesis, computed once and read-only; the final node
+        repeats the first (periodicity) so the result is directly usable for
+        trapezoidal integration.
         """
         m = self.grid_size
         buf = np.zeros(m, dtype=np.complex128)
-        for k in range(-2 * self.B, 2 * self.B + 1):
-            buf[k % m] += self.coeffs[k + 2 * self.B]
+        np.add.at(buf, np.arange(-2 * self.B, 2 * self.B + 1) % m, self.coeffs)
         dens = (np.fft.ifft(buf) * m).real
-        nodes = np.linspace(0.0, TWO_PI, m + 1)
-        return nodes, np.concatenate([dens, dens[:1]])
+        grid = np.linspace(0.0, TWO_PI, m + 1), np.concatenate([dens, dens[:1]])
+        for a in grid:
+            a.flags.writeable = False
+        return grid
+
+    @cached_property
+    def min_density(self) -> float:
+        """Minimum of the density on the evaluation grid."""
+        return float(self.density_grid[1].min())
+
+    @property
+    def sampleable(self) -> bool:
+        return bool(self.min_density >= -self.positivity_tol)
 
 
 @dataclass(frozen=True)
@@ -326,7 +338,7 @@ def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
         raise NotSampleableError(
             f"density dips to {rho.min_density:.3g}, below -{rho.positivity_tol:.3g}"
         )
-    nodes, dens = rho.density_grid()
+    nodes, dens = rho.density_grid
     dens = np.maximum(dens, 0.0)
     dtheta = nodes[1] - nodes[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dtheta)])

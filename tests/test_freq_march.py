@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import FMOptions, fm_recover_2d
+from so2mra.freq_march import FMOptions, _march, _reduce_radial, fm_recover_2d
 from so2mra.harness import simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
-from so2mra.moments import MomentPair, population_moments_2d
+from so2mra.moments import MomentPair, debias, population_moments_2d
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
@@ -102,28 +102,6 @@ class TestRobustVariant:
         assert np.abs(plain.rho_est.coeffs - robust.rho_est.coeffs).max() < 1e-10
         assert np.abs(plain.signal_est.coeffs - robust.signal_est.coeffs).max() < 1e-10
 
-    def test_concentrated_weights_reduce_to_plain_recursion(self):
-        # With all weight on k' = k-1 the blended phase equals the plain
-        # recursion's phase; only the magnitude is re-pinned to the diagonal.
-        rng = np.random.default_rng(4)
-        B = 5
-        x = random_signal_1d(B, rng)
-        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
-        sigma = sigma_for_snr(x, 50.0)
-        m = simulate_empirical_moments(x, rho, 20_000, sigma, rng)
-        weights = {k: np.eye(k - 1)[-1] for k in range(3, B + 1)}
-        opts = FMOptions(variant="robust", weights_omega=weights)
-        plain = fm_recover_2d(m, shape_1d(B))
-        robust = fm_recover_2d(m, shape_1d(B), opts)
-        for k in range(2, B + 1):
-            ang_p = np.angle(plain.rho_est[k])
-            ang_r = np.angle(robust.rho_est[k])
-            assert abs(np.exp(1j * ang_p) - np.exp(1j * ang_r)) < 1e-10
-
-    def test_weight_tables_must_normalise(self):
-        with pytest.raises(ValueError):
-            FMOptions(variant="robust", weights_omega={3: np.array([0.5, 0.2])})
-
     def test_paired_monte_carlo_improvement(self):
         # Uniform-weight averaging plus diagonal magnitude pinning should not
         # lose to the plain recursion in median over seeded trials.
@@ -141,6 +119,65 @@ class TestRobustVariant:
                 except MomentConsistencyError:
                     errors.append(np.inf)
         assert np.median(robust_errors) <= np.median(plain_errors)
+
+
+class TestRobustKernels:
+    @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [2, 1, 3, 2], [1, 1, 1, 1]])
+    def test_reduce_radial_is_block_mean(self, qk):
+        rng = np.random.default_rng(30)
+        B = 3
+        qk = np.array(qk)
+        sizes = qk[np.abs(np.arange(-B, B + 1))]
+        d = int(sizes.sum())
+        s_full = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        expected = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
+        for i1 in range(2 * B + 1):
+            for i2 in range(2 * B + 1):
+                total = 0.0
+                for a in range(sizes[i1]):
+                    for b in range(sizes[i2]):
+                        total += s_full[starts[i1] + a, starts[i2] + b]
+                expected[i1, i2] = total / (sizes[i1] * sizes[i2])
+        got = _reduce_radial(s_full, B, qk, FMOptions(variant="robust"))
+        assert np.abs(got - expected).max() < 1e-13
+        plain = _reduce_radial(s_full, B, qk, FMOptions(variant="plain"))
+        assert np.array_equal(plain, s_full[np.ix_(starts, starts)])
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 10])
+    def test_march_high_frequencies_match_per_k_loop(self, B):
+        # The k > B step of the robust recursion: the mean over k' = k-B..B of
+        # s[k-k', -k'] rho[k-k'] rho[k'], computed one k at a time.
+        rng = np.random.default_rng((31, B))
+        x = random_signal_1d(B, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        m = simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 10.0), rng)
+        m = debias(m)
+        s = 2 * np.pi * m.M2 / np.outer(m.M1, m.M1.conj())
+        got, _ = _march(s, B, FMOptions(variant="robust"))
+        expected = got.copy()
+        expected[B + 1 :] = 0.0
+        for k in range(B + 1, 2 * B + 1):
+            kp = np.arange(k - B, B + 1)
+            terms = s[k - kp + B, -kp + B] * expected[k - kp] * expected[kp]
+            expected[k] = np.sum(np.full(kp.size, 1.0 / kp.size) * terms)
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() < 1e-13 * scale
+
+
+class TestOptions:
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf, -np.inf])
+    def test_tol_m1_rejects_negative_and_non_finite(self, tol):
+        with pytest.raises(ValueError, match="tol_m1"):
+            FMOptions(tol_m1=tol)
+
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-3])
+    def test_tol_m1_accepts_none_and_finite_nonnegative(self, tol):
+        assert FMOptions(variant="robust", tol_m1=tol).tol_m1 == tol
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError):
+            FMOptions(variant="weighted")
 
 
 class TestExactRecovery2D:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from so2mra.metrics import aggregate, recovery_error, sigma_for_snr, snr
+from so2mra.metrics import GRID_FACTOR, _grid_overlap, aggregate, recovery_error, sigma_for_snr, snr
 from so2mra.signal_model import make_experiment_signal_2d, rotate_signal
 
 from conftest import random_image, random_signal_1d, signal_1d
@@ -116,6 +117,48 @@ class TestRecoveryError:
             for l in range(2 * B + 1)
         )
         assert rep.relative_error <= discrete / norm_sq + 1e-12
+
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(-3, 3), (-20, 20), (-40, 40), (-2, 5)])
+    def test_fft_grid_matches_dense_overlap(self, k_lo, k_hi):
+        rng = np.random.default_rng(9)
+        k_range = np.arange(k_lo, k_hi + 1)
+        c = rng.standard_normal(k_range.size) + 1j * rng.standard_normal(k_range.size)
+        n_grid = GRID_FACTOR * k_range.size
+        grid = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+        dense = (np.exp(1j * np.outer(grid, k_range)) @ c).real
+        assert np.abs(_grid_overlap(c, k_range, n_grid) - dense).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    # At these angles the polish gains less over the grid point at 0 than the
+    # rounding of the overlap value, so only a converged polish reaches them.
+    @example(B=1, Q=1, seed=0, angle=1e-10)
+    @example(B=2, Q=1, seed=1, angle=1e-10)
+    @given(
+        B=st.integers(1, 8),
+        Q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        angle=st.floats(-20.0, 20.0, allow_nan=False),
+    )
+    def test_pure_rotation_recovered_exactly(self, B, Q, seed, angle):
+        x = random_image(B, Q, np.random.default_rng(seed))
+        rep = recovery_error(rotate_signal(x, angle), x)
+        assert rep.relative_error < 1e-20
+        assert abs(np.exp(1j * rep.best_angle) - np.exp(1j * angle)) < 1e-12
+
+
+    def test_polish_reaches_a_stationary_angle(self):
+        # The Newton stop leaves the overlap's derivative at rounding level.
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            truth = random_image(5, 2, rng)
+            noise = rng.standard_normal(truth.size) + 1j * rng.standard_normal(truth.size)
+            est = type(truth)(truth.B, truth.radial_bandwidths, truth.coeffs + 0.3 * noise)
+            rep = recovery_error(est, truth)
+            k = truth.k_values
+            terms = k * truth.coeffs.conj() * est.coeffs
+            slope = (1j * terms * np.exp(1j * k * rep.best_angle)).sum().real
+            assert abs(slope) <= 1e-12 * np.abs(terms).sum()
 
 
 class TestSnr:

@@ -15,6 +15,7 @@ from so2mra.signal_model import (
     perturb_distribution,
     rotate_distribution,
     rotate_signal,
+    rotation_cdf,
     sample_rotations,
 )
 from so2mra.spectral import circulant_project
@@ -43,6 +44,49 @@ class TestExperimentSignal:
         img = make_experiment_signal_2d(2, 1, np.random.default_rng(3))
         for k in range(1, 3):
             assert img[-k, 0] == np.conj(img[k, 0])
+
+
+class TestRealImageCheck:
+    @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [3, 1, 4, 2]])
+    def test_mismatched_partner_rejected(self, qk):
+        qk = np.array(qk)
+        k_index = np.repeat(np.arange(-3, 4), qk[np.abs(np.arange(-3, 4))])
+        rng = np.random.default_rng(40)
+        coeffs = np.zeros(k_index.size, dtype=complex)
+        pos = np.flatnonzero(k_index > 0)
+        coeffs[pos] = rng.standard_normal(pos.size) + 1j * rng.standard_normal(pos.size)
+        coeffs[_negative_partners(k_index)] = coeffs[pos].conj()
+        coeffs[k_index == 0] = rng.standard_normal(qk[0])
+        scale = np.abs(coeffs).max()
+        FBImage(3, qk, coeffs, is_real=True)
+        for i in np.flatnonzero(k_index != 0):
+            for delta in (0.5e-12 * scale, 1j * 0.5e-12 * scale):
+                nudged = coeffs.copy()
+                nudged[i] += delta
+                FBImage(3, qk, nudged, is_real=True)
+            bad = coeffs.copy()
+            bad[i] += 1e-9 * scale
+            with pytest.raises(ValueError, match="real image"):
+                FBImage(3, qk, bad, is_real=True)
+
+    def test_imaginary_dc_rejected(self):
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(41))
+        coeffs = img.coeffs.copy()
+        coeffs[img.block_start(0) + 1] += 1e-6j
+        with pytest.raises(ValueError, match="real image"):
+            FBImage(2, img.radial_bandwidths, coeffs, is_real=True)
+        FBImage(2, img.radial_bandwidths, coeffs)
+
+    def test_distribution_symmetry_tolerance(self):
+        pos = make_experiment_distribution(3, np.random.default_rng(42)).positive_coeffs
+        full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY], pos])
+        near = full.copy()
+        near[0] += 0.5e-12
+        RotationDistribution(3, near)
+        far = full.copy()
+        far[0] += 1e-9
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            RotationDistribution(3, far)
 
 
 class TestNonFiniteRejected:
@@ -115,6 +159,43 @@ class TestExperimentDistribution:
             assert rho.min_density >= tol_pos
 
 
+def _parent_density_grid(rho):
+    # The eager synthesis made at construction before the grid was cached.
+    m = rho.grid_size
+    buf = np.zeros(m, dtype=np.complex128)
+    for k in range(-2 * rho.B, 2 * rho.B + 1):
+        buf[k % m] += rho.coeffs[k + 2 * rho.B]
+    dens = (np.fft.ifft(buf) * m).real
+    return np.linspace(0.0, 2 * np.pi, m + 1), np.concatenate([dens, dens[:1]])
+
+
+class TestLazyDensity:
+    def test_lazy_values_equal_eager(self):
+        rng = np.random.default_rng(43)
+        draws = [make_experiment_distribution(B, rng, tol_pos=0.05) for B in (1, 3, 10)]
+        draws += [perturb_distribution(d, 0.4) for d in draws]
+        draws += [random_rho(2, rng, min_mod=0.9, max_mod=1.0), RotationDistribution.uniform(2)]
+        draws += [RotationDistribution.from_positive(3, draws[1].positive_coeffs, 0.0, 12)]
+        for rho in draws:
+            nodes, dens = _parent_density_grid(rho)
+            assert np.array_equal(rho.density_grid[0], nodes)
+            assert np.array_equal(rho.density_grid[1], dens)
+            assert rho.min_density == float(dens.min())
+            assert rho.sampleable is bool(dens.min() >= -rho.positivity_tol)
+        assert {rho.sampleable for rho in draws} == {True, False}
+
+    def test_grid_cached_and_read_only(self):
+        rho = make_experiment_distribution(3, np.random.default_rng(44))
+        assert rho.density_grid is rho.density_grid
+        with pytest.raises(ValueError):
+            rho.density_grid[1][0] = 1.0
+
+    def test_non_sampleable_draw_raises_in_rotation_cdf(self):
+        rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
+        with pytest.raises(NotSampleableError, match="dips to"):
+            rotation_cdf(rho)
+
+
 class TestPerturbation:
     def test_zero_eta_is_identity(self):
         rho = make_experiment_distribution(3, np.random.default_rng(2))
@@ -168,6 +249,21 @@ class TestRotationSampling:
         for k in range(-4, 5):
             emp = np.exp(-1j * k * angles).mean()
             assert abs(emp - 2 * np.pi * rho[k]) < 5e-3
+
+    def test_draw_bit_identical_to_parent_formula(self):
+        rho = perturb_distribution(
+            make_experiment_distribution(10, np.random.default_rng(31), tol_pos=0.05), 0.1
+        )
+        angles = sample_rotations(rho, 1000, np.random.default_rng(32))
+        nodes, dens = _parent_density_grid(rho)
+        dens = np.maximum(dens, 0.0)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * (nodes[1] - nodes[0]))])
+        expected = np.interp(np.random.default_rng(32).random(1000), cdf / cdf[-1], nodes)
+        assert np.array_equal(angles, expected)
+        # Stored from the same draw before the density grid was cached.
+        stored = [1.0906068318783462, 3.8872543319523865, 2.5535897304482713, 2.170179955332551]
+        assert angles[:4].tolist() == stored
+        assert float(angles.sum()) == 3315.5329491606335
 
     def test_not_sampleable_raises(self):
         rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
