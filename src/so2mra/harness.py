@@ -64,6 +64,12 @@ CSV_COLUMNS = (
     "bound",
 )
 
+
+def _row(*cells) -> dict:
+    """A CSV row from its cells, given in ``CSV_COLUMNS`` order."""
+    return dict(zip(CSV_COLUMNS, cells, strict=True))
+
+
 # Expected numerical failures, which mark a single trial/algorithm as failed
 # instead of aborting; any other exception is a bug and propagates.
 _TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
@@ -367,21 +373,7 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
                 med, lo, hi = aggregate(np.asarray(good), cfg.margin)
             else:
                 med = lo = hi = float("nan")
-            rows.append(
-                {
-                    "experiment": cfg.experiment,
-                    "algorithm": algo,
-                    "grid_param_name": param,
-                    "grid_param_value": value,
-                    "trials": cfg.trials,
-                    "failures": failures,
-                    "median_error": med,
-                    "lower": lo,
-                    "upper": hi,
-                    "s_b": None,
-                    "bound": None,
-                }
-            )
+            rows.append(_row(cfg.experiment, algo, param, value, cfg.trials, failures, med, lo, hi, None, None))
     return rows
 
 
@@ -393,20 +385,8 @@ def _bound_point(cfg: ExperimentConfig, image: FBImage, base, eta: float) -> dic
     result, _ = spectral_recover_2d(m, shape, EigOptions())
     err = recovery_error(result.signal_est, image).relative_error
     _angle, report = min_bound_over_rotations(image, rho, cfg.rotation_grid, recovery=result)
-    bound = report.bound if report is not None and report.all_conditions_met() else None
-    return {
-        "experiment": cfg.experiment,
-        "algorithm": "spectral",
-        "grid_param_name": "eta",
-        "grid_param_value": eta,
-        "trials": 1,
-        "failures": 0,
-        "median_error": err,
-        "lower": err,
-        "upper": err,
-        "s_b": s_b,
-        "bound": bound,
-    }
+    bound = report.bound if report.all_conditions_met() else None
+    return _row(cfg.experiment, "spectral", "eta", eta, 1, 0, err, err, err, s_b, bound)
 
 
 def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -422,21 +402,8 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
         try:
             rows.append(_bound_point(cfg, image, base, float(eta)))
         except _TRIAL_ERRORS:
-            rows.append(
-                {
-                    "experiment": cfg.experiment,
-                    "algorithm": "spectral",
-                    "grid_param_name": "eta",
-                    "grid_param_value": float(eta),
-                    "trials": 1,
-                    "failures": 1,
-                    "median_error": float("nan"),
-                    "lower": float("nan"),
-                    "upper": float("nan"),
-                    "s_b": None,
-                    "bound": None,
-                }
-            )
+            nan = float("nan")
+            rows.append(_row(cfg.experiment, "spectral", "eta", float(eta), 1, 1, nan, nan, nan, None, None))
     return rows
 
 

@@ -96,6 +96,8 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     # below the rounding of the overlap value itself.
     if converged or float((np.exp(1j * phi * k_range) @ c).real) > best_val:
         best = phi % (2.0 * np.pi)
+        if best == 2.0 * np.pi:  # a tiny negative phi rounds up to 2*pi
+            best = 0.0
 
     aligned = e * np.exp(1j * ke * best)
     rel = float(np.vdot(aligned - t, aligned - t).real) / norm_t

@@ -140,7 +140,6 @@ class RotationDistribution:
     B: int
     coeffs: np.ndarray
     positivity_tol: float = 0.0
-    grid_size: int = DENSITY_GRID_SIZE
 
     def __post_init__(self):
         if self.B < 0:
@@ -168,18 +167,14 @@ class RotationDistribution:
 
     @classmethod
     def from_positive(
-        cls,
-        B: int,
-        positive_coeffs: np.ndarray,
-        positivity_tol: float = 0.0,
-        grid_size: int = DENSITY_GRID_SIZE,
+        cls, B: int, positive_coeffs: np.ndarray, positivity_tol: float = 0.0
     ) -> "RotationDistribution":
         """Build from the coefficients for ``k = 1..2B``; the rest is implied."""
         pos = np.asarray(positive_coeffs, dtype=np.complex128)
         if pos.shape != (2 * B,):
             raise ValueError(f"expected {2 * B} positive-frequency coefficients")
         full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY + 0.0j], pos])
-        return cls(B, full, positivity_tol, grid_size)
+        return cls(B, full, positivity_tol)
 
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k + 2 * self.B]
@@ -201,9 +196,10 @@ class RotationDistribution:
 
         Uses an FFT synthesis, computed once and read-only; the final node
         repeats the first (periodicity) so the result is directly usable for
-        trapezoidal integration.
+        trapezoidal integration.  ``np.add.at`` sums the coefficients that
+        alias onto one FFT bin when ``4B+1 > M``.
         """
-        m = self.grid_size
+        m = DENSITY_GRID_SIZE
         buf = np.zeros(m, dtype=np.complex128)
         np.add.at(buf, np.arange(-2 * self.B, 2 * self.B + 1) % m, self.coeffs)
         dens = (np.fft.ifft(buf) * m).real
@@ -262,10 +258,7 @@ def make_experiment_signal_2d(B: int, Q: int, rng: np.random.Generator) -> FBIma
 
 
 def make_experiment_distribution(
-    B: int,
-    rng: np.random.Generator,
-    tol_pos: float = 0.0,
-    grid_size: int = DENSITY_GRID_SIZE,
+    B: int, rng: np.random.Generator, tol_pos: float = 0.0
 ) -> RotationDistribution:
     """Random nonnegative density whose Toeplitz form is exactly circulant.
 
@@ -294,14 +287,14 @@ def make_experiment_distribution(
     # The grid density is 1/(2*pi) + gamma*f(theta), affine in gamma, so the
     # largest feasible gamma is closed-form.  The relative 1e-12 shrink keeps
     # the rounded grid minimum at or above tol_pos.
-    min_full = RotationDistribution.from_positive(B, pos, np.inf, grid_size).min_density
+    min_full = RotationDistribution.from_positive(B, pos, np.inf).min_density
     if min_full >= tol_pos:
         gamma = 1.0
     else:
         gamma = (UNIFORM_DENSITY - tol_pos) / (UNIFORM_DENSITY - min_full) * (1.0 - 1e-12)
     if gamma <= 1e-6:
         raise DegenerateDrawError("no usable positive rescaling found for this draw")
-    return RotationDistribution.from_positive(B, gamma * pos, tol_pos, grid_size)
+    return RotationDistribution.from_positive(B, gamma * pos, tol_pos)
 
 
 def perturb_distribution(rho: RotationDistribution, eta: float) -> RotationDistribution:
@@ -312,14 +305,14 @@ def perturb_distribution(rho: RotationDistribution, eta: float) -> RotationDistr
     """
     k = np.arange(1, 2 * rho.B + 1)
     pos = rho.positive_coeffs * np.exp(1j * eta * np.sqrt(k))
-    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol, rho.grid_size)
+    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol)
 
 
 def rotate_distribution(rho: RotationDistribution, angle: float) -> RotationDistribution:
     """Shift the density: acts on coefficients as ``rho[k] -> exp(-1j*k*angle)*rho[k]``."""
     k = np.arange(1, 2 * rho.B + 1)
     pos = rho.positive_coeffs * np.exp(-1j * k * angle)
-    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol, rho.grid_size)
+    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol)
 
 
 def rotate_signal(signal: FBImage, angle: float) -> FBImage:

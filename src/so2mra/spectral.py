@@ -31,6 +31,12 @@ from .signal_model import (
 RANK_TOL_POPULATION = 1e-8
 RANK_TOL_EMPIRICAL = 1e-3
 PHASE_ANCHOR_TOL = 1e-12
+# Window inside which two candidate isolation gaps count as tied (the larger
+# |lambda| wins).
+TIE_TOL = 1e-12
+# Relative gap under which an eigenvalue counts as degenerate when checking
+# bound applicability.
+DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,15 +45,10 @@ class EigOptions:
 
     ``rank_tol`` is the relative threshold below which eigenvalues count as
     zero in the low-rank problem (use ``RANK_TOL_EMPIRICAL`` for sampled
-    moments).  ``tie_tol`` is the window inside which two candidate isolation
-    gaps count as tied (the larger ``|lambda|`` wins).  ``degeneracy_tol`` is
-    the relative gap under which an eigenvalue is treated as degenerate when
-    checking bound applicability.
+    moments).
     """
 
     rank_tol: float = RANK_TOL_POPULATION
-    tie_tol: float = 1e-12
-    degeneracy_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,11 @@ class SpectralReport:
     conditions_met: Optional[dict] = None
     eigenvalues_circ: Optional[np.ndarray] = None
 
-    def all_conditions_met(self, assume_unchecked: bool = True) -> bool:
+    def all_conditions_met(self) -> bool:
+        """Whether every checked condition holds; an unchecked one counts as met."""
         if self.conditions_met is None:
             return False
-        vals = []
-        for v in self.conditions_met.values():
-            if v is None:
-                vals.append(assume_unchecked)
-            else:
-                vals.append(bool(v))
-        return all(vals)
+        return all(v is None or bool(v) for v in self.conditions_met.values())
 
 
 def circulant_project(rho: RotationDistribution) -> CirculantApprox:
@@ -116,29 +112,17 @@ def toeplitz_matrix(rho: RotationDistribution) -> np.ndarray:
     return rho.coeffs[(k[:, None] - k[None, :]) + 2 * B]
 
 
-def circulant_matrix(v: np.ndarray) -> np.ndarray:
-    """Circulant matrix with first column ``v``: ``C[i, j] = v[(i - j) mod N]``."""
-    n = v.size
-    i = np.arange(n)
-    return v[(i[:, None] - i[None, :]) % n]
-
-
-def block_ones_expand(a: np.ndarray, q: int) -> np.ndarray:
-    """Expand each entry of ``a`` into a constant ``q x q`` block."""
-    return np.kron(a, np.ones((q, q)))
-
-
-def _select_isolated(lams: np.ndarray, tie_tol: float) -> tuple[int, float]:
+def _select_isolated(lams: np.ndarray) -> tuple[int, float]:
     """Index of the eigenvalue with the largest isolation gap.
 
-    Ties within ``tie_tol`` resolve toward the larger ``|lambda|``, then the
+    Ties within ``TIE_TOL`` resolve toward the larger ``|lambda|``, then the
     smaller index, so the choice is deterministic.
     """
     diffs = np.abs(lams[:, None] - lams[None, :])
     np.fill_diagonal(diffs, np.inf)
     gaps = diffs.min(axis=1) if lams.size > 1 else np.full(1, np.inf)
     gmax = gaps.max()
-    cand = np.flatnonzero(gaps >= gmax - tie_tol)
+    cand = np.flatnonzero(gaps >= gmax - TIE_TOL)
     best = cand[int(np.argmax(np.abs(lams[cand])))]
     return int(best), float(gaps[best])
 
@@ -197,7 +181,7 @@ def spectral_recover_2d(
         raise MomentConsistencyError("no eigenvalue above the rank threshold")
     lams = lams[keep]
     vecs = vecs[:, keep]
-    kappa, gap = _select_isolated(lams, opts.tie_tol)
+    kappa, gap = _select_isolated(lams)
     x_tilde = np.sqrt(float(m.dim)) * vecs[:, kappa]
     if abs(x_tilde[anchor]) < PHASE_ANCHOR_TOL:
         raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
@@ -241,18 +225,17 @@ def _inner_sign_condition(
 def davis_kahan_bound_2d(
     x: FBImage,
     rho: RotationDistribution,
-    kappa_policy="max_gap",
-    opts: EigOptions = EigOptions(),
     recovery: Optional[RecoveryResult] = None,
 ) -> SpectralReport:
     """Evaluation-side error bound for the spectral algorithm.
 
     The block matrices expand each Toeplitz/circulant entry into a constant
-    ``Q x Q`` block; only their nonzero eigenvalues (relative threshold
-    ``opts.rank_tol``) enter the gap computation, and the squared circulant
-    distance scales as ``Q^2 * s_b``.  Where applicable the bound is
-    ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.  ``inner_sign`` is
-    only checked when a recovery result is supplied.
+    ``Q x Q`` block, so their nonzero spectra are ``Q * eig(T)`` and
+    ``Q * Re fft(v_opt)`` (a circulant is diagonalised by the DFT).  Only
+    eigenvalues above ``RANK_TOL_POPULATION`` (relative) enter the gap
+    computation, and the squared circulant distance scales as ``Q^2 * s_b``.
+    Where applicable the bound is ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.
+    ``inner_sign`` is only checked when a recovery result is supplied.
     """
     if x.B != rho.B:
         raise ValueError("image and distribution bandwidths must agree")
@@ -263,25 +246,15 @@ def davis_kahan_bound_2d(
     ca = circulant_project(rho)
     s_b_eff = q**2 * ca.s_b
 
-    def nonzero_desc(mat: np.ndarray) -> np.ndarray:
-        lams = np.sort(np.linalg.eigvalsh(block_ones_expand(mat, q)))[::-1]
-        keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
+    def nonzero_desc(lams: np.ndarray) -> np.ndarray:
+        lams = np.sort(lams)[::-1]
+        keep = np.abs(lams) > RANK_TOL_POPULATION * np.abs(lams).max(initial=0.0)
         return lams[keep]
 
-    lam_t = nonzero_desc(toeplitz_matrix(rho))
-    lam_c = nonzero_desc(circulant_matrix(ca.v_opt))
-
-    if isinstance(kappa_policy, (int, np.integer)):
-        kappa = int(kappa_policy)
-        if not 0 <= kappa < lam_t.size:
-            raise ValueError("kappa index out of range")
-        diffs = np.abs(lam_t - lam_t[kappa])
-        diffs[kappa] = np.inf
-        gap = float(diffs.min()) if lam_t.size > 1 else np.inf
-    elif kappa_policy == "max_gap":
-        kappa, gap = _select_isolated(lam_t, opts.tie_tol)
-    else:
-        raise ValueError("kappa_policy must be 'max_gap' or an eigenvalue index")
+    # The circulant is Hermitian, so its DFT spectrum is real.
+    lam_t = nonzero_desc(q * np.linalg.eigvalsh(toeplitz_matrix(rho)))
+    lam_c = nonzero_desc(q * np.fft.fft(ca.v_opt).real)
+    kappa, gap = _select_isolated(lam_t)
 
     if kappa >= lam_c.size:
         delta = 0.0  # no matching circulant eigenvalue: bound cannot apply
@@ -293,7 +266,7 @@ def davis_kahan_bound_2d(
         delta = float(max(d1, d2))
 
     scale = max(np.abs(lam_t).max(initial=0.0), np.abs(lam_c).max(initial=0.0), 1e-30)
-    deg_tol = opts.degeneracy_tol * scale
+    deg_tol = DEGENERACY_TOL * scale
 
     def simple(lams: np.ndarray, idx: int) -> bool:
         if idx >= lams.size:
@@ -330,8 +303,6 @@ def min_bound_over_rotations(
     x: FBImage,
     rho: RotationDistribution,
     grid_size: int,
-    kappa_policy="max_gap",
-    opts: EigOptions = EigOptions(),
     recovery: Optional[RecoveryResult] = None,
 ) -> tuple[float, SpectralReport]:
     """Minimise the applicable bound over rotated representatives of ``rho``.
@@ -340,33 +311,19 @@ def min_bound_over_rotations(
     moments and hence the measured error unchanged, but moves the circulant
     projection, so the bound can be tightened by scanning rotations.  Returns
     the minimising angle and its report; if no angle yields an applicable
-    bound, returns the angle closest to applicability with ``bound=None``.
+    bound, returns angle 0 and the unrotated report (``bound=None``).
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    q_sq = int(x.radial_bandwidths[0]) ** 2
-    best_angle = 0.0
-    best_report = None
-    fallback = (np.inf, 0.0, None)  # (ratio to applicability, angle, report)
+    best_angle, best = 0.0, None
     for j in range(grid_size):
         alpha = TWO_PI * j / grid_size
         # Matched representative pair with identical moments: shifting the
         # distribution's coefficients by exp(-1j*k*alpha) pairs with the
         # signal rotated by -alpha.
-        rho_a = rotate_distribution(rho, alpha)
-        x_a = rotate_signal(x, -alpha)
-        report = davis_kahan_bound_2d(x_a, rho_a, kappa_policy, opts, recovery)
-        if report.bound is not None:
-            if best_report is None or report.bound < best_report.bound:
-                best_angle, best_report = alpha, report
-        else:
-            ratio = (
-                q_sq * report.s_b / report.delta_kappa**2
-                if report.delta_kappa
-                else np.inf
-            )
-            if ratio < fallback[0]:
-                fallback = (ratio, alpha, report)
-    if best_report is None:
-        return fallback[1], fallback[2]
-    return best_angle, best_report
+        report = davis_kahan_bound_2d(rotate_signal(x, -alpha), rotate_distribution(rho, alpha), recovery)
+        if best is None or (
+            report.bound is not None and (best.bound is None or report.bound < best.bound)
+        ):
+            best_angle, best = alpha, report
+    return best_angle, best

@@ -23,9 +23,19 @@ class TestRecoveryError:
         x = random_signal_1d(4, np.random.default_rng(0))
         rep = recovery_error(x, x)
         assert rep.relative_error < 1e-15
+        assert 0.0 <= rep.best_angle < 2 * np.pi
         assert rep.best_angle == pytest.approx(0.0, abs=1e-9) or rep.best_angle == pytest.approx(
             2 * np.pi, abs=1e-9
         )
+
+    def test_zero_rotation_angle_below_two_pi(self):
+        # The Newton polish ends at a tiny negative angle here, whose
+        # remainder modulo 2*pi rounds up to exactly 2*pi.
+        x = random_image(1, 1, np.random.default_rng(2))
+        rep = recovery_error(rotate_signal(x, 0.0), x)
+        assert 0.0 <= rep.best_angle < 2 * np.pi
+        assert rep.best_angle == pytest.approx(0.0, abs=1e-12)
+        assert rep.relative_error < 1e-20
 
     def test_pure_rotation(self):
         x = random_signal_1d(5, np.random.default_rng(1))
@@ -134,6 +144,7 @@ class TestRecoveryError:
     # rounding of the overlap value, so only a converged polish reaches them.
     @example(B=1, Q=1, seed=0, angle=1e-10)
     @example(B=2, Q=1, seed=1, angle=1e-10)
+    @example(B=1, Q=1, seed=2, angle=0.0)
     @given(
         B=st.integers(1, 8),
         Q=st.integers(1, 3),
@@ -144,6 +155,7 @@ class TestRecoveryError:
         x = random_image(B, Q, np.random.default_rng(seed))
         rep = recovery_error(rotate_signal(x, angle), x)
         assert rep.relative_error < 1e-20
+        assert 0.0 <= rep.best_angle < 2 * np.pi
         assert abs(np.exp(1j * rep.best_angle) - np.exp(1j * angle)) < 1e-12
 
 

@@ -4,6 +4,7 @@ from scipy import stats
 
 from so2mra.errors import NotSampleableError
 from so2mra.signal_model import (
+    DENSITY_GRID_SIZE,
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
@@ -161,7 +162,7 @@ class TestExperimentDistribution:
 
 def _parent_density_grid(rho):
     # The eager synthesis made at construction before the grid was cached.
-    m = rho.grid_size
+    m = DENSITY_GRID_SIZE
     buf = np.zeros(m, dtype=np.complex128)
     for k in range(-2 * rho.B, 2 * rho.B + 1):
         buf[k % m] += rho.coeffs[k + 2 * rho.B]
@@ -175,7 +176,8 @@ class TestLazyDensity:
         draws = [make_experiment_distribution(B, rng, tol_pos=0.05) for B in (1, 3, 10)]
         draws += [perturb_distribution(d, 0.4) for d in draws]
         draws += [random_rho(2, rng, min_mod=0.9, max_mod=1.0), RotationDistribution.uniform(2)]
-        draws += [RotationDistribution.from_positive(3, draws[1].positive_coeffs, 0.0, 12)]
+        # 4B+1 = 8193 coefficients on 8192 grid nodes: two alias onto one bin.
+        draws += [make_experiment_distribution(2048, rng)]
         for rho in draws:
             nodes, dens = _parent_density_grid(rho)
             assert np.array_equal(rho.density_grid[0], nodes)

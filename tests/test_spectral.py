@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from so2mra.errors import MomentConsistencyError
 from so2mra.metrics import recovery_error
@@ -11,11 +12,16 @@ from so2mra.signal_model import (
     make_experiment_signal_2d,
     perturb_distribution,
     rotate_distribution,
+    rotate_signal,
 )
 from so2mra.spectral import (
+    DEGENERACY_TOL,
+    RANK_TOL_POPULATION,
     bound_value,
-    circulant_matrix,
     EigOptions,
+    SpectralReport,
+    _inner_sign_condition,
+    _select_isolated,
     circulant_project,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
@@ -42,6 +48,13 @@ def brute_force_circulant(v):
         for j in range(n):
             c[i, j] = v[(i - j) % n]
     return c
+
+
+def circulant_matrix(v):
+    """Circulant matrix with first column ``v``: ``C[i, j] = v[(i - j) mod N]``."""
+    n = v.size
+    i = np.arange(n)
+    return v[(i[:, None] - i[None, :]) % n]
 
 
 def isolated_gap_ok(rho, rel_tol=1e-6):
@@ -332,3 +345,161 @@ class TestMinBoundOverRotations:
             assert abs_err <= report.bound
             gaps.append(report.bound - abs_err)
         assert gaps and all(g > 0 for g in gaps)
+
+    def test_no_applicable_rotation_returns_unrotated_report(self):
+        rng = np.random.default_rng((21, 0))
+        x = random_image(3, 2, rng)
+        rho = random_rho(3, rng)
+        grid = 16
+        for j in range(grid):
+            a = 2 * np.pi * j / grid
+            assert davis_kahan_bound_2d(rotate_signal(x, -a), rotate_distribution(rho, a)).bound is None
+        angle, report = min_bound_over_rotations(x, rho, grid)
+        direct = davis_kahan_bound_2d(x, rho)
+        assert angle == 0.0
+        assert report.bound is None
+        assert np.array_equal(report.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(report.eigenvalues_circ, direct.eigenvalues_circ)
+        assert report.delta_kappa == direct.delta_kappa
+        assert report.conditions_met == direct.conditions_met
+
+
+def block_matrix_bound(x, rho, recovery=None):
+    """Reference bound from the explicit ``Q``-times-larger block matrices.
+
+    Builds ``kron(T, 1_Q)`` and ``kron(C, 1_Q)`` and runs a general
+    eigensolver on them; the selection, gap and applicability rules are those
+    of ``davis_kahan_bound_2d``.
+    """
+    B = rho.B
+    q = int(x.radial_bandwidths[0])
+    ca = circulant_project(rho)
+    s_b_eff = q**2 * ca.s_b
+
+    def nonzero_desc(mat):
+        lams = np.sort(np.linalg.eigvalsh(np.kron(mat, np.ones((q, q)))))[::-1]
+        return lams[np.abs(lams) > RANK_TOL_POPULATION * np.abs(lams).max()]
+
+    lam_t = nonzero_desc(toeplitz_matrix(rho))
+    lam_c = nonzero_desc(circulant_matrix(ca.v_opt))
+    kappa, gap = _select_isolated(lam_t)
+    if kappa >= lam_c.size:
+        delta = 0.0
+    else:
+        others_t = np.delete(lam_t, kappa)
+        others_c = np.delete(lam_c, kappa)
+        d1 = np.abs(lam_c[kappa] - others_t).min() if others_t.size else np.inf
+        d2 = np.abs(others_c - lam_t[kappa]).min() if others_c.size else np.inf
+        delta = float(max(d1, d2))
+    deg_tol = DEGENERACY_TOL * max(np.abs(lam_t).max(), np.abs(lam_c).max(), 1e-30)
+
+    def simple(lams, idx):
+        if idx >= lams.size:
+            return False
+        diffs = np.abs(lams - lams[idx])
+        diffs[idx] = np.inf
+        return bool(diffs.min(initial=np.inf) > deg_tol)
+
+    conditions = {
+        "nonvanishing": bool(np.abs(x.coeffs).min() > 1e-12 * max(1.0, np.abs(x.coeffs).max())),
+        "simple_eigenvalues": simple(lam_t, kappa) and simple(lam_c, kappa),
+        "inner_sign": None,
+        "distance_within_gap": bool(s_b_eff <= delta**2),
+    }
+    if recovery is not None:
+        conditions["inner_sign"] = _inner_sign_condition(
+            recovery.diagnostics["x_tilde"], x.coeffs / np.abs(x.coeffs), x.k_values, B
+        )
+    bound = bound_value(s_b_eff, delta, float(x.power_spectrum.max()), float(q * (2 * B + 1)))
+    return lam_t, lam_c, kappa, gap, delta, conditions, bound
+
+
+def rel_close(a, b, rtol=1e-12):
+    return abs(a - b) <= rtol * abs(b)
+
+
+class TestClosedFormSpectra:
+    @pytest.mark.parametrize("Q", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 3, 10])
+    def test_block_toeplitz_spectrum_is_q_times_toeplitz(self, B, Q):
+        # kron(T, 1_Q) has the eigenvalues Q*eig(T) plus (Q-1)(2B+1) zeros.
+        t = toeplitz_matrix(random_rho(B, np.random.default_rng((22, B, Q))))
+        big = np.sort(np.linalg.eigvalsh(np.kron(t, np.ones((Q, Q)))))
+        expected = np.sort(np.concatenate([Q * np.linalg.eigvalsh(t), np.zeros((Q - 1) * (2 * B + 1))]))
+        assert np.abs(big - expected).max() <= 1e-12 * np.abs(big).max()
+
+    @pytest.mark.parametrize("Q", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 3, 10])
+    def test_block_circulant_spectrum_is_q_times_dft(self, B, Q):
+        v = circulant_project(random_rho(B, np.random.default_rng((23, B, Q)))).v_opt
+        dft = np.fft.fft(v)
+        c = circulant_matrix(v)
+        scale = np.abs(np.linalg.eigvalsh(c)).max()
+        assert np.abs(dft.imag).max() <= 1e-12 * scale
+        assert np.abs(np.sort(dft.real) - np.linalg.eigvalsh(c)).max() <= 1e-12 * scale
+        big = np.sort(np.linalg.eigvalsh(np.kron(c, np.ones((Q, Q)))))
+        expected = np.sort(np.concatenate([Q * dft.real, np.zeros((Q - 1) * (2 * B + 1))]))
+        assert np.abs(big - expected).max() <= 1e-12 * Q * scale
+
+    @pytest.mark.parametrize("B, Q", [(1, 1), (3, 2), (10, 1), (10, 2), (4, 3)])
+    def test_bound_matches_block_matrices(self, B, Q):
+        rng = np.random.default_rng((24, B, Q))
+        img = make_experiment_signal_2d(B, Q, rng)
+        base = make_experiment_distribution(B, rng)
+        applicable = set()
+        for eta in (0.003, 0.05, 0.1, 0.3, 1.0):
+            rho = perturb_distribution(base, eta)
+            rec, _ = spectral_recover_2d(population_moments_2d(img, rho, 0.0), (B, np.full(B + 1, Q)))
+            report = davis_kahan_bound_2d(img, rho, recovery=rec)
+            lam_t, lam_c, kappa, gap, delta, conditions, bound = block_matrix_bound(img, rho, rec)
+            assert report.kappa == kappa
+            assert report.conditions_met == conditions
+            assert rel_close(report.gap, gap) and rel_close(report.delta_kappa, delta)
+            assert report.eigenvalues.shape == lam_t.shape
+            assert report.eigenvalues_circ.shape == lam_c.shape
+            scale = np.abs(lam_t).max()
+            assert np.abs(report.eigenvalues - lam_t).max() <= 1e-12 * scale
+            assert np.abs(report.eigenvalues_circ - lam_c).max() <= 1e-12 * scale
+            if bound is None:
+                assert report.bound is None
+            else:
+                assert rel_close(report.bound, bound)
+            applicable.add(bound is not None)
+        assert applicable == {True, False}
+
+    def test_random_toeplitz_matches_block_matrices(self):
+        for seed in range(10):
+            rng = np.random.default_rng((25, seed))
+            x = random_image(3, 2, rng)
+            rho = random_rho(3, rng)
+            report = davis_kahan_bound_2d(x, rho)
+            lam_t, lam_c, kappa, gap, delta, conditions, bound = block_matrix_bound(x, rho)
+            assert report.kappa == kappa and report.conditions_met == conditions
+            assert rel_close(report.gap, gap) and rel_close(report.delta_kappa, delta)
+            assert (report.bound is None) == (bound is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(1, 6),
+        Q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        angle=st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    def test_toeplitz_spectrum_rotation_invariant(self, B, Q, seed, angle):
+        rng = np.random.default_rng(seed)
+        x = random_image(B, Q, rng)
+        rho = random_rho(B, rng)
+        direct = davis_kahan_bound_2d(x, rho).eigenvalues
+        rotated = davis_kahan_bound_2d(rotate_signal(x, -angle), rotate_distribution(rho, angle)).eigenvalues
+        assert rotated.shape == direct.shape
+        assert np.abs(rotated - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+class TestReportConditions:
+    def test_unchecked_condition_counts_as_met(self):
+        def report(conditions):
+            return SpectralReport(np.ones(1), 0, np.inf, conditions_met=conditions)
+
+        assert report({"a": True, "b": None}).all_conditions_met()
+        assert not report({"a": False, "b": None}).all_conditions_met()
+        assert not report(None).all_conditions_met()
