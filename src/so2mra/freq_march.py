@@ -16,7 +16,6 @@ of ``S``, which mitigates cascading errors on empirical moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,20 +29,13 @@ DIAGONAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FMOptions:
-    """Options for the marching recursions.
-
-    ``tol_m1`` is the absolute guard on ``|M1|`` below which the diagonal
-    inversion is refused; ``None`` scales ``RELATIVE_M1_TOL`` by ``max|M1|``.
-    """
+    """Options for the marching recursions."""
 
     variant: str = "plain"
-    tol_m1: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in ("plain", "robust"):
             raise ValueError("variant must be 'plain' or 'robust'")
-        if self.tol_m1 is not None and not (np.isfinite(self.tol_m1) and self.tol_m1 >= 0.0):
-            raise ValueError("tol_m1 must be None or a finite value >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,13 +47,12 @@ class RecoveryResult:
     diagnostics: dict
 
 
-def _ratio_matrix(m: MomentPair, tol_m1: Optional[float]) -> tuple[np.ndarray, float, float]:
-    """Debias if needed and form ``S`` with a guard on the diagonal inversion."""
-    if not m.debiased:
-        m = debias(m)
+def _ratio_matrix(m: MomentPair) -> tuple[np.ndarray, float, float]:
+    """Form ``S`` from debiased moments, refusing ``|M1|`` entries at or below
+    ``RELATIVE_M1_TOL * max|M1|``."""
     abs_m1 = np.abs(m.M1)
     min_abs = float(abs_m1.min())
-    tol = RELATIVE_M1_TOL * float(abs_m1.max(initial=0.0)) if tol_m1 is None else tol_m1
+    tol = RELATIVE_M1_TOL * float(abs_m1.max(initial=0.0))
     if min_abs <= tol:
         raise VanishingCoefficientError(
             f"|M1| entry {min_abs:.3g} at or below the inversion guard {tol:.3g}"
@@ -156,7 +147,8 @@ def fm_recover_2d(
     sizes = qk[np.abs(ks)]
     if m.dim != int(sizes.sum()):
         raise ValueError("moment dimension does not match the image shape")
-    s_full, min_abs_m1, tol = _ratio_matrix(m, opts.tol_m1)
+    m = debias(m)
+    s_full, min_abs_m1, tol = _ratio_matrix(m)
     s = _reduce_radial(s_full, B, qk, opts)
     rho_nonneg, residuals = _march(s, B, opts)
     rho_est = RotationDistribution.from_positive(B, rho_nonneg[1:])

@@ -19,7 +19,7 @@ import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -40,15 +40,20 @@ from .signal_model import (
     rotation_cdf,
 )
 from .spectral import (
+    RANK_TOL_EMPIRICAL,
     EigOptions,
     circulant_project,
     min_bound_over_rotations,
     spectral_recover_2d,
 )
 
-EXPERIMENTS = ("snr_sweep", "n_sweep", "bound_sweep")
 ALGORITHMS = ("fm_plain", "fm_robust", "spectral")
-_EXPERIMENT_CODE = {"snr_sweep": 1, "n_sweep": 2, "bound_sweep": 3}
+# experiment: (code keying its trial generators, grid field, grid element type, default grid)
+SWEEPS = {
+    "snr_sweep": (1, "snr_grid", float, tuple(np.logspace(0.0, 4.0, 9))),
+    "n_sweep": (2, "n_grid", int, tuple(int(round(v)) for v in np.logspace(3.0, 6.0, 7))),
+    "bound_sweep": (3, "eta_grid", float, tuple(np.logspace(-3.0, -1.0, 20))),
+}
 
 CSV_COLUMNS = (
     "experiment",
@@ -75,16 +80,39 @@ def _row(*cells) -> dict:
 _TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
 
 
-def _default_snr_grid() -> tuple:
-    return tuple(np.logspace(0.0, 4.0, 9))
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "text"}
 
 
-def _default_n_grid() -> tuple:
-    return tuple(int(round(v)) for v in np.logspace(3.0, 6.0, 7))
+def _typed(name: str, value, kind: type, element: type = str):
+    """``value`` as a ``kind`` (for ``tuple``, of ``element``), or ``ConfigError``.
 
-
-def _default_eta_grid() -> tuple:
-    return tuple(np.logspace(-3.0, -1.0, 20))
+    Config text and Python values follow the same rules.  Integer text
+    converts exactly, since a seed may exceed float precision.
+    """
+    if kind is tuple:
+        items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
+        try:
+            return tuple(_typed(name, item, element) for item in items)
+        except TypeError:
+            raise ConfigError(f"{name} must be a comma list or a sequence, not {value!r}") from None
+    if isinstance(value, str):
+        value = value.strip()
+        if kind is bool and value.lower() in ("true", "false"):
+            return value.lower() == "true"
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        if kind is int and isinstance(value, (str, int, np.integer)):
+            with suppress(ValueError):
+                return int(value)
+        with suppress(TypeError, ValueError, OverflowError):
+            number = float(value)
+            if kind is float and np.isfinite(number):
+                return number
+            if kind is int and number.is_integer():
+                return int(number)
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, not {value!r}")
 
 
 @dataclass
@@ -105,51 +133,42 @@ class ExperimentConfig:
     fixed_ground_truth: bool = False
     threads: int = 1
     tol_pos: float = 0.05
-    rank_tol: float = 1e-3
     rotation_grid: int = 1
     sigma_misspec: float = 1.0
-    chunk: int = 65536
     snr_grid: tuple | None = None
     n_grid: tuple | None = None
     eta_grid: tuple | None = None
 
     def validated(self) -> "ExperimentConfig":
-        cfg = replace(self)
-        if cfg.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-        grids = {"snr_sweep": "snr_grid", "n_sweep": "n_grid", "bound_sweep": "eta_grid"}
-        own = grids[cfg.experiment]
-        for name in grids.values():
-            value = getattr(cfg, name)
-            if name != own and value is not None:
-                raise ConfigError(f"{name} does not belong to experiment {cfg.experiment}")
-        if getattr(cfg, own) is None:
-            defaults = {
-                "snr_grid": _default_snr_grid,
-                "n_grid": _default_n_grid,
-                "eta_grid": _default_eta_grid,
-            }
-            setattr(cfg, own, defaults[own]())
-        grid = tuple(getattr(cfg, own))
-        if len(grid) == 0:
+        """A range-checked copy, each value converted to the type of its field's default.
+
+        The grids default to ``None``: only the experiment's own may be set.
+        """
+        experiment = _typed("experiment", self.experiment, str)
+        if experiment not in SWEEPS:
+            raise ConfigError(f"unknown experiment {experiment!r}")
+        _code, own, element, default = SWEEPS[experiment]
+        values = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is not None:
+                values[f.name] = _typed(f.name, value, type(f.default))
+            elif f.name == own:
+                values[f.name] = _typed(f.name, default if value is None else value, tuple, element)
+            elif value is not None:
+                raise ConfigError(f"{f.name} does not belong to experiment {experiment}")
+        cfg = replace(self, **values)
+        if len(values[own]) == 0:
             raise ConfigError(f"{own} must not be empty")
-        if own == "n_grid":
-            grid = tuple(int(v) for v in grid)
-            if any(v < 1 for v in grid):
-                raise ConfigError("sample counts must be positive")
-        else:
-            grid = tuple(float(v) for v in grid)
-            if any(v <= 0 for v in grid):
-                raise ConfigError("grid values must be positive")
-        setattr(cfg, own, grid)
-        cfg.algorithms = tuple(cfg.algorithms)
+        if any(v <= 0 for v in values[own]):
+            raise ConfigError(f"{own} values must be positive")
         unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
         if unknown or not cfg.algorithms:
             raise ConfigError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
         if cfg.b < 1 or cfg.q < 1:
             raise ConfigError("need b >= 1 and q >= 1")
-        if cfg.trials < 1 or cfg.n < 1 or cfg.threads < 1 or cfg.chunk < 1:
-            raise ConfigError("trials, n, threads and chunk must be positive")
+        if cfg.trials < 1 or cfg.n < 1 or cfg.threads < 1:
+            raise ConfigError("trials, n and threads must be positive")
         if not 0.0 <= cfg.margin <= 0.5:
             raise ConfigError("margin must lie in [0, 0.5]")
         if cfg.snr <= 0 or cfg.eta < 0 or cfg.rotation_grid < 1:
@@ -162,7 +181,7 @@ class ExperimentConfig:
 
 
 def _trial_rngs(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
-    code = _EXPERIMENT_CODE[cfg.experiment]
+    code = SWEEPS[cfg.experiment][0]
     gt_key = (0, 0) if cfg.fixed_ground_truth else (grid_idx, trial_idx)
     gt = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, *gt_key, 1)))
     obs = np.random.default_rng(
@@ -287,17 +306,17 @@ def simulate_empirical_moments(
     k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
     kf = k_map @ factor
     m2 = kf @ kf.conj().T / n
-    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma, debiased=False)
+    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)
 
 
-def _recover(algorithm: str, m: MomentPair, image: FBImage, rank_tol: float):
+def _recover(algorithm: str, m: MomentPair, image: FBImage):
     shape = (image.B, image.radial_bandwidths)
     if algorithm == "fm_plain":
         return fm_recover_2d(m, shape, FMOptions(variant="plain"))
     if algorithm == "fm_robust":
         return fm_recover_2d(m, shape, FMOptions(variant="robust"))
     if algorithm == "spectral":
-        result, _report = spectral_recover_2d(m, shape, EigOptions(rank_tol=rank_tol))
+        result, _report = spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
         return result
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
@@ -309,14 +328,14 @@ def _sampling_trial(cfg: ExperimentConfig, grid_idx: int, trial_idx: int, snr_va
         image, base = _ground_truth(cfg, gt_rng)
         rho = perturb_distribution(base, cfg.eta)
         sigma = sigma_for_snr(image, snr_value)
-        m = simulate_empirical_moments(image, rho, n_value, sigma, obs_rng, cfg.chunk)
+        m = simulate_empirical_moments(image, rho, n_value, sigma, obs_rng)
         if cfg.sigma_misspec != 1.0:
-            m = MomentPair(m.M1, m.M2, sigma * cfg.sigma_misspec, debiased=False)
+            m = MomentPair(m.M1, m.M2, sigma * cfg.sigma_misspec)
     except _TRIAL_ERRORS:
         return {algo: None for algo in cfg.algorithms}
     for algo in cfg.algorithms:
         try:
-            result = _recover(algo, m, image, cfg.rank_tol)
+            result = _recover(algo, m, image)
             err = recovery_error(result.signal_est, image).relative_error
             errors[algo] = None if np.isnan(err) else err
         except _TRIAL_ERRORS:
@@ -335,24 +354,15 @@ def _format(value) -> str:
 
 
 def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
-    if cfg.experiment == "snr_sweep":
-        grid = cfg.snr_grid
-        param = "snr"
-        snr_of = lambda v: float(v)
-        n_of = lambda v: cfg.n
-    else:
-        grid = cfg.n_grid
-        param = "n"
-        snr_of = lambda v: cfg.snr
-        n_of = lambda v: int(v)
-
+    snr_sweep = cfg.experiment == "snr_sweep"
+    grid, param = (cfg.snr_grid, "snr") if snr_sweep else (cfg.n_grid, "n")
     tasks = [(gi, ti) for gi in range(len(grid)) for ti in range(cfg.trials)]
     results: dict = {}
 
     def run(task):
         gi, ti = task
-        value = grid[gi]
-        return task, _sampling_trial(cfg, gi, ti, snr_of(value), n_of(value))
+        snr, n = (grid[gi], cfg.n) if snr_sweep else (cfg.snr, grid[gi])
+        return task, _sampling_trial(cfg, gi, ti, snr, n)
 
     if cfg.threads == 1:
         for task in tasks:
@@ -398,12 +408,12 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     gt_rng, _ = _trial_rngs(replace(cfg, fixed_ground_truth=True), 0, 0)
     image, base = _ground_truth(cfg, gt_rng)
     rows = []
-    for gi, eta in enumerate(cfg.eta_grid):
+    for eta in cfg.eta_grid:
         try:
-            rows.append(_bound_point(cfg, image, base, float(eta)))
+            rows.append(_bound_point(cfg, image, base, eta))
         except _TRIAL_ERRORS:
             nan = float("nan")
-            rows.append(_row(cfg.experiment, "spectral", "eta", float(eta), 1, 1, nan, nan, nan, None, None))
+            rows.append(_row(cfg.experiment, "spectral", "eta", eta, 1, 1, nan, nan, nan, None, None))
     return rows
 
 
@@ -480,10 +490,10 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` configuration file.
+    """Parse a flat ``key = value`` configuration file into ``{key: text}``.
 
-    Comma-separated values become tuples; ``true``/``false`` become booleans;
-    numeric-looking tokens become int or float.  Lines starting with ``#``
+    Values stay text, with surrounding quotes stripped;
+    ``ExperimentConfig.validated`` types them.  Lines starting with ``#``
     and blank lines are ignored.
     """
     values: dict = {}
@@ -496,36 +506,15 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            values[key] = _parse_value(text.strip())
+            values[key] = text.strip().strip('"')
     return values
-
-
-def _parse_scalar(token: str):
-    low = token.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
-
-
-def _parse_value(text: str):
-    text = text.strip().strip('"')
-    if "," in text:
-        return tuple(_parse_scalar(t.strip()) for t in text.split(",") if t.strip())
-    return _parse_scalar(text)
 
 
 _KEY_ALIASES = {"out": "out_path", "seed": "master_seed", "algos": "algorithms"}
 
 
 def config_from_sources(*sources: dict) -> ExperimentConfig:
-    """Merge configuration layers, lowest priority first, into a config."""
+    """Merge configuration layers, lowest priority first, into a validated config."""
     allowed = {f.name for f in fields(ExperimentConfig)}
     merged = {}
     for source in sources:
@@ -534,13 +523,7 @@ def config_from_sources(*sources: dict) -> ExperimentConfig:
             if key not in allowed:
                 raise ConfigError(f"unknown configuration key {key!r}")
             merged[key] = value
-    for key in ("algorithms",):
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = tuple(t.strip() for t in merged[key].split(",") if t.strip())
-    for key in ("snr_grid", "n_grid", "eta_grid"):
-        if key in merged and np.isscalar(merged[key]):
-            merged[key] = (merged[key],)
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**merged).validated()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -549,18 +532,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run a rotational-alignment recovery sweep and write a CSV.",
     )
     parser.add_argument("config", nargs="?", help="flat key=value configuration file")
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--b", type=int)
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--snr", type=float)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--eta", type=float)
+    parser.add_argument("--experiment", help=", ".join(SWEEPS))
+    parser.add_argument("--b")
+    parser.add_argument("--q")
+    parser.add_argument("--n")
+    parser.add_argument("--snr")
+    parser.add_argument("--trials")
+    parser.add_argument("--eta")
     parser.add_argument("--algos", dest="algorithms")
-    parser.add_argument("--seed", dest="master_seed", type=int)
+    parser.add_argument("--seed", dest="master_seed")
     parser.add_argument("--out", dest="out_path")
     parser.add_argument("--fixed-ground-truth", dest="fixed_ground_truth", action="store_true", default=None)
-    parser.add_argument("--threads", type=int)
+    parser.add_argument("--threads")
     parser.add_argument(
         "--paper-scale",
         action="store_true",
@@ -594,9 +577,9 @@ def config_from_argv(argv=None) -> ExperimentConfig:
         if key not in ("config", "paper_scale") and value is not None
     }
     cfg = config_from_sources(file_values, cli_values)
-    if args.paper_scale:
-        cfg = config_from_sources(_paper_scale_preset(cfg.experiment), file_values, cli_values)
-    return cfg.validated()
+    if not args.paper_scale:
+        return cfg
+    return config_from_sources(_paper_scale_preset(cfg.experiment), file_values, cli_values)
 
 
 def main(argv=None) -> int:

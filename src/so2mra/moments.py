@@ -25,7 +25,6 @@ class MomentPair:
     M1: np.ndarray
     M2: np.ndarray
     sigma: float
-    debiased: bool = False
 
     def __post_init__(self):
         m1 = np.asarray(self.M1, dtype=np.complex128)
@@ -61,7 +60,7 @@ def population_moments_2d(
     t = rho.coeffs[(k_index[:, None] - k_index[None, :]) + off]
     m2 = TWO_PI * np.outer(image.coeffs, image.coeffs.conj()) * t
     m2 = m2 + sigma**2 * np.eye(image.size)
-    return MomentPair(m1, m2, sigma, debiased=False)
+    return MomentPair(m1, m2, sigma)
 
 
 class MomentAccumulator:
@@ -94,7 +93,7 @@ class MomentAccumulator:
             raise ValueError("no observations accumulated")
         m1 = self._sum1 / self._count
         m2 = self._sum2 / self._count
-        return MomentPair(m1, m2, sigma, debiased=False)
+        return MomentPair(m1, m2, sigma)
 
 
 def empirical_moments(batch: ObservationBatch, chunk: int = DEFAULT_CHUNK) -> MomentPair:
@@ -110,11 +109,10 @@ def empirical_moments(batch: ObservationBatch, chunk: int = DEFAULT_CHUNK) -> Mo
 def debias(m: MomentPair) -> MomentPair:
     """Remove the noise contribution ``sigma^2 I`` from the second moment.
 
-    Re-symmetrises the result so downstream Hermitian eigensolvers see an
-    exactly Hermitian matrix.
+    The result has ``sigma = 0``, so debiasing it again changes no bit.  It
+    is re-symmetrised so downstream Hermitian eigensolvers see an exactly
+    Hermitian matrix.
     """
-    if m.debiased:
-        raise ValueError("moments are already debiased")
     m2 = m.M2 - m.sigma**2 * np.eye(m.dim)
     m2 = 0.5 * (m2 + m2.conj().T)
-    return MomentPair(m.M1, m2, m.sigma, debiased=True)
+    return MomentPair(m.M1, m2, 0.0)

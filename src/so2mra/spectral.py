@@ -112,15 +112,20 @@ def toeplitz_matrix(rho: RotationDistribution) -> np.ndarray:
     return rho.coeffs[(k[:, None] - k[None, :]) + 2 * B]
 
 
+def _neighbour_gaps(lams: np.ndarray) -> np.ndarray:
+    """Distance from each eigenvalue of a sorted spectrum to its nearest
+    neighbour, which is adjacent; ``inf`` for a lone eigenvalue."""
+    steps = np.abs(np.diff(lams))
+    return np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
+
+
 def _select_isolated(lams: np.ndarray) -> tuple[int, float]:
-    """Index of the eigenvalue with the largest isolation gap.
+    """Index of the eigenvalue of a sorted spectrum with the largest isolation gap.
 
     Ties within ``TIE_TOL`` resolve toward the larger ``|lambda|``, then the
     smaller index, so the choice is deterministic.
     """
-    diffs = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    gaps = diffs.min(axis=1) if lams.size > 1 else np.full(1, np.inf)
+    gaps = _neighbour_gaps(lams)
     gmax = gaps.max()
     cand = np.flatnonzero(gaps >= gmax - TIE_TOL)
     best = cand[int(np.argmax(np.abs(lams[cand])))]
@@ -164,8 +169,7 @@ def spectral_recover_2d(
     if m.dim != k_index.size:
         raise ValueError("moment dimension does not match the image shape")
     anchor = int(np.flatnonzero(k_index == 0)[0])
-    if not m.debiased:
-        m = debias(m)
+    m = debias(m)
     p = np.diag(m.M2).real
     if p.min() <= 0.0:
         raise MomentConsistencyError(
@@ -268,16 +272,10 @@ def davis_kahan_bound_2d(
     scale = max(np.abs(lam_t).max(initial=0.0), np.abs(lam_c).max(initial=0.0), 1e-30)
     deg_tol = DEGENERACY_TOL * scale
 
-    def simple(lams: np.ndarray, idx: int) -> bool:
-        if idx >= lams.size:
-            return False
-        diffs = np.abs(lams - lams[idx])
-        diffs[idx] = np.inf
-        return bool(diffs.min(initial=np.inf) > deg_tol)
-
+    simple_c = kappa < lam_c.size and _neighbour_gaps(lam_c)[kappa] > deg_tol
     conditions = {
         "nonvanishing": bool(np.abs(x.coeffs).min() > 1e-12 * max(1.0, np.abs(x.coeffs).max())),
-        "simple_eigenvalues": simple(lam_t, kappa) and simple(lam_c, kappa),
+        "simple_eigenvalues": bool(gap > deg_tol and simple_c),
         "inner_sign": None,
         "distance_within_gap": bool(s_b_eff <= delta**2),
     }

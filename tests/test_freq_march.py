@@ -86,7 +86,7 @@ class TestExactRecovery1D:
         # A second moment with the wrong sign on S[1,1] is rejected.
         m1 = np.ones(3, dtype=complex)
         m2 = -np.eye(3, dtype=complex)
-        m = MomentPair(m1, m2, 0.0, debiased=True)
+        m = MomentPair(m1, m2, 0.0)
         with pytest.raises(MomentConsistencyError):
             fm_recover_2d(m, shape_1d(1))
 
@@ -166,15 +166,6 @@ class TestRobustKernels:
 
 
 class TestOptions:
-    @pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf, -np.inf])
-    def test_tol_m1_rejects_negative_and_non_finite(self, tol):
-        with pytest.raises(ValueError, match="tol_m1"):
-            FMOptions(tol_m1=tol)
-
-    @pytest.mark.parametrize("tol", [None, 0.0, 1e-3])
-    def test_tol_m1_accepts_none_and_finite_nonnegative(self, tol):
-        assert FMOptions(variant="robust", tol_m1=tol).tol_m1 == tol
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FMOptions(variant="weighted")

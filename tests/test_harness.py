@@ -66,6 +66,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validated()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"b": 2.5},
+            {"trials": 2.5},
+            {"snr": np.nan},
+            {"eta": np.inf},
+            {"snr_grid": (10.0, np.nan)},
+            {"experiment": "n_sweep", "n_grid": (1000, 2.5)},
+            {"fixed_ground_truth": "no"},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_mistyped_or_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad).validated()
+
 
 class TestSamplingSweeps:
     def test_snr_sweep_rows(self):
@@ -243,8 +260,11 @@ class TestConfigFileAndCli:
             b = 4
             n_grid = 100, 200
             algos = fm_plain, spectral
-            fixed_ground_truth = true
-            out = sweep.csv
+            fixed_ground_truth = TRUE
+            out = "sweep.csv"
+            n = 1e4
+            snr = 50
+            seed = 12345678901234567891
             """,
             encoding="utf-8",
         )
@@ -255,6 +275,31 @@ class TestConfigFileAndCli:
         assert cfg.algorithms == ("fm_plain", "spectral")
         assert cfg.fixed_ground_truth is True
         assert cfg.out_path == "sweep.csv"
+        assert type(cfg.n) is int and cfg.n == 10_000
+        assert type(cfg.snr) is float and cfg.snr == 50.0
+        assert cfg.master_seed == 12345678901234567891
+
+    @pytest.mark.parametrize("experiment", list(harness.SWEEPS))
+    def test_text_round_trip(self, tmp_path, experiment):
+        # Every field written as config text reads back to the typed default.
+        def text(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, tuple):
+                return ", ".join(text(v) for v in value)
+            return repr(value) if isinstance(value, float) else str(value)
+
+        expected = ExperimentConfig(experiment=experiment).validated()
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "".join(
+                f"{f.name} = {text(getattr(expected, f.name))}\n"
+                for f in dataclasses.fields(expected)
+                if getattr(expected, f.name) is not None
+            ),
+            encoding="utf-8",
+        )
+        assert config_from_sources(load_config_file(str(path))) == expected
 
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -290,6 +335,27 @@ class TestConfigFileAndCli:
         )
         assert main([str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_main_exit_code_2_on_non_finite_values(self, tmp_path):
+        out = tmp_path / "res.csv"
+        assert main(["--snr", "nan", "--out", str(out)]) == 2
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("experiment = n_sweep\nn_grid = 1000, nan\n", encoding="utf-8")
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_integral_float_count_runs(self, tmp_path):
+        csvs = []
+        for n in ("1e4", "10000"):
+            cfg_file = tmp_path / f"cfg-{n}.txt"
+            out = tmp_path / f"res-{n}.csv"
+            cfg_file.write_text(
+                f"b = 3\nq = 2\nn = {n}\ntrials = 1\nsnr_grid = 10\nout = {out}\n",
+                encoding="utf-8",
+            )
+            assert main([str(cfg_file)]) in (0, 3)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_main_missing_config_file(self, tmp_path):
         rc = main([str(tmp_path / "nope.txt")])

@@ -280,12 +280,12 @@ class TestDebias:
         lam = np.linalg.eigvalsh(debias(m).M2)
         assert lam.min() >= -0.05 * lam.max()
 
-    def test_double_debias_raises(self):
+    def test_debias_idempotent(self):
         rng = np.random.default_rng(13)
         x = random_signal_1d(2, rng)
         m = debias(population_moments_2d(x, RotationDistribution.uniform(2), 0.2))
-        with pytest.raises(ValueError):
-            debias(m)
+        assert m.sigma == 0.0
+        assert debias(m).M2.tobytes() == m.M2.tobytes()
 
     def test_hermitian_preserved(self):
         rng = np.random.default_rng(14)

@@ -21,6 +21,7 @@ from so2mra.spectral import (
     EigOptions,
     SpectralReport,
     _inner_sign_condition,
+    _neighbour_gaps,
     _select_isolated,
     circulant_project,
     davis_kahan_bound_2d,
@@ -177,7 +178,7 @@ class TestSpectralRecovery1D:
     def test_nonpositive_power_spectrum_raises(self):
         m1 = np.ones(3, dtype=complex)
         m2 = np.diag([1.0, 0.5, 1.0]).astype(complex)
-        m = MomentPair(m1, m2, sigma=1.0, debiased=False)  # debias drives diag negative
+        m = MomentPair(m1, m2, sigma=1.0)  # debias drives diag negative
         with pytest.raises(MomentConsistencyError):
             spectral_recover_2d(m, shape_1d(1))
 
@@ -267,7 +268,7 @@ class TestSpectralRecovery2D:
         qk = np.array([2, 2, 1])
         with pytest.raises(ValueError):
             spectral_recover_2d(
-                MomentPair(np.ones(8, dtype=complex), np.eye(8, dtype=complex), 0.0, True),
+                MomentPair(np.ones(8, dtype=complex), np.eye(8, dtype=complex), 0.0),
                 (2, qk),
             )
 
@@ -503,3 +504,15 @@ class TestReportConditions:
         assert report({"a": True, "b": None}).all_conditions_met()
         assert not report({"a": False, "b": None}).all_conditions_met()
         assert not report(None).all_conditions_met()
+
+
+class TestNeighbourGaps:
+    @pytest.mark.parametrize("size", [1, 2, 7, 21])
+    def test_matches_all_pairs_minimum(self, size):
+        # On a sorted spectrum the nearest neighbour is adjacent, so the
+        # gaps equal the all-pairs minimum bit for bit, ties included.
+        rng = np.random.default_rng(size)
+        lams = np.sort(np.round(rng.standard_normal(size), 1))[::-1]
+        diffs = np.abs(lams[:, None] - lams[None, :])
+        np.fill_diagonal(diffs, np.inf)
+        assert _neighbour_gaps(lams).tobytes() == diffs.min(axis=1).tobytes()
