@@ -24,6 +24,7 @@ from .moments import (
     debias,
     empirical_moments,
     population_moments_2d,
+    simulate_empirical_moments,
 )
 from .signal_model import (
     FBImage,
@@ -69,6 +70,7 @@ __all__ = [
     "debias",
     "empirical_moments",
     "population_moments_2d",
+    "simulate_empirical_moments",
     "FBImage",
     "ObservationBatch",
     "RotationDistribution",

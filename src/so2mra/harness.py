@@ -28,16 +28,13 @@ import numpy as np
 from .errors import ConfigError, So2MraError
 from .freq_march import FMOptions, fm_recover_2d
 from .metrics import aggregate, recovery_error, sigma_for_snr
-from .moments import MomentAccumulator, MomentPair, population_moments_2d
+from .moments import MomentPair, population_moments_2d, simulate_empirical_moments
 from .signal_model import (
     UNIFORM_DENSITY,
     FBImage,
-    conjugate_noise_map,
-    generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
-    rotation_cdf,
 )
 from .spectral import (
     RANK_TOL_EMPIRICAL,
@@ -48,11 +45,12 @@ from .spectral import (
 )
 
 ALGORITHMS = ("fm_plain", "fm_robust", "spectral")
-# experiment: (code keying its trial generators, grid field, grid element type, default grid)
+# experiment: (code keying its trial generators, grid field, grid element type,
+# default grid, --paper-scale preset)
 SWEEPS = {
-    "snr_sweep": (1, "snr_grid", float, tuple(np.logspace(0.0, 4.0, 9))),
-    "n_sweep": (2, "n_grid", int, tuple(int(round(v)) for v in np.logspace(3.0, 6.0, 7))),
-    "bound_sweep": (3, "eta_grid", float, tuple(np.logspace(-3.0, -1.0, 20))),
+    "snr_sweep": (1, "snr_grid", float, tuple(np.logspace(0.0, 4.0, 9)), {"n": 1_000_000, "trials": 400}),
+    "n_sweep": (2, "n_grid", int, tuple(int(round(v)) for v in np.logspace(3.0, 6.0, 7)), {"trials": 800}),
+    "bound_sweep": (3, "eta_grid", float, tuple(np.logspace(-3.0, -1.0, 20)), {}),
 }
 
 CSV_COLUMNS = (
@@ -147,7 +145,7 @@ class ExperimentConfig:
         experiment = _typed("experiment", self.experiment, str)
         if experiment not in SWEEPS:
             raise ConfigError(f"unknown experiment {experiment!r}")
-        _code, own, element, default = SWEEPS[experiment]
+        _code, own, element, default, _preset = SWEEPS[experiment]
         values = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -169,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError("need b >= 1 and q >= 1")
         if cfg.trials < 1 or cfg.n < 1 or cfg.threads < 1:
             raise ConfigError("trials, n and threads must be positive")
+        if cfg.master_seed < 0:
+            raise ConfigError("master_seed must be nonnegative")
         if not 0.0 <= cfg.margin <= 0.5:
             raise ConfigError("margin must lie in [0, 0.5]")
         if cfg.snr <= 0 or cfg.eta < 0 or cfg.rotation_grid < 1:
@@ -194,119 +194,6 @@ def _ground_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
     base = make_experiment_distribution(cfg.b, rng, tol_pos=cfg.tol_pos)
     return image, base
-
-
-def _fourier_sums(angles: np.ndarray, order: int) -> np.ndarray:
-    """``S_m = sum_i exp(1j*m*angles_i)`` for ``m = 0..order``, by recursive powers."""
-    sums = np.empty(order + 1, dtype=np.complex128)
-    sums[0] = angles.size
-    w = np.exp(1j * angles)
-    power = w.copy()
-    for m in range(1, order + 1):
-        sums[m] = power.sum()
-        power *= w
-    return sums
-
-
-def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
-    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]``.
-
-    ``sums`` holds ``S_m`` for ``m = 0..2B``.  Column ``a`` is
-    ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines, ``-1j`` for sines),
-    and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
-    ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
-    """
-    B = (sums.size - 1) // 2
-    col = np.arange(2 * B + 1)
-    freq = (col + 1) // 2
-    c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
-    signed = np.concatenate([sums[:0:-1].conj(), sums])  # m = -2B..2B
-    plus = signed[2 * B + freq[:, None] + freq[None, :]]
-    minus = signed[2 * B + freq[:, None] - freq[None, :]]
-    return 0.5 * (np.outer(c, c) * plus + np.outer(c, c.conj()) * minus).real
-
-
-def _design_map(signal: FBImage) -> np.ndarray:
-    """Complex ``C`` (dim x (2B+1)) with ``rotate(x, phi) = C @ g(phi)``.
-
-    ``x[k] exp(-1j*k*phi) = x[k] cos(|k| phi) - 1j*sign(k)*x[k] sin(|k| phi)``.
-    """
-    k = signal.k_values
-    rows = np.arange(signal.size)
-    design = np.zeros((signal.size, 2 * signal.B + 1), dtype=np.complex128)
-    design[rows, np.maximum(2 * np.abs(k) - 1, 0)] = signal.coeffs
-    nz = k != 0
-    design[rows[nz], 2 * np.abs(k[nz])] = -1j * np.sign(k[nz]) * signal.coeffs[nz]
-    return design
-
-
-def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular ``L`` with ``L L^T ~ Wishart_dim(dof, I)`` (Bartlett); needs ``dof >= dim``."""
-    lower = np.zeros((dim, dim))
-    lower[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
-    lower[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
-    return lower
-
-
-def _direct_moments(signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int) -> MomentPair:
-    """Generate ``n`` observations chunk-wise and stream them into moments."""
-    acc = MomentAccumulator(signal.size)
-    remaining = n
-    while remaining > 0:
-        take = min(chunk, remaining)
-        batch = generate_observations(signal, rho, take, sigma, rng)
-        acc.update(batch.data)
-        remaining -= take
-    return acc.finalize(sigma)
-
-
-def simulate_empirical_moments(
-    signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = 65536
-) -> MomentPair:
-    """Draw the empirical moments of ``n`` observations, exactly in distribution.
-
-    Row ``i`` is ``K r_i`` with ``K = [C, sigma U]`` (``_design_map``,
-    ``conjugate_noise_map``) and the real ``r_i = [g(phi_i); z_i]``,
-    ``z_i ~ N(0, I_d)``.  So ``M1 = K Gamma[:, 0] / n`` (``g_0 = 1``) and
-    ``M2 = K Gamma K^H / n``, which is
-    ``(C G^T G C^H + sigma (C G^T Z U^H + h.c.) + sigma^2 U Z^T Z U^H) / n``,
-    where ``Gamma = [G Z]^T [G Z]``.  ``G^T G`` comes from the angle Fourier
-    sums, accumulated over ``chunk`` angles at a time (drawn like
-    ``sample_rotations`` draws them).  Given ``G``, with ``G^T G = L L^T``
-    and ``W ~ N(0, 1)^{p x d}``, ``G^T Z = L W`` and
-    ``Z^T Z = W^T W + Wishart_d(n - p, I)``: ``Gamma = F F^T`` with
-    ``F = [[L, 0], [W^T, Bartlett factor]]``.  When ``n < p + d`` the
-    Wishart term is singular and the observations are generated and
-    accumulated directly, as they are if ``G^T G`` is numerically singular.
-    """
-    if signal.B != rho.B:
-        raise ValueError("signal and distribution bandwidths must agree")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    B, dim = signal.B, signal.size
-    p = 2 * B + 1
-    if n < p + dim:
-        return _direct_moments(signal, rho, n, sigma, rng, chunk)
-    levels, nodes = rotation_cdf(rho)
-    sums = np.zeros(2 * B + 1, dtype=np.complex128)
-    for start in range(0, n, chunk):
-        u = rng.random(min(chunk, n - start))
-        # The sums ignore the order of the angles, and sorted queries make
-        # the interpolation's binary searches several times faster.
-        u.sort()
-        sums += _fourier_sums(np.interp(u, levels, nodes), 2 * B)
-    try:
-        lower = np.linalg.cholesky(_gram_from_sums(sums))
-    except np.linalg.LinAlgError:
-        return _direct_moments(signal, rho, n, sigma, rng, chunk)
-    factor = np.zeros((p + dim, p + dim))
-    factor[:p, :p] = lower
-    factor[p:, :p] = rng.standard_normal((dim, p))
-    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
-    k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
-    kf = k_map @ factor
-    m2 = kf @ kf.conj().T / n
-    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)
 
 
 def _recover(algorithm: str, m: MomentPair, image: FBImage):
@@ -357,26 +244,19 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     snr_sweep = cfg.experiment == "snr_sweep"
     grid, param = (cfg.snr_grid, "snr") if snr_sweep else (cfg.n_grid, "n")
     tasks = [(gi, ti) for gi in range(len(grid)) for ti in range(cfg.trials)]
-    results: dict = {}
 
     def run(task):
         gi, ti = task
         snr, n = (grid[gi], cfg.n) if snr_sweep else (cfg.snr, grid[gi])
-        return task, _sampling_trial(cfg, gi, ti, snr, n)
+        return _sampling_trial(cfg, gi, ti, snr, n)
 
-    if cfg.threads == 1:
-        for task in tasks:
-            key, errors = run(task)
-            results[key] = errors
-    else:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
-            for key, errors in pool.map(run, tasks):
-                results[key] = errors
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
+        outcomes = list(pool.map(run, tasks))
 
     rows = []
     for gi, value in enumerate(grid):
         for algo in cfg.algorithms:
-            errs = [results[(gi, ti)][algo] for ti in range(cfg.trials)]
+            errs = [outcomes[gi * cfg.trials + ti][algo] for ti in range(cfg.trials)]
             good = [e for e in errs if e is not None]
             failures = cfg.trials - len(good)
             if good:
@@ -533,15 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("config", nargs="?", help="flat key=value configuration file")
     parser.add_argument("--experiment", help=", ".join(SWEEPS))
-    parser.add_argument("--b")
-    parser.add_argument("--q")
-    parser.add_argument("--n")
-    parser.add_argument("--snr")
-    parser.add_argument("--trials")
-    parser.add_argument("--eta")
-    parser.add_argument("--algos", dest="algorithms")
-    parser.add_argument("--seed", dest="master_seed")
-    parser.add_argument("--out", dest="out_path")
+    for key in ("b", "q", "n", "snr", "trials", "eta", "algos", "seed", "out"):
+        parser.add_argument(f"--{key}", metavar=_KEY_ALIASES.get(key, key).upper())
     parser.add_argument("--fixed-ground-truth", dest="fixed_ground_truth", action="store_true", default=None)
     parser.add_argument("--threads")
     parser.add_argument(
@@ -551,15 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " for every value the config file and the flags leave unset",
     )
     return parser
-
-
-def _paper_scale_preset(experiment: str) -> dict:
-    """Full-scale preset: n=1e6 observations; 400/800 trials per sweep type."""
-    if experiment == "snr_sweep":
-        return {"n": 1_000_000, "trials": 400}
-    if experiment == "n_sweep":
-        return {"trials": 800}
-    return {}
 
 
 def config_from_argv(argv=None) -> ExperimentConfig:
@@ -579,12 +443,17 @@ def config_from_argv(argv=None) -> ExperimentConfig:
     cfg = config_from_sources(file_values, cli_values)
     if not args.paper_scale:
         return cfg
-    return config_from_sources(_paper_scale_preset(cfg.experiment), file_values, cli_values)
+    return config_from_sources(SWEEPS[cfg.experiment][4], file_values, cli_values)
 
 
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv)
+        # Fail on an unwritable path before the sweep; an old CSV stays until it ends.
+        existed = os.path.exists(cfg.out_path)
+        open(cfg.out_path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(cfg.out_path)
         rows = run_experiment(cfg)
         write_csv(rows, cfg.out_path)
     except (ConfigError, OSError) as exc:

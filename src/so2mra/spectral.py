@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import MomentConsistencyError
 from .freq_march import RecoveryResult
+from .metrics import _grid_overlap
 from .moments import MomentPair, debias
 from .signal_model import (
     FBImage,
@@ -218,12 +219,15 @@ def _inner_sign_condition(
     x_tilde_est: np.ndarray, x_tilde_true: np.ndarray, k_index: np.ndarray, B: int
 ) -> bool:
     """Post-hoc check that the extracted phase vector is positively aligned
-    with some grid rotation of the true one."""
-    best = -np.inf
-    for ell in range(2 * B + 1):
-        phase = np.exp(-1j * k_index * (TWO_PI * ell / (2 * B + 1)))
-        best = max(best, float(np.vdot(x_tilde_est, phase * x_tilde_true).real))
-    return best >= 0.0
+    with some grid rotation of the true one.
+
+    The overlap ``Re vdot(est, exp(-1j*k*phi) * true)`` at the grid angles
+    ``phi = 2*pi*l/(2B+1)`` is a trigonometric polynomial with coefficient
+    ``sum conj(est)*true`` at frequency ``-k``, evaluated by one FFT.
+    """
+    c = np.zeros(2 * B + 1, dtype=np.complex128)
+    np.add.at(c, B - k_index, x_tilde_est.conj() * x_tilde_true)
+    return bool(_grid_overlap(c, np.arange(-B, B + 1), 2 * B + 1).max() >= 0.0)
 
 
 def davis_kahan_bound_2d(

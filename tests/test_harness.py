@@ -60,6 +60,7 @@ class TestConfigValidation:
             {"tol_pos": 1.0 / (2.0 * np.pi)},
             {"tol_pos": 0.5},
             {"rotation_grid": 0},
+            {"master_seed": -1},
         ],
     )
     def test_out_of_range_rejected(self, bad):
@@ -308,6 +309,12 @@ class TestConfigFileAndCli:
         cfg = config_from_sources(values, {"trials": 9})
         assert cfg.trials == 9
 
+    def test_cli_aliases(self):
+        cfg = config_from_argv(["--algos", "spectral,fm_plain", "--seed", "5", "--out", "x.csv"])
+        assert cfg.algorithms == ("spectral", "fm_plain")
+        assert cfg.master_seed == 5
+        assert cfg.out_path == "x.csv"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_sources({"granularity": 3}, {})
@@ -334,7 +341,35 @@ class TestConfigFileAndCli:
             encoding="utf-8",
         )
         assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert main(["--seed", "-1", "--b", "2", "--n", "500", "--trials", "1", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_unwritable_out_path_fails_before_any_trial(self, tmp_path, monkeypatch):
+        calls = []
+        real_trial = harness._sampling_trial
+
+        def counting_trial(*args):
+            calls.append(args)
+            return real_trial(*args)
+
+        monkeypatch.setattr(harness, "_sampling_trial", counting_trial)
+        out = tmp_path / "missing" / "y.csv"
+        assert main(["--b", "2", "--n", "500", "--trials", "2", "--out", str(out)]) == 2
+        assert calls == []
+
+    def test_out_path_untouched_until_sweep_finishes(self, tmp_path, monkeypatch):
+        old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+        old.write_text("old\n", encoding="utf-8")
+
+        def crashing_trial(*args):
+            assert old.read_text(encoding="utf-8") == "old\n" and not fresh.exists()
+            raise RuntimeError("trial crashed")
+
+        monkeypatch.setattr(harness, "_sampling_trial", crashing_trial)
+        for out in (old, fresh):
+            with pytest.raises(RuntimeError):
+                main(["--b", "2", "--n", "500", "--trials", "1", "--out", str(out)])
+        assert old.read_text(encoding="utf-8") == "old\n" and not fresh.exists()
 
     def test_main_exit_code_2_on_non_finite_values(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from so2mra.harness import _fourier_sums, _gram_from_sums, simulate_empirical_moments
+import so2mra
+from so2mra import harness
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
+    _fourier_sums,
+    _gram_from_sums,
     debias,
     empirical_moments,
     population_moments_2d,
+    simulate_empirical_moments,
 )
 from so2mra.signal_model import (
     ObservationBatch,
@@ -169,6 +173,11 @@ def _oracle_moments(signal, rho, n, sigma, rng, chunk):
 
 
 class TestSufficientStatisticSimulator:
+    def test_one_simulator_under_every_import_path(self):
+        # perfbench imports the simulator from so2mra.harness.
+        assert so2mra.simulate_empirical_moments is simulate_empirical_moments
+        assert harness.simulate_empirical_moments is simulate_empirical_moments
+
     @pytest.mark.parametrize("B", [1, 3, 10])
     def test_gram_from_sums_matches_explicit(self, B):
         angles = np.random.default_rng(B).uniform(0.0, 2 * np.pi, 5000)

@@ -516,3 +516,24 @@ class TestNeighbourGaps:
         diffs = np.abs(lams[:, None] - lams[None, :])
         np.fill_diagonal(diffs, np.inf)
         assert _neighbour_gaps(lams).tobytes() == diffs.min(axis=1).tobytes()
+
+
+class TestInnerSign:
+    def test_matches_grid_rotation_loop(self):
+        # Reference: one vdot per grid rotation phi_l = 2*pi*l/(2B+1).
+        outcomes = set()
+        for B in (1, 2, 3, 5, 10):
+            for Q in (1, 2, 3):
+                rng = np.random.default_rng(100 * B + Q)
+                k = np.repeat(np.arange(-B, B + 1), Q)
+                for _ in range(200):
+                    est = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+                    true = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k.size))
+                    best = max(
+                        np.vdot(est, np.exp(-1j * k * (2.0 * np.pi * ell / (2 * B + 1))) * true).real
+                        for ell in range(2 * B + 1)
+                    )
+                    met = _inner_sign_condition(est, true, k, B)
+                    assert met == (best >= 0.0)
+                    outcomes.add(met)
+        assert outcomes == {True, False}
