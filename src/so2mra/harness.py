@@ -462,7 +462,3 @@ def main(argv=None) -> int:
     failures = sum(int(row["failures"]) for row in rows)
     print(f"wrote {cfg.out_path}: {len(rows)} rows, {failures} failed trials")
     return 3 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

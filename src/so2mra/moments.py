@@ -5,11 +5,14 @@ rotation phases, ``M1[k, .] = 2*pi*x[k, .]*rho[k]`` and
 ``M2[(k1, q1), (k2, q2)] = 2*pi*x[k1, q1]*conj(x[k2, q2])*rho[k1-k2]`` plus
 ``sigma^2`` on the diagonal.  Empirical moments average observation rows and
 their rank-one outer products in a single streaming pass;
-``simulate_empirical_moments`` draws them in distribution without forming rows.
+``simulate_empirical_moments`` draws them in distribution without forming
+rows, from gridded Fourier sums of the rotation angles.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,16 +130,67 @@ def debias(m: MomentPair) -> MomentPair:
     return MomentPair(m.M1, m2, 0.0)
 
 
-def _fourier_sums(angles: np.ndarray, order: int) -> np.ndarray:
-    """``S_m = sum_i exp(1j*m*angles_i)`` for ``m = 0..order``, by recursive powers."""
-    sums = np.empty(order + 1, dtype=np.complex128)
-    sums[0] = angles.size
-    w = np.exp(1j * angles)
-    power = w.copy()
-    for m in range(1, order + 1):
-        sums[m] = power.sum()
-        power *= w
-    return sums
+def _angle_sums(
+    levels: np.ndarray, nodes: np.ndarray, n: int, order: int, rng: np.random.Generator, chunk: int
+) -> np.ndarray:
+    """``S_m = sum_i exp(1j*m*a_i)``, ``m = 0..order``, over ``n`` angles drawn like ``sample_rotations``.
+
+    The angles are ``np.interp(u, levels, nodes)`` of ``chunk`` sorted uniforms
+    at a time, so the random stream is ``sample_rotations``'.  They are
+    gridded, not summed one by one: angle ``a`` falls in cell
+    ``j = floor(a / h)`` with centre ``c_j = (j + 1/2) h``, ``h = 2 pi / cells``,
+    and offset ``delta = a - c_j``.  ``np.bincount`` accumulates the offset
+    powers ``P[r, j] = sum (delta / h)^r``, ``r < terms``, and a Taylor
+    expansion of ``exp(1j*m*delta)`` gives
+    ``S_m = exp(1j*m*h/2) sum_r (1j*m*h)^r / r! * sum_j P[r, j] exp(2j*pi*m*j/cells)``,
+    one ``rfft`` per power (the gridding step of a non-uniform FFT: Dutt and
+    Rokhlin, SIAM J. Sci. Comput. 1993).
+
+    ``cells`` is the power of two nearest ``n / 8`` (about eight angles per
+    cell), clamped to ``[512, 8192]`` (with fewer cells, the extra Taylor
+    terms cost more than the shorter FFTs save) and then doubled until it
+    is at least ``4 * order``.  So ``|m * delta| <= x = order * pi / cells <= pi / 4``,
+    and ``terms - 1`` is the smallest ``R`` with ``x^(R+1) / (R+1)! <= 1e-15``,
+    which bounds each angle's truncation error.  The work is O(n * terms)
+    for the powers plus ``terms`` real FFTs of ``cells`` points.
+    """
+    cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
+    while cells < 4 * order:
+        cells *= 2
+    x = order * math.pi / cells
+    terms, bound = 1, x
+    while bound > 1e-15:
+        terms += 1
+        bound *= x / terms
+    power_sums = np.zeros((terms, cells))
+    rows = list(power_sums)
+    for start in range(0, n, chunk):
+        u = rng.random(min(chunk, n - start))
+        # Sorted queries make the interpolation's binary searches several
+        # times faster; the sums ignore the order of the angles.
+        u.sort()
+        offset = np.interp(u, levels, nodes)
+        offset *= cells / TWO_PI
+        cell = offset.astype(np.intp)
+        offset -= cell
+        offset -= 0.5
+        # An angle of exactly 2*pi is the angle 0, at the same offset from cell 0's centre.
+        cell &= cells - 1
+        rows[0] += np.bincount(cell, minlength=cells)
+        rows[1] += np.bincount(cell, offset, cells)
+        power = offset * offset
+        for r in range(2, terms):
+            rows[r] += np.bincount(cell, power, cells)
+            if r + 1 < terms:
+                power *= offset
+    # rfft's phases are exp(-2j*pi*m*j/cells), the conjugates of the ones
+    # wanted, so the series is summed with conjugate coefficients and
+    # conjugated once: steps[r - 1, m] = -1j*m*h / r, and their running
+    # products are (-1j*m*h)^r / r!.
+    steps = np.arange(order + 1) * (-1j * TWO_PI / cells) / np.arange(1, terms)[:, None]
+    spec = np.fft.rfft(power_sums, axis=1)[:, : order + 1]
+    sums = spec[0] + np.einsum("rm,rm->m", np.cumprod(steps, axis=0), spec[1:])
+    return np.exp(-0.5 * steps[0]) * sums.conj()
 
 
 def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
@@ -201,9 +255,10 @@ def simulate_empirical_moments(
     ``z_i ~ N(0, I_d)``.  So ``M1 = K Gamma[:, 0] / n`` (``g_0 = 1``) and
     ``M2 = K Gamma K^H / n``, which is
     ``(C G^T G C^H + sigma (C G^T Z U^H + h.c.) + sigma^2 U Z^T Z U^H) / n``,
-    where ``Gamma = [G Z]^T [G Z]``.  ``G^T G`` comes from the angle Fourier
-    sums, accumulated over ``chunk`` angles at a time (drawn like
-    ``sample_rotations`` draws them).  Given ``G``, with ``G^T G = L L^T``
+    where ``Gamma = [G Z]^T [G Z]``.  ``G^T G`` comes from the gridded angle
+    Fourier sums of ``_angle_sums``, whose ``n`` angles are drawn ``chunk``
+    at a time from the random stream of ``sample_rotations``; their cost is
+    O(n) per Taylor term, not O(n B).  Given ``G``, with ``G^T G = L L^T``
     and ``W ~ N(0, 1)^{p x d}``, ``G^T Z = L W`` and
     ``Z^T Z = W^T W + Wishart_d(n - p, I)``: ``Gamma = F F^T`` with
     ``F = [[L, 0], [W^T, Bartlett factor]]``.  When ``n < p + d`` the
@@ -212,20 +267,17 @@ def simulate_empirical_moments(
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and nonnegative")
     B, dim = signal.B, signal.size
     p = 2 * B + 1
     if n < p + dim:
         return _direct_moments(signal, rho, n, sigma, rng, chunk)
     levels, nodes = rotation_cdf(rho)
-    sums = np.zeros(2 * B + 1, dtype=np.complex128)
-    for start in range(0, n, chunk):
-        u = rng.random(min(chunk, n - start))
-        # The sums ignore the order of the angles, and sorted queries make
-        # the interpolation's binary searches several times faster.
-        u.sort()
-        sums += _fourier_sums(np.interp(u, levels, nodes), 2 * B)
+    sums = _angle_sums(levels, nodes, n, 2 * B, rng, chunk)
     try:
         lower = np.linalg.cholesky(_gram_from_sums(sums))
     except np.linalg.LinAlgError:

@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +394,17 @@ class TestConfigFileAndCli:
             assert main([str(cfg_file)]) in (0, 3)
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_module_entry_point_loads_once(self, tmp_path):
+        # runpy warns when the module it runs was already imported as a package member.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "so2mra", "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")
 
     def test_main_missing_config_file(self, tmp_path):
         rc = main([str(tmp_path / "nope.txt")])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import so2mra
 from so2mra import harness
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
-    _fourier_sums,
+    _angle_sums,
+    _bartlett_factor,
+    _design_map,
     _gram_from_sums,
     debias,
     empirical_moments,
@@ -14,14 +17,17 @@ from so2mra.moments import (
     simulate_empirical_moments,
 )
 from so2mra.signal_model import (
+    TWO_PI,
     ObservationBatch,
     _negative_partners,
     RotationDistribution,
     UNIFORM_DENSITY,
+    conjugate_noise_map,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
+    rotation_cdf,
 )
 
 from conftest import random_image, random_rho, random_signal_1d
@@ -164,6 +170,60 @@ class TestEmpirical:
         assert np.abs(a.M2 - b.M2).max() < 1e-13
 
 
+def _fourier_sums(angles, order):
+    """``S_m = sum_i exp(1j*m*angles_i)`` for ``m = 0..order``, by recursive powers."""
+    sums = np.empty(order + 1, dtype=np.complex128)
+    sums[0] = angles.size
+    w = np.exp(1j * angles)
+    power = w.copy()
+    for m in range(1, order + 1):
+        sums[m] = power.sum()
+        power *= w
+    return sums
+
+
+def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
+    """The simulator with per-angle complex-power sums, on the same draws in the same order."""
+    p, dim = 2 * signal.B + 1, signal.size
+    levels, nodes = rotation_cdf(rho)
+    sums = np.zeros(p, dtype=np.complex128)
+    for start in range(0, n, chunk):
+        u = rng.random(min(chunk, n - start))
+        u.sort()
+        sums += _fourier_sums(np.interp(u, levels, nodes), p - 1)
+    factor = np.zeros((p + dim, p + dim))
+    factor[:p, :p] = np.linalg.cholesky(_gram_from_sums(sums))
+    factor[p:, :p] = rng.standard_normal((dim, p))
+    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+    k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
+    kf = k_map @ factor
+    return kf @ factor[0] / n, kf @ kf.conj().T / n
+
+
+class _Uniforms:
+    """Stands in for a ``Generator``: ``random(size)`` hands out fixed uniforms in order."""
+
+    def __init__(self, u):
+        self._u, self._next = u, 0
+
+    def random(self, size):
+        out = self._u[self._next : self._next + size].copy()
+        self._next += size
+        return out
+
+
+def _clamped_cdf(shift, freq, phase):
+    """``rotation_cdf``'s table for the density ``max(cos(freq*theta + phase) + shift, 0)``.
+
+    With ``shift < 1`` the density is clamped to zero on whole arcs, where
+    the CDF is flat.
+    """
+    nodes = np.linspace(0.0, TWO_PI, 8193)
+    dens = np.maximum(np.cos(freq * nodes + phase) + shift, 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+    return cdf / cdf[-1], nodes
+
+
 def _oracle_moments(signal, rho, n, sigma, rng, chunk):
     """Moments of ``n`` generated observations, streamed chunk by chunk."""
     acc = MomentAccumulator(signal.size)
@@ -189,6 +249,53 @@ class TestSufficientStatisticSimulator:
         explicit = g.T @ g
         gram = _gram_from_sums(_fourier_sums(angles, 2 * B))
         assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(1, 40),
+        n_extra=st.integers(0, 200_000),
+        chunk=st.integers(100, 70_000),
+        shift=st.floats(-0.5, 0.9),
+        freq=st.integers(1, 5),
+        phase=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_angle_sums_match_per_angle_sums(self, B, n_extra, chunk, shift, freq, phase, seed):
+        # n runs from p + d of a 1-D signal (the simulator's smallest) to 2e5.
+        n = min(2 * (2 * B + 1) + n_extra, 200_000)
+        assume(n % chunk != 0)
+        levels, nodes = _clamped_cdf(shift, freq, phase)
+        u = np.random.default_rng(seed).random(n)
+        # Angles at 0, in the flat (zero-density) part of the table and just below 2*pi.
+        edges = [0.0, levels[np.argmax(np.diff(levels) == 0.0)], 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)]
+        u[: len(edges)] = edges
+        got = _angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk)
+        want = _fourier_sums(np.interp(u, levels, nodes), 2 * B)
+        assert np.abs(got - want).max() <= 1e-13 * n
+
+    def test_angle_of_two_pi_is_angle_zero(self):
+        # The table maps every u >= 1/2 to exactly 2*pi (a zero-density stretch at the end).
+        levels, nodes = np.array([0.0, 0.5, 1.0]), np.array([0.0, TWO_PI, TWO_PI])
+        u = np.random.default_rng(40).random(3001)
+        angles = np.interp(u, levels, nodes)
+        assert (angles == TWO_PI).sum() > 1000
+        got = _angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024)
+        assert np.abs(got - _fourier_sums(angles, 20)).max() <= 1e-13 * u.size
+
+    @pytest.mark.parametrize(
+        "B, Q, n, chunk", [(1, 1, 50, 65536), (3, 2, 5000, 777), (10, 2, 100_000, 65536), (32, 1, 20_000, 4096)]
+    )
+    def test_same_draws_as_per_angle_simulation(self, B, Q, n, chunk):
+        # The gridded sums read the random stream exactly as the per-angle
+        # sums did, so the result is the same draw up to rounding, and the
+        # in-distribution test against the direct oracle covers it.
+        rng = np.random.default_rng(41 + B)
+        img = make_experiment_signal_2d(B, Q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        got = simulate_empirical_moments(img, rho, n, 0.7, np.random.default_rng(42), chunk)
+        m1, m2 = _per_angle_simulation(img, rho, n, 0.7, np.random.default_rng(42), chunk)
+        assert np.abs(got.M1 - m1).max() <= 1e-12 * np.abs(m1).max()
+        assert np.abs(got.M2 - m2).max() <= 1e-12 * np.abs(m2).max()
 
     def test_distribution_matches_direct_oracle(self):
         # Every real and imaginary entry of M1 and M2, over independent
@@ -257,6 +364,24 @@ class TestSufficientStatisticSimulator:
             simulate_empirical_moments(img, RotationDistribution.uniform(3), 100, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             simulate_empirical_moments(img, rho, 100, -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n, sigma, error",
+        [
+            (100, np.nan, ValueError),
+            (100, np.inf, ValueError),
+            (0, 0.1, ValueError),
+            (-5, 0.1, ValueError),
+            (2.5, 0.1, TypeError),
+        ],
+    )
+    def test_bad_input_fails_before_any_draw(self, n, sigma, error):
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(36))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            simulate_empirical_moments(img, RotationDistribution.uniform(2), n, sigma, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestDebias:
