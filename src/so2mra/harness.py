@@ -8,7 +8,9 @@ with the rotation-minimised theoretical bound.
 Every trial derives its generators from ``(master_seed, experiment code,
 grid index, trial index)``, so the CSV is a pure function of the
 configuration: reruns and different thread-pool sizes produce byte-identical
-output.  Failed trials are counted per row instead of aborting the sweep.
+output.  A sweep on one fixed ground truth draws it once, from trial
+``(0, 0)``'s generator.  Failed trials are counted per row instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -180,20 +182,27 @@ class ExperimentConfig:
         return cfg
 
 
-def _trial_rngs(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
+def _trial_rng(cfg: ExperimentConfig, grid_idx: int, trial_idx: int, stream: int) -> np.random.Generator:
+    """Generator of trial ``(grid_idx, trial_idx)``'s ground truth (stream 1) or observations (stream 2)."""
     code = SWEEPS[cfg.experiment][0]
-    gt_key = (0, 0) if cfg.fixed_ground_truth else (grid_idx, trial_idx)
-    gt = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, *gt_key, 1)))
-    obs = np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, code, grid_idx, trial_idx, 2))
-    )
-    return gt, obs
+    return np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, grid_idx, trial_idx, stream)))
 
 
-def _ground_truth(cfg: ExperimentConfig, rng: np.random.Generator):
+def _ground_truth(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
+    """Trial ``(grid_idx, trial_idx)``'s image and base distribution.
+
+    A sweep on one fixed instance draws trial ``(0, 0)``'s, once.
+    """
+    rng = _trial_rng(cfg, grid_idx, trial_idx, 1)
     image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
     base = make_experiment_distribution(cfg.b, rng, tol_pos=cfg.tol_pos)
     return image, base
+
+
+def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
+    """Trial ``(grid_idx, trial_idx)``'s image and its perturbed rotation distribution."""
+    image, base = _ground_truth(cfg, grid_idx, trial_idx)
+    return image, perturb_distribution(base, cfg.eta)
 
 
 def _recover(algorithm: str, m: MomentPair, image: FBImage):
@@ -208,14 +217,18 @@ def _recover(algorithm: str, m: MomentPair, image: FBImage):
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def _sampling_trial(cfg: ExperimentConfig, grid_idx: int, trial_idx: int, snr_value: float, n_value: int) -> dict:
-    gt_rng, obs_rng = _trial_rngs(cfg, grid_idx, trial_idx)
+def _sampling_trial(
+    cfg: ExperimentConfig, grid_idx: int, trial_idx: int, snr_value: float, n_value: int, instance
+) -> dict:
+    """Each algorithm's relative error in one trial, ``None`` where it failed.
+
+    ``instance`` is the sweep's fixed ``(image, rho)``; with ``None`` the trial draws its own.
+    """
     errors: dict = {}
     try:
-        image, base = _ground_truth(cfg, gt_rng)
-        rho = perturb_distribution(base, cfg.eta)
+        image, rho = _instance(cfg, grid_idx, trial_idx) if instance is None else instance
         sigma = sigma_for_snr(image, snr_value)
-        m = simulate_empirical_moments(image, rho, n_value, sigma, obs_rng)
+        m = simulate_empirical_moments(image, rho, n_value, sigma, _trial_rng(cfg, grid_idx, trial_idx, 2))
         if cfg.sigma_misspec != 1.0:
             m = MomentPair(m.M1, m.M2, sigma * cfg.sigma_misspec)
     except _TRIAL_ERRORS:
@@ -248,10 +261,16 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     def run(task):
         gi, ti = task
         snr, n = (grid[gi], cfg.n) if snr_sweep else (cfg.snr, grid[gi])
-        return _sampling_trial(cfg, gi, ti, snr, n)
+        return _sampling_trial(cfg, gi, ti, snr, n, fixed)
 
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
-        outcomes = list(pool.map(run, tasks))
+    try:
+        fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
+    except _TRIAL_ERRORS:
+        # Every trial would have drawn this failing instance.
+        outcomes = [dict.fromkeys(cfg.algorithms) for _ in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
+            outcomes = list(pool.map(run, tasks))
 
     rows = []
     for gi, value in enumerate(grid):
@@ -285,8 +304,7 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     A single ground truth is used across the grid so that both the measured
     error and the bound trace monotone curves against the circulant distance.
     """
-    gt_rng, _ = _trial_rngs(replace(cfg, fixed_ground_truth=True), 0, 0)
-    image, base = _ground_truth(cfg, gt_rng)
+    image, base = _ground_truth(cfg, 0, 0)
     rows = []
     for eta in cfg.eta_grid:
         try:

@@ -267,9 +267,9 @@ def simulate_empirical_moments(
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n, chunk = operator.index(n), operator.index(chunk)
+    if n < 1 or chunk < 1:
+        raise ValueError("n and chunk must be positive integers")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
     B, dim = signal.B, signal.size

@@ -209,6 +209,24 @@ class RotationDistribution:
         return grid
 
     @cached_property
+    def cdf_levels(self) -> Optional[np.ndarray]:
+        """Normalised CDF at the ``density_grid`` nodes, computed once and read-only.
+
+        The density is clamped at zero and integrated with the trapezoid
+        rule.  ``None`` when the clamped density has no mass on the grid.
+        """
+        nodes, dens = self.density_grid
+        dens = np.maximum(dens, 0.0)
+        dtheta = nodes[1] - nodes[0]
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dtheta)])
+        total = cdf[-1]
+        if total <= 0.0:
+            return None
+        levels = cdf / total
+        levels.flags.writeable = False
+        return levels
+
+    @cached_property
     def min_density(self) -> float:
         """Minimum of the density on the evaluation grid."""
         return float(self.density_grid[1].min())
@@ -324,21 +342,17 @@ def rotate_signal(signal: FBImage, angle: float) -> FBImage:
 def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Grid inverse-CDF table: ``np.interp(u, levels, nodes)`` maps uniform ``u`` to angles.
 
-    The density is evaluated on the uniform grid, clamped at zero, integrated
-    with the trapezoid rule and normalised to the CDF ``levels`` at ``nodes``.
+    ``levels`` is ``rho.cdf_levels`` and ``nodes`` the ``density_grid`` nodes,
+    both built once per distribution and read-only; the checks run on every call.
     """
     if not rho.sampleable:
         raise NotSampleableError(
             f"density dips to {rho.min_density:.3g}, below -{rho.positivity_tol:.3g}"
         )
-    nodes, dens = rho.density_grid
-    dens = np.maximum(dens, 0.0)
-    dtheta = nodes[1] - nodes[0]
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dtheta)])
-    total = cdf[-1]
-    if total <= 0.0:
+    levels = rho.cdf_levels
+    if levels is None:
         raise NotSampleableError("density has no positive mass on the grid")
-    return cdf / total, nodes
+    return levels, rho.density_grid[0]
 
 
 def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:

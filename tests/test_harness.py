@@ -21,10 +21,16 @@ from so2mra.harness import (
     run_experiment,
     write_csv,
 )
+from so2mra.signal_model import (
+    make_experiment_distribution,
+    make_experiment_signal_2d,
+    perturb_distribution,
+)
 
 TINY_SNR = dict(
     experiment="snr_sweep", b=3, q=2, n=1500, trials=3, snr_grid=(1.0, 50.0), master_seed=7
 )
+TINY_N = dict(experiment="n_sweep", b=3, q=2, trials=3, n_grid=(1500, 3000), master_seed=7)
 
 
 class TestConfigValidation:
@@ -146,6 +152,66 @@ class TestSamplingSweeps:
         cfg = ExperimentConfig(**{**TINY_SNR, "fixed_ground_truth": True})
         rows = run_experiment(cfg)
         assert len(rows) == 2 * len(ALGORITHMS)
+
+
+class TestFixedGroundTruth:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_instance_drawn_once_per_sweep(self, monkeypatch, threads):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("make_experiment_signal_2d", "make_experiment_distribution"):
+            monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+        cfg = ExperimentConfig(**{**TINY_N, "fixed_ground_truth": True, "threads": threads})
+        run_experiment(cfg)
+        assert sorted(calls) == ["make_experiment_distribution", "make_experiment_signal_2d"]
+        calls.clear()
+        run_experiment(dataclasses.replace(cfg, fixed_ground_truth=False))
+        assert len(calls) == 2 * len(cfg.n_grid) * cfg.trials
+
+    @pytest.mark.parametrize("experiment", ["snr_sweep", "n_sweep"])
+    def test_csv_matches_per_trial_draw(self, monkeypatch, experiment):
+        # Reference: every trial draws the instance itself from the (0, 0)
+        # ground-truth key, as each trial did before the draw was shared.
+        base_cfg = TINY_SNR if experiment == "snr_sweep" else TINY_N
+        cfg = ExperimentConfig(**{**base_cfg, "fixed_ground_truth": True})
+        csvs = [rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=t))) for t in (1, 4)]
+        real_trial = harness._sampling_trial
+        code = harness.SWEEPS[experiment][0]
+
+        def per_trial_draw(cfg, gi, ti, snr, n, instance):
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, 0, 0, 1)))
+            image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
+            base = make_experiment_distribution(cfg.b, rng, tol_pos=cfg.tol_pos)
+            return real_trial(cfg, gi, ti, snr, n, (image, perturb_distribution(base, cfg.eta)))
+
+        monkeypatch.setattr(harness, "_sampling_trial", per_trial_draw)
+        reference = rows_to_csv(run_experiment(cfg))
+        assert csvs == [reference, reference]
+
+    @pytest.mark.parametrize(
+        "settings",
+        ["tol_pos = 0.159154943\n", "tol_pos = 0\neta = 3\n"],
+        ids=["draw_raises", "not_sampleable"],
+    )
+    def test_failing_instance_fails_every_trial(self, tmp_path, settings):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(
+            "experiment = n_sweep\nb = 3\nq = 2\nn_grid = 1500, 3000\ntrials = 3\n"
+            "master_seed = 7\nfixed_ground_truth = true\n" + settings,
+            encoding="utf-8",
+        )
+        assert main([str(cfg_file), "--out", str(out)]) == 3
+        lines = out.read_text(encoding="utf-8").splitlines()
+        failures = CSV_COLUMNS.index("failures")
+        assert len(lines) == 1 + 2 * len(ALGORITHMS)
+        assert all(line.split(",")[failures] == "3" for line in lines[1:])
 
 
 class TestBoundSweep:

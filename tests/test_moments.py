@@ -383,6 +383,15 @@ class TestSufficientStatisticSimulator:
             simulate_empirical_moments(img, RotationDistribution.uniform(2), n, sigma, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("chunk, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)])
+    def test_bad_chunk_fails_before_any_draw(self, chunk, error):
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(36))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match="chunk|integer"):
+            simulate_empirical_moments(img, RotationDistribution.uniform(2), 100, 0.1, rng, chunk)
+        assert rng.bit_generator.state == state
+
 
 class TestDebias:
     def test_population_structure(self):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -196,6 +199,65 @@ class TestLazyDensity:
         rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
         with pytest.raises(NotSampleableError, match="dips to"):
             rotation_cdf(rho)
+
+
+class TestCdfTable:
+    def test_table_cached_read_only_and_equal_to_formula(self):
+        rng = np.random.default_rng(45)
+        base = make_experiment_distribution(10, rng, tol_pos=0.05)
+        draws = [base, perturb_distribution(base, 0.1), RotationDistribution.uniform(2)]
+        draws += [make_experiment_distribution(3, rng), make_experiment_distribution(2048, rng)]
+        # Sampleable by its tolerance, yet negative on arcs, where the clamp acts.
+        dipping = random_rho(2, rng, min_mod=0.9, max_mod=1.0)
+        draws += [RotationDistribution(dipping.B, dipping.coeffs, positivity_tol=np.inf)]
+        for rho in draws:
+            levels, nodes = rotation_cdf(rho)
+            again = rotation_cdf(rho)
+            assert again[0] is levels and again[1] is nodes
+            for a in (levels, nodes):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+            grid, dens = _parent_density_grid(rho)
+            dens = np.maximum(dens, 0.0)
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * (grid[1] - grid[0]))])
+            assert np.array_equal(nodes, grid)
+            assert np.array_equal(levels, cdf / cdf[-1])
+        assert any(rho.min_density < 0 for rho in draws)
+
+    def test_concurrent_first_use(self):
+        # Threads racing to build one distribution's table all read the same values.
+        rho = make_experiment_distribution(10, np.random.default_rng(46), tol_pos=0.05)
+        reference = rotation_cdf(make_experiment_distribution(10, np.random.default_rng(46), tol_pos=0.05))
+        barrier = threading.Barrier(8)
+        results = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            results.append(rotation_cdf(rho))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=first_use) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(results) == 8
+        for levels, nodes in results:
+            assert np.array_equal(levels, reference[0]) and np.array_equal(nodes, reference[1])
+        assert rotation_cdf(rho)[0] is rho.cdf_levels
+
+    def test_non_sampleable_raises_on_every_call(self):
+        rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
+        for _ in range(3):
+            with pytest.raises(NotSampleableError, match="dips to"):
+                rotation_cdf(rho)
+        with pytest.raises(NotSampleableError):
+            sample_rotations(rho, 10, np.random.default_rng(0))
 
 
 class TestPerturbation:
