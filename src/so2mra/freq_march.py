@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MomentConsistencyError, VanishingCoefficientError
 from .moments import MomentPair, debias
-from .signal_model import FBImage, RotationDistribution, TWO_PI, UNIFORM_DENSITY
+from .signal_model import FBImage, RotationDistribution, TWO_PI, UNIFORM_DENSITY, coefficient_layout, radial_block_mean
 
 RELATIVE_M1_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
@@ -115,19 +115,27 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
     return rho, residuals
 
 
-def _reduce_radial(s_full: np.ndarray, B: int, qk: np.ndarray, opts: FMOptions) -> np.ndarray:
+def _reduce_radial(s_full: np.ndarray, starts: np.ndarray, opts: FMOptions) -> np.ndarray:
     """Collapse the block ratio matrix to one entry per ``(k1, k2)``.
 
-    Plain: take the ``q1 = q2 = 0`` entry of each block.  Robust: the mean
-    over all radial pairs of each block.
+    ``starts`` are the block starts of ``coefficient_layout``.  Plain: take
+    the ``q1 = q2 = 0`` entry of each block.  Robust: the mean over all
+    radial pairs of each block.
     """
-    ks = np.arange(-B, B + 1)
-    sizes = qk[np.abs(ks)]
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     if opts.variant == "plain":
         return s_full[np.ix_(starts, starts)]
-    block_sums = np.add.reduceat(np.add.reduceat(s_full, starts, axis=0), starts, axis=1)
-    return block_sums / np.outer(sizes, sizes)
+    return radial_block_mean(s_full, starts)
+
+
+def _image_layout(B: int, qk, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``coefficient_layout(B, qk)`` of a recovery's ``image_shape``, checked against the moment dimension."""
+    try:
+        k_index, starts = coefficient_layout(B, qk)
+    except ValueError:
+        raise ValueError("image_shape must be (B, Q_k for k = 0..B)") from None
+    if k_index.size != dim:
+        raise ValueError("moment dimension does not match the image shape")
+    return k_index, starts
 
 
 def fm_recover_2d(
@@ -140,21 +148,13 @@ def fm_recover_2d(
     marching recursion is plain or robust per ``opts.variant``.
     """
     B, qk = image_shape
-    qk = np.asarray(qk, dtype=np.int64)
-    if qk.shape != (B + 1,):
-        raise ValueError("image_shape must be (B, Q_k for k = 0..B)")
-    ks = np.arange(-B, B + 1)
-    sizes = qk[np.abs(ks)]
-    if m.dim != int(sizes.sum()):
-        raise ValueError("moment dimension does not match the image shape")
+    k_index, starts = _image_layout(B, qk, m.dim)
     m = debias(m)
     s_full, min_abs_m1, tol = _ratio_matrix(m)
-    s = _reduce_radial(s_full, B, qk, opts)
+    s = _reduce_radial(s_full, starts, opts)
     rho_nonneg, residuals = _march(s, B, opts)
     rho_est = RotationDistribution.from_positive(B, rho_nonneg[1:])
-    k_index = np.repeat(ks, sizes)
-    denom = TWO_PI * rho_est.coeffs[k_index + 2 * B]
-    x_est = m.M1 / denom
+    x_est = m.M1 / (TWO_PI * rho_est[k_index])
     diagnostics = {
         "variant": opts.variant,
         "gauge": "rho[1] phase fixed to zero",

@@ -304,14 +304,22 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
     A single ground truth is used across the grid so that both the measured
     error and the bound trace monotone curves against the circulant distance.
     """
-    image, base = _ground_truth(cfg, 0, 0)
+
+    def failed(eta: float) -> dict:
+        nan = float("nan")
+        return _row(cfg.experiment, "spectral", "eta", eta, 1, 1, nan, nan, nan, None, None)
+
+    try:
+        image, base = _ground_truth(cfg, 0, 0)
+    except _TRIAL_ERRORS:
+        # Every eta point would have used this failing draw.
+        return [failed(eta) for eta in cfg.eta_grid]
     rows = []
     for eta in cfg.eta_grid:
         try:
             rows.append(_bound_point(cfg, image, base, eta))
         except _TRIAL_ERRORS:
-            nan = float("nan")
-            rows.append(_row(cfg.experiment, "spectral", "eta", eta, 1, 1, nan, nan, nan, None, None))
+            rows.append(failed(eta))
     return rows
 
 

@@ -24,10 +24,8 @@ class ErrorReport:
 
 
 def _coeffs_and_k(obj: Estimable) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(obj, FBImage):
+    if isinstance(obj, (FBImage, RotationDistribution)):
         return obj.coeffs, obj.k_values
-    if isinstance(obj, RotationDistribution):
-        return obj.coeffs, np.arange(-2 * obj.B, 2 * obj.B + 1)
     arr = np.asarray(obj, dtype=np.complex128)
     if arr.ndim != 1 or arr.size % 2 != 1:
         raise ValueError("raw coefficient vectors must be 1-D with odd length")
@@ -110,14 +108,14 @@ def snr(signal: FBImage, sigma: float) -> float:
     Equals ``sum_kq P[k, q] / ((2B+1) * Q * sigma^2)`` for uniform-Q images; the
     denominator is the coefficient count times the per-coefficient variance.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     return float(signal.power_spectrum.sum()) / (signal.size * sigma**2)
 
 
 def sigma_for_snr(signal: FBImage, target_snr: float) -> float:
     """Noise level achieving the requested SNR for this signal."""
-    if target_snr <= 0:
+    if not target_snr > 0:
         raise ValueError("target SNR must be positive")
     return float(np.sqrt(signal.power_spectrum.sum() / (signal.size * target_snr)))
 

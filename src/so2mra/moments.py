@@ -67,9 +67,8 @@ def population_moments_2d(
     if image.B != rho.B:
         raise ValueError("image and distribution bandwidths must agree")
     k_index = image.k_values
-    off = 2 * rho.B
-    m1 = TWO_PI * image.coeffs * rho.coeffs[k_index + off]
-    t = rho.coeffs[(k_index[:, None] - k_index[None, :]) + off]
+    m1 = TWO_PI * image.coeffs * rho[k_index]
+    t = rho[k_index[:, None] - k_index[None, :]]
     m2 = TWO_PI * np.outer(image.coeffs, image.coeffs.conj()) * t
     m2 = m2 + sigma**2 * np.eye(image.size)
     return MomentPair(m1, m2, sigma)
@@ -112,6 +111,8 @@ def empirical_moments(batch: ObservationBatch, chunk: int = DEFAULT_CHUNK) -> Mo
     """Averaged first moment and rank-one-accumulated second moment of a batch."""
     if batch.n == 0:
         raise ValueError("cannot form moments of an empty batch")
+    if operator.index(chunk) < 1:
+        raise ValueError("chunk must be a positive integer")
     acc = MomentAccumulator(batch.data.shape[1])
     for start in range(0, batch.n, chunk):
         acc.update(batch.data[start : start + chunk])
@@ -150,7 +151,7 @@ def _angle_sums(
     cell), clamped to ``[512, 8192]`` (with fewer cells, the extra Taylor
     terms cost more than the shorter FFTs save) and then doubled until it
     is at least ``4 * order``.  So ``|m * delta| <= x = order * pi / cells <= pi / 4``,
-    and ``terms - 1`` is the smallest ``R`` with ``x^(R+1) / (R+1)! <= 1e-15``,
+    and ``terms - 1`` is the smallest ``R >= 1`` with ``x^(R+1) / (R+1)! <= 1e-15``,
     which bounds each angle's truncation error.  The work is O(n * terms)
     for the powers plus ``terms`` real FFTs of ``cells`` points.
     """
@@ -158,7 +159,7 @@ def _angle_sums(
     while cells < 4 * order:
         cells *= 2
     x = order * math.pi / cells
-    terms, bound = 1, x
+    terms, bound = 2, x * (x / 2)
     while bound > 1e-15:
         terms += 1
         bound *= x / terms

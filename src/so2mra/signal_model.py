@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -54,6 +54,25 @@ def _check_conj_symmetric(coeffs: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} requires conjugate-symmetric coefficients")
 
 
+def coefficient_layout(B: int, radial_bandwidths) -> tuple[np.ndarray, np.ndarray]:
+    """Angular index of every flat coefficient of an ``FBImage``, and the start of each block ``k = -B..B``."""
+    if B < 0:
+        raise ValueError("bandwidth must be nonnegative")
+    qk = np.asarray(radial_bandwidths, dtype=np.int64)
+    if qk.shape != (B + 1,) or qk.min() < 1:
+        raise ValueError("radial_bandwidths must hold Q_k >= 1 for k = 0..B")
+    sizes = np.concatenate((qk[:0:-1], qk))  # Q_|k| for k = -B..B
+    return np.arange(-B, B + 1).repeat(sizes), sizes.cumsum() - sizes
+
+
+def radial_block_mean(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean of a flat vector, or a square matrix, over each radial block ``starts`` begins."""
+    sizes = np.add.reduceat(np.ones(len(a), dtype=np.int64), starts)
+    for axis in range(a.ndim):
+        a = np.add.reduceat(a, starts, axis=axis)
+    return a / reduce(np.multiply.outer, [sizes] * a.ndim)
+
+
 @dataclass(frozen=True)
 class FBImage:
     """Bandlimited 2-D image as steerable coefficients ``x[k, q]``.
@@ -71,23 +90,19 @@ class FBImage:
     is_real: bool = False
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("bandwidth must be nonnegative")
         qk = np.asarray(self.radial_bandwidths, dtype=np.int64)
-        if qk.shape != (self.B + 1,) or (qk < 1).any():
-            raise ValueError("radial_bandwidths must hold Q_k >= 1 for k = 0..B")
+        k_index, starts = coefficient_layout(self.B, qk)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        size = int(qk.sum() * 2 - qk[0])
-        if coeffs.shape != (size,):
-            raise ValueError(f"expected {size} coefficients, got shape {coeffs.shape}")
+        if coeffs.shape != k_index.shape:
+            raise ValueError(f"expected {k_index.size} coefficients, got shape {coeffs.shape}")
         _check_finite(coeffs, "image coefficients")
         object.__setattr__(self, "radial_bandwidths", _readonly(qk))
         object.__setattr__(self, "coeffs", _readonly(coeffs))
+        object.__setattr__(self, "_layout", (_readonly(k_index), starts))
         if self.is_real:
-            k = self.k_values
             mismatch = max(
-                np.abs(coeffs[_negative_partners(k)] - coeffs[k > 0].conj()).max(initial=0.0),
-                np.abs(coeffs[k == 0].imag).max(),
+                np.abs(coeffs[_negative_partners(k_index)] - coeffs[k_index > 0].conj()).max(initial=0.0),
+                np.abs(coeffs[k_index == 0].imag).max(),
             )
             if mismatch > _conj_tol(coeffs):
                 raise ValueError("a real image requires x[-k, q] == conj(x[k, q])")
@@ -98,20 +113,15 @@ class FBImage:
 
     @property
     def k_values(self) -> np.ndarray:
-        """Angular index of every flat coefficient, in storage order."""
-        return np.repeat(
-            np.arange(-self.B, self.B + 1),
-            self.radial_bandwidths[np.abs(np.arange(-self.B, self.B + 1))],
-        )
+        """Angular index of every flat coefficient, in storage order (read-only)."""
+        return self._layout[0]
 
     @property
     def uniform_q(self) -> bool:
         return bool((self.radial_bandwidths == self.radial_bandwidths[0]).all())
 
     def block_start(self, k: int) -> int:
-        ks = np.arange(-self.B, self.B + 1)
-        sizes = self.radial_bandwidths[np.abs(ks)]
-        return int(sizes[: k + self.B].sum())
+        return int(self._layout[1][k + self.B])
 
     def block(self, k: int) -> np.ndarray:
         start = self.block_start(k)
@@ -176,8 +186,14 @@ class RotationDistribution:
         full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY + 0.0j], pos])
         return cls(B, full, positivity_tol)
 
-    def __getitem__(self, k: int) -> complex:
+    def __getitem__(self, k):
+        """``rho[k]`` for an integer ``k`` or an integer array of them, in ``-2B..2B``."""
         return self.coeffs[k + 2 * self.B]
+
+    @property
+    def k_values(self) -> np.ndarray:
+        """Frequency of every stored coefficient, ``-2B..2B``."""
+        return np.arange(-2 * self.B, 2 * self.B + 1)
 
     @property
     def positive_coeffs(self) -> np.ndarray:
@@ -187,8 +203,7 @@ class RotationDistribution:
     def density(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate the density at arbitrary angles."""
         theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        k = np.arange(-2 * self.B, 2 * self.B + 1)
-        return (np.exp(1j * np.outer(theta, k)) @ self.coeffs).real
+        return (np.exp(1j * np.outer(theta, self.k_values)) @ self.coeffs).real
 
     @cached_property
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +216,7 @@ class RotationDistribution:
         """
         m = DENSITY_GRID_SIZE
         buf = np.zeros(m, dtype=np.complex128)
-        np.add.at(buf, np.arange(-2 * self.B, 2 * self.B + 1) % m, self.coeffs)
+        np.add.at(buf, self.k_values % m, self.coeffs)
         dens = (np.fft.ifft(buf) * m).real
         grid = np.linspace(0.0, TWO_PI, m + 1), np.concatenate([dens, dens[:1]])
         for a in grid:
@@ -266,12 +281,9 @@ def make_experiment_signal_2d(B: int, Q: int, rng: np.random.Generator) -> FBIma
     """
     if B < 0 or Q < 1:
         raise ValueError("need B >= 0 and Q >= 1")
-    phases = rng.uniform(0.0, TWO_PI, size=B * Q)
+    pos = np.exp(1j * rng.uniform(0.0, TWO_PI, size=B * Q))  # blocks k = 1..B
     signs = np.where(rng.integers(0, 2, size=Q) == 0, -1.0, 1.0)
-    pos = np.exp(1j * phases).reshape(B, Q)  # block k = 1..B
-    zero = signs.astype(np.complex128)
-    blocks = [pos[k - 1].conj() for k in range(B, 0, -1)] + [zero] + [pos[k - 1] for k in range(1, B + 1)]
-    coeffs = np.concatenate(blocks)
+    coeffs = np.concatenate([pos.reshape(B, Q)[::-1].conj().ravel(), signs, pos])
     return FBImage(B, np.full(B + 1, Q, dtype=np.int64), coeffs, is_real=True)
 
 
@@ -290,6 +302,8 @@ def make_experiment_distribution(
     """
     if B < 1:
         raise ValueError("need B >= 1")
+    if not tol_pos >= 0.0:
+        raise ValueError("tol_pos must be nonnegative")
     re = rng.random(2 * B)
     im = rng.random(2 * B)
     pos = re + 1j * im  # k = 1..2B
@@ -431,8 +445,8 @@ def generate_observations(
     """Draw ``n`` observations ``y_i = rotate(x, phi_i) + eps_i`` in coefficient space."""
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and nonnegative")
     angles = sample_rotations(rho, n, rng)
     k_index = signal.k_values
     # exp(-1j*k*phi) per unique k, expanded to the flat layout

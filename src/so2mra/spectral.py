@@ -18,13 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import MomentConsistencyError
-from .freq_march import RecoveryResult
+from .freq_march import RecoveryResult, _image_layout
 from .metrics import _grid_overlap
 from .moments import MomentPair, debias
 from .signal_model import (
     FBImage,
     RotationDistribution,
     TWO_PI,
+    radial_block_mean,
     rotate_distribution,
     rotate_signal,
 )
@@ -94,13 +95,12 @@ def circulant_project(rho: RotationDistribution) -> CirculantApprox:
     the squared distance
     ``s_b = sum_k |rho[k] - rho[-(N-k)]|^2 * k*(N-k)/N``.
     """
-    B = rho.B
-    n = 2 * B + 1
+    n = 2 * rho.B + 1
     k = np.arange(1, n)
-    pos = rho.coeffs[k + 2 * B]  # rho[k], k = 1..2B
-    wrap = rho.coeffs[-(n - k) + 2 * B]  # rho[-(N-k)]
+    pos = rho[k]
+    wrap = rho[k - n]
     v = np.empty(n, dtype=np.complex128)
-    v[0] = rho.coeffs[2 * B]
+    v[0] = rho[0]
     v[1:] = (k * wrap + (n - k) * pos) / n
     s_b = float(np.sum(np.abs(pos - wrap) ** 2 * (k * (n - k)) / n))
     return CirculantApprox(v, s_b)
@@ -108,9 +108,8 @@ def circulant_project(rho: RotationDistribution) -> CirculantApprox:
 
 def toeplitz_matrix(rho: RotationDistribution) -> np.ndarray:
     """Hermitian Toeplitz matrix ``T[k1, k2] = rho[k1 - k2]``, ``k = -B..B``."""
-    B = rho.B
-    k = np.arange(-B, B + 1)
-    return rho.coeffs[(k[:, None] - k[None, :]) + 2 * B]
+    k = np.arange(-rho.B, rho.B + 1)
+    return rho[k[:, None] - k[None, :]]
 
 
 def _neighbour_gaps(lams: np.ndarray) -> np.ndarray:
@@ -134,18 +133,15 @@ def _select_isolated(lams: np.ndarray) -> tuple[int, float]:
 
 
 def _rho_from_first_moment(
-    m1: np.ndarray, x_est: np.ndarray, k_index: np.ndarray, B: int
+    m1: np.ndarray, x_est: np.ndarray, starts: np.ndarray, B: int
 ) -> RotationDistribution:
     """Estimate ``rho[k]`` for ``k = 1..B`` from ``M1 / (2*pi*x_est)``.
 
     Radially redundant estimates are averaged per ``k``; frequencies above
     ``B`` are not identified by this route and are reported as zero.
     """
-    ratios = m1 / (TWO_PI * x_est)
-    pos = np.zeros(2 * B, dtype=np.complex128)
-    for k in range(1, B + 1):
-        pos[k - 1] = ratios[k_index == k].mean()
-    return RotationDistribution.from_positive(B, pos)
+    means = radial_block_mean(m1 / (TWO_PI * x_est), starts)
+    return RotationDistribution.from_positive(B, np.concatenate([means[B + 1 :], np.zeros(B)]))
 
 
 def spectral_recover_2d(
@@ -160,16 +156,10 @@ def spectral_recover_2d(
     phase, which the first ``k = 0`` entry of the first moment fixes.
     """
     B, qk = image_shape
-    qk = np.asarray(qk, dtype=np.int64)
-    if qk.shape != (B + 1,):
-        raise ValueError("image_shape must be (B, Q_k for k = 0..B)")
-    if not (qk == qk[0]).all():
+    _k_index, starts = _image_layout(B, qk, m.dim)
+    if not (np.asarray(qk) == qk[0]).all():
         raise ValueError("the spectral path requires a uniform radial bandwidth")
-    ks = np.arange(-B, B + 1)
-    k_index = np.repeat(ks, qk[np.abs(ks)])
-    if m.dim != k_index.size:
-        raise ValueError("moment dimension does not match the image shape")
-    anchor = int(np.flatnonzero(k_index == 0)[0])
+    anchor = int(starts[B])
     m = debias(m)
     p = np.diag(m.M2).real
     if p.min() <= 0.0:
@@ -192,7 +182,7 @@ def spectral_recover_2d(
         raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
     x_tilde = np.exp(1j * (np.angle(m.M1[anchor]) - np.angle(x_tilde[anchor]))) * x_tilde
     x_est = np.sqrt(p) * x_tilde
-    rho_est = _rho_from_first_moment(m.M1, x_est, k_index, B)
+    rho_est = _rho_from_first_moment(m.M1, x_est, starts, B)
     result = RecoveryResult(
         FBImage(B, qk, x_est),
         rho_est,

@@ -6,6 +6,7 @@ from so2mra.freq_march import FMOptions, _march, _reduce_radial, fm_recover_2d
 from so2mra.harness import simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
 from so2mra.moments import MomentPair, debias, population_moments_2d
+from so2mra.spectral import spectral_recover_2d
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
@@ -139,9 +140,9 @@ class TestRobustKernels:
                     for b in range(sizes[i2]):
                         total += s_full[starts[i1] + a, starts[i2] + b]
                 expected[i1, i2] = total / (sizes[i1] * sizes[i2])
-        got = _reduce_radial(s_full, B, qk, FMOptions(variant="robust"))
+        got = _reduce_radial(s_full, starts, FMOptions(variant="robust"))
         assert np.abs(got - expected).max() < 1e-13
-        plain = _reduce_radial(s_full, B, qk, FMOptions(variant="plain"))
+        plain = _reduce_radial(s_full, starts, FMOptions(variant="plain"))
         assert np.array_equal(plain, s_full[np.ix_(starts, starts)])
 
     @pytest.mark.parametrize("B", [1, 2, 5, 10])
@@ -163,6 +164,17 @@ class TestRobustKernels:
             expected[k] = np.sum(np.full(kp.size, 1.0 / kp.size) * terms)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() < 1e-13 * scale
+
+
+class TestImageShapeCheck:
+    @pytest.mark.parametrize("recover", [fm_recover_2d, spectral_recover_2d])
+    @pytest.mark.parametrize(
+        "shape, dim", [((3, [2, 2]), 14), ((3, [2, 0, 2, 2]), 10), ((3, [2, 2, 2, 2]), 13)]
+    )
+    def test_bad_shape_rejected_before_any_work(self, recover, shape, dim):
+        m = MomentPair(np.ones(dim, dtype=complex), np.eye(dim, dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="image_shape|moment dimension"):
+            recover(m, shape)
 
 
 class TestOptions:

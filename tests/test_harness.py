@@ -231,6 +231,19 @@ class TestBoundSweep:
             if row["bound"] is not None:
                 assert row["median_error"] * norm_sq <= row["bound"]
 
+    def test_failing_draw_fails_every_eta_point(self, tmp_path):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(
+            "experiment = bound_sweep\nb = 3\nq = 2\ntol_pos = 0.159154943\neta_grid = 0.01, 0.1\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg_file), "--out", str(out)]) == 3
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert (row["failures"], row["s_b"], row["bound"]) == ("1", "", "")
+
 
 class TestDeterminism:
     def test_rerun_and_thread_count_byte_identical(self):

@@ -192,6 +192,11 @@ class TestSnr:
         with pytest.raises(ValueError):
             snr(x, 0.0)
 
+    def test_sigma_nan_rejected(self):
+        x = random_signal_1d(2, np.random.default_rng(3))
+        with pytest.raises(ValueError):
+            snr(x, np.nan)
+
 
 class TestSigmaForSnr:
     def test_round_trip(self):
@@ -208,6 +213,11 @@ class TestSigmaForSnr:
         x = random_signal_1d(2, np.random.default_rng(6))
         with pytest.raises(ValueError):
             sigma_for_snr(x, 0.0)
+
+    def test_nan_target_rejected(self):
+        x = random_signal_1d(2, np.random.default_rng(6))
+        with pytest.raises(ValueError):
+            sigma_for_snr(x, np.nan)
 
 
 class TestAggregate:

@@ -138,6 +138,12 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_moments(batch)
 
+    @pytest.mark.parametrize("chunk, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)])
+    def test_bad_chunk_rejected(self, chunk, error):
+        batch = ObservationBatch(np.ones((5, 3)), sigma=0.1)
+        with pytest.raises(error, match="chunk|integer"):
+            empirical_moments(batch, chunk)
+
     def test_clt_scale_deviation(self):
         rng = np.random.default_rng(8)
         B, n, sig = 2, 1_000_000, 0.5
@@ -272,6 +278,22 @@ class TestSufficientStatisticSimulator:
         got = _angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk)
         want = _fourier_sums(np.interp(u, levels, nodes), 2 * B)
         assert np.abs(got - want).max() <= 1e-13 * n
+
+    def test_angle_sums_of_order_zero_count_the_angles(self):
+        levels, nodes = rotation_cdf(RotationDistribution.uniform(0))
+        for n in (1, 7, 100_000):
+            sums = _angle_sums(levels, nodes, n, 0, np.random.default_rng(n), 4096)
+            assert sums.shape == (1,) and sums[0] == n
+
+    @pytest.mark.parametrize("Q", [1, 2])
+    def test_bandwidth_zero(self, Q):
+        # No rotation acts at B = 0, so M1 is x plus the mean of n noise draws.
+        rng = np.random.default_rng(37)
+        x = make_experiment_signal_2d(0, Q, rng)
+        sigma, n = 0.5, 100
+        m = simulate_empirical_moments(x, RotationDistribution.uniform(0), n, sigma, rng)
+        assert np.isfinite(m.M1).all() and np.isfinite(m.M2).all()
+        assert np.abs(m.M1 - x.coeffs).max() <= 6 * sigma / np.sqrt(n)
 
     def test_angle_of_two_pi_is_angle_zero(self):
         # The table maps every u >= 1/2 to exactly 2*pi (a zero-density stretch at the end).

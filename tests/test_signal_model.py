@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from so2mra.errors import NotSampleableError
+from so2mra.errors import DegenerateDrawError, NotSampleableError
 from so2mra.signal_model import (
     DENSITY_GRID_SIZE,
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
     _negative_partners,
+    coefficient_layout,
     conjugate_noise_map,
     generate_observations,
     make_experiment_distribution,
@@ -48,6 +49,39 @@ class TestExperimentSignal:
         img = make_experiment_signal_2d(2, 1, np.random.default_rng(3))
         for k in range(1, 3):
             assert img[-k, 0] == np.conj(img[k, 0])
+
+
+class TestCoefficientLayout:
+    @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [2, 1, 3, 2], [1, 1, 1, 1]])
+    def test_matches_block_loop_and_image(self, qk):
+        B = 3
+        k_index, starts = coefficient_layout(B, qk)
+        expected_k, expected_starts = [], []
+        for k in range(-B, B + 1):
+            expected_starts.append(len(expected_k))
+            expected_k += [k] * qk[abs(k)]
+        assert np.array_equal(k_index, expected_k)
+        assert np.array_equal(starts, expected_starts)
+        img = FBImage(B, np.array(qk), np.zeros(len(expected_k), dtype=complex))
+        assert img.size == k_index.size
+        assert np.array_equal(img.k_values, k_index)
+        assert [img.block_start(k) for k in range(-B, B + 1)] == expected_starts
+
+    @pytest.mark.parametrize("B, qk", [(-1, []), (3, [2, 2]), (3, [2, 0, 2, 2]), (1, [[1], [1]])])
+    def test_bad_shape_rejected(self, B, qk):
+        with pytest.raises(ValueError):
+            coefficient_layout(B, qk)
+
+
+class TestDistributionIndexing:
+    def test_index_arrays_read_the_offset_coefficients(self):
+        rho = random_rho(3, np.random.default_rng(41))
+        assert rho[-4] == rho.coeffs[-4 + 6]
+        k = np.array([-6, -1, 0, 2, 6])
+        assert np.array_equal(rho[k], rho.coeffs[k + 6])
+        k2 = np.arange(-3, 4)[:, None] - np.arange(-3, 4)[None, :]
+        assert np.array_equal(rho[k2], rho.coeffs[k2 + 6])
+        assert np.array_equal(rho.k_values, np.arange(-6, 7))
 
 
 class TestRealImageCheck:
@@ -110,6 +144,18 @@ class TestNonFiniteRejected:
 
 
 class TestExperimentDistribution:
+    @pytest.mark.parametrize("tol_pos", [-1.0, np.nan])
+    def test_bad_tol_pos_fails_before_any_draw(self, tol_pos):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="tol_pos"):
+            make_experiment_distribution(3, rng, tol_pos=tol_pos)
+        assert rng.bit_generator.state == state
+
+    def test_tol_pos_above_uniform_level_is_a_degenerate_draw(self):
+        with pytest.raises(DegenerateDrawError):
+            make_experiment_distribution(3, np.random.default_rng(0), tol_pos=0.2)
+
     def test_circulant_compatible_and_nonnegative(self):
         rho = make_experiment_distribution(10, np.random.default_rng(1))
         assert circulant_project(rho).s_b < 1e-12
@@ -412,6 +458,15 @@ class TestObservations:
         rho = RotationDistribution.uniform(3)
         with pytest.raises(ValueError):
             generate_observations(x, rho, 5, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_bad_sigma_fails_before_any_draw(self, sigma):
+        x = random_signal_1d(2, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sigma"):
+            generate_observations(x, RotationDistribution.uniform(2), 5, sigma, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestRotationHelpers:

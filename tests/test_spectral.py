@@ -8,6 +8,7 @@ from so2mra.moments import MomentPair, debias, population_moments_2d
 from so2mra.signal_model import (
     RotationDistribution,
     UNIFORM_DENSITY,
+    coefficient_layout,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
@@ -22,6 +23,7 @@ from so2mra.spectral import (
     SpectralReport,
     _inner_sign_condition,
     _neighbour_gaps,
+    _rho_from_first_moment,
     _select_isolated,
     circulant_project,
     davis_kahan_bound_2d,
@@ -271,6 +273,24 @@ class TestSpectralRecovery2D:
                 MomentPair(np.ones(8, dtype=complex), np.eye(8, dtype=complex), 0.0),
                 (2, qk),
             )
+
+
+class TestRhoFromFirstMoment:
+    @pytest.mark.parametrize("Q", [1, 2, 3])
+    def test_block_mean_matches_per_k_loop(self, Q):
+        rng = np.random.default_rng(50 + Q)
+        B = 4
+        k_index, starts = coefficient_layout(B, np.full(B + 1, Q))
+        m1 = rng.standard_normal(k_index.size) + 1j * rng.standard_normal(k_index.size)
+        x_est = rng.uniform(0.5, 1.5, k_index.size) * np.exp(1j * rng.uniform(0, 2 * np.pi, k_index.size))
+        ratios = m1 / (2 * np.pi * x_est)
+        pos = np.zeros(2 * B, dtype=complex)
+        for k in range(1, B + 1):
+            pos[k - 1] = ratios[k_index == k].mean()
+        got = _rho_from_first_moment(m1, x_est, starts, B)
+        # The block sums add in another order than the loop's means.
+        assert np.abs(got.positive_coeffs - pos).max() <= 4 * np.finfo(float).eps * np.abs(ratios).max()
+        assert np.array_equal(got.positive_coeffs[B:], np.zeros(B))
 
 
 class TestDavisKahan2D:
