@@ -46,7 +46,15 @@ from .spectral import (
     spectral_recover_2d,
 )
 
-ALGORITHMS = ("fm_plain", "fm_robust", "spectral")
+# Each sweep algorithm's recovery from (moments, image_shape).  The lambdas
+# look the recovery functions up when called, so a patched module attribute
+# (a test's stand-in) is what a sweep runs.
+_RECOVERIES = {
+    "fm_plain": lambda m, shape: fm_recover_2d(m, shape, FMOptions(variant="plain")),
+    "fm_robust": lambda m, shape: fm_recover_2d(m, shape, FMOptions(variant="robust")),
+    "spectral": lambda m, shape: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0],
+}
+ALGORITHMS = tuple(_RECOVERIES)
 # experiment: (code keying its trial generators, grid field, grid element type,
 # default grid, --paper-scale preset)
 SWEEPS = {
@@ -205,18 +213,6 @@ def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
     return image, perturb_distribution(base, cfg.eta)
 
 
-def _recover(algorithm: str, m: MomentPair, image: FBImage):
-    shape = (image.B, image.radial_bandwidths)
-    if algorithm == "fm_plain":
-        return fm_recover_2d(m, shape, FMOptions(variant="plain"))
-    if algorithm == "fm_robust":
-        return fm_recover_2d(m, shape, FMOptions(variant="robust"))
-    if algorithm == "spectral":
-        result, _report = spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
-        return result
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def _sampling_trial(
     cfg: ExperimentConfig, grid_idx: int, trial_idx: int, snr_value: float, n_value: int, instance
 ) -> dict:
@@ -233,9 +229,10 @@ def _sampling_trial(
             m = MomentPair(m.M1, m.M2, sigma * cfg.sigma_misspec)
     except _TRIAL_ERRORS:
         return {algo: None for algo in cfg.algorithms}
+    shape = (image.B, image.radial_bandwidths)
     for algo in cfg.algorithms:
         try:
-            result = _recover(algo, m, image)
+            result = _RECOVERIES[algo](m, shape)
             err = recovery_error(result.signal_est, image).relative_error
             errors[algo] = None if np.isnan(err) else err
         except _TRIAL_ERRORS:

@@ -58,8 +58,10 @@ def coefficient_layout(B: int, radial_bandwidths) -> tuple[np.ndarray, np.ndarra
     """Angular index of every flat coefficient of an ``FBImage``, and the start of each block ``k = -B..B``."""
     if B < 0:
         raise ValueError("bandwidth must be nonnegative")
-    qk = np.asarray(radial_bandwidths, dtype=np.int64)
-    if qk.shape != (B + 1,) or qk.min() < 1:
+    qk = np.asarray(radial_bandwidths)
+    if qk.dtype.kind == "f" and np.isfinite(qk).all() and (qk == np.round(qk)).all():
+        qk = qk.astype(np.int64)  # integral floats such as 2.0
+    if qk.dtype.kind not in "iu" or qk.shape != (B + 1,) or qk.min() < 1:
         raise ValueError("radial_bandwidths must hold Q_k >= 1 for k = 0..B")
     sizes = np.concatenate((qk[:0:-1], qk))  # Q_|k| for k = -B..B
     return np.arange(-B, B + 1).repeat(sizes), sizes.cumsum() - sizes
@@ -90,8 +92,8 @@ class FBImage:
     is_real: bool = False
 
     def __post_init__(self):
-        qk = np.asarray(self.radial_bandwidths, dtype=np.int64)
-        k_index, starts = coefficient_layout(self.B, qk)
+        k_index, starts = coefficient_layout(self.B, self.radial_bandwidths)
+        qk = np.asarray(self.radial_bandwidths, dtype=np.int64)  # exact: the layout checked it
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != k_index.shape:
             raise ValueError(f"expected {k_index.size} coefficients, got shape {coeffs.shape}")
@@ -121,6 +123,8 @@ class FBImage:
         return bool((self.radial_bandwidths == self.radial_bandwidths[0]).all())
 
     def block_start(self, k: int) -> int:
+        if abs(k) > self.B:
+            raise IndexError(f"angular index {k} outside -{self.B}..{self.B}")
         return int(self._layout[1][k + self.B])
 
     def block(self, k: int) -> np.ndarray:
@@ -188,6 +192,8 @@ class RotationDistribution:
 
     def __getitem__(self, k):
         """``rho[k]`` for an integer ``k`` or an integer array of them, in ``-2B..2B``."""
+        if (np.abs(k) > 2 * self.B).any():
+            raise IndexError(f"frequency outside -{2 * self.B}..{2 * self.B}")
         return self.coeffs[k + 2 * self.B]
 
     @property

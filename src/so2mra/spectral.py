@@ -27,7 +27,6 @@ from .signal_model import (
     TWO_PI,
     radial_block_mean,
     rotate_distribution,
-    rotate_signal,
 )
 
 RANK_TOL_POPULATION = 1e-8
@@ -225,70 +224,15 @@ def davis_kahan_bound_2d(
     rho: RotationDistribution,
     recovery: Optional[RecoveryResult] = None,
 ) -> SpectralReport:
-    """Evaluation-side error bound for the spectral algorithm.
+    """Evaluation-side error bound for the spectral algorithm: the one-angle
+    case of ``min_bound_over_rotations``, whose docstring states the bound."""
+    return min_bound_over_rotations(x, rho, 1, recovery)[1]
 
-    The block matrices expand each Toeplitz/circulant entry into a constant
-    ``Q x Q`` block, so their nonzero spectra are ``Q * eig(T)`` and
-    ``Q * Re fft(v_opt)`` (a circulant is diagonalised by the DFT).  Only
-    eigenvalues above ``RANK_TOL_POPULATION`` (relative) enter the gap
-    computation, and the squared circulant distance scales as ``Q^2 * s_b``.
-    Where applicable the bound is ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.
-    ``inner_sign`` is only checked when a recovery result is supplied.
-    """
-    if x.B != rho.B:
-        raise ValueError("image and distribution bandwidths must agree")
-    if not x.uniform_q:
-        raise ValueError("the bound requires a uniform radial bandwidth")
-    B = rho.B
-    q = int(x.radial_bandwidths[0])
-    ca = circulant_project(rho)
-    s_b_eff = q**2 * ca.s_b
 
-    def nonzero_desc(lams: np.ndarray) -> np.ndarray:
-        lams = np.sort(lams)[::-1]
-        keep = np.abs(lams) > RANK_TOL_POPULATION * np.abs(lams).max(initial=0.0)
-        return lams[keep]
-
-    # The circulant is Hermitian, so its DFT spectrum is real.
-    lam_t = nonzero_desc(q * np.linalg.eigvalsh(toeplitz_matrix(rho)))
-    lam_c = nonzero_desc(q * np.fft.fft(ca.v_opt).real)
-    kappa, gap = _select_isolated(lam_t)
-
-    if kappa >= lam_c.size:
-        delta = 0.0  # no matching circulant eigenvalue: bound cannot apply
-    else:
-        others_t = np.delete(lam_t, kappa)
-        others_c = np.delete(lam_c, kappa)
-        d1 = np.abs(lam_c[kappa] - others_t).min() if others_t.size else np.inf
-        d2 = np.abs(others_c - lam_t[kappa]).min() if others_c.size else np.inf
-        delta = float(max(d1, d2))
-
-    scale = max(np.abs(lam_t).max(initial=0.0), np.abs(lam_c).max(initial=0.0), 1e-30)
-    deg_tol = DEGENERACY_TOL * scale
-
-    simple_c = kappa < lam_c.size and _neighbour_gaps(lam_c)[kappa] > deg_tol
-    conditions = {
-        "nonvanishing": bool(np.abs(x.coeffs).min() > 1e-12 * max(1.0, np.abs(x.coeffs).max())),
-        "simple_eigenvalues": bool(gap > deg_tol and simple_c),
-        "inner_sign": None,
-        "distance_within_gap": bool(s_b_eff <= delta**2),
-    }
-    if recovery is not None and "x_tilde" in recovery.diagnostics:
-        x_tilde_true = x.coeffs / np.abs(x.coeffs)
-        conditions["inner_sign"] = _inner_sign_condition(
-            recovery.diagnostics["x_tilde"], x_tilde_true, x.k_values, B
-        )
-    bound = bound_value(s_b_eff, delta, float(x.power_spectrum.max()), float(q * (2 * B + 1)))
-    return SpectralReport(
-        eigenvalues=lam_t,
-        kappa=kappa,
-        gap=gap,
-        delta_kappa=delta,
-        s_b=ca.s_b,
-        bound=bound,
-        conditions_met=conditions,
-        eigenvalues_circ=lam_c,
-    )
+def _nonzero_desc(lams: np.ndarray) -> np.ndarray:
+    """Eigenvalues above ``RANK_TOL_POPULATION`` (relative), sorted descending."""
+    lams = np.sort(lams)[::-1]
+    return lams[np.abs(lams) > RANK_TOL_POPULATION * np.abs(lams).max(initial=0.0)]
 
 
 def min_bound_over_rotations(
@@ -297,25 +241,67 @@ def min_bound_over_rotations(
     grid_size: int,
     recovery: Optional[RecoveryResult] = None,
 ) -> tuple[float, SpectralReport]:
-    """Minimise the applicable bound over rotated representatives of ``rho``.
+    """Minimise the spectral algorithm's error bound over rotated representatives of ``rho``.
 
-    Rotating the distribution (with the matching signal rotation) leaves the
-    moments and hence the measured error unchanged, but moves the circulant
-    projection, so the bound can be tightened by scanning rotations.  Returns
-    the minimising angle and its report; if no angle yields an applicable
-    bound, returns angle 0 and the unrotated report (``bound=None``).
+    The block matrices expand each Toeplitz/circulant entry into a constant
+    ``Q x Q`` block, so their nonzero spectra are ``Q * eig(T)`` and
+    ``Q * Re fft(v_opt)`` (a circulant is diagonalised by the DFT); only
+    eigenvalues above ``RANK_TOL_POPULATION`` (relative) count.  Where
+    applicable the bound is ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.
+
+    At ``a = 2*pi*j/grid_size``, ``rho[k] -> exp(-1j*k*a)*rho[k]`` pairs with
+    the image rotated by ``-a``: the moments, and hence the error, stay the
+    same.  ``T`` becomes ``D T D^H`` with ``D`` unitary and diagonal, so the
+    Toeplitz spectrum, kappa, its gap, ``P_max`` and ``nonvanishing`` are
+    computed once; only the circulant projection moves.  ``inner_sign`` is
+    checked only against a supplied recovery.  Returns the first angle with
+    the smallest applicable bound and its report, or angle 0 and the
+    unrotated report (``bound=None``) if no angle has one.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
+    if x.B != rho.B:
+        raise ValueError("image and distribution bandwidths must agree")
+    if not x.uniform_q:
+        raise ValueError("the bound requires a uniform radial bandwidth")
+    B, k = rho.B, x.k_values
+    q = int(x.radial_bandwidths[0])
+    lam_t = _nonzero_desc(q * np.linalg.eigvalsh(toeplitz_matrix(rho)))
+    kappa, gap = _select_isolated(lam_t)
+    others_t = np.delete(lam_t, kappa)
+    scale_t = np.abs(lam_t).max(initial=0.0)
+    p_max = float(x.power_spectrum.max())
+    nonvanishing = bool(np.abs(x.coeffs).min() > 1e-12 * max(1.0, np.abs(x.coeffs).max()))
+    est = None if recovery is None else recovery.diagnostics.get("x_tilde")
+    x_tilde = None if est is None else x.coeffs / np.abs(x.coeffs)
+
     best_angle, best = 0.0, None
     for j in range(grid_size):
         alpha = TWO_PI * j / grid_size
-        # Matched representative pair with identical moments: shifting the
-        # distribution's coefficients by exp(-1j*k*alpha) pairs with the
-        # signal rotated by -alpha.
-        report = davis_kahan_bound_2d(rotate_signal(x, -alpha), rotate_distribution(rho, alpha), recovery)
-        if best is None or (
-            report.bound is not None and (best.bound is None or report.bound < best.bound)
-        ):
+        ca = circulant_project(rotate_distribution(rho, alpha))
+        s_b_eff = q**2 * ca.s_b
+        # The circulant is Hermitian, so its DFT spectrum is real.
+        lam_c = _nonzero_desc(q * np.fft.fft(ca.v_opt).real)
+        if kappa >= lam_c.size:
+            delta = 0.0  # no matching circulant eigenvalue: bound cannot apply
+        else:
+            others_c = np.delete(lam_c, kappa)
+            d1 = np.abs(lam_c[kappa] - others_t).min() if others_t.size else np.inf
+            d2 = np.abs(others_c - lam_t[kappa]).min() if others_c.size else np.inf
+            delta = float(max(d1, d2))
+        deg_tol = DEGENERACY_TOL * max(scale_t, np.abs(lam_c).max(initial=0.0), 1e-30)
+        simple_c = kappa < lam_c.size and _neighbour_gaps(lam_c)[kappa] > deg_tol
+        conditions = {
+            "nonvanishing": nonvanishing,
+            "simple_eigenvalues": bool(gap > deg_tol and simple_c),
+            # The image rotated by -alpha has the unit phases x_tilde*exp(1j*k*alpha).
+            "inner_sign": None
+            if est is None
+            else _inner_sign_condition(est, x_tilde * np.exp(1j * k * alpha), k, B),
+            "distance_within_gap": bool(s_b_eff <= delta**2),
+        }
+        bound = bound_value(s_b_eff, delta, p_max, float(q * (2 * B + 1)))
+        if best is None or (bound is not None and (best.bound is None or bound < best.bound)):
+            report = SpectralReport(lam_t, kappa, gap, delta, ca.s_b, bound, conditions, lam_c)
             best_angle, best = alpha, report
     return best_angle, best

@@ -176,6 +176,13 @@ class TestImageShapeCheck:
         with pytest.raises(ValueError, match="image_shape|moment dimension"):
             recover(m, shape)
 
+    @pytest.mark.parametrize("recover", [fm_recover_2d, spectral_recover_2d])
+    @pytest.mark.parametrize("qk", [[2.7, 1.5], [2, np.nan], [1.5, 1.0]])
+    def test_non_integral_bandwidth_rejected(self, recover, qk):
+        m = MomentPair(np.ones(5, dtype=complex), np.eye(5, dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="image_shape must be"):
+            recover(m, (1, qk))
+
 
 class TestOptions:
     def test_unknown_variant_rejected(self):

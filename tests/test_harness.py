@@ -148,6 +148,16 @@ class TestSamplingSweeps:
         with pytest.raises(exc):
             run_experiment(ExperimentConfig(**TINY_SNR))
 
+    def test_algorithm_names_are_the_recovery_table(self):
+        assert ALGORITHMS == tuple(harness._RECOVERIES) == ("fm_plain", "fm_robust", "spectral")
+
+    def test_unknown_algorithm_is_not_a_failed_trial(self):
+        # Validation rejects an unknown name; one that slips past it is a bug
+        # and aborts the sweep instead of counting failed trials.
+        cfg = dataclasses.replace(ExperimentConfig(**TINY_SNR).validated(), algorithms=("fm_plain", "fm_fast"))
+        with pytest.raises(KeyError):
+            harness._run_sampling_sweep(cfg)
+
     def test_fixed_ground_truth_shares_instance(self):
         cfg = ExperimentConfig(**{**TINY_SNR, "fixed_ground_truth": True})
         rows = run_experiment(cfg)

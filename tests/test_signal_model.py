@@ -72,6 +72,30 @@ class TestCoefficientLayout:
         with pytest.raises(ValueError):
             coefficient_layout(B, qk)
 
+    @pytest.mark.parametrize("qk", [[2.7, 1.5], [2, 1.5], [np.nan, 1], [2, np.inf], [2, -np.inf], ["2", "1"]])
+    def test_non_integral_bandwidth_rejected(self, qk):
+        # Once truncated, [2.7, 1.5] read as [2, 1] and failed on the size.
+        with pytest.raises(ValueError, match="radial_bandwidths must hold Q_k >= 1"):
+            coefficient_layout(1, qk)
+        with pytest.raises(ValueError, match="radial_bandwidths must hold Q_k >= 1"):
+            FBImage(1, qk, np.ones(5))
+
+    def test_integral_float_bandwidth_accepted(self):
+        img = FBImage(1, [2.0, 1.0], np.ones(4))
+        assert img.radial_bandwidths.dtype == np.int64
+        assert img.radial_bandwidths.tolist() == [2, 1]
+        assert np.array_equal(coefficient_layout(1, [2.0, 1.0])[0], coefficient_layout(1, [2, 1])[0])
+
+    def test_block_start_out_of_range_raises(self):
+        img = FBImage(2, [1, 2, 1], np.arange(7))
+        assert [img.block_start(k) for k in range(-2, 3)] == [0, 1, 3, 4, 6]
+        assert img[-2, 0] == 0 and img[2, 0] == 6
+        for k in (-3, 3, -5):
+            with pytest.raises(IndexError):
+                img.block_start(k)
+            with pytest.raises(IndexError):
+                img.block(k)
+
 
 class TestDistributionIndexing:
     def test_index_arrays_read_the_offset_coefficients(self):
@@ -82,6 +106,26 @@ class TestDistributionIndexing:
         k2 = np.arange(-3, 4)[:, None] - np.arange(-3, 4)[None, :]
         assert np.array_equal(rho[k2], rho.coeffs[k2 + 6])
         assert np.array_equal(rho.k_values, np.arange(-6, 7))
+
+    @pytest.mark.parametrize(
+        "k",
+        [-7, 7, np.int64(-9), np.array([-7]), np.array([0, 7]), np.array([[0, -7], [1, 2]]),
+         np.array([[6], [13]])],
+    )
+    def test_out_of_range_frequency_raises(self, k):
+        rho = random_rho(3, np.random.default_rng(42))
+        with pytest.raises(IndexError):
+            rho[k]
+
+    def test_no_wraparound_below_minus_2b(self):
+        # rho[-3] once read rho[2], and rho[[-5]] the DC term.
+        rho = RotationDistribution.from_positive(1, [0.05, 0.02j])
+        assert rho[-2] == -0.02j and rho[2] == 0.02j
+        assert np.array_equal(rho[np.array([-2, -1, 0, 1, 2])], rho.coeffs)
+        assert np.array_equal(rho[np.array([[2], [-2]])], [[0.02j], [-0.02j]])
+        for k in (-3, np.array([-5]), np.array([[-3, 0]])):
+            with pytest.raises(IndexError):
+                rho[k]
 
 
 class TestRealImageCheck:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from so2mra import signal_model, spectral
 from so2mra.errors import MomentConsistencyError
+from so2mra.freq_march import RecoveryResult
 from so2mra.metrics import recovery_error
 from so2mra.moments import MomentPair, debias, population_moments_2d
 from so2mra.signal_model import (
+    FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
     coefficient_layout,
@@ -383,6 +386,131 @@ class TestMinBoundOverRotations:
         assert np.array_equal(report.eigenvalues_circ, direct.eigenvalues_circ)
         assert report.delta_kappa == direct.delta_kappa
         assert report.conditions_met == direct.conditions_met
+
+
+def per_angle_scan(x, rho, grid_size, recovery=None):
+    """Reference rotation scan: a full one-angle evaluation of every rotated pair.
+
+    Returns the first angle with the smallest applicable bound (angle 0 if
+    none applies), its index and every angle's report.
+    """
+    reports = [
+        davis_kahan_bound_2d(rotate_signal(x, -a), rotate_distribution(rho, a), recovery)
+        for a in 2 * np.pi * np.arange(grid_size) / grid_size
+    ]
+    best = 0
+    for j, report in enumerate(reports):
+        if report.bound is not None and (reports[best].bound is None or report.bound < reports[best].bound):
+            best = j
+    return best, reports
+
+
+def near(a, b, rtol=1e-9):
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+class TestRotationScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 6),
+        Q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.floats(0.0, 1.0),
+        grid=st.sampled_from((1, 2, 7, "2B+1", 16)),
+        recovery=st.sampled_from((None, "spectral", "random phases")),
+    )
+    def test_matches_per_angle_reference(self, B, Q, seed, eta, grid, recovery):
+        grid_size = 2 * B + 1 if grid == "2B+1" else grid
+        rng = np.random.default_rng(seed)
+        x = random_image(B, Q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.02), eta)
+        rec = None
+        if recovery == "spectral":
+            rec, _ = spectral_recover_2d(population_moments_2d(x, rho, 0.0), (B, np.full(B + 1, Q)))
+        elif recovery == "random phases":
+            # A spectral estimate passes the inner-sign check at every angle;
+            # arbitrary phases make its outcome depend on the angle.
+            rec = RecoveryResult(x, rho, {"x_tilde": np.exp(1j * rng.uniform(0.0, 2 * np.pi, x.size))})
+        best, reports = per_angle_scan(x, rho, grid_size, rec)
+        # Keep every angle off the knife edges where rounding decides: the
+        # degeneracy and distance thresholds, and the choice of kappa.
+        for r in reports:
+            lam_c = r.eigenvalues_circ
+            deg_tol = DEGENERACY_TOL * max(np.abs(r.eigenvalues).max(), np.abs(lam_c).max(initial=0.0), 1e-30)
+            assume(not near(r.gap, deg_tol))
+            assume(r.kappa >= lam_c.size or not near(_neighbour_gaps(lam_c)[r.kappa], deg_tol))
+            assume(not near(Q**2 * r.s_b, r.delta_kappa**2))
+            assume(r.kappa == reports[0].kappa)
+        # bound_value rounds 1 - s_b/delta^2 once, an absolute error of about
+        # 2*Q*(2B+1)*P_max*eps; within that, equal bounds tie.
+        slack = 8 * Q * (2 * B + 1) * x.power_spectrum.max() * np.finfo(float).eps
+
+        def close(b, ref, rtol=1e-12):
+            return abs(b - ref) <= rtol * abs(ref) + slack
+
+        angle, report = min_bound_over_rotations(x, rho, grid_size, rec)
+        j = int(round(angle * grid_size / (2 * np.pi)))
+        assert angle == 2 * np.pi * j / grid_size
+        ref = reports[j]
+        if reports[best].bound is None:
+            assert j == 0
+        else:
+            low = reports[best].bound
+            tied = [i for i, r in enumerate(reports) if r.bound is not None and close(r.bound, low, 1e-9)]
+            assert j == best if tied == [best] else j in tied
+        assert (report.bound is None) == (ref.bound is None)
+        if ref.bound is not None:
+            assert close(report.bound, ref.bound)
+        assert report.conditions_met == ref.conditions_met
+        assert (report.conditions_met["inner_sign"] is None) == (rec is None)
+        assert report.eigenvalues_circ.shape == ref.eigenvalues_circ.shape
+        scale = np.abs(ref.eigenvalues).max()
+        assert np.abs(report.eigenvalues_circ - ref.eigenvalues_circ).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(report.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale
+
+    def test_inner_sign_reads_the_image_rotated_by_minus_the_angle(self):
+        # rho0 scans best at angle 0, so rho, rho0 turned by -pi/2, scans best
+        # at a = pi/2.  There the image is x rotated by -a, with the unit
+        # phases x_tilde*exp(1j*k*a).  The estimate below overlaps them as
+        # Q*(-1 + 1.5*cos(phi)), positive at phi = 0.  Against the phases
+        # turned the other way it overlaps as Q*(-1 - 1.5*cos(phi)), negative
+        # on the whole grid phi = 2*pi*l/3.
+        rng = np.random.default_rng(27)
+        x = random_image(1, 2, rng)
+        rho = rotate_distribution(perturb_distribution(make_experiment_distribution(1, rng), 0.1), -np.pi / 2)
+        a = np.pi / 2
+        assert min_bound_over_rotations(x, rho, 4)[0] == a
+        k = x.k_values
+        x_tilde = x.coeffs / np.abs(x.coeffs)
+        est = x_tilde * np.exp(1j * k * a) * np.where(k == 0, -1.0, 0.75)
+        assert not _inner_sign_condition(est, x_tilde * np.exp(-1j * k * a), k, 1)
+        rec = RecoveryResult(x, rho, {"x_tilde": est})
+        _, report = min_bound_over_rotations(x, rho, 4, recovery=rec)
+        reference = davis_kahan_bound_2d(rotate_signal(x, -a), rotate_distribution(rho, a), rec)
+        assert report.conditions_met["inner_sign"] is reference.conditions_met["inner_sign"] is True
+
+    def test_one_toeplitz_eigensolve_and_no_rotated_image(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        B, Q = 10, 2
+        img = make_experiment_signal_2d(B, Q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng), 0.01)
+        rec, _ = spectral_recover_2d(population_moments_2d(img, rho, 0.0), (B, np.full(B + 1, Q)))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spectral, "toeplitz_matrix", counted("toeplitz_matrix", toeplitz_matrix))
+        monkeypatch.setattr(signal_model, "rotate_signal", counted("rotate_signal", rotate_signal))
+        monkeypatch.setattr(FBImage, "__post_init__", counted("FBImage", FBImage.__post_init__))
+        _angle, report = min_bound_over_rotations(img, rho, 24, recovery=rec)
+        assert calls == ["toeplitz_matrix"]
+        assert report.conditions_met["inner_sign"] is not None
+        assert not hasattr(spectral, "rotate_signal")
 
 
 def block_matrix_bound(x, rho, recovery=None):
