@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ from .signal_model import (
 )
 
 DEFAULT_CHUNK = 4096
+# The simulator's default chunk of angles, and the largest array a thread's
+# workspace keeps.
+_ANGLE_CHUNK = 65536
+_INTERP_BLOCK = 8192
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,24 @@ def debias(m: MomentPair) -> MomentPair:
     return MomentPair(m.M1, m2, 0.0)
 
 
+def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
+    """A length-``size`` array of ``dtype`` from this thread's workspace, contents undefined.
+
+    Each ``name`` keeps one array per thread, grown on demand and reused by
+    later calls, so ``_angle_sums`` takes no fresh pages from the kernel once
+    a thread has run it.  A request above ``_ANGLE_CHUNK`` elements gets
+    an array of its own, which the workspace does not keep: what a thread
+    retains is bounded by the default chunk's buffers.
+    """
+    if size > _ANGLE_CHUNK:
+        return np.empty(size, dtype)
+    array = getattr(_workspace, name, None)
+    if array is None or array.size < size:
+        array = np.empty(size, dtype)
+        setattr(_workspace, name, array)
+    return array[:size]
+
+
 def _angle_sums(
     levels: np.ndarray, nodes: np.ndarray, n: int, order: int, rng: np.random.Generator, chunk: int
 ) -> np.ndarray:
@@ -154,6 +178,17 @@ def _angle_sums(
     and ``terms - 1`` is the smallest ``R >= 1`` with ``x^(R+1) / (R+1)! <= 1e-15``,
     which bounds each angle's truncation error.  The work is O(n * terms)
     for the powers plus ``terms`` real FFTs of ``cells`` points.
+
+    The uniforms (reused for the offset powers), the offsets, the cell
+    indices and the ``terms x cells`` table live in this thread's workspace
+    (``_workspace_array``) and are filled in place, so a thread's later
+    calls allocate only ``rfft``'s output and small temporaries
+    (``np.interp``'s blocks, ``np.bincount``'s ``cells``-long counts).  At
+    the default chunk a thread retains three 512 KiB arrays and the table
+    (384 KiB at ``cells = 8192``, ``terms = 6``).  A ``chunk`` or table
+    larger than ``_ANGLE_CHUNK`` elements is allocated per call and not
+    kept.  The draws and the operations are those of the same loop on
+    fresh arrays, so the sums are bit for bit the same.
     """
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
@@ -163,23 +198,33 @@ def _angle_sums(
     while bound > 1e-15:
         terms += 1
         bound *= x / terms
-    power_sums = np.zeros((terms, cells))
+    size = min(chunk, n)
+    uniform = _workspace_array("uniform", size, np.float64)
+    offset_buf = _workspace_array("offset", size, np.float64)
+    cell_buf = _workspace_array("cell", size, np.intp)
+    power_sums = _workspace_array("table", terms * cells, np.float64).reshape(terms, cells)
+    power_sums.fill(0.0)
     rows = list(power_sums)
     for start in range(0, n, chunk):
-        u = rng.random(min(chunk, n - start))
+        take = min(chunk, n - start)
+        u, offset, cell = uniform[:take], offset_buf[:take], cell_buf[:take]
+        rng.random(out=u)
         # Sorted queries make the interpolation's binary searches several
         # times faster; the sums ignore the order of the angles.
         u.sort()
-        offset = np.interp(u, levels, nodes)
+        # np.interp has no ``out``; in blocks, its temporaries are small
+        # enough for the allocator to reuse instead of mapping fresh pages.
+        for lo in range(0, take, _INTERP_BLOCK):
+            offset[lo : lo + _INTERP_BLOCK] = np.interp(u[lo : lo + _INTERP_BLOCK], levels, nodes)
         offset *= cells / TWO_PI
-        cell = offset.astype(np.intp)
+        np.copyto(cell, offset, casting="unsafe")
         offset -= cell
         offset -= 0.5
         # An angle of exactly 2*pi is the angle 0, at the same offset from cell 0's centre.
         cell &= cells - 1
         rows[0] += np.bincount(cell, minlength=cells)
         rows[1] += np.bincount(cell, offset, cells)
-        power = offset * offset
+        power = np.multiply(offset, offset, out=u)
         for r in range(2, terms):
             rows[r] += np.bincount(cell, power, cells)
             if r + 1 < terms:
@@ -247,7 +292,7 @@ def _direct_moments(signal, rho, n: int, sigma: float, rng: np.random.Generator,
 
 
 def simulate_empirical_moments(
-    signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = 65536
+    signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = _ANGLE_CHUNK
 ) -> MomentPair:
     """Draw the empirical moments of ``n`` observations, exactly in distribution.
 
@@ -265,6 +310,13 @@ def simulate_empirical_moments(
     ``F = [[L, 0], [W^T, Bartlett factor]]``.  When ``n < p + d`` the
     Wishart term is singular and the observations are generated and
     accumulated directly, as they are if ``G^T G`` is numerically singular.
+
+    The angle sums fill buffers that each thread keeps (``_angle_sums``), so
+    once a thread has simulated at the default ``chunk``, a further call at
+    the same bandwidth takes no fresh pages for them, whatever its ``n``.
+    At B = 10 and n >= 65,536 a thread keeps about 1.9 MiB: three
+    65,536-element arrays and the ``6 x 8192`` table.  A larger ``chunk``
+    is served by arrays that are freed after the call.
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")

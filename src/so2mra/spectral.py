@@ -195,13 +195,17 @@ def bound_value(s_b_eff: float, delta: float, p_max: float, dim_factor: float) -
     """Evaluate ``2*dim_factor*p_max*(1 - sqrt(1 - s_b_eff/delta^2))``.
 
     Returns ``None`` when the bound does not apply (``s_b_eff > delta^2``).
-    A zero circulant distance always yields a zero bound.
+    A zero circulant distance always yields a zero bound.  With
+    ``r = s_b_eff/delta^2``, ``1 - sqrt(1 - r)`` is computed as
+    ``r / (1 + sqrt(1 - r))``, which keeps full precision at small ``r``;
+    the subtraction cancels there, and reads 0 below ``r`` of about 1e-16.
     """
     if s_b_eff == 0.0:
         return 0.0
     if delta <= 0.0 or s_b_eff > delta**2:
         return None
-    return 2.0 * dim_factor * p_max * (1.0 - np.sqrt(1.0 - s_b_eff / delta**2))
+    r = s_b_eff / delta**2
+    return 2.0 * dim_factor * p_max * (r / (1.0 + np.sqrt(1.0 - r)))
 
 
 def _inner_sign_condition(
@@ -213,6 +217,16 @@ def _inner_sign_condition(
     The overlap ``Re vdot(est, exp(-1j*k*phi) * true)`` at the grid angles
     ``phi = 2*pi*l/(2B+1)`` is a trigonometric polynomial with coefficient
     ``sum conj(est)*true`` at frequency ``-k``, evaluated by one FFT.
+
+    The check cannot fail for an estimate ``c * R_theta(true)`` with
+    ``c > 0``, which is what the spectral recovery returns when it finds a
+    rotated copy (its gauge gives the first ``k = 0`` entry the phase of
+    ``M1``'s).  With unit phases and ``Q`` coefficients per ``k``, the
+    overlaps are ``c * Q * D(theta - phi)`` for the real Dirichlet kernel
+    ``D(t) = sum_{|k| <= B} exp(1j*k*t)``, whose values at the ``2B+1`` grid
+    angles sum to ``2B+1``; so one of them is positive.  The check can only
+    fail for an estimate far from every rotated copy, and in the bound sweep
+    it gates nothing.
     """
     c = np.zeros(2 * B + 1, dtype=np.complex128)
     np.add.at(c, B - k_index, x_tilde_est.conj() * x_tilde_true)

@@ -1,9 +1,15 @@
+import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import so2mra
-from so2mra import harness
+from so2mra import harness, moments
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
@@ -207,15 +213,58 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
 
 
 class _Uniforms:
-    """Stands in for a ``Generator``: ``random(size)`` hands out fixed uniforms in order."""
+    """Stands in for a ``Generator``: ``random(size)`` and ``random(out=...)``
+    hand out fixed uniforms in order."""
 
     def __init__(self, u):
         self._u, self._next = u, 0
 
-    def random(self, size):
-        out = self._u[self._next : self._next + size].copy()
-        self._next += size
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self._u[self._next : self._next + out.size]
+        self._next += out.size
         return out
+
+
+def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
+    """``_angle_sums``' loop on arrays allocated afresh for every chunk: the
+    reference that its per-thread workspace must match bit for bit."""
+    cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
+    while cells < 4 * order:
+        cells *= 2
+    x = order * math.pi / cells
+    terms, bound = 2, x * (x / 2)
+    while bound > 1e-15:
+        terms += 1
+        bound *= x / terms
+    power_sums = np.zeros((terms, cells))
+    rows = list(power_sums)
+    for start in range(0, n, chunk):
+        u = rng.random(min(chunk, n - start))
+        u.sort()
+        offset = np.interp(u, levels, nodes)
+        offset *= cells / TWO_PI
+        cell = offset.astype(np.intp)
+        offset -= cell
+        offset -= 0.5
+        cell &= cells - 1
+        rows[0] += np.bincount(cell, minlength=cells)
+        rows[1] += np.bincount(cell, offset, cells)
+        power = offset * offset
+        for r in range(2, terms):
+            rows[r] += np.bincount(cell, power, cells)
+            if r + 1 < terms:
+                power *= offset
+    steps = np.arange(order + 1) * (-1j * TWO_PI / cells) / np.arange(1, terms)[:, None]
+    spec = np.fft.rfft(power_sums, axis=1)[:, : order + 1]
+    sums = spec[0] + np.einsum("rm,rm->m", np.cumprod(steps, axis=0), spec[1:])
+    return np.exp(-0.5 * steps[0]) * sums.conj()
+
+
+def _experiment_cdf(B, seed):
+    rng = np.random.default_rng(seed)
+    return rotation_cdf(perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1))
 
 
 def _clamped_cdf(shift, freq, phase):
@@ -278,6 +327,7 @@ class TestSufficientStatisticSimulator:
         got = _angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk)
         want = _fourier_sums(np.interp(u, levels, nodes), 2 * B)
         assert np.abs(got - want).max() <= 1e-13 * n
+        assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk))
 
     def test_angle_sums_of_order_zero_count_the_angles(self):
         levels, nodes = rotation_cdf(RotationDistribution.uniform(0))
@@ -303,6 +353,96 @@ class TestSufficientStatisticSimulator:
         assert (angles == TWO_PI).sum() > 1000
         got = _angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024)
         assert np.abs(got - _fourier_sums(angles, 20)).max() <= 1e-13 * u.size
+        assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024))
+
+    @pytest.mark.parametrize("n", [777, 4096, 65536, 100_000])
+    @pytest.mark.parametrize("chunk", [4096, 5000, 65536])
+    def test_workspace_sums_equal_fresh_array_sums(self, n, chunk):
+        # n below, equal to, a multiple of and not a multiple of the chunk:
+        # filling the workspace in place changes no bit of the sums.
+        levels, nodes = _experiment_cdf(10, 50)
+        got = _angle_sums(levels, nodes, n, 20, np.random.default_rng(n + chunk), chunk)
+        want = _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n + chunk), chunk)
+        assert np.array_equal(got, want)
+
+    def test_no_stale_workspace_across_sizes(self):
+        # One thread, starting with an empty workspace: a large call, a small
+        # one that reuses the front of its buffers and table, then a large one.
+        levels, nodes = _experiment_cdf(10, 52)
+
+        def calls():
+            return [
+                (
+                    _angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536),
+                    _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536),
+                )
+                for n in (100_000, 1000, 100_000)
+            ]
+
+        with ThreadPoolExecutor(1) as pool:
+            results = pool.submit(calls).result(timeout=60)
+        for got, want in results:
+            assert np.array_equal(got, want)
+
+    def test_concurrent_threads_equal_serial_calls(self):
+        # More threads than cores, each with its own n, all started together
+        # and switching often: every thread's sums equal the serial ones.
+        levels, nodes = _experiment_cdf(10, 53)
+        sizes = [100_000, 1000, 70_000, 4096]
+        serial = {n: _angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536) for n in sizes}
+        start = threading.Barrier(len(sizes))
+
+        def run(n):
+            start.wait(timeout=30)
+            return [_angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(sizes)) as pool:
+                futures = {n: pool.submit(run, n) for n in sizes}
+                results = {n: f.result(timeout=120) for n, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        for n in sizes:
+            assert all(np.array_equal(got, serial[n]) for got in results[n])
+
+    def test_workspace_keeps_no_array_above_the_default_chunk(self):
+        levels, nodes = _experiment_cdf(10, 54)
+
+        def kept_sizes():
+            _angle_sums(levels, nodes, 200_000, 20, np.random.default_rng(0), 200_000)
+            large = [a.size for a in vars(moments._workspace).values()]
+            _angle_sums(levels, nodes, 100_000, 20, np.random.default_rng(0), 65536)
+            default = [a.size for a in vars(moments._workspace).values()]
+            return large, default
+
+        with ThreadPoolExecutor(1) as pool:
+            large, default = pool.submit(kept_sizes).result(timeout=60)
+        # The 200,000-angle chunk is not kept; its 6 x 8192 table is.
+        assert large == [6 * 8192]
+        assert sorted(default) == [6 * 8192, 65536, 65536, 65536]
+
+    def test_second_call_allocates_little(self):
+        # Once a thread has simulated at n = 1e5, another call allocates only
+        # rfft's output and small temporaries: its traced peak stays below
+        # one 65,536-angle array (512 KiB). Fresh arrays per chunk peak at 2.7 MiB.
+        rng = np.random.default_rng(55)
+        img = make_experiment_signal_2d(10, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
+        simulate_empirical_moments(img, rho, 100_000, 0.5, rng)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_empirical_moments(img, rho, 100_000, 0.5, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 512 * 1024
 
     @pytest.mark.parametrize(
         "B, Q, n, chunk", [(1, 1, 50, 65536), (3, 2, 5000, 777), (10, 2, 100_000, 65536), (32, 1, 20_000, 4096)]

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -202,6 +204,17 @@ class TestDavisKahan1D:
         assert bound_value(0.25, 0.5, 2.0, 21.0) == pytest.approx(2 * 21 * 2.0)
         assert bound_value(0.26, 0.5, 2.0, 21.0) is None
         assert bound_value(0.0, 0.0, 2.0, 21.0) == 0.0
+
+    @pytest.mark.parametrize("r", [1e-4, 1e-8, 1e-12, 1e-18])
+    def test_small_ratio_has_no_cancellation(self, r):
+        # 2 * 0.5 * 1 * (1 - sqrt(1 - r)) at delta = 1 against 50-digit decimal
+        # arithmetic on the same double r: within 4 ulp, and never 0 for r > 0.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = float(1 - (1 - decimal.Decimal(r)).sqrt())
+        got = bound_value(r, 1.0, 0.5, 1.0)
+        assert got > 0.0
+        assert abs(got - exact) <= 4 * np.spacing(exact)
 
     def test_bound_tracks_perturbation_sweep(self):
         rng = np.random.default_rng(8)
