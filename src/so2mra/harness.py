@@ -3,7 +3,7 @@
 Three sweep types are supported: recovery error versus SNR at fixed sample
 count, versus sample count at fixed SNR, and spectral error versus the
 circulant distance (exact moments, swept perturbation strength) together
-with the rotation-minimised theoretical bound.
+with the theoretical bound at the unrotated distribution.
 
 Every trial derives its generators from ``(master_seed, experiment code,
 grid index, trial index)``, so the CSV is a pure function of the
@@ -30,9 +30,8 @@ import numpy as np
 from .errors import ConfigError, So2MraError
 from .freq_march import FMOptions, fm_recover_2d
 from .metrics import aggregate, recovery_error, sigma_for_snr
-from .moments import MomentPair, population_moments_2d, simulate_empirical_moments
+from .moments import population_moments_2d, simulate_empirical_moments
 from .signal_model import (
-    UNIFORM_DENSITY,
     FBImage,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -41,8 +40,7 @@ from .signal_model import (
 from .spectral import (
     RANK_TOL_EMPIRICAL,
     EigOptions,
-    circulant_project,
-    min_bound_over_rotations,
+    davis_kahan_bound_2d,
     spectral_recover_2d,
 )
 
@@ -62,6 +60,9 @@ SWEEPS = {
     "n_sweep": (2, "n_grid", int, tuple(int(round(v)) for v in np.logspace(3.0, 6.0, 7)), {"trials": 800}),
     "bound_sweep": (3, "eta_grid", float, tuple(np.logspace(-3.0, -1.0, 20)), {}),
 }
+# Positivity floor of every base distribution the sweeps draw, so that the
+# phase-twist perturbation keeps the density essentially nonnegative.
+TOL_POS = 0.05
 
 CSV_COLUMNS = (
     "experiment",
@@ -135,14 +136,10 @@ class ExperimentConfig:
     trials: int = 50
     algorithms: tuple = ALGORITHMS
     eta: float = 0.1
-    margin: float = 0.2
     master_seed: int = 2024
     out_path: str = "results.csv"
     fixed_ground_truth: bool = False
     threads: int = 1
-    tol_pos: float = 0.05
-    rotation_grid: int = 1
-    sigma_misspec: float = 1.0
     snr_grid: tuple | None = None
     n_grid: tuple | None = None
     eta_grid: tuple | None = None
@@ -170,23 +167,17 @@ class ExperimentConfig:
             raise ConfigError(f"{own} must not be empty")
         if any(v <= 0 for v in values[own]):
             raise ConfigError(f"{own} values must be positive")
-        unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
-        if unknown or not cfg.algorithms:
-            raise ConfigError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
+        names = set(cfg.algorithms)
+        if not names or not names <= set(ALGORITHMS) or len(names) < len(cfg.algorithms):
+            raise ConfigError(f"algorithms must name one or more of {ALGORITHMS}, each once")
         if cfg.b < 1 or cfg.q < 1:
             raise ConfigError("need b >= 1 and q >= 1")
         if cfg.trials < 1 or cfg.n < 1 or cfg.threads < 1:
             raise ConfigError("trials, n and threads must be positive")
         if cfg.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
-        if not 0.0 <= cfg.margin <= 0.5:
-            raise ConfigError("margin must lie in [0, 0.5]")
-        if cfg.snr <= 0 or cfg.eta < 0 or cfg.rotation_grid < 1:
-            raise ConfigError("snr must be positive, eta nonnegative, rotation_grid >= 1")
-        if not cfg.sigma_misspec > 0:
-            raise ConfigError("sigma_misspec must be positive")
-        if not 0.0 <= cfg.tol_pos < UNIFORM_DENSITY:
-            raise ConfigError("tol_pos must lie in [0, 1/(2*pi))")
+        if cfg.snr <= 0 or cfg.eta < 0:
+            raise ConfigError("snr must be positive and eta nonnegative")
         return cfg
 
 
@@ -203,7 +194,7 @@ def _ground_truth(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
     """
     rng = _trial_rng(cfg, grid_idx, trial_idx, 1)
     image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
-    base = make_experiment_distribution(cfg.b, rng, tol_pos=cfg.tol_pos)
+    base = make_experiment_distribution(cfg.b, rng, tol_pos=TOL_POS)
     return image, base
 
 
@@ -225,8 +216,6 @@ def _sampling_trial(
         image, rho = _instance(cfg, grid_idx, trial_idx) if instance is None else instance
         sigma = sigma_for_snr(image, snr_value)
         m = simulate_empirical_moments(image, rho, n_value, sigma, _trial_rng(cfg, grid_idx, trial_idx, 2))
-        if cfg.sigma_misspec != 1.0:
-            m = MomentPair(m.M1, m.M2, sigma * cfg.sigma_misspec)
     except _TRIAL_ERRORS:
         return {algo: None for algo in cfg.algorithms}
     shape = (image.B, image.radial_bandwidths)
@@ -276,7 +265,7 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
             good = [e for e in errs if e is not None]
             failures = cfg.trials - len(good)
             if good:
-                med, lo, hi = aggregate(np.asarray(good), cfg.margin)
+                med, lo, hi = aggregate(np.asarray(good))
             else:
                 med = lo = hi = float("nan")
             rows.append(_row(cfg.experiment, algo, param, value, cfg.trials, failures, med, lo, hi, None, None))
@@ -285,14 +274,13 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 def _bound_point(cfg: ExperimentConfig, image: FBImage, base, eta: float) -> dict:
     rho = perturb_distribution(base, eta)
-    s_b = circulant_project(rho).s_b
     m = population_moments_2d(image, rho, sigma=0.0)
     shape = (image.B, image.radial_bandwidths)
     result, _ = spectral_recover_2d(m, shape, EigOptions())
     err = recovery_error(result.signal_est, image).relative_error
-    _angle, report = min_bound_over_rotations(image, rho, cfg.rotation_grid, recovery=result)
+    report = davis_kahan_bound_2d(image, rho, recovery=result)
     bound = report.bound if report.all_conditions_met() else None
-    return _row(cfg.experiment, "spectral", "eta", eta, 1, 0, err, err, err, s_b, bound)
+    return _row(cfg.experiment, "spectral", "eta", eta, 1, 0, err, err, err, report.s_b, bound)
 
 
 def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -396,8 +384,10 @@ def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` configuration file into ``{key: text}``.
 
     Values stay text, with surrounding quotes stripped;
-    ``ExperimentConfig.validated`` types them.  Lines starting with ``#``
-    and blank lines are ignored.
+    ``ExperimentConfig.validated`` types them.  A ``#`` starts a comment
+    that runs to the end of its line, wherever it stands, so no value can
+    contain one: ``out = run#1.csv`` sets ``out`` to ``run``.  Lines left
+    blank are ignored.
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:

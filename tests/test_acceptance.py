@@ -268,7 +268,7 @@ def test_criterion_9_determinism():
     rerun = rows_to_csv(run_experiment(cfg))
     pooled = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=8)))
     bcfg = ExperimentConfig(
-        experiment="bound_sweep", b=3, q=2, eta_grid=(0.01, 0.05), rotation_grid=16, master_seed=3
+        experiment="bound_sweep", b=3, q=2, eta_grid=(0.01, 0.05), master_seed=3
     )
     bound_a = rows_to_csv(run_experiment(bcfg))
     bound_b = rows_to_csv(run_experiment(bcfg))

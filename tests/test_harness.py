@@ -21,7 +21,9 @@ from so2mra.harness import (
     run_experiment,
     write_csv,
 )
+from so2mra.moments import MomentPair
 from so2mra.signal_model import (
+    UNIFORM_DENSITY,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
@@ -31,6 +33,21 @@ TINY_SNR = dict(
     experiment="snr_sweep", b=3, q=2, n=1500, trials=3, snr_grid=(1.0, 50.0), master_seed=7
 )
 TINY_N = dict(experiment="n_sweep", b=3, q=2, trials=3, n_grid=(1500, 3000), master_seed=7)
+
+
+def misspecify_sigma(monkeypatch, factor: float = 50.0) -> None:
+    """Make every simulated moment pair report ``factor`` times its true noise level.
+
+    A grossly overstated sigma drives the debiased power spectrum negative,
+    so the recoveries fail through their real error paths.
+    """
+    real = harness.simulate_empirical_moments
+
+    def misspecified(*args, **kwargs):
+        m = real(*args, **kwargs)
+        return MomentPair(m.M1, m.M2, factor * m.sigma)
+
+    monkeypatch.setattr(harness, "simulate_empirical_moments", misspecified)
 
 
 class TestConfigValidation:
@@ -56,21 +73,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithms=("fm_plain", "gradient_descent")).validated()
 
-    def test_margin_range(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(margin=0.7).validated()
+    @pytest.mark.parametrize("algorithms", [("spectral", "spectral"), ("fm_plain", "spectral", "fm_plain")])
+    def test_repeated_algorithm_rejected(self, algorithms):
+        # A repeated name would write the same CSV rows twice.
+        with pytest.raises(ConfigError, match="each once"):
+            ExperimentConfig(algorithms=algorithms).validated()
+        with pytest.raises(ConfigError, match="each once"):
+            config_from_sources({"algos": ", ".join(algorithms)})
 
     @pytest.mark.parametrize(
         "bad",
         [
-            {"sigma_misspec": 0.0},
-            {"sigma_misspec": -1.0},
-            {"tol_pos": -0.01},
-            {"tol_pos": 1.0 / (2.0 * np.pi)},
-            {"tol_pos": 0.5},
-            {"rotation_grid": 0},
+            {"b": 0},
+            {"q": 0},
+            {"n": 0},
+            {"trials": 0},
+            {"threads": 0},
+            {"snr": 0.0},
+            {"eta": -0.1},
             {"master_seed": -1},
         ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -130,11 +153,9 @@ class TestSamplingSweeps:
         rows = run_experiment(cfg)
         assert {row["algorithm"] for row in rows} == {"spectral"}
 
-    def test_failures_recorded_not_raised(self):
-        # A grossly misspecified sigma drives the debiased power spectrum
-        # negative, so the recoveries fail and are counted per row.
-        cfg = ExperimentConfig(**{**TINY_SNR, "sigma_misspec": 50.0})
-        rows = run_experiment(cfg)
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        misspecify_sigma(monkeypatch)
+        rows = run_experiment(ExperimentConfig(**TINY_SNR))
         assert any(row["failures"] > 0 for row in rows)
 
     @pytest.mark.parametrize("exc", [TypeError, ValueError])
@@ -198,7 +219,7 @@ class TestFixedGroundTruth:
         def per_trial_draw(cfg, gi, ti, snr, n, instance):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, 0, 0, 1)))
             image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
-            base = make_experiment_distribution(cfg.b, rng, tol_pos=cfg.tol_pos)
+            base = make_experiment_distribution(cfg.b, rng, tol_pos=harness.TOL_POS)
             return real_trial(cfg, gi, ti, snr, n, (image, perturb_distribution(base, cfg.eta)))
 
         monkeypatch.setattr(harness, "_sampling_trial", per_trial_draw)
@@ -206,11 +227,12 @@ class TestFixedGroundTruth:
         assert csvs == [reference, reference]
 
     @pytest.mark.parametrize(
-        "settings",
-        ["tol_pos = 0.159154943\n", "tol_pos = 0\neta = 3\n"],
+        "tol_pos, settings",
+        [(UNIFORM_DENSITY, ""), (0.0, "eta = 3\n")],
         ids=["draw_raises", "not_sampleable"],
     )
-    def test_failing_instance_fails_every_trial(self, tmp_path, settings):
+    def test_failing_instance_fails_every_trial(self, tmp_path, monkeypatch, tol_pos, settings):
+        monkeypatch.setattr(harness, "TOL_POS", tol_pos)
         cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
         cfg_file.write_text(
             "experiment = n_sweep\nb = 3\nq = 2\nn_grid = 1500, 3000\ntrials = 3\n"
@@ -227,8 +249,7 @@ class TestFixedGroundTruth:
 class TestBoundSweep:
     def test_rows_have_sb_and_bound(self):
         cfg = ExperimentConfig(
-            experiment="bound_sweep", b=3, q=2, eta_grid=(0.005, 0.02, 0.08), rotation_grid=24,
-            master_seed=5,
+            experiment="bound_sweep", b=3, q=2, eta_grid=(0.005, 0.02, 0.08), master_seed=5
         )
         rows = run_experiment(cfg)
         assert len(rows) == 3
@@ -241,10 +262,11 @@ class TestBoundSweep:
             if row["bound"] is not None:
                 assert row["median_error"] * norm_sq <= row["bound"]
 
-    def test_failing_draw_fails_every_eta_point(self, tmp_path):
+    def test_failing_draw_fails_every_eta_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "TOL_POS", UNIFORM_DENSITY)
         cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
         cfg_file.write_text(
-            "experiment = bound_sweep\nb = 3\nq = 2\ntol_pos = 0.159154943\neta_grid = 0.01, 0.1\n",
+            "experiment = bound_sweep\nb = 3\nq = 2\neta_grid = 0.01, 0.1\n",
             encoding="utf-8",
         )
         assert main([str(cfg_file), "--out", str(out)]) == 3
@@ -349,12 +371,12 @@ class TestConfigFileAndCli:
         path.write_text(
             """
             # comment
-            experiment = n_sweep
+            experiment = "n_sweep"
             b = 4
             n_grid = 100, 200
             algos = fm_plain, spectral
             fixed_ground_truth = TRUE
-            out = "sweep.csv"
+            out = a.csv  # a '#' starts a comment anywhere in a line
             n = 1e4
             snr = 50
             seed = 12345678901234567891
@@ -367,7 +389,7 @@ class TestConfigFileAndCli:
         assert cfg.n_grid == (100, 200)
         assert cfg.algorithms == ("fm_plain", "spectral")
         assert cfg.fixed_ground_truth is True
-        assert cfg.out_path == "sweep.csv"
+        assert cfg.out_path == "a.csv"
         assert type(cfg.n) is int and cfg.n == 10_000
         assert type(cfg.snr) is float and cfg.snr == 50.0
         assert cfg.master_seed == 12345678901234567891
@@ -407,9 +429,20 @@ class TestConfigFileAndCli:
         assert cfg.master_seed == 5
         assert cfg.out_path == "x.csv"
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_sources({"granularity": 3}, {})
+    # The sweeps have no rotation grid, noise misspecification, percentile
+    # margin or positivity floor to set: they run the paths that the removed
+    # keys selected at these values.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("granularity", "3"), ("rotation_grid", "1"), ("sigma_misspec", "1.0"), ("margin", "0.2"), ("tol_pos", "0.05")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            config_from_sources({key: value}, {})
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(f"b = 2\nn = 500\ntrials = 1\n{key} = {value}\n", encoding="utf-8")
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_main_exit_codes(self, tmp_path):
         out = tmp_path / "res.csv"
@@ -429,7 +462,7 @@ class TestConfigFileAndCli:
         out = tmp_path / "res.csv"
         cfg_file.write_text(
             "experiment = snr_sweep\nb = 3\nq = 2\nn = 500\ntrials = 1\n"
-            "sigma_misspec = -1\ntol_pos = 0.5\n",
+            "threads = 0\nsnr = -1\n",
             encoding="utf-8",
         )
         assert main([str(cfg_file), "--out", str(out)]) == 2
@@ -517,12 +550,13 @@ class TestConfigFileAndCli:
         cfg = config_from_argv([str(path), "--trials", "7", "--paper-scale"])
         assert cfg.trials == 7
 
-    def test_main_exit_code_3_on_failed_trials(self, tmp_path):
+    def test_main_exit_code_3_on_failed_trials(self, tmp_path, monkeypatch):
+        misspecify_sigma(monkeypatch)
         cfg_file = tmp_path / "cfg.txt"
         out = tmp_path / "res.csv"
         cfg_file.write_text(
             "experiment = snr_sweep\nb = 3\nq = 2\nn = 500\ntrials = 2\n"
-            "snr_grid = 5.0\nsigma_misspec = 50.0\nmaster_seed = 1\n",
+            "snr_grid = 5.0\nmaster_seed = 1\n",
             encoding="utf-8",
         )
         rc = main([str(cfg_file), "--out", str(out)])
