@@ -61,7 +61,8 @@ SWEEPS = {
     "bound_sweep": (3, "eta_grid", float, tuple(np.logspace(-3.0, -1.0, 20)), {}),
 }
 # Positivity floor of every base distribution the sweeps draw, so that the
-# phase-twist perturbation keeps the density essentially nonnegative.
+# phase-twist perturbation keeps the density nonnegative.  An instance whose
+# perturbed density still dips below zero cannot be sampled: its trials fail.
 TOL_POS = 0.05
 
 CSV_COLUMNS = (
@@ -383,11 +384,12 @@ def write_csv(rows: list[dict], path: str) -> None:
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` configuration file into ``{key: text}``.
 
-    Values stay text, with surrounding quotes stripped;
-    ``ExperimentConfig.validated`` types them.  A ``#`` starts a comment
-    that runs to the end of its line, wherever it stands, so no value can
-    contain one: ``out = run#1.csv`` sets ``out`` to ``run``.  Lines left
-    blank are ignored.
+    Values stay text, with one matching pair of surrounding ``"`` or ``'``
+    quotes stripped (a quote without its match at the other end is an
+    error); ``ExperimentConfig.validated`` types them.  A ``#`` starts a
+    comment that runs to the end of its line, wherever it stands, so no
+    value can contain one: ``out = run#1.csv`` sets ``out`` to ``run``.
+    Lines left blank are ignored.
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -399,7 +401,12 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            values[key] = text.strip().strip('"')
+            text = text.strip()
+            if {text[:1], text[-1:]} & {'"', "'"}:
+                if len(text) < 2 or text[0] != text[-1]:
+                    raise ConfigError(f"{path}:{lineno}: unmatched quote in {text!r}")
+                text = text[1:-1]
+            values[key] = text
     return values
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -13,7 +12,7 @@ GRID_FACTOR = 16
 NEWTON_ITERATIONS = 30
 NEWTON_STEP_TOL = 1e-15
 
-Estimable = Union[FBImage, RotationDistribution, np.ndarray]
+Estimable = FBImage | RotationDistribution
 
 
 @dataclass(frozen=True)
@@ -21,16 +20,6 @@ class ErrorReport:
     relative_error: float
     best_angle: float
     aligned_estimate: np.ndarray
-
-
-def _coeffs_and_k(obj: Estimable) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(obj, (FBImage, RotationDistribution)):
-        return obj.coeffs, obj.k_values
-    arr = np.asarray(obj, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size % 2 != 1:
-        raise ValueError("raw coefficient vectors must be 1-D with odd length")
-    half = (arr.size - 1) // 2
-    return arr, np.arange(-half, half + 1)
 
 
 def _grid_overlap(c: np.ndarray, k_range: np.ndarray, n_grid: int) -> np.ndarray:
@@ -47,6 +36,10 @@ def _grid_overlap(c: np.ndarray, k_range: np.ndarray, n_grid: int) -> np.ndarray
 def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     """Relative squared error after aligning the estimate over all rotations.
 
+    ``estimate`` and ``truth`` are both images or both rotation
+    distributions, of one coefficient layout; a bare coefficient array
+    raises ``TypeError``.
+
     Minimises ``|est - exp(-1j*k*phi) . truth|^2 / |truth|^2`` over the
     continuous angle ``phi``.  The objective's rotation-dependent part is the
     real part of a trigonometric polynomial, which is maximised on a dense
@@ -54,8 +47,10 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     stopped once a step falls below ``NEWTON_STEP_TOL``.  The polished angle
     replaces the grid angle when the polish converged or raised the overlap.
     """
-    e, ke = _coeffs_and_k(estimate)
-    t, kt = _coeffs_and_k(truth)
+    if not (isinstance(estimate, Estimable) and isinstance(truth, Estimable)):
+        raise TypeError("recovery_error compares FBImage or RotationDistribution objects")
+    e, ke = estimate.coeffs, estimate.k_values
+    t, kt = truth.coeffs, truth.k_values
     if e.shape != t.shape or not np.array_equal(ke, kt):
         raise ValueError("estimate and truth must share shape and angular layout")
     norm_t = float(np.vdot(t, t).real)
@@ -120,16 +115,10 @@ def sigma_for_snr(signal: FBImage, target_snr: float) -> float:
     return float(np.sqrt(signal.power_spectrum.sum() / (signal.size * target_snr)))
 
 
-def aggregate(errors: np.ndarray, margin: float = 0.2) -> tuple[float, float, float]:
-    """Median with a symmetric percentile band of ``100*margin`` points.
-
-    ``margin = 0.2`` yields the 30th and 70th percentiles (linear
-    interpolation between order statistics).
-    """
+def aggregate(errors: np.ndarray) -> tuple[float, float, float]:
+    """Median, 30th and 70th percentiles (linear interpolation between order statistics)."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("cannot aggregate an empty error vector")
-    if not 0.0 <= margin <= 0.5:
-        raise ValueError("margin must lie in [0, 0.5]")
-    med, lo, hi = np.percentile(errors, [50.0, 50.0 - 100.0 * margin, 50.0 + 100.0 * margin])
+    med, lo, hi = np.percentile(errors, [50.0, 30.0, 70.0])
     return float(med), float(lo), float(hi)

@@ -133,7 +133,10 @@ class FBImage:
 
     def __getitem__(self, kq: tuple) -> complex:
         k, q = kq
-        return self.coeffs[self.block_start(k) + q]
+        start, size = self.block_start(k), int(self.radial_bandwidths[abs(k)])
+        if not 0 <= q < size:
+            raise IndexError(f"radial index {q} outside 0..{size - 1}")
+        return self.coeffs[start + q]
 
     @property
     def power_spectrum(self) -> np.ndarray:
@@ -146,14 +149,13 @@ class RotationDistribution:
 
     The DC coefficient is pinned to ``1/(2*pi)`` and negative frequencies are
     mirrored from the positive ones, so normalisation and conjugate symmetry
-    hold exactly.  ``sampleable`` says whether the synthesised density
-    stays above ``-positivity_tol`` on the evaluation grid; the grid is
-    synthesised on first use only.
+    hold exactly.  ``sampleable`` says whether the synthesised density is
+    nonnegative on the evaluation grid; the grid is synthesised on first
+    use only.
     """
 
     B: int
     coeffs: np.ndarray
-    positivity_tol: float = 0.0
 
     def __post_init__(self):
         if self.B < 0:
@@ -180,15 +182,13 @@ class RotationDistribution:
         return cls(B, coeffs)
 
     @classmethod
-    def from_positive(
-        cls, B: int, positive_coeffs: np.ndarray, positivity_tol: float = 0.0
-    ) -> "RotationDistribution":
+    def from_positive(cls, B: int, positive_coeffs: np.ndarray) -> "RotationDistribution":
         """Build from the coefficients for ``k = 1..2B``; the rest is implied."""
         pos = np.asarray(positive_coeffs, dtype=np.complex128)
         if pos.shape != (2 * B,):
             raise ValueError(f"expected {2 * B} positive-frequency coefficients")
         full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY + 0.0j], pos])
-        return cls(B, full, positivity_tol)
+        return cls(B, full)
 
     def __getitem__(self, k):
         """``rho[k]`` for an integer ``k`` or an integer array of them, in ``-2B..2B``."""
@@ -234,7 +234,9 @@ class RotationDistribution:
         """Normalised CDF at the ``density_grid`` nodes, computed once and read-only.
 
         The density is clamped at zero and integrated with the trapezoid
-        rule.  ``None`` when the clamped density has no mass on the grid.
+        rule, so the table stays monotone for a density that dips below zero,
+        which ``rotation_cdf`` refuses.  ``None`` when the clamped density has
+        no mass on the grid.
         """
         nodes, dens = self.density_grid
         dens = np.maximum(dens, 0.0)
@@ -254,7 +256,7 @@ class RotationDistribution:
 
     @property
     def sampleable(self) -> bool:
-        return bool(self.min_density >= -self.positivity_tol)
+        return bool(self.min_density >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,8 @@ def make_experiment_distribution(
     average), which forces the circulant distance to vanish.  The non-DC
     coefficients are then shrunk by the largest ``gamma`` in ``(0, 1]`` that
     keeps the density at or above ``tol_pos`` on the evaluation grid;
-    shrinking is linear, so circulant compatibility is preserved.
+    shrinking is linear, so circulant compatibility is preserved.  The floor
+    binds this draw only: what is derived from it must itself be nonnegative.
     """
     if B < 1:
         raise ValueError("need B >= 1")
@@ -325,14 +328,14 @@ def make_experiment_distribution(
     # The grid density is 1/(2*pi) + gamma*f(theta), affine in gamma, so the
     # largest feasible gamma is closed-form.  The relative 1e-12 shrink keeps
     # the rounded grid minimum at or above tol_pos.
-    min_full = RotationDistribution.from_positive(B, pos, np.inf).min_density
+    min_full = RotationDistribution.from_positive(B, pos).min_density
     if min_full >= tol_pos:
         gamma = 1.0
     else:
         gamma = (UNIFORM_DENSITY - tol_pos) / (UNIFORM_DENSITY - min_full) * (1.0 - 1e-12)
     if gamma <= 1e-6:
         raise DegenerateDrawError("no usable positive rescaling found for this draw")
-    return RotationDistribution.from_positive(B, gamma * pos, tol_pos)
+    return RotationDistribution.from_positive(B, gamma * pos)
 
 
 def perturb_distribution(rho: RotationDistribution, eta: float) -> RotationDistribution:
@@ -343,14 +346,14 @@ def perturb_distribution(rho: RotationDistribution, eta: float) -> RotationDistr
     """
     k = np.arange(1, 2 * rho.B + 1)
     pos = rho.positive_coeffs * np.exp(1j * eta * np.sqrt(k))
-    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol)
+    return RotationDistribution.from_positive(rho.B, pos)
 
 
 def rotate_distribution(rho: RotationDistribution, angle: float) -> RotationDistribution:
     """Shift the density: acts on coefficients as ``rho[k] -> exp(-1j*k*angle)*rho[k]``."""
     k = np.arange(1, 2 * rho.B + 1)
     pos = rho.positive_coeffs * np.exp(-1j * k * angle)
-    return RotationDistribution.from_positive(rho.B, pos, rho.positivity_tol)
+    return RotationDistribution.from_positive(rho.B, pos)
 
 
 def rotate_signal(signal: FBImage, angle: float) -> FBImage:
@@ -366,9 +369,7 @@ def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
     both built once per distribution and read-only; the checks run on every call.
     """
     if not rho.sampleable:
-        raise NotSampleableError(
-            f"density dips to {rho.min_density:.3g}, below -{rho.positivity_tol:.3g}"
-        )
+        raise NotSampleableError(f"density dips to {rho.min_density:.3g}, below zero")
     levels = rho.cdf_levels
     if levels is None:
         raise NotSampleableError("density has no positive mass on the grid")

@@ -51,9 +51,9 @@ def random_image(B, Q, rng):
 
 
 def rho_truncation(rho, B):
-    """Coefficients of ``rho`` restricted to ``k = -B..B`` as a raw vector."""
-    off = 2 * rho.B
-    return rho.coeffs[off - B : off + B + 1]
+    """``rho`` restricted to ``k = -B..B``: the distribution of bandwidth ``B/2`` (``B`` even)."""
+    assert B % 2 == 0
+    return RotationDistribution.from_positive(B // 2, rho.positive_coeffs[:B])
 
 
 @pytest.fixture

@@ -226,9 +226,11 @@ class TestFixedGroundTruth:
         reference = rows_to_csv(run_experiment(cfg))
         assert csvs == [reference, reference]
 
+    # At the default floor, eta = 3 twists seed 2's instance to a grid
+    # minimum of about -0.047: it is not sampled after clamping.
     @pytest.mark.parametrize(
         "tol_pos, settings",
-        [(UNIFORM_DENSITY, ""), (0.0, "eta = 3\n")],
+        [(UNIFORM_DENSITY, "master_seed = 7\n"), (harness.TOL_POS, "master_seed = 2\neta = 3\n")],
         ids=["draw_raises", "not_sampleable"],
     )
     def test_failing_instance_fails_every_trial(self, tmp_path, monkeypatch, tol_pos, settings):
@@ -236,7 +238,7 @@ class TestFixedGroundTruth:
         cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
         cfg_file.write_text(
             "experiment = n_sweep\nb = 3\nq = 2\nn_grid = 1500, 3000\ntrials = 3\n"
-            "master_seed = 7\nfixed_ground_truth = true\n" + settings,
+            "fixed_ground_truth = true\n" + settings,
             encoding="utf-8",
         )
         assert main([str(cfg_file), "--out", str(out)]) == 3
@@ -415,6 +417,37 @@ class TestConfigFileAndCli:
             encoding="utf-8",
         )
         assert config_from_sources(load_config_file(str(path))) == expected
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("a.csv", "a.csv"),
+            ('"a.csv"', "a.csv"),
+            ("'a.csv'", "a.csv"),
+            ("'a\"b.csv'", 'a"b.csv'),
+            ("\"'a.csv'\"", "'a.csv'"),
+            ("it's.csv", "it's.csv"),
+            ('""', ""),
+        ],
+        ids=["bare", "double", "single", "single_around_double", "double_around_single", "apostrophe", "empty"],
+    )
+    def test_one_matching_quote_pair_stripped(self, tmp_path, text, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"out = {text}\n", encoding="utf-8")
+        assert load_config_file(str(path)) == {"out": value}
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"spectral', "spectral'", "'spectral\"", '"', "'"],
+        ids=["open_double", "close_single", "mismatched", "lone_double", "lone_single"],
+    )
+    def test_unmatched_quote_rejected(self, tmp_path, text):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(f"b = 2\nn = 500\ntrials = 1\nalgos = {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unmatched quote"):
+            load_config_file(str(cfg_file))
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -113,6 +113,13 @@ class TestRecoveryError:
         with pytest.raises(ValueError):
             recovery_error(x, z)
 
+    def test_raw_coefficient_array_rejected(self):
+        # An array carries no layout; none is guessed from its length.
+        x = random_signal_1d(2, np.random.default_rng(0))
+        for est, truth in [(x.coeffs, x), (x, x.coeffs), (x.coeffs, x.coeffs)]:
+            with pytest.raises(TypeError, match="FBImage or RotationDistribution"):
+                recovery_error(est, truth)
+
     def test_continuous_alignment_never_worse_than_grid(self):
         # The discrete l/(2B+1) rotations are a subset of the continuous ones.
         rng = np.random.default_rng(8)
@@ -226,7 +233,7 @@ class TestAggregate:
         assert med == lo == hi == 3.5
 
     def test_linear_interpolation_percentiles(self):
-        med, lo, hi = aggregate(np.arange(1.0, 101.0), margin=0.2)
+        med, lo, hi = aggregate(np.arange(1.0, 101.0))
         assert (med, lo, hi) == (50.5, pytest.approx(30.7), pytest.approx(70.3))
 
     def test_single_element(self):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import so2mra
 from so2mra import harness, moments
+from so2mra.errors import NotSampleableError
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
@@ -518,6 +519,47 @@ class TestSufficientStatisticSimulator:
         c = simulate_empirical_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
         d = _oracle_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
         assert not np.array_equal(c.M2, d.M2)
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_singular_gram_takes_direct_path(self, monkeypatch, B):
+        # A Cholesky failure on the angle Gram matrix falls back to generating
+        # the observations.  For a unit-modulus image every entry of y y^H,
+        # and of y, has variance at most max_a E|y_a|^4 = 1 + 6 sigma^2 +
+        # 3 sigma^4 (a real k = 0 entry), which bounds each entry's standard error.
+        calls = []
+
+        def singular(a):
+            calls.append("cholesky")
+            raise np.linalg.LinAlgError("stand-in: singular Gram matrix")
+
+        def direct(*args):
+            calls.append("direct")
+            return real_direct(*args)
+
+        real_direct = moments._direct_moments
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        monkeypatch.setattr(moments, "_direct_moments", direct)
+        rng = np.random.default_rng((37, B))
+        img = make_experiment_signal_2d(B, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        n, sig = 20_000, 0.5
+        m = simulate_empirical_moments(img, rho, n, sig, rng)
+        assert calls == ["cholesky", "direct"]
+        pop = population_moments_2d(img, rho, sig)
+        se = math.sqrt((1 + 6 * sig**2 + 3 * sig**4) / n)
+        assert np.abs(m.M1 - pop.M1).max() < 5 * se
+        assert np.abs(m.M2 - pop.M2).max() < 5 * se
+
+    @pytest.mark.parametrize("n", [5, 10_000])
+    def test_density_dipping_below_zero_is_not_simulated(self, n):
+        # Both paths (generated observations at small n, angle sums above)
+        # refuse a density that is negative on the grid, instead of drawing
+        # the moments of its clamped version.
+        rng = np.random.default_rng(7)
+        rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 2.0)
+        img = make_experiment_signal_2d(3, 1, np.random.default_rng(0))
+        with pytest.raises(NotSampleableError, match="dips to"):
+            simulate_empirical_moments(img, rho, n, 0.0, np.random.default_rng(1))
 
     def test_input_checks(self):
         img = make_experiment_signal_2d(2, 2, np.random.default_rng(35))

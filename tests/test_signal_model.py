@@ -96,6 +96,18 @@ class TestCoefficientLayout:
             with pytest.raises(IndexError):
                 img.block(k)
 
+    @pytest.mark.parametrize("qk", [[2, 2, 2], [1, 3, 2]], ids=["uniform", "non_uniform"])
+    def test_radial_index_out_of_range_raises(self, qk):
+        # Each (k, q) reads its own coefficient; a q outside 0..Q_|k|-1
+        # raises instead of reading a neighbouring block.
+        img = FBImage(2, qk, np.arange(coefficient_layout(2, qk)[0].size))
+        flat = [img[k, q] for k in range(-2, 3) for q in range(qk[abs(k)])]
+        assert flat == list(img.coeffs)
+        for k in range(-2, 3):
+            for q in (-1, qk[abs(k)], qk[abs(k)] + 1):
+                with pytest.raises(IndexError, match="radial index"):
+                    img[k, q]
+
 
 class TestDistributionIndexing:
     def test_index_arrays_read_the_offset_coefficients(self):
@@ -237,7 +249,7 @@ class TestExperimentDistribution:
             merged = (k * pos[::-1].conj() + (n - k) * pos) / n
 
             def min_density(gamma):
-                return RotationDistribution.from_positive(B, gamma * merged, np.inf).min_density
+                return RotationDistribution.from_positive(B, gamma * merged).min_density
 
             if min_density(1.0) >= tol_pos:
                 reference = 1.0
@@ -276,7 +288,7 @@ class TestLazyDensity:
             assert np.array_equal(rho.density_grid[0], nodes)
             assert np.array_equal(rho.density_grid[1], dens)
             assert rho.min_density == float(dens.min())
-            assert rho.sampleable is bool(dens.min() >= -rho.positivity_tol)
+            assert rho.sampleable is bool(dens.min() >= 0.0)
         assert {rho.sampleable for rho in draws} == {True, False}
 
     def test_grid_cached_and_read_only(self):
@@ -297,13 +309,13 @@ class TestCdfTable:
         base = make_experiment_distribution(10, rng, tol_pos=0.05)
         draws = [base, perturb_distribution(base, 0.1), RotationDistribution.uniform(2)]
         draws += [make_experiment_distribution(3, rng), make_experiment_distribution(2048, rng)]
-        # Sampleable by its tolerance, yet negative on arcs, where the clamp acts.
-        dipping = random_rho(2, rng, min_mod=0.9, max_mod=1.0)
-        draws += [RotationDistribution(dipping.B, dipping.coeffs, positivity_tol=np.inf)]
+        # Negative on arcs, where the clamp acts: the table is read, but not sampled.
+        draws += [random_rho(2, rng, min_mod=0.9, max_mod=1.0)]
         for rho in draws:
-            levels, nodes = rotation_cdf(rho)
-            again = rotation_cdf(rho)
-            assert again[0] is levels and again[1] is nodes
+            levels, nodes = rho.cdf_levels, rho.density_grid[0]
+            if rho.sampleable:
+                for again in (rotation_cdf(rho), rotation_cdf(rho)):
+                    assert again[0] is levels and again[1] is nodes
             for a in (levels, nodes):
                 with pytest.raises(ValueError):
                     a[0] = 1.0
@@ -424,6 +436,18 @@ class TestRotationSampling:
         assert not rho.sampleable
         with pytest.raises(NotSampleableError):
             sample_rotations(rho, 10, np.random.default_rng(0))
+
+    def test_twisted_draw_dipping_below_zero_is_not_sampled(self):
+        # The draw's floor (tol_pos) is no allowance for what is derived from
+        # it: this twist dips to about -0.036, and sampling it after clamping
+        # would draw the moments of another density.
+        base = make_experiment_distribution(3, np.random.default_rng(7), tol_pos=0.05)
+        assert base.sampleable and base.min_density >= 0.05
+        rho = perturb_distribution(base, 2.0)
+        assert -0.05 < rho.min_density < 0.0
+        assert not rho.sampleable
+        with pytest.raises(NotSampleableError, match="dips to"):
+            rotation_cdf(rho)
 
 
 class TestObservations:
