@@ -127,7 +127,12 @@ def _typed(name: str, value, kind: type, element: type = str):
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one sweep; the CSV output is a function of this."""
+    """Full description of one sweep; the CSV output is a function of this.
+
+    Every field is validated, but ``snr_sweep`` ignores ``snr``, ``n_sweep``
+    ignores ``n``, and the bound sweep reads only ``b``, ``q``,
+    ``master_seed``, ``eta_grid`` and ``out_path``.
+    """
 
     experiment: str = "snr_sweep"
     b: int = 10
@@ -389,9 +394,11 @@ def load_config_file(path: str) -> dict:
     error); ``ExperimentConfig.validated`` types them.  A ``#`` starts a
     comment that runs to the end of its line, wherever it stands, so no
     value can contain one: ``out = run#1.csv`` sets ``out`` to ``run``.
-    Lines left blank are ignored.
+    Lines left blank are ignored.  A key set twice is an error that names
+    both lines.
     """
     values: dict = {}
+    lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -406,7 +413,9 @@ def load_config_file(path: str) -> dict:
                 if len(text) < 2 or text[0] != text[-1]:
                     raise ConfigError(f"{path}:{lineno}: unmatched quote in {text!r}")
                 text = text[1:-1]
-            values[key] = text
+            if key in lines:
+                raise ConfigError(f"{path}: lines {lines[key]} and {lineno} both set {key}")
+            lines[key], values[key] = lineno, text
     return values
 
 
@@ -414,15 +423,21 @@ _KEY_ALIASES = {"out": "out_path", "seed": "master_seed", "algos": "algorithms"}
 
 
 def config_from_sources(*sources: dict) -> ExperimentConfig:
-    """Merge configuration layers, lowest priority first, into a validated config."""
+    """Merge configuration layers, lowest priority first, into a validated config.
+
+    A key and its alias in one layer are an error.
+    """
     allowed = {f.name for f in fields(ExperimentConfig)}
     merged = {}
     for source in sources:
+        spelled: dict = {}
         for key, value in source.items():
-            key = _KEY_ALIASES.get(key, key)
-            if key not in allowed:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            merged[key] = value
+            name = _KEY_ALIASES.get(key, key)
+            if name not in allowed:
+                raise ConfigError(f"unknown configuration key {name!r}")
+            if spelled.setdefault(name, key) != key:
+                raise ConfigError(f"{spelled[name]} and {key} both set {name}")
+            merged[name] = value
     return ExperimentConfig(**merged).validated()
 
 

@@ -23,8 +23,8 @@ from .signal_model import (
     FBImage,
     ObservationBatch,
     RotationDistribution,
-    conjugate_noise_map,
     generate_observations,
+    observation_map,
     rotation_cdf,
 )
 
@@ -113,15 +113,13 @@ class MomentAccumulator:
         return MomentPair(m1, m2, sigma)
 
 
-def empirical_moments(batch: ObservationBatch, chunk: int = DEFAULT_CHUNK) -> MomentPair:
-    """Averaged first moment and rank-one-accumulated second moment of a batch."""
+def empirical_moments(batch: ObservationBatch) -> MomentPair:
+    """Averaged first moment and rank-one-accumulated second moment of a batch, ``DEFAULT_CHUNK`` rows at a time."""
     if batch.n == 0:
         raise ValueError("cannot form moments of an empty batch")
-    if operator.index(chunk) < 1:
-        raise ValueError("chunk must be a positive integer")
     acc = MomentAccumulator(batch.data.shape[1])
-    for start in range(0, batch.n, chunk):
-        acc.update(batch.data[start : start + chunk])
+    for start in range(0, batch.n, DEFAULT_CHUNK):
+        acc.update(batch.data[start : start + DEFAULT_CHUNK])
     return acc.finalize(batch.sigma)
 
 
@@ -240,7 +238,7 @@ def _angle_sums(
 
 
 def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
-    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]``.
+    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]`` of ``_trig_design``.
 
     ``sums`` holds ``S_m`` for ``m = 0..2B``.  Column ``a`` is
     ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines, ``-1j`` for sines),
@@ -257,20 +255,6 @@ def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
     return 0.5 * (np.outer(c, c) * plus + np.outer(c, c.conj()) * minus).real
 
 
-def _design_map(signal: FBImage) -> np.ndarray:
-    """Complex ``C`` (dim x (2B+1)) with ``rotate(x, phi) = C @ g(phi)``.
-
-    ``x[k] exp(-1j*k*phi) = x[k] cos(|k| phi) - 1j*sign(k)*x[k] sin(|k| phi)``.
-    """
-    k = signal.k_values
-    rows = np.arange(signal.size)
-    design = np.zeros((signal.size, 2 * signal.B + 1), dtype=np.complex128)
-    design[rows, np.maximum(2 * np.abs(k) - 1, 0)] = signal.coeffs
-    nz = k != 0
-    design[rows[nz], 2 * np.abs(k[nz])] = -1j * np.sign(k[nz]) * signal.coeffs[nz]
-    return design
-
-
 def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L^T ~ Wishart_dim(dof, I)`` (Bartlett); needs ``dof >= dim``."""
     lower = np.zeros((dim, dim))
@@ -282,12 +266,8 @@ def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray
 def _direct_moments(signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int) -> MomentPair:
     """Generate ``n`` observations chunk-wise and stream them into moments."""
     acc = MomentAccumulator(signal.size)
-    remaining = n
-    while remaining > 0:
-        take = min(chunk, remaining)
-        batch = generate_observations(signal, rho, take, sigma, rng)
-        acc.update(batch.data)
-        remaining -= take
+    for start in range(0, n, chunk):
+        acc.update(generate_observations(signal, rho, min(chunk, n - start), sigma, rng).data)
     return acc.finalize(sigma)
 
 
@@ -296,8 +276,8 @@ def simulate_empirical_moments(
 ) -> MomentPair:
     """Draw the empirical moments of ``n`` observations, exactly in distribution.
 
-    Row ``i`` is ``K r_i`` with ``K = [C, sigma U]`` (``_design_map``,
-    ``conjugate_noise_map``) and the real ``r_i = [g(phi_i); z_i]``,
+    Row ``i`` is ``K r_i`` with ``K = [C, sigma U]`` (``observation_map``, which
+    ``generate_observations`` also uses) and the real ``r_i = [g(phi_i); z_i]``,
     ``z_i ~ N(0, I_d)``.  So ``M1 = K Gamma[:, 0] / n`` (``g_0 = 1``) and
     ``M2 = K Gamma K^H / n``, which is
     ``(C G^T G C^H + sigma (C G^T Z U^H + h.c.) + sigma^2 U Z^T Z U^H) / n``,
@@ -339,7 +319,6 @@ def simulate_empirical_moments(
     factor[:p, :p] = lower
     factor[p:, :p] = rng.standard_normal((dim, p))
     factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
-    k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
-    kf = k_map @ factor
+    kf = observation_map(signal, sigma) @ factor
     m2 = kf @ kf.conj().T / n
     return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)

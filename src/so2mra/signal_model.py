@@ -382,34 +382,6 @@ def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator
     return np.interp(rng.random(n), levels, nodes)
 
 
-def _conjugate_noise(
-    k_index: np.ndarray, n: int, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Coefficient-space noise obeying ``eps[-k, q] == conj(eps[k, q])``.
-
-    Entries with ``k == 0`` are real N(0, sigma^2); for ``k > 0`` real and
-    imaginary parts are independent N(0, sigma^2/2), mirrored conjugately
-    into ``k < 0``.
-    """
-    dim = k_index.size
-    eps = np.zeros((n, dim), dtype=np.complex128)
-    if sigma == 0.0:
-        return eps
-    idx_zero = np.flatnonzero(k_index == 0)
-    idx_pos = np.flatnonzero(k_index > 0)
-    # Partner of each k>0 entry: same q inside the mirrored block.  Blocks are
-    # stored k-ascending with identical q-order, so the flat layout of the
-    # negative half is the block-reversed positive half.
-    idx_neg_partner = _negative_partners(k_index)
-    z0 = rng.standard_normal((n, idx_zero.size))
-    zp = rng.standard_normal((n, 2 * idx_pos.size))
-    eps[:, idx_zero] = sigma * z0
-    pos_noise = (zp[:, ::2] + 1j * zp[:, 1::2]) * (sigma / np.sqrt(2.0))
-    eps[:, idx_pos] = pos_noise
-    eps[:, idx_neg_partner] = pos_noise.conj()
-    return eps
-
-
 def _negative_partners(k_index: np.ndarray) -> np.ndarray:
     """For each flat index with ``k > 0`` (in order), the index of ``(-k, q)``.
 
@@ -442,6 +414,38 @@ def conjugate_noise_map(k_index: np.ndarray) -> np.ndarray:
     return u
 
 
+def _design_map(signal: FBImage) -> np.ndarray:
+    """Complex ``C`` (dim x (2B+1)) with ``rotate(x, phi) = C @ g(phi)`` for ``g`` of ``_trig_design``.
+
+    ``x[k] exp(-1j*k*phi) = x[k] cos(|k| phi) - 1j*sign(k)*x[k] sin(|k| phi)``.
+    """
+    k = signal.k_values
+    rows = np.arange(signal.size)
+    design = np.zeros((signal.size, 2 * signal.B + 1), dtype=np.complex128)
+    design[rows, np.maximum(2 * np.abs(k) - 1, 0)] = signal.coeffs
+    nz = k != 0
+    design[rows[nz], 2 * np.abs(k[nz])] = -1j * np.sign(k[nz]) * signal.coeffs[nz]
+    return design
+
+
+def _trig_design(angles: np.ndarray, B: int) -> np.ndarray:
+    """Rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]``, one per angle."""
+    design = np.empty((angles.size, 2 * B + 1))
+    design[:, 0] = 1.0
+    phases = np.outer(angles, np.arange(1, B + 1))
+    design[:, 1::2] = np.cos(phases)
+    design[:, 2::2] = np.sin(phases)
+    return design
+
+
+def observation_map(signal: FBImage, sigma: float) -> np.ndarray:
+    """``K = [C, sigma U]`` (``_design_map``, ``conjugate_noise_map``).
+
+    An observation is ``K @ [g(phi); z]`` (``_trig_design``, real ``z ~ N(0, I)``).
+    """
+    return np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
+
+
 def generate_observations(
     signal: FBImage,
     rho: RotationDistribution,
@@ -449,18 +453,17 @@ def generate_observations(
     sigma: float,
     rng: np.random.Generator,
 ) -> ObservationBatch:
-    """Draw ``n`` observations ``y_i = rotate(x, phi_i) + eps_i`` in coefficient space."""
+    """Draw ``n`` observations ``y_i = rotate(x, phi_i) + eps_i`` in coefficient space.
+
+    Row ``i`` is ``observation_map(signal, sigma) @ [g(phi_i); z_i]``: the
+    angles are drawn first, then one real ``(n, dim)`` normal block ``z``.
+    """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
     angles = sample_rotations(rho, n, rng)
-    k_index = signal.k_values
-    # exp(-1j*k*phi) per unique k, expanded to the flat layout
-    pos_k = np.arange(0, signal.B + 1)
-    e_pos = np.exp(-1j * np.outer(angles, pos_k))
-    e_all = np.concatenate([e_pos[:, :0:-1].conj(), e_pos], axis=1)  # k = -B..B
-    data = signal.coeffs[None, :] * e_all[:, k_index + signal.B]
-    del e_pos, e_all
-    data += _conjugate_noise(k_index, n, sigma, rng)
-    return ObservationBatch(data, sigma, angles)
+    draws = np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
+    # The real draws times K^T's interleaved real and imaginary parts, in one real product.
+    k_map = np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)
+    return ObservationBatch((draws @ k_map).view(np.complex128), sigma, angles)

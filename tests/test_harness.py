@@ -456,6 +456,42 @@ class TestConfigFileAndCli:
         cfg = config_from_sources(values, {"trials": 9})
         assert cfg.trials == 9
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("b = 3", "b = 5"), ("fixed-ground-truth = true", "fixed_ground_truth = false")],
+        ids=["same_spelling", "dash_and_underscore"],
+    )
+    def test_repeated_key_in_a_file_rejected(self, tmp_path, first, second):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(f"{first}\nn = 500\ntrials = 1\n{second}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="lines 1 and 4 both set"):
+            load_config_file(str(cfg_file))
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("seed = 1", "master_seed = 2"), ("master_seed = 2", "seed = 1"),
+         ("out_path = a.csv", "out = b.csv"), ("algos = spectral", "algorithms = fm_plain")],
+        ids=["seed_then_master_seed", "master_seed_then_seed", "out", "algos"],
+    )
+    def test_key_and_alias_in_one_source_rejected(self, tmp_path, first, second):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(f"{first}\nn = 500\ntrials = 1\n{second}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="both set"):
+            config_from_sources(load_config_file(str(cfg_file)))
+        with pytest.raises(ConfigError, match="both set"):
+            config_from_sources(dict(line.split(" = ") for line in (first, second)))
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_flags_override_file_under_either_name(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("master_seed = 1\nb = 3\nout_path = a.csv\n", encoding="utf-8")
+        cfg = config_from_argv([str(path), "--seed", "5", "--b", "4", "--out", "b.csv"])
+        assert (cfg.master_seed, cfg.b, cfg.out_path) == (5, 4, "b.csv")
+        assert config_from_sources({"seed": 1}, {"master_seed": 2}).master_seed == 2
+
     def test_cli_aliases(self):
         cfg = config_from_argv(["--algos", "spectral,fm_plain", "--seed", "5", "--out", "x.csv"])
         assert cfg.algorithms == ("spectral", "fm_plain")

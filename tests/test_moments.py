@@ -16,7 +16,6 @@ from so2mra.moments import (
     MomentPair,
     _angle_sums,
     _bartlett_factor,
-    _design_map,
     _gram_from_sums,
     debias,
     empirical_moments,
@@ -29,10 +28,11 @@ from so2mra.signal_model import (
     _negative_partners,
     RotationDistribution,
     UNIFORM_DENSITY,
-    conjugate_noise_map,
+    _trig_design,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
+    observation_map,
     perturb_distribution,
     rotation_cdf,
 )
@@ -145,12 +145,6 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_moments(batch)
 
-    @pytest.mark.parametrize("chunk, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)])
-    def test_bad_chunk_rejected(self, chunk, error):
-        batch = ObservationBatch(np.ones((5, 3)), sigma=0.1)
-        with pytest.raises(error, match="chunk|integer"):
-            empirical_moments(batch, chunk)
-
     def test_clt_scale_deviation(self):
         rng = np.random.default_rng(8)
         B, n, sig = 2, 1_000_000, 0.5
@@ -178,8 +172,13 @@ class TestEmpirical:
         x = random_signal_1d(2, rng)
         rho = make_experiment_distribution(2, rng)
         batch = generate_observations(x, rho, 1000, 0.4, rng)
-        a = empirical_moments(batch, chunk=64)
-        b = empirical_moments(batch, chunk=1000)
+        chunked, whole = MomentAccumulator(x.size), MomentAccumulator(x.size)
+        for start in range(0, batch.n, 64):
+            chunked.update(batch.data[start : start + 64])
+        whole.update(batch.data)
+        a, b = chunked.finalize(0.4), whole.finalize(0.4)
+        assert chunked.count == whole.count == batch.n
+        assert np.abs(a.M1 - b.M1).max() < 1e-13
         assert np.abs(a.M2 - b.M2).max() < 1e-13
 
 
@@ -208,8 +207,7 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
     factor[:p, :p] = np.linalg.cholesky(_gram_from_sums(sums))
     factor[p:, :p] = rng.standard_normal((dim, p))
     factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
-    k_map = np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
-    kf = k_map @ factor
+    kf = observation_map(signal, sigma) @ factor
     return kf @ factor[0] / n, kf @ kf.conj().T / n
 
 
@@ -302,6 +300,9 @@ class TestSufficientStatisticSimulator:
         g[:, 0] = 1.0
         g[:, 1::2] = np.cos(np.outer(angles, k))
         g[:, 2::2] = np.sin(np.outer(angles, k))
+        # The simulator's Gram, the generator's rows and the observation map
+        # share this column order.
+        assert np.array_equal(_trig_design(angles, B), g)
         explicit = g.T @ g
         gram = _gram_from_sums(_fourier_sums(angles, 2 * B))
         assert np.abs(gram - explicit).max() <= 1e-12 * np.abs(explicit).max()

@@ -450,7 +450,49 @@ class TestRotationSampling:
             rotation_cdf(rho)
 
 
+def _complex_image(qk, rng):
+    """Image with non-uniform ``Q_k`` and coefficients that are not conjugate-symmetric."""
+    size = 2 * sum(qk) - qk[0]
+    coeffs = rng.uniform(0.5, 1.5, size) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size))
+    return FBImage(len(qk) - 1, np.array(qk), coeffs)
+
+
 class TestObservations:
+    # These tests pin the generator to the model y = R_phi x + eps with
+    # formulas of their own, not the observation map that generates.
+    def test_noiseless_rows_of_a_complex_image_are_rotations(self):
+        rng = np.random.default_rng(21)
+        img = _complex_image([3, 1, 4, 2], rng)
+        rho = make_experiment_distribution(3, rng)
+        batch = generate_observations(img, rho, 500, 0.0, rng)
+        expected = img.coeffs[None, :] * np.exp(-1j * np.outer(batch.true_angles, img.k_values))
+        assert np.abs(batch.data - expected).max() <= 1e-13
+
+    def test_noise_covariance_and_pseudo_covariance(self):
+        # E[eps eps^H] = sigma^2 I, and E[eps eps^T] = sigma^2 P with P
+        # pairing (k, q) with (-k, q): a k = 0 entry is real, and (k, q),
+        # k > 0, is circular.  Each entry's standard error comes from the
+        # sampled |eps_i|^2 |eps_j|^2, the second moment of both products.
+        rng = np.random.default_rng(22)
+        img = _complex_image([3, 1, 4, 2], rng)
+        rho = make_experiment_distribution(3, rng)
+        n, sigma = 40_000, 0.7
+        batch = generate_observations(img, rho, n, sigma, rng)
+        clean = img.coeffs[None, :] * np.exp(-1j * np.outer(batch.true_angles, img.k_values))
+        eps = batch.data - clean
+        k_index = img.k_values
+        assert np.abs(eps[:, k_index == 0].imag).max() <= 1e-12
+        pairing = np.zeros((img.size, img.size))
+        for i, k in enumerate(k_index):
+            j = img.block_start(-k) + i - img.block_start(k)
+            pairing[i, j] = 1.0
+        mags = np.abs(eps) ** 2
+        second = mags.T @ mags / n
+        for got, want in ((eps.T @ eps.conj() / n, np.eye(img.size)), (eps.T @ eps / n, pairing)):
+            want = sigma**2 * want
+            stderr = np.sqrt(np.maximum(second - np.abs(want) ** 2, 0.0) / n)
+            assert (np.abs(got - want) <= 6 * stderr + 1e-12).all()
+
     def test_noiseless_rows_are_rotations(self):
         rng = np.random.default_rng(8)
         x = random_signal_1d(3, rng)
