@@ -5,7 +5,7 @@ count, versus sample count at fixed SNR, and spectral error versus the
 circulant distance (exact moments, swept perturbation strength) together
 with the theoretical bound at the unrotated distribution.
 
-Every trial derives its generators from ``(master_seed, experiment code,
+Every trial derives its generators from ``(seed, experiment code,
 grid index, trial index)``, so the CSV is a pure function of the
 configuration: reruns and different thread-pool sizes produce byte-identical
 output.  A sweep on one fixed ground truth draws it once, from trial
@@ -100,15 +100,13 @@ def _typed(name: str, value, kind: type, element: type = str):
     converts exactly, since a seed may exceed float precision.
     """
     if kind is tuple:
-        items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
+        items = [t for t in map(str.strip, value.split(",")) if t] if isinstance(value, str) else value
         try:
             return tuple(_typed(name, item, element) for item in items)
         except TypeError:
             raise ConfigError(f"{name} must be a comma list or a sequence, not {value!r}") from None
-    if isinstance(value, str):
-        value = value.strip()
-        if kind is bool and value.lower() in ("true", "false"):
-            return value.lower() == "true"
+    if kind is bool and isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
     if kind in (str, bool):
         if isinstance(value, kind):
             return value
@@ -129,9 +127,11 @@ def _typed(name: str, value, kind: type, element: type = str):
 class ExperimentConfig:
     """Full description of one sweep; the CSV output is a function of this.
 
-    Every field is validated, but ``snr_sweep`` ignores ``snr``, ``n_sweep``
-    ignores ``n``, and the bound sweep reads only ``b``, ``q``,
-    ``master_seed``, ``eta_grid`` and ``out_path``.
+    The field names are the settings' only names: the keys of a config file
+    and of ``config_from_sources``' dicts, and the flags of ``main`` (the
+    grids are set in a file only).  Every field is validated, but
+    ``snr_sweep`` ignores ``snr``, ``n_sweep`` ignores ``n``, and the bound
+    sweep reads only ``b``, ``q``, ``seed``, ``eta_grid`` and ``out``.
     """
 
     experiment: str = "snr_sweep"
@@ -140,10 +140,10 @@ class ExperimentConfig:
     n: int = 100_000
     snr: float = 100.0
     trials: int = 50
-    algorithms: tuple = ALGORITHMS
+    algos: tuple = ALGORITHMS
     eta: float = 0.1
-    master_seed: int = 2024
-    out_path: str = "results.csv"
+    seed: int = 2024
+    out: str = "results.csv"
     fixed_ground_truth: bool = False
     threads: int = 1
     snr_grid: tuple | None = None
@@ -173,15 +173,15 @@ class ExperimentConfig:
             raise ConfigError(f"{own} must not be empty")
         if any(v <= 0 for v in values[own]):
             raise ConfigError(f"{own} values must be positive")
-        names = set(cfg.algorithms)
-        if not names or not names <= set(ALGORITHMS) or len(names) < len(cfg.algorithms):
-            raise ConfigError(f"algorithms must name one or more of {ALGORITHMS}, each once")
+        names = set(cfg.algos)
+        if not names or not names <= set(ALGORITHMS) or len(names) < len(cfg.algos):
+            raise ConfigError(f"algos must name one or more of {ALGORITHMS}, each once")
         if cfg.b < 1 or cfg.q < 1:
             raise ConfigError("need b >= 1 and q >= 1")
         if cfg.trials < 1 or cfg.n < 1 or cfg.threads < 1:
             raise ConfigError("trials, n and threads must be positive")
-        if cfg.master_seed < 0:
-            raise ConfigError("master_seed must be nonnegative")
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if cfg.snr <= 0 or cfg.eta < 0:
             raise ConfigError("snr must be positive and eta nonnegative")
         return cfg
@@ -190,7 +190,7 @@ class ExperimentConfig:
 def _trial_rng(cfg: ExperimentConfig, grid_idx: int, trial_idx: int, stream: int) -> np.random.Generator:
     """Generator of trial ``(grid_idx, trial_idx)``'s ground truth (stream 1) or observations (stream 2)."""
     code = SWEEPS[cfg.experiment][0]
-    return np.random.default_rng(np.random.SeedSequence((cfg.master_seed, code, grid_idx, trial_idx, stream)))
+    return np.random.default_rng(np.random.SeedSequence((cfg.seed, code, grid_idx, trial_idx, stream)))
 
 
 def _ground_truth(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
@@ -223,9 +223,9 @@ def _sampling_trial(
         sigma = sigma_for_snr(image, snr_value)
         m = simulate_empirical_moments(image, rho, n_value, sigma, _trial_rng(cfg, grid_idx, trial_idx, 2))
     except _TRIAL_ERRORS:
-        return {algo: None for algo in cfg.algorithms}
+        return {algo: None for algo in cfg.algos}
     shape = (image.B, image.radial_bandwidths)
-    for algo in cfg.algorithms:
+    for algo in cfg.algos:
         try:
             result = _RECOVERIES[algo](m, shape)
             err = recovery_error(result.signal_est, image).relative_error
@@ -259,14 +259,14 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
         fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
     except _TRIAL_ERRORS:
         # Every trial would have drawn this failing instance.
-        outcomes = [dict.fromkeys(cfg.algorithms) for _ in tasks]
+        outcomes = [dict.fromkeys(cfg.algos) for _ in tasks]
     else:
         with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(run, tasks))
 
     rows = []
     for gi, value in enumerate(grid):
-        for algo in cfg.algorithms:
+        for algo in cfg.algos:
             errs = [outcomes[gi * cfg.trials + ti][algo] for ti in range(cfg.trials)]
             good = [e for e in errs if e is not None]
             failures = cfg.trials - len(good)
@@ -389,69 +389,66 @@ def write_csv(rows: list[dict], path: str) -> None:
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` configuration file into ``{key: text}``.
 
-    Values stay text, with one matching pair of surrounding ``"`` or ``'``
-    quotes stripped (a quote without its match at the other end is an
-    error); ``ExperimentConfig.validated`` types them.  A ``#`` starts a
-    comment that runs to the end of its line, wherever it stands, so no
+    The file must be UTF-8 text.  Values stay text, with one matching pair
+    of surrounding ``"`` or ``'`` quotes stripped (a quote without its match
+    at the other end is an error); ``ExperimentConfig.validated`` types them.
+    Spaces around a key or an unquoted value are stripped here, and nowhere
+    else: a quoted value keeps the spaces inside its quotes.  A ``#`` starts
+    a comment that runs to the end of its line, wherever it stands, so no
     value can contain one: ``out = run#1.csv`` sets ``out`` to ``run``.
     Lines left blank are ignored.  A key set twice is an error that names
     both lines.
     """
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values: dict = {}
     lines: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip().replace("-", "_")
-            text = text.strip()
-            if {text[:1], text[-1:]} & {'"', "'"}:
-                if len(text) < 2 or text[0] != text[-1]:
-                    raise ConfigError(f"{path}:{lineno}: unmatched quote in {text!r}")
-                text = text[1:-1]
-            if key in lines:
-                raise ConfigError(f"{path}: lines {lines[key]} and {lineno} both set {key}")
-            lines[key], values[key] = lineno, text
+    for lineno, raw in enumerate(content.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if {text[:1], text[-1:]} & {'"', "'"}:
+            if len(text) < 2 or text[0] != text[-1]:
+                raise ConfigError(f"{path}:{lineno}: unmatched quote in {text!r}")
+            text = text[1:-1]
+        if key in lines:
+            raise ConfigError(f"{path}: lines {lines[key]} and {lineno} both set {key}")
+        lines[key], values[key] = lineno, text
     return values
-
-
-_KEY_ALIASES = {"out": "out_path", "seed": "master_seed", "algos": "algorithms"}
 
 
 def config_from_sources(*sources: dict) -> ExperimentConfig:
     """Merge configuration layers, lowest priority first, into a validated config.
 
-    A key and its alias in one layer are an error.
+    Each key must be an ``ExperimentConfig`` field name.
     """
+    merged = {key: value for source in sources for key, value in source.items()}
     allowed = {f.name for f in fields(ExperimentConfig)}
-    merged = {}
-    for source in sources:
-        spelled: dict = {}
-        for key, value in source.items():
-            name = _KEY_ALIASES.get(key, key)
-            if name not in allowed:
-                raise ConfigError(f"unknown configuration key {name!r}")
-            if spelled.setdefault(name, key) != key:
-                raise ConfigError(f"{spelled[name]} and {key} both set {name}")
-            merged[name] = value
+    for key in merged:
+        if key not in allowed:
+            raise ConfigError(f"unknown configuration key {key!r}")
     return ExperimentConfig(**merged).validated()
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per field with a default, ``--<name>`` with ``-`` for ``_``; the grids are file-only."""
     parser = argparse.ArgumentParser(
         prog="so2mra",
         description="Run a rotational-alignment recovery sweep and write a CSV.",
     )
     parser.add_argument("config", nargs="?", help="flat key=value configuration file")
-    parser.add_argument("--experiment", help=", ".join(SWEEPS))
-    for key in ("b", "q", "n", "snr", "trials", "eta", "algos", "seed", "out"):
-        parser.add_argument(f"--{key}", metavar=_KEY_ALIASES.get(key, key).upper())
-    parser.add_argument("--fixed-ground-truth", dest="fixed_ground_truth", action="store_true", default=None)
-    parser.add_argument("--threads")
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, action="store_true", default=None)
+        elif f.default is not None:
+            parser.add_argument(flag, help=", ".join(SWEEPS) if f.name == "experiment" else None)
     parser.add_argument(
         "--paper-scale",
         action="store_true",
@@ -485,15 +482,15 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv)
         # Fail on an unwritable path before the sweep; an old CSV stays until it ends.
-        existed = os.path.exists(cfg.out_path)
-        open(cfg.out_path, "a", encoding="utf-8").close()
+        existed = os.path.exists(cfg.out)
+        open(cfg.out, "a", encoding="utf-8").close()
         if not existed:
-            os.remove(cfg.out_path)
+            os.remove(cfg.out)
         rows = run_experiment(cfg)
-        write_csv(rows, cfg.out_path)
+        write_csv(rows, cfg.out)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     failures = sum(int(row["failures"]) for row in rows)
-    print(f"wrote {cfg.out_path}: {len(rows)} rows, {failures} failed trials")
+    print(f"wrote {cfg.out}: {len(rows)} rows, {failures} failed trials")
     return 3 if failures else 0

@@ -140,7 +140,7 @@ def test_criterion_4_moment_oracle_equivalence():
 
 def test_criterion_5_bound_dominance():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(experiment="bound_sweep", b=10, q=2, master_seed=2024)
+    cfg = ExperimentConfig(experiment="bound_sweep", b=10, q=2, seed=2024)
     rows = run_experiment(cfg)
     assert len(rows) == 20
     norm_sq = 42.0  # unit-modulus experiment image
@@ -163,7 +163,7 @@ def test_criterion_5_bound_dominance():
 def snr_sweep_rows():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        experiment="snr_sweep", b=10, q=2, n=100_000, trials=50, master_seed=2024, threads=8
+        experiment="snr_sweep", b=10, q=2, n=100_000, trials=50, seed=2024, threads=8
     )
     rows = run_experiment(cfg)
     return rows, time.perf_counter() - t0
@@ -173,7 +173,7 @@ def snr_sweep_rows():
 def n_sweep_rows():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        experiment="n_sweep", b=10, q=2, snr=100.0, trials=50, master_seed=2024, threads=8
+        experiment="n_sweep", b=10, q=2, snr=100.0, trials=50, seed=2024, threads=8
     )
     rows = run_experiment(cfg)
     return rows, time.perf_counter() - t0
@@ -262,13 +262,13 @@ def test_criterion_8_circulant_distance_consistency():
 def test_criterion_9_determinism():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        experiment="snr_sweep", b=3, q=2, n=4000, trials=4, snr_grid=(2.0, 200.0), master_seed=99
+        experiment="snr_sweep", b=3, q=2, n=4000, trials=4, snr_grid=(2.0, 200.0), seed=99
     )
     base = rows_to_csv(run_experiment(cfg))
     rerun = rows_to_csv(run_experiment(cfg))
     pooled = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=8)))
     bcfg = ExperimentConfig(
-        experiment="bound_sweep", b=3, q=2, eta_grid=(0.01, 0.05), master_seed=3
+        experiment="bound_sweep", b=3, q=2, eta_grid=(0.01, 0.05), seed=3
     )
     bound_a = rows_to_csv(run_experiment(bcfg))
     bound_b = rows_to_csv(run_experiment(bcfg))
