@@ -389,9 +389,10 @@ def write_csv(rows: list[dict], path: str) -> None:
 def load_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` configuration file into ``{key: text}``.
 
-    The file must be UTF-8 text.  Values stay text, with one matching pair
-    of surrounding ``"`` or ``'`` quotes stripped (a quote without its match
-    at the other end is an error); ``ExperimentConfig.validated`` types them.
+    The file must be UTF-8 text, with or without a byte-order mark.  Values
+    stay text, with one matching pair of surrounding ``"`` or ``'`` quotes
+    stripped (a quote without its match at the other end is an error);
+    ``ExperimentConfig.validated`` types them.
     Spaces around a key or an unquoted value are stripped here, and nowhere
     else: a quoted value keeps the spaces inside its quotes.  A ``#`` starts
     a comment that runs to the end of its line, wherever it stands, so no
@@ -400,7 +401,7 @@ def load_config_file(path: str) -> dict:
     both lines.
     """
     try:
-        content = Path(path).read_text(encoding="utf-8")
+        content = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values: dict = {}

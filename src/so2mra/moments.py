@@ -6,7 +6,7 @@ rotation phases, ``M1[k, .] = 2*pi*x[k, .]*rho[k]`` and
 ``sigma^2`` on the diagonal.  Empirical moments average observation rows and
 their rank-one outer products in a single streaming pass;
 ``simulate_empirical_moments`` draws them in distribution without forming
-rows, from gridded Fourier sums of the rotation angles.
+complex rows, as ``K F (K F)^H / n`` from one real factor ``F``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .signal_model import (
     FBImage,
     ObservationBatch,
     RotationDistribution,
-    generate_observations,
+    _trig_design,
     observation_map,
     rotation_cdf,
+    sample_rotations,
 )
 
 DEFAULT_CHUNK = 4096
@@ -115,8 +116,6 @@ class MomentAccumulator:
 
 def empirical_moments(batch: ObservationBatch) -> MomentPair:
     """Averaged first moment and rank-one-accumulated second moment of a batch, ``DEFAULT_CHUNK`` rows at a time."""
-    if batch.n == 0:
-        raise ValueError("cannot form moments of an empty batch")
     acc = MomentAccumulator(batch.data.shape[1])
     for start in range(0, batch.n, DEFAULT_CHUNK):
         acc.update(batch.data[start : start + DEFAULT_CHUNK])
@@ -263,14 +262,6 @@ def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray
     return lower
 
 
-def _direct_moments(signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int) -> MomentPair:
-    """Generate ``n`` observations chunk-wise and stream them into moments."""
-    acc = MomentAccumulator(signal.size)
-    for start in range(0, n, chunk):
-        acc.update(generate_observations(signal, rho, min(chunk, n - start), sigma, rng).data)
-    return acc.finalize(sigma)
-
-
 def simulate_empirical_moments(
     signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = _ANGLE_CHUNK
 ) -> MomentPair:
@@ -278,18 +269,19 @@ def simulate_empirical_moments(
 
     Row ``i`` is ``K r_i`` with ``K = [C, sigma U]`` (``observation_map``, which
     ``generate_observations`` also uses) and the real ``r_i = [g(phi_i); z_i]``,
-    ``z_i ~ N(0, I_d)``.  So ``M1 = K Gamma[:, 0] / n`` (``g_0 = 1``) and
-    ``M2 = K Gamma K^H / n``, which is
-    ``(C G^T G C^H + sigma (C G^T Z U^H + h.c.) + sigma^2 U Z^T Z U^H) / n``,
-    where ``Gamma = [G Z]^T [G Z]``.  ``G^T G`` comes from the gridded angle
-    Fourier sums of ``_angle_sums``, whose ``n`` angles are drawn ``chunk``
-    at a time from the random stream of ``sample_rotations``; their cost is
-    O(n) per Taylor term, not O(n B).  Given ``G``, with ``G^T G = L L^T``
-    and ``W ~ N(0, 1)^{p x d}``, ``G^T Z = L W`` and
-    ``Z^T Z = W^T W + Wishart_d(n - p, I)``: ``Gamma = F F^T`` with
-    ``F = [[L, 0], [W^T, Bartlett factor]]``.  When ``n < p + d`` the
-    Wishart term is singular and the observations are generated and
-    accumulated directly, as they are if ``G^T G`` is numerically singular.
+    ``z_i ~ N(0, I_d)``.  Every call forms one real ``F`` with
+    ``F F^T = Gamma = [G Z]^T [G Z]`` and returns ``M1 = K F F[0] / n``
+    (``g_0 = 1``) and ``M2 = K F (K F)^H / n``.  When ``n < p + d``
+    (``p = 2B + 1``), ``F = [G Z]^T``: the draws of ``generate_observations``.
+    Otherwise ``G^T G`` comes from the gridded angle Fourier sums of
+    ``_angle_sums``, whose ``n`` angles are drawn ``chunk`` at a time from
+    the random stream of ``sample_rotations``, at O(n) per Taylor term, not
+    O(n B).  Given ``G``, with ``G^T G = L L^T`` and ``W ~ N(0, 1)^{p x d}``,
+    ``G^T Z = L W`` and ``Z^T Z = W^T W + Wishart_d(n - p, I)``:
+    ``F = [[L, 0], [W^T, Bartlett factor]]``.  ``L`` is the Cholesky factor
+    or, if ``G^T G`` is numerically singular, its eigenvalue root
+    ``V sqrt(max(lambda, 0))``: exact when ``G`` has full column rank, and
+    otherwise ``G^T G`` within rounding.  Any such ``L`` gives the same law.
 
     The angle sums fill buffers that each thread keeps (``_angle_sums``), so
     once a thread has simulated at the default ``chunk``, a further call at
@@ -305,20 +297,21 @@ def simulate_empirical_moments(
         raise ValueError("n and chunk must be positive integers")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
-    B, dim = signal.B, signal.size
-    p = 2 * B + 1
+    B, dim, p = signal.B, signal.size, 2 * signal.B + 1
     if n < p + dim:
-        return _direct_moments(signal, rho, n, sigma, rng, chunk)
-    levels, nodes = rotation_cdf(rho)
-    sums = _angle_sums(levels, nodes, n, 2 * B, rng, chunk)
-    try:
-        lower = np.linalg.cholesky(_gram_from_sums(sums))
-    except np.linalg.LinAlgError:
-        return _direct_moments(signal, rho, n, sigma, rng, chunk)
-    factor = np.zeros((p + dim, p + dim))
-    factor[:p, :p] = lower
-    factor[p:, :p] = rng.standard_normal((dim, p))
-    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+        angles = sample_rotations(rho, n, rng)
+        factor = np.concatenate([_trig_design(angles, B), rng.standard_normal((n, dim))], axis=1).T
+    else:
+        gram = _gram_from_sums(_angle_sums(*rotation_cdf(rho), n, 2 * B, rng, chunk))
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            lam, vec = np.linalg.eigh(gram)
+            lower = vec * np.sqrt(np.maximum(lam, 0.0))
+        factor = np.zeros((p + dim, p + dim))
+        factor[:p, :p] = lower
+        factor[p:, :p] = rng.standard_normal((dim, p))
+        factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
     kf = observation_map(signal, sigma) @ factor
     m2 = kf @ kf.conj().T / n
     return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)

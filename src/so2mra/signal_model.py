@@ -34,7 +34,11 @@ DENSITY_GRID_SIZE = 8192
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+    """``a``, read-only; copied unless every array on its ``base`` chain is read-only already."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    a = np.array(a) if owner is not None else a
     a.flags.writeable = False
     return a
 
@@ -464,6 +468,7 @@ def generate_observations(
         raise ValueError("sigma must be finite and nonnegative")
     angles = sample_rotations(rho, n, rng)
     draws = np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
-    # The real draws times K^T's interleaved real and imaginary parts, in one real product.
-    k_map = np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)
-    return ObservationBatch((draws @ k_map).view(np.complex128), sigma, angles)
+    # One real product with K^T's interleaved real and imaginary parts, read-only so the batch keeps it.
+    data = draws @ np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)
+    data.flags.writeable = False
+    return ObservationBatch(data.view(np.complex128), sigma, angles)

@@ -474,6 +474,19 @@ class TestConfigFileAndCli:
         assert main([str(cfg_file)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # Some editors start a UTF-8 file with a byte-order mark.
+        text = b"b = 2\nseed = 5\nout = a.csv\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config_file(str(marked)) == load_config_file(str(plain)) == {"b": "2", "seed": "5", "out": "a.csv"}
+        assert config_from_sources(load_config_file(str(marked))).b == 2
+        # A bad byte after the mark is reported at its offset in the file.
+        marked.write_bytes(b"\xef\xbb\xbfb = 2\nout = \xff.csv\n")
+        with pytest.raises(ConfigError, match=r"not UTF-8 text \(byte 15\)"):
+            load_config_file(str(marked))
+
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("experiment = snr_sweep\nb = 3\ntrials = 2\n", encoding="utf-8")

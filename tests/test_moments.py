@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import so2mra
-from so2mra import harness, moments
+from so2mra import harness, moments, signal_model
 from so2mra.errors import NotSampleableError
 from so2mra.moments import (
     MomentAccumulator,
@@ -278,6 +278,39 @@ def _clamped_cdf(shift, freq, phase):
     return cdf / cdf[-1], nodes
 
 
+def _fejer_density(B):
+    """The Fejer density ``rho_k = (1 - |k| / (2B+1)) / (2 pi)``: nonnegative, and peaked at 0."""
+    return RotationDistribution.from_positive(B, (1 - np.arange(1, 2 * B + 1) / (2 * B + 1)) / TWO_PI + 0j)
+
+
+def _record_cholesky(monkeypatch):
+    """Record whether each ``np.linalg.cholesky`` call factored its matrix or failed."""
+    outcomes, cholesky = [], np.linalg.cholesky
+
+    def recorded(a):
+        try:
+            lower = cholesky(a)
+        except np.linalg.LinAlgError:
+            outcomes.append("failed")
+            raise
+        outcomes.append("factored")
+        return lower
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return outcomes
+
+
+def _forbid_generated_observations(monkeypatch):
+    """Make generating or accumulating observations fail the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("observations were generated")
+
+    for module in (so2mra, signal_model):
+        monkeypatch.setattr(module, "generate_observations", forbidden)
+    monkeypatch.setattr(MomentAccumulator, "update", forbidden)
+
+
 def _oracle_moments(signal, rho, n, sigma, rng, chunk):
     """Moments of ``n`` generated observations, streamed chunk by chunk."""
     acc = MomentAccumulator(signal.size)
@@ -507,53 +540,92 @@ class TestSufficientStatisticSimulator:
         assert np.abs(m.M1[mirror] - m.M1.conj()).max() <= 1e-12
         assert np.abs(m.M2[np.ix_(mirror, mirror)] - m.M2.conj()).max() <= 1e-12 * np.abs(m.M2).max()
 
-    def test_few_observations_take_direct_path(self):
-        # n < (2B+1) + d leaves the Wishart term singular: the observations
-        # are generated, and the result is the oracle loop's, bit for bit.
+    def test_few_observations_factor_their_own_draws(self):
+        # n < (2B+1) + d leaves the Wishart term singular: the factor is the
+        # draws of one generate_observations batch, so the moments are that
+        # batch's, up to the order of the products.
         rng = np.random.default_rng(33)
         img = make_experiment_signal_2d(2, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(2, rng, tol_pos=0.05), 0.1)
         n = 5 + img.size - 1
-        a = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(34), 4)
-        b = _oracle_moments(img, rho, n, 0.4, np.random.default_rng(34), 4)
-        assert np.array_equal(a.M1, b.M1) and np.array_equal(a.M2, b.M2)
-        c = simulate_empirical_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
-        d = _oracle_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), 4)
-        assert not np.array_equal(c.M2, d.M2)
+        for chunk in (4, 65536):
+            a = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(34), chunk)
+            b = _oracle_moments(img, rho, n, 0.4, np.random.default_rng(34), n)
+            assert np.abs(a.M1 - b.M1).max() <= 1e-13 * np.abs(b.M1).max()
+            assert np.abs(a.M2 - b.M2).max() <= 1e-13 * np.abs(b.M2).max()
+        c = simulate_empirical_moments(img, rho, n + 1, 0.4, np.random.default_rng(34))
+        d = _oracle_moments(img, rho, n + 1, 0.4, np.random.default_rng(34), n + 1)
+        assert np.abs(c.M2 - d.M2).max() > 1e-3 * np.abs(d.M2).max()
 
     @pytest.mark.parametrize("B", [1, 2, 3])
-    def test_singular_gram_takes_direct_path(self, monkeypatch, B):
-        # A Cholesky failure on the angle Gram matrix falls back to generating
-        # the observations.  For a unit-modulus image every entry of y y^H,
-        # and of y, has variance at most max_a E|y_a|^4 = 1 + 6 sigma^2 +
-        # 3 sigma^4 (a real k = 0 entry), which bounds each entry's standard error.
+    def test_singular_gram_takes_eigenvalue_root(self, monkeypatch, B):
+        # A Cholesky failure on the angle Gram matrix switches to its
+        # eigenvalue root; no observation is generated.  For a unit-modulus
+        # image every entry of y y^H, and of y, has variance at most
+        # max_a E|y_a|^4 = 1 + 6 sigma^2 + 3 sigma^4 (a real k = 0 entry),
+        # which bounds each entry's standard error.
         calls = []
 
         def singular(a):
             calls.append("cholesky")
             raise np.linalg.LinAlgError("stand-in: singular Gram matrix")
 
-        def direct(*args):
-            calls.append("direct")
-            return real_direct(*args)
-
-        real_direct = moments._direct_moments
         monkeypatch.setattr(np.linalg, "cholesky", singular)
-        monkeypatch.setattr(moments, "_direct_moments", direct)
+        _forbid_generated_observations(monkeypatch)
         rng = np.random.default_rng((37, B))
         img = make_experiment_signal_2d(B, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         n, sig = 20_000, 0.5
         m = simulate_empirical_moments(img, rho, n, sig, rng)
-        assert calls == ["cholesky", "direct"]
+        assert calls == ["cholesky"]
         pop = population_moments_2d(img, rho, sig)
         se = math.sqrt((1 + 6 * sig**2 + 3 * sig**4) / n)
         assert np.abs(m.M1 - pop.M1).max() < 5 * se
         assert np.abs(m.M2 - pop.M2).max() < 5 * se
 
+    def test_concentrated_density_needs_no_generated_observations(self, monkeypatch):
+        # The Fejer density packs the angles so close that G^T G is
+        # numerically singular in most draws, with no patching.  At
+        # sigma = 0, M2 = C G^T G C^H / n and M1 = C G^T G e_0 / n for the
+        # G^T G of the same angle sums.
+        B = 10
+        rho, img = _fejer_density(B), make_experiment_signal_2d(B, 1, np.random.default_rng(0))
+        design = observation_map(img, 0.0)[:, : 2 * B + 1]
+        outcomes = _record_cholesky(monkeypatch)
+        _forbid_generated_observations(monkeypatch)
+        for seed in range(5):
+            for n in (42, 63, 100, 150):
+                m = simulate_empirical_moments(img, rho, n, 0.0, np.random.default_rng(seed))
+                sums = _angle_sums(*rotation_cdf(rho), n, 2 * B, np.random.default_rng(seed), 65536)
+                gram = _gram_from_sums(sums)
+                m2 = design @ gram @ design.conj().T / n
+                m1 = design @ gram[:, 0] / n
+                assert np.abs(m.M2 - m2).max() <= 1e-12 * np.abs(m2).max()
+                assert np.abs(m.M1 - m1).max() <= 1e-12 * np.abs(m1).max()
+        assert len(outcomes) == 20 and outcomes.count("failed") > 10
+
+    @pytest.mark.parametrize(
+        "Q, fejer, n, path",
+        [(2, False, 62, []), (2, False, 5000, ["factored"]), (1, True, 63, ["failed"])],
+        ids=["few_observations", "cholesky", "singular_gram"],
+    )
+    def test_no_observation_is_generated(self, monkeypatch, Q, fejer, n, path):
+        # n < p + d (63 at Q = 2), a Cholesky factor, and a genuinely
+        # singular G^T G: every path factors Gamma without forming an observation.
+        assert not hasattr(moments, "_direct_moments")
+        assert not hasattr(moments, "generate_observations")
+        rng = np.random.default_rng(38)
+        img = make_experiment_signal_2d(10, Q, rng)
+        rho = _fejer_density(10) if fejer else make_experiment_distribution(10, rng)
+        outcomes = _record_cholesky(monkeypatch)
+        _forbid_generated_observations(monkeypatch)
+        m = simulate_empirical_moments(img, rho, n, 0.3, np.random.default_rng(0))
+        assert outcomes == path
+        assert np.isfinite(m.M1).all() and np.isfinite(m.M2).all()
+
     @pytest.mark.parametrize("n", [5, 10_000])
     def test_density_dipping_below_zero_is_not_simulated(self, n):
-        # Both paths (generated observations at small n, angle sums above)
+        # Both paths (the draws themselves at small n, angle sums above)
         # refuse a density that is negative on the grid, instead of drawing
         # the moments of its clamped version.
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from so2mra.errors import DegenerateDrawError, NotSampleableError
 from so2mra.signal_model import (
     DENSITY_GRID_SIZE,
     FBImage,
+    ObservationBatch,
     RotationDistribution,
     UNIFORM_DENSITY,
     _negative_partners,
@@ -562,6 +564,45 @@ class TestObservations:
         neg = _negative_partners(k_index)
         pairing[pos, neg] = pairing[neg, pos] = 1.0
         assert np.allclose(u @ u.T, pairing, atol=1e-15)
+
+    def test_generated_rows_are_held_once(self):
+        # The batch keeps the generator's product array: the traced peak of
+        # the call stays below twice the rows it returns (a copy of them
+        # peaked at 2.8 times).
+        rng = np.random.default_rng(23)
+        img = make_experiment_signal_2d(10, 2, rng)
+        rho = make_experiment_distribution(10, rng)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            batch = generate_observations(img, rho, 65536, 0.3, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert batch.data.shape == (65536, 42) and not batch.data.flags.writeable
+        assert peak <= 2 * batch.data.nbytes
+
+    def test_batch_cannot_change_through_the_callers_array(self):
+        rows = np.arange(12, dtype=np.complex128).reshape(4, 3)
+        angles = np.linspace(0.0, 1.0, 4)
+        read_only_view = rows[:]
+        read_only_view.flags.writeable = False
+        for data in (rows, read_only_view):
+            batch = ObservationBatch(data, 0.1, angles)
+            assert not np.shares_memory(batch.data, rows)
+            assert not np.shares_memory(batch.true_angles, angles)
+            with pytest.raises(ValueError):
+                batch.data[0, 0] = 1.0
+        rows[0, 0] = angles[0] = 99.0
+        assert batch.data[0, 0] == 0.0 and batch.true_angles[0] == 0.0
+        # An array no one can write through is kept as it is.
+        frozen = np.array(rows)
+        frozen.flags.writeable = False
+        assert ObservationBatch(frozen, 0.1).data is frozen
 
     def test_bandwidth_mismatch(self):
         x = random_signal_1d(2, np.random.default_rng(0))
