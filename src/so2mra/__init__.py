@@ -28,7 +28,6 @@ from .moments import (
 )
 from .signal_model import (
     FBImage,
-    ObservationBatch,
     RotationDistribution,
     generate_observations,
     make_experiment_distribution,
@@ -72,7 +71,6 @@ __all__ = [
     "population_moments_2d",
     "simulate_empirical_moments",
     "FBImage",
-    "ObservationBatch",
     "RotationDistribution",
     "generate_observations",
     "make_experiment_distribution",

@@ -21,8 +21,8 @@ import numpy as np
 from .signal_model import (
     TWO_PI,
     FBImage,
-    ObservationBatch,
     RotationDistribution,
+    _readonly,
     _trig_design,
     observation_map,
     rotation_cdf,
@@ -46,8 +46,8 @@ class MomentPair:
     sigma: float
 
     def __post_init__(self):
-        m1 = np.asarray(self.M1, dtype=np.complex128)
-        m2 = np.asarray(self.M2, dtype=np.complex128)
+        m1 = _readonly(self.M1, np.complex128)
+        m2 = _readonly(self.M2, np.complex128)
         if m1.ndim != 1 or m2.shape != (m1.size, m1.size):
             raise ValueError("M1 must be a vector and M2 a matching square matrix")
         if not (np.isfinite(m1).all() and np.isfinite(m2).all() and np.isfinite(self.sigma)):
@@ -57,8 +57,6 @@ class MomentPair:
         scale = max(1.0, float(np.abs(m2).max(initial=0.0)))
         if np.abs(m2 - m2.conj().T).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("M2 must be Hermitian to 1e-12 relative")
-        for a in (m1, m2):
-            a.flags.writeable = False
         object.__setattr__(self, "M1", m1)
         object.__setattr__(self, "M2", m2)
 
@@ -114,12 +112,19 @@ class MomentAccumulator:
         return MomentPair(m1, m2, sigma)
 
 
-def empirical_moments(batch: ObservationBatch) -> MomentPair:
-    """Averaged first moment and rank-one-accumulated second moment of a batch, ``DEFAULT_CHUNK`` rows at a time."""
-    acc = MomentAccumulator(batch.data.shape[1])
-    for start in range(0, batch.n, DEFAULT_CHUNK):
-        acc.update(batch.data[start : start + DEFAULT_CHUNK])
-    return acc.finalize(batch.sigma)
+def empirical_moments(data: np.ndarray, sigma: float) -> MomentPair:
+    """Moments of the ``(n, dim)`` observation rows ``data``, taken at noise level ``sigma``.
+
+    The first moment averages the rows and the second their rank-one outer
+    products, fed to a ``MomentAccumulator`` ``DEFAULT_CHUNK`` rows at a time.
+    """
+    data = np.asarray(data, dtype=np.complex128)
+    if data.ndim != 2:
+        raise ValueError("data must be a (n, dim) matrix")
+    acc = MomentAccumulator(data.shape[1])
+    for start in range(0, data.shape[0], DEFAULT_CHUNK):
+        acc.update(data[start : start + DEFAULT_CHUNK])
+    return acc.finalize(sigma)
 
 
 def debias(m: MomentPair) -> MomentPair:

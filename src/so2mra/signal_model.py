@@ -33,12 +33,9 @@ UNIFORM_DENSITY = 1.0 / TWO_PI
 DENSITY_GRID_SIZE = 8192
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """``a``, read-only; copied unless every array on its ``base`` chain is read-only already."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    a = np.array(a) if owner is not None else a
+def _readonly(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a`` (as ``dtype``), so no array of the caller's can change what is kept."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -97,13 +94,13 @@ class FBImage:
 
     def __post_init__(self):
         k_index, starts = coefficient_layout(self.B, self.radial_bandwidths)
-        qk = np.asarray(self.radial_bandwidths, dtype=np.int64)  # exact: the layout checked it
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        qk = _readonly(self.radial_bandwidths, np.int64)  # exact: the layout checked it
+        coeffs = _readonly(self.coeffs, np.complex128)
         if coeffs.shape != k_index.shape:
             raise ValueError(f"expected {k_index.size} coefficients, got shape {coeffs.shape}")
         _check_finite(coeffs, "image coefficients")
-        object.__setattr__(self, "radial_bandwidths", _readonly(qk))
-        object.__setattr__(self, "coeffs", _readonly(coeffs))
+        object.__setattr__(self, "radial_bandwidths", qk)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_layout", (_readonly(k_index), starts))
         if self.is_real:
             mismatch = max(
@@ -175,7 +172,7 @@ class RotationDistribution:
             raise ValueError("rho[0] must equal 1/(2*pi)")
         _check_conj_symmetric(coeffs, "a rotation density")
         # Re-pin DC and mirror negatives so both invariants hold exactly.
-        pos = coeffs[2 * self.B + 1 :].copy()
+        pos = coeffs[2 * self.B + 1 :]
         full = np.concatenate([pos[::-1].conj(), [UNIFORM_DENSITY + 0.0j], pos])
         object.__setattr__(self, "coeffs", _readonly(full))
 
@@ -261,27 +258,6 @@ class RotationDistribution:
     @property
     def sampleable(self) -> bool:
         return bool(self.min_density >= 0.0)
-
-
-@dataclass(frozen=True)
-class ObservationBatch:
-    """Coefficient-space observations: one randomly rotated noisy copy per row."""
-
-    data: np.ndarray
-    sigma: float
-    true_angles: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.ndim != 2:
-            raise ValueError("data must be a (n, dim) matrix")
-        object.__setattr__(self, "data", _readonly(data))
-        if self.true_angles is not None:
-            object.__setattr__(self, "true_angles", _readonly(np.asarray(self.true_angles)))
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 def make_experiment_signal_2d(B: int, Q: int, rng: np.random.Generator) -> FBImage:
@@ -456,11 +432,14 @@ def generate_observations(
     n: int,
     sigma: float,
     rng: np.random.Generator,
-) -> ObservationBatch:
+) -> np.ndarray:
     """Draw ``n`` observations ``y_i = rotate(x, phi_i) + eps_i`` in coefficient space.
 
-    Row ``i`` is ``observation_map(signal, sigma) @ [g(phi_i); z_i]``: the
-    angles are drawn first, then one real ``(n, dim)`` normal block ``z``.
+    Returns a new ``(n, dim)`` complex array, one observation per row, that
+    the caller owns.  Row ``i`` is ``observation_map(signal, sigma) @ [g(phi_i); z_i]``.
+    The angles are the first draws, exactly ``sample_rotations(rho, n, rng)``,
+    so a generator with the same seed gives them back; one real ``(n, dim)``
+    normal block ``z`` follows.
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
@@ -468,7 +447,5 @@ def generate_observations(
         raise ValueError("sigma must be finite and nonnegative")
     angles = sample_rotations(rho, n, rng)
     draws = np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
-    # One real product with K^T's interleaved real and imaginary parts, read-only so the batch keeps it.
-    data = draws @ np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)
-    data.flags.writeable = False
-    return ObservationBatch(data.view(np.complex128), sigma, angles)
+    # One real product with K^T's interleaved real and imaginary parts.
+    return (draws @ np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)).view(np.complex128)

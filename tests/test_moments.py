@@ -24,7 +24,6 @@ from so2mra.moments import (
 )
 from so2mra.signal_model import (
     TWO_PI,
-    ObservationBatch,
     _negative_partners,
     RotationDistribution,
     UNIFORM_DENSITY,
@@ -71,7 +70,7 @@ class TestPopulation1D:
         remaining, chunk = n, 65536
         while remaining:
             take = min(chunk, remaining)
-            rows = generate_observations(x, rho, take, sig, rng).data
+            rows = generate_observations(x, rho, take, sig, rng)
             acc.update(rows)
             mags = np.abs(rows) ** 2
             fourth += mags.T @ mags
@@ -112,7 +111,7 @@ class TestPopulation2D:
         remaining, chunk = n, 65536
         while remaining:
             take = min(chunk, remaining)
-            rows = generate_observations(img, rho, take, sig, rng).data
+            rows = generate_observations(img, rho, take, sig, rng)
             acc.update(rows)
             mags = np.abs(rows) ** 2
             fourth += mags.T @ mags
@@ -127,23 +126,21 @@ class TestEmpirical:
         rng = np.random.default_rng(7)
         x = random_signal_1d(2, rng)
         rho = make_experiment_distribution(2, rng)
-        batch = generate_observations(x, rho, 1, 0.0, rng)
-        m = empirical_moments(batch)
-        assert np.array_equal(m.M1, batch.data[0])
+        rows = generate_observations(x, rho, 1, 0.0, rng)
+        m = empirical_moments(rows, 0.0)
+        assert np.array_equal(m.M1, rows[0])
         assert np.allclose(m.M2, np.outer(m.M1, m.M1.conj()), atol=1e-15)
 
     def test_two_observations_average(self):
         rows = np.array([[1 + 1j, 2.0], [3.0, -1j]], dtype=complex)
-        batch = ObservationBatch(rows, sigma=0.0)
-        m = empirical_moments(batch)
+        m = empirical_moments(rows, 0.0)
         assert np.allclose(m.M1, rows.mean(axis=0))
         expected = 0.5 * (np.outer(rows[0], rows[0].conj()) + np.outer(rows[1], rows[1].conj()))
         assert np.allclose(m.M2, expected, atol=1e-15)
 
     def test_empty_batch(self):
-        batch = ObservationBatch(np.zeros((0, 3), dtype=complex), sigma=0.1)
         with pytest.raises(ValueError):
-            empirical_moments(batch)
+            empirical_moments(np.zeros((0, 3), dtype=complex), 0.1)
 
     def test_clt_scale_deviation(self):
         rng = np.random.default_rng(8)
@@ -159,11 +156,10 @@ class TestEmpirical:
         rng = np.random.default_rng(9)
         x = random_signal_1d(2, rng)
         rho = make_experiment_distribution(2, rng)
-        batch = generate_observations(x, rho, 500, 0.4, rng)
+        rows = generate_observations(x, rho, 500, 0.4, rng)
         perm = rng.permutation(500)
-        shuffled = ObservationBatch(batch.data[perm], batch.sigma)
-        a = empirical_moments(batch)
-        b = empirical_moments(shuffled)
+        a = empirical_moments(rows, 0.4)
+        b = empirical_moments(rows[perm], 0.4)
         assert np.abs(a.M2 - b.M2).max() < 1e-12 * np.abs(a.M2).max()
         assert np.abs(a.M1 - b.M1).max() < 1e-12
 
@@ -171,13 +167,13 @@ class TestEmpirical:
         rng = np.random.default_rng(10)
         x = random_signal_1d(2, rng)
         rho = make_experiment_distribution(2, rng)
-        batch = generate_observations(x, rho, 1000, 0.4, rng)
+        rows = generate_observations(x, rho, 1000, 0.4, rng)
         chunked, whole = MomentAccumulator(x.size), MomentAccumulator(x.size)
-        for start in range(0, batch.n, 64):
-            chunked.update(batch.data[start : start + 64])
-        whole.update(batch.data)
+        for start in range(0, len(rows), 64):
+            chunked.update(rows[start : start + 64])
+        whole.update(rows)
         a, b = chunked.finalize(0.4), whole.finalize(0.4)
-        assert chunked.count == whole.count == batch.n
+        assert chunked.count == whole.count == len(rows)
         assert np.abs(a.M1 - b.M1).max() < 1e-13
         assert np.abs(a.M2 - b.M2).max() < 1e-13
 
@@ -315,7 +311,7 @@ def _oracle_moments(signal, rho, n, sigma, rng, chunk):
     """Moments of ``n`` generated observations, streamed chunk by chunk."""
     acc = MomentAccumulator(signal.size)
     for start in range(0, n, chunk):
-        acc.update(generate_observations(signal, rho, min(chunk, n - start), sigma, rng).data)
+        acc.update(generate_observations(signal, rho, min(chunk, n - start), sigma, rng))
     return acc.finalize(sigma)
 
 
@@ -738,3 +734,13 @@ class TestMomentPairValidation:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), -0.1)
+
+    def test_keeps_a_read_only_copy_of_the_callers_arrays(self):
+        # The caller's arrays stay writeable, and a write through a view of
+        # one taken earlier cannot make the validated M2 non-Hermitian.
+        m1, m2 = np.ones(2, dtype=complex), np.eye(2, dtype=complex)
+        view = m2[:]
+        m = MomentPair(m1, m2, 0.1)
+        assert m1.flags.writeable and m2.flags.writeable
+        view[0, 1] = 5.0
+        assert np.array_equal(m.M2, np.eye(2)) and not m.M1.flags.writeable and not m.M2.flags.writeable

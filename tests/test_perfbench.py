@@ -9,9 +9,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from so2mra.harness import config_from_sources, load_config_file
+from so2mra.signal_model import make_experiment_distribution, make_experiment_signal_2d
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +48,19 @@ def test_reference_checks_pass(perfbench):
     _workloads, tracing = perfbench
     ref = tracing.reference_section(tracing.Tracer(), 2024)
     assert tracing.reference_checks(ref) == {name: [] for name in tracing.REFERENCE_CHECKS}
+
+
+def test_chunk_probe_records_its_spans(perfbench):
+    # The per-layer metrics of the observation generator and the streaming
+    # accumulator are medians over these spans; without them they are empty.
+    _workloads, tracing = perfbench
+    rng = np.random.default_rng(2024)
+    image = make_experiment_signal_2d(2, 2, rng)
+    rho = make_experiment_distribution(2, rng)
+    tr = tracing.Tracer()
+    tracing._chunk_probe(tr, "probe", image, rho, 0.5, 300, rng)
+    spans = {s["name"]: s for s in tr.spans}
+    probe = spans["bench.chunk_probe"]
+    for name in ("signal_model.generate_observations", "moments.MomentAccumulator.update"):
+        assert spans[name]["parent"] == probe["id"]
+        assert (spans[name]["rows"], spans[name]["dim"]) == (300, image.size)

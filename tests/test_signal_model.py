@@ -10,7 +10,6 @@ from so2mra.errors import DegenerateDrawError, NotSampleableError
 from so2mra.signal_model import (
     DENSITY_GRID_SIZE,
     FBImage,
-    ObservationBatch,
     RotationDistribution,
     UNIFORM_DENSITY,
     _negative_partners,
@@ -459,6 +458,12 @@ def _complex_image(qk, rng):
     return FBImage(len(qk) - 1, np.array(qk), coeffs)
 
 
+def _rows_and_angles(signal, rho, n, sigma, seed):
+    """Generated rows and their true angles: the generator's first draws are ``sample_rotations``'."""
+    rows = generate_observations(signal, rho, n, sigma, np.random.default_rng(seed))
+    return rows, sample_rotations(rho, n, np.random.default_rng(seed))
+
+
 class TestObservations:
     # These tests pin the generator to the model y = R_phi x + eps with
     # formulas of their own, not the observation map that generates.
@@ -466,9 +471,9 @@ class TestObservations:
         rng = np.random.default_rng(21)
         img = _complex_image([3, 1, 4, 2], rng)
         rho = make_experiment_distribution(3, rng)
-        batch = generate_observations(img, rho, 500, 0.0, rng)
-        expected = img.coeffs[None, :] * np.exp(-1j * np.outer(batch.true_angles, img.k_values))
-        assert np.abs(batch.data - expected).max() <= 1e-13
+        rows, angles = _rows_and_angles(img, rho, 500, 0.0, 21)
+        expected = img.coeffs[None, :] * np.exp(-1j * np.outer(angles, img.k_values))
+        assert np.abs(rows - expected).max() <= 1e-13
 
     def test_noise_covariance_and_pseudo_covariance(self):
         # E[eps eps^H] = sigma^2 I, and E[eps eps^T] = sigma^2 P with P
@@ -479,9 +484,9 @@ class TestObservations:
         img = _complex_image([3, 1, 4, 2], rng)
         rho = make_experiment_distribution(3, rng)
         n, sigma = 40_000, 0.7
-        batch = generate_observations(img, rho, n, sigma, rng)
-        clean = img.coeffs[None, :] * np.exp(-1j * np.outer(batch.true_angles, img.k_values))
-        eps = batch.data - clean
+        rows, angles = _rows_and_angles(img, rho, n, sigma, 22)
+        clean = img.coeffs[None, :] * np.exp(-1j * np.outer(angles, img.k_values))
+        eps = rows - clean
         k_index = img.k_values
         assert np.abs(eps[:, k_index == 0].imag).max() <= 1e-12
         pairing = np.zeros((img.size, img.size))
@@ -499,19 +504,19 @@ class TestObservations:
         rng = np.random.default_rng(8)
         x = random_signal_1d(3, rng)
         rho = make_experiment_distribution(3, rng)
-        batch = generate_observations(x, rho, 50, 0.0, rng)
+        rows, angles = _rows_and_angles(x, rho, 50, 0.0, 8)
         k = x.k_values
-        for i in range(batch.n):
-            expected = x.coeffs * np.exp(-1j * k * batch.true_angles[i])
-            assert np.allclose(batch.data[i], expected, atol=1e-14)
+        for i in range(len(rows)):
+            expected = x.coeffs * np.exp(-1j * k * angles[i])
+            assert np.allclose(rows[i], expected, atol=1e-14)
 
     def test_noise_variances(self):
         rng = np.random.default_rng(12)
         x = random_signal_1d(3, rng)
         rho = make_experiment_distribution(3, rng)
-        batch = generate_observations(x, rho, 100_000, 1.0, rng)
-        clean = x.coeffs[None, :] * np.exp(-1j * np.outer(batch.true_angles, x.k_values))
-        noise = batch.data - clean
+        rows, angles = _rows_and_angles(x, rho, 100_000, 1.0, 12)
+        clean = x.coeffs[None, :] * np.exp(-1j * np.outer(angles, x.k_values))
+        noise = rows - clean
         assert noise[:, 3].real.var() == pytest.approx(1.0, rel=0.05)
         assert abs(noise[:, 3].imag).max() < 1e-12
         for col in (4, 5, 6):
@@ -522,19 +527,19 @@ class TestObservations:
         rng = np.random.default_rng(13)
         x = random_signal_1d(2, rng)
         rho = make_experiment_distribution(2, rng)
-        batch = generate_observations(x, rho, 200, 0.8, rng)
-        assert np.allclose(batch.data[:, ::-1].conj(), batch.data, atol=1e-13)
+        rows = generate_observations(x, rho, 200, 0.8, rng)
+        assert np.allclose(rows[:, ::-1].conj(), rows, atol=1e-13)
 
     def test_conjugation_rule_2d(self):
         rng = np.random.default_rng(14)
         img = make_experiment_signal_2d(3, 2, rng)
         rho = make_experiment_distribution(3, rng)
-        batch = generate_observations(img, rho, 200, 0.8, rng)
+        rows = generate_observations(img, rho, 200, 0.8, rng)
         for k in range(1, 4):
             for q in range(2):
                 i = img.block_start(k) + q
                 j = img.block_start(-k) + q
-                assert np.allclose(batch.data[:, j], batch.data[:, i].conj(), atol=1e-13)
+                assert np.allclose(rows[:, j], rows[:, i].conj(), atol=1e-13)
 
     @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [3, 1, 4, 2]])
     def test_negative_partners_match_loop(self, qk):
@@ -566,8 +571,8 @@ class TestObservations:
         assert np.allclose(u @ u.T, pairing, atol=1e-15)
 
     def test_generated_rows_are_held_once(self):
-        # The batch keeps the generator's product array: the traced peak of
-        # the call stays below twice the rows it returns (a copy of them
+        # The rows returned are the generator's product array: the traced
+        # peak of the call stays below twice their size (a copy of them
         # peaked at 2.8 times).
         rng = np.random.default_rng(23)
         img = make_experiment_signal_2d(10, 2, rng)
@@ -578,31 +583,13 @@ class TestObservations:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            batch = generate_observations(img, rho, 65536, 0.3, rng)
+            rows = generate_observations(img, rho, 65536, 0.3, rng)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert batch.data.shape == (65536, 42) and not batch.data.flags.writeable
-        assert peak <= 2 * batch.data.nbytes
-
-    def test_batch_cannot_change_through_the_callers_array(self):
-        rows = np.arange(12, dtype=np.complex128).reshape(4, 3)
-        angles = np.linspace(0.0, 1.0, 4)
-        read_only_view = rows[:]
-        read_only_view.flags.writeable = False
-        for data in (rows, read_only_view):
-            batch = ObservationBatch(data, 0.1, angles)
-            assert not np.shares_memory(batch.data, rows)
-            assert not np.shares_memory(batch.true_angles, angles)
-            with pytest.raises(ValueError):
-                batch.data[0, 0] = 1.0
-        rows[0, 0] = angles[0] = 99.0
-        assert batch.data[0, 0] == 0.0 and batch.true_angles[0] == 0.0
-        # An array no one can write through is kept as it is.
-        frozen = np.array(rows)
-        frozen.flags.writeable = False
-        assert ObservationBatch(frozen, 0.1).data is frozen
+        assert rows.shape == (65536, 42) and rows.dtype == np.complex128
+        assert peak <= 2 * rows.nbytes
 
     def test_bandwidth_mismatch(self):
         x = random_signal_1d(2, np.random.default_rng(0))
@@ -618,6 +605,33 @@ class TestObservations:
         with pytest.raises(ValueError, match="sigma"):
             generate_observations(x, RotationDistribution.uniform(2), 5, sigma, rng)
         assert rng.bit_generator.state == state
+
+
+class TestValueTypesKeepTheirOwnCopy:
+    # A value type validates and keeps a read-only copy of each array it is
+    # given, so no array of the caller's can change it later: not a
+    # writeable one, and not one frozen after a writeable view was taken.
+    @pytest.mark.parametrize("field", ["coeffs", "radial_bandwidths"])
+    @pytest.mark.parametrize("freeze", [False, True], ids=["writeable", "frozen"])
+    def test_image(self, field, freeze):
+        given = {"coeffs": np.array([1, 2, 1], dtype=complex), "radial_bandwidths": np.array([1, 1])}
+        original = given[field].copy()
+        view = given[field][:]
+        given[field].flags.writeable = not freeze
+        img = FBImage(1, given["radial_bandwidths"], given["coeffs"])
+        view[1] = 5
+        kept = getattr(img, field)
+        assert np.array_equal(kept, original) and not kept.flags.writeable
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["writeable", "frozen"])
+    def test_distribution(self, freeze):
+        coeffs = np.array(RotationDistribution.from_positive(1, [0.02 + 0.01j, 0.01j]).coeffs)
+        original = coeffs.copy()
+        view = coeffs[:]
+        coeffs.flags.writeable = not freeze
+        rho = RotationDistribution(1, coeffs)
+        view[3] = view[1] = 0.05
+        assert np.array_equal(rho.coeffs, original) and not rho.coeffs.flags.writeable
 
 
 class TestRotationHelpers:
