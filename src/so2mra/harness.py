@@ -8,9 +8,17 @@ with the theoretical bound at the unrotated distribution.
 Every trial derives its generators from ``(seed, experiment code,
 grid index, trial index)``, so the CSV is a pure function of the
 configuration: reruns and different thread-pool sizes produce byte-identical
-output.  A sweep on one fixed ground truth draws it once, from trial
-``(0, 0)``'s generator.  Failed trials are counted per row instead of
-aborting the sweep.
+output.  An SNR-sweep trial ``t`` covers the whole SNR grid: it draws its
+instance and the Gram factor of its ``n`` observations once, at grid index
+0, and forms the moments at every SNR from that factor, since the SNR sets
+only the noise level of the observation map.  Each (SNR, trial) cell keeps
+the law of an independent draw, because it equals
+``simulate_empirical_moments`` on trial ``t``'s generator; only the cells
+of one trial are dependent (common random numbers), which makes the
+error-versus-SNR slopes far less noisy.  A sweep on one fixed ground truth
+draws it once, from trial ``(0, 0)``'s generator.  Failed trials are
+counted per row instead of aborting the sweep; an instance that fails
+fails its trial at every SNR.
 """
 
 from __future__ import annotations
@@ -30,7 +38,12 @@ import numpy as np
 from .errors import ConfigError, So2MraError
 from .freq_march import FMOptions, fm_recover_2d
 from .metrics import aggregate, recovery_error, sigma_for_snr
-from .moments import population_moments_2d, simulate_empirical_moments
+from .moments import (
+    _draw_gram_factor,
+    _moments_from_factor,
+    population_moments_2d,
+    simulate_empirical_moments,  # noqa: F401  (callers import it from here)
+)
 from .signal_model import (
     FBImage,
     make_experiment_distribution,
@@ -188,7 +201,13 @@ class ExperimentConfig:
 
 
 def _trial_rng(cfg: ExperimentConfig, grid_idx: int, trial_idx: int, stream: int) -> np.random.Generator:
-    """Generator of trial ``(grid_idx, trial_idx)``'s ground truth (stream 1) or observations (stream 2)."""
+    """Generator of trial ``(grid_idx, trial_idx)``'s ground truth (stream 1) or observations (stream 2).
+
+    An SNR sweep keys trial ``t`` at ``(0, t)`` and reuses both streams'
+    draws, the instance and the Gram factor, at every SNR.  Each cell keeps
+    its law, since its moments are ``simulate_empirical_moments`` on the
+    stream-2 generator; only the SNRs of one trial share draws.
+    """
     code = SWEEPS[cfg.experiment][0]
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, code, grid_idx, trial_idx, stream)))
 
@@ -211,28 +230,34 @@ def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
 
 
 def _sampling_trial(
-    cfg: ExperimentConfig, grid_idx: int, trial_idx: int, snr_value: float, n_value: int, instance
-) -> dict:
-    """Each algorithm's relative error in one trial, ``None`` where it failed.
+    cfg: ExperimentConfig, grid_idx: int, trial_idx: int, n_value: int, snr_values, instance
+) -> list[dict]:
+    """Each algorithm's relative error at each SNR of one trial, ``None`` where it failed.
 
-    ``instance`` is the sweep's fixed ``(image, rho)``; with ``None`` the trial draws its own.
+    The trial draws one Gram factor for ``n_value`` observations and forms
+    the moments at every SNR from it.  ``instance`` is the sweep's fixed
+    ``(image, rho)``; with ``None`` the trial draws its own.  A failed draw
+    fails the trial at every SNR.
     """
-    errors: dict = {}
     try:
         image, rho = _instance(cfg, grid_idx, trial_idx) if instance is None else instance
-        sigma = sigma_for_snr(image, snr_value)
-        m = simulate_empirical_moments(image, rho, n_value, sigma, _trial_rng(cfg, grid_idx, trial_idx, 2))
+        factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, grid_idx, trial_idx, 2))
     except _TRIAL_ERRORS:
-        return {algo: None for algo in cfg.algos}
+        return [dict.fromkeys(cfg.algos) for _ in snr_values]
     shape = (image.B, image.radial_bandwidths)
-    for algo in cfg.algos:
-        try:
-            result = _RECOVERIES[algo](m, shape)
-            err = recovery_error(result.signal_est, image).relative_error
-            errors[algo] = None if np.isnan(err) else err
-        except _TRIAL_ERRORS:
-            errors[algo] = None
-    return errors
+    outcomes = []
+    for snr_value in snr_values:
+        m = _moments_from_factor(image, factor, n_value, sigma_for_snr(image, snr_value))
+        errors: dict = {}
+        for algo in cfg.algos:
+            try:
+                result = _RECOVERIES[algo](m, shape)
+                err = recovery_error(result.signal_est, image).relative_error
+                errors[algo] = None if np.isnan(err) else err
+            except _TRIAL_ERRORS:
+                errors[algo] = None
+        outcomes.append(errors)
+    return outcomes
 
 
 def _format(value) -> str:
@@ -248,26 +273,36 @@ def _format(value) -> str:
 def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     snr_sweep = cfg.experiment == "snr_sweep"
     grid, param = (cfg.snr_grid, "snr") if snr_sweep else (cfg.n_grid, "n")
-    tasks = [(gi, ti) for gi in range(len(grid)) for ti in range(cfg.trials)]
+    # A task is one trial: the grid index of its generator keys, its trial
+    # index, n, and its (grid index, SNR) points.  An n sweep's trial is one
+    # point with draws of its own.
+    if snr_sweep:
+        tasks = [(0, ti, cfg.n, tuple(enumerate(grid))) for ti in range(cfg.trials)]
+    else:
+        tasks = [(gi, ti, n, ((gi, cfg.snr),)) for gi, n in enumerate(grid) for ti in range(cfg.trials)]
 
     def run(task):
-        gi, ti = task
-        snr, n = (grid[gi], cfg.n) if snr_sweep else (cfg.snr, grid[gi])
-        return _sampling_trial(cfg, gi, ti, snr, n, fixed)
+        key_gi, ti, n, points = task
+        return _sampling_trial(cfg, key_gi, ti, n, [snr for _gi, snr in points], fixed)
 
     try:
         fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
     except _TRIAL_ERRORS:
         # Every trial would have drawn this failing instance.
-        outcomes = [dict.fromkeys(cfg.algos) for _ in tasks]
+        outcomes = [[dict.fromkeys(cfg.algos) for _ in points] for *_, points in tasks]
     else:
         with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(run, tasks))
+    errors = {
+        (gi, ti): errs
+        for (_key_gi, ti, _n, points), outcome in zip(tasks, outcomes, strict=True)
+        for (gi, _snr), errs in zip(points, outcome, strict=True)
+    }
 
     rows = []
     for gi, value in enumerate(grid):
         for algo in cfg.algos:
-            errs = [outcomes[gi * cfg.trials + ti][algo] for ti in range(cfg.trials)]
+            errs = [errors[gi, ti][algo] for ti in range(cfg.trials)]
             good = [e for e in errs if e is not None]
             failures = cfg.trials - len(good)
             if good:
@@ -492,6 +527,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    # A row counts its grid point's trials that failed in its algorithm, so
+    # the sums count (trial, algorithm) results, not trials.
     failures = sum(int(row["failures"]) for row in rows)
-    print(f"wrote {cfg.out}: {len(rows)} rows, {failures} failed trials")
+    results = sum(int(row["trials"]) for row in rows)
+    print(f"wrote {cfg.out}: {len(rows)} rows, {failures} of {results} (trial, algorithm) results failed")
     return 3 if failures else 0

@@ -267,6 +267,43 @@ def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray
     return lower
 
 
+def _draw_gram_factor(
+    signal, rho, n: int, rng: np.random.Generator, chunk: int = _ANGLE_CHUNK
+) -> np.ndarray:
+    """A real ``F`` with ``F F^T = Gamma = [G Z]^T [G Z]`` for ``n`` observations of ``signal`` under ``rho``.
+
+    The draws of ``simulate_empirical_moments``, which documents ``F``.  No
+    draw depends on the noise level, so one ``F`` serves every ``sigma``.
+    """
+    if signal.B != rho.B:
+        raise ValueError("signal and distribution bandwidths must agree")
+    n, chunk = operator.index(n), operator.index(chunk)
+    if n < 1 or chunk < 1:
+        raise ValueError("n and chunk must be positive integers")
+    B, dim, p = signal.B, signal.size, 2 * signal.B + 1
+    if n < p + dim:
+        angles = sample_rotations(rho, n, rng)
+        return np.concatenate([_trig_design(angles, B), rng.standard_normal((n, dim))], axis=1).T
+    gram = _gram_from_sums(_angle_sums(*rotation_cdf(rho), n, 2 * B, rng, chunk))
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(gram)
+        lower = vec * np.sqrt(np.maximum(lam, 0.0))
+    factor = np.zeros((p + dim, p + dim))
+    factor[:p, :p] = lower
+    factor[p:, :p] = rng.standard_normal((dim, p))
+    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+    return factor
+
+
+def _moments_from_factor(signal, factor: np.ndarray, n: int, sigma: float) -> MomentPair:
+    """``M1 = K F F[0] / n`` and ``M2 = K F (K F)^H / n`` at noise level ``sigma``, ``K = observation_map``."""
+    kf = observation_map(signal, sigma) @ factor
+    m2 = kf @ kf.conj().T / n
+    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)
+
+
 def simulate_empirical_moments(
     signal, rho, n: int, sigma: float, rng: np.random.Generator, chunk: int = _ANGLE_CHUNK
 ) -> MomentPair:
@@ -287,6 +324,9 @@ def simulate_empirical_moments(
     or, if ``G^T G`` is numerically singular, its eigenvalue root
     ``V sqrt(max(lambda, 0))``: exact when ``G`` has full column rank, and
     otherwise ``G^T G`` within rounding.  Any such ``L`` gives the same law.
+    Only ``K`` depends on ``sigma``: the call is ``_draw_gram_factor``
+    followed by ``_moments_from_factor``, so moments at several noise levels
+    can share one ``F``.
 
     The angle sums fill buffers that each thread keeps (``_angle_sums``), so
     once a thread has simulated at the default ``chunk``, a further call at
@@ -295,28 +335,6 @@ def simulate_empirical_moments(
     65,536-element arrays and the ``6 x 8192`` table.  A larger ``chunk``
     is served by arrays that are freed after the call.
     """
-    if signal.B != rho.B:
-        raise ValueError("signal and distribution bandwidths must agree")
-    n, chunk = operator.index(n), operator.index(chunk)
-    if n < 1 or chunk < 1:
-        raise ValueError("n and chunk must be positive integers")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
-    B, dim, p = signal.B, signal.size, 2 * signal.B + 1
-    if n < p + dim:
-        angles = sample_rotations(rho, n, rng)
-        factor = np.concatenate([_trig_design(angles, B), rng.standard_normal((n, dim))], axis=1).T
-    else:
-        gram = _gram_from_sums(_angle_sums(*rotation_cdf(rho), n, 2 * B, rng, chunk))
-        try:
-            lower = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            lam, vec = np.linalg.eigh(gram)
-            lower = vec * np.sqrt(np.maximum(lam, 0.0))
-        factor = np.zeros((p + dim, p + dim))
-        factor[:p, :p] = lower
-        factor[p:, :p] = rng.standard_normal((dim, p))
-        factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
-    kf = observation_map(signal, sigma) @ factor
-    m2 = kf @ kf.conj().T / n
-    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)
+    return _moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma)

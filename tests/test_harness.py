@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from so2mra import harness
-from so2mra.errors import ConfigError
+from so2mra.errors import ConfigError, NotSampleableError
 from so2mra.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -21,7 +21,8 @@ from so2mra.harness import (
     run_experiment,
     write_csv,
 )
-from so2mra.moments import MomentPair
+from so2mra.metrics import sigma_for_snr
+from so2mra.moments import MomentPair, simulate_empirical_moments
 from so2mra.signal_model import (
     UNIFORM_DENSITY,
     make_experiment_distribution,
@@ -41,13 +42,13 @@ def misspecify_sigma(monkeypatch, factor: float = 50.0) -> None:
     A grossly overstated sigma drives the debiased power spectrum negative,
     so the recoveries fail through their real error paths.
     """
-    real = harness.simulate_empirical_moments
+    real = harness._moments_from_factor
 
     def misspecified(*args, **kwargs):
         m = real(*args, **kwargs)
         return MomentPair(m.M1, m.M2, factor * m.sigma)
 
-    monkeypatch.setattr(harness, "simulate_empirical_moments", misspecified)
+    monkeypatch.setattr(harness, "_moments_from_factor", misspecified)
 
 
 class TestConfigValidation:
@@ -216,11 +217,11 @@ class TestFixedGroundTruth:
         real_trial = harness._sampling_trial
         code = harness.SWEEPS[experiment][0]
 
-        def per_trial_draw(cfg, gi, ti, snr, n, instance):
+        def per_trial_draw(cfg, gi, ti, n, snrs, instance):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, code, 0, 0, 1)))
             image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
             base = make_experiment_distribution(cfg.b, rng, tol_pos=harness.TOL_POS)
-            return real_trial(cfg, gi, ti, snr, n, (image, perturb_distribution(base, cfg.eta)))
+            return real_trial(cfg, gi, ti, n, snrs, (image, perturb_distribution(base, cfg.eta)))
 
         monkeypatch.setattr(harness, "_sampling_trial", per_trial_draw)
         reference = rows_to_csv(run_experiment(cfg))
@@ -233,7 +234,7 @@ class TestFixedGroundTruth:
         [(UNIFORM_DENSITY, "seed = 7\n"), (harness.TOL_POS, "seed = 2\neta = 3\n")],
         ids=["draw_raises", "not_sampleable"],
     )
-    def test_failing_instance_fails_every_trial(self, tmp_path, monkeypatch, tol_pos, settings):
+    def test_failing_instance_fails_every_trial(self, tmp_path, monkeypatch, capsys, tol_pos, settings):
         monkeypatch.setattr(harness, "TOL_POS", tol_pos)
         cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
         cfg_file.write_text(
@@ -246,6 +247,86 @@ class TestFixedGroundTruth:
         failures = CSV_COLUMNS.index("failures")
         assert len(lines) == 1 + 2 * len(ALGORITHMS)
         assert all(line.split(",")[failures] == "3" for line in lines[1:])
+        # 2 n values x 3 trials, each failed in all 3 algorithms: the message
+        # counts (trial, algorithm) results, not 18 trials.
+        assert capsys.readouterr().out == f"wrote {out}: 6 rows, 18 of 18 (trial, algorithm) results failed\n"
+
+
+class TestSnrSweepSharesDraws:
+    """An SNR-sweep trial draws its instance and Gram factor once and reuses them at every SNR."""
+
+    @pytest.mark.parametrize("n", [15, 1500], ids=["draws_as_factor", "bartlett_factor"])
+    def test_moments_at_every_snr_are_the_simulators(self, monkeypatch, n):
+        # Bit equality: each SNR's moments are the same operations on the
+        # same draws as one simulator call on a fresh copy of the trial's
+        # stream-2 generator.  n = 15 < p + d = 21 factors the draws
+        # themselves; n = 1500 takes the Cholesky/Bartlett factor.
+        cfg = ExperimentConfig(**{**TINY_SNR, "n": n, "snr_grid": (1.0, 50.0, 1000.0)}).validated()
+        seen = []
+        real = harness._moments_from_factor
+
+        def recording(signal, factor, n_value, sigma):
+            m = real(signal, factor, n_value, sigma)
+            seen.append(m)
+            return m
+
+        monkeypatch.setattr(harness, "_moments_from_factor", recording)
+        run_experiment(cfg)
+        assert len(seen) == cfg.trials * len(cfg.snr_grid)
+        for ti in range(cfg.trials):
+            image, rho = harness._instance(cfg, 0, ti)
+            for gi, snr in enumerate(cfg.snr_grid):
+                rng = harness._trial_rng(cfg, 0, ti, 2)
+                want = simulate_empirical_moments(image, rho, n, sigma_for_snr(image, snr), rng)
+                got = seen[ti * len(cfg.snr_grid) + gi]
+                assert got.sigma == want.sigma
+                assert np.array_equal(got.M1, want.M1) and np.array_equal(got.M2, want.M2)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_one_instance_and_one_factor_per_trial(self, monkeypatch, threads):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("make_experiment_signal_2d", "make_experiment_distribution", "_draw_gram_factor"):
+            monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+        cfg = ExperimentConfig(**{**TINY_SNR, "snr_grid": (1.0, 50.0, 1000.0), "threads": threads})
+        run_experiment(cfg)
+        assert len(calls) == 3 * cfg.trials
+        assert calls.count("_draw_gram_factor") == cfg.trials
+        calls.clear()
+        run_experiment(dataclasses.replace(cfg, fixed_ground_truth=True))
+        assert sorted(calls) == [
+            "_draw_gram_factor", "_draw_gram_factor", "_draw_gram_factor",
+            "make_experiment_distribution", "make_experiment_signal_2d",
+        ]
+
+    def test_first_snr_rows_do_not_depend_on_the_rest_of_the_grid(self):
+        # The first SNR's cells use grid index 0's keys, as every cell did
+        # when each (SNR, trial) cell drew on its own.
+        cfg = ExperimentConfig(**{**TINY_SNR, "snr_grid": (1.0, 50.0, 1000.0)})
+        full = rows_to_csv(run_experiment(cfg)).splitlines()
+        alone = rows_to_csv(run_experiment(dataclasses.replace(cfg, snr_grid=(1.0,)))).splitlines()
+        assert full[: 1 + len(ALGORITHMS)] == alone
+
+    def test_failing_instance_fails_its_trial_at_every_snr(self, monkeypatch):
+        real = harness._instance
+
+        def second_trial_unsampleable(cfg, gi, ti):
+            if ti == 1:
+                raise NotSampleableError("stand-in: the density dips below zero")
+            return real(cfg, gi, ti)
+
+        monkeypatch.setattr(harness, "_instance", second_trial_unsampleable)
+        cfg = ExperimentConfig(**{**TINY_SNR, "snr_grid": (10.0, 50.0, 1000.0)})
+        rows = run_experiment(cfg)
+        assert len(rows) == 3 * len(ALGORITHMS)
+        assert [row["failures"] for row in rows] == [1] * len(rows)
 
 
 class TestBoundSweep:
@@ -284,8 +365,8 @@ class TestDeterminism:
         cfg = ExperimentConfig(**TINY_SNR)
         first = rows_to_csv(run_experiment(cfg))
         second = rows_to_csv(run_experiment(cfg))
-        threaded = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=4)))
-        assert first == second == threaded
+        threaded = [rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=t))) for t in (2, 4)]
+        assert first == second == threaded[0] == threaded[1]
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         # A stand-in pool records its size and runs the tasks in order, so
