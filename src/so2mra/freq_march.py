@@ -16,12 +16,21 @@ of ``S``, which mitigates cascading errors on empirical moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import MomentConsistencyError, VanishingCoefficientError
 from .moments import MomentPair, debias
-from .signal_model import FBImage, RotationDistribution, TWO_PI, UNIFORM_DENSITY, coefficient_layout, radial_block_mean
+from .signal_model import (
+    TWO_PI,
+    UNIFORM_DENSITY,
+    FBImage,
+    RotationDistribution,
+    _frozen,
+    coefficient_layout,
+    radial_block_mean,
+)
 
 RELATIVE_M1_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
@@ -89,7 +98,7 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
     for k in range(2, B + 1):
         if robust:
             kp = np.arange(1, k)
-            blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).mean()
+            blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).sum() / (k - 1)
             if abs(blended) <= 1e-14:
                 raise MomentConsistencyError(
                     f"blended marching estimate for k={k} has undefined phase"
@@ -99,20 +108,33 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
             rho[k] = rho[1] / (ent(k, k - 1) * rho[k - 1].conj())
     high = np.arange(B + 1, 2 * B + 1)
     if robust:
-        # Every k > B averages s[k-k', -k'] rho[k-k'] rho[k'] over
-        # k' = k-B..B, which reads rho[<= B] only: one gather for all k.
-        k, kp = np.meshgrid(high, np.arange(1, B + 1), indexing="ij")
-        admissible = kp >= k - B
-        k, kp = k[admissible], kp[admissible]  # grouped by k, k' ascending
-        counts = admissible.sum(axis=1)
-        terms = s[k - kp + B, -kp + B] * rho[k - kp] * rho[kp]
-        rho[high] = np.add.reduceat(terms, np.cumsum(counts) - counts) / counts
+        rows, cols, lo, kp, starts, counts = _high_gather(B)
+        terms = s[rows, cols] * rho[lo] * rho[kp]
+        rho[high] = np.add.reduceat(terms, starts) / counts
     else:
         rho[high] = s[high, 0] * rho[high - B] * rho[B]
 
     ks = np.arange(1, B + 1)
     residuals = np.abs(TWO_PI * s[ks + B, ks + B].real * np.abs(rho[ks]) ** 2 - 1.0)
     return rho, residuals
+
+
+@lru_cache(maxsize=64)
+def _high_gather(B: int) -> tuple[np.ndarray, ...]:
+    """Indices of the robust step for every ``k = B+1..2B`` at once, built once per ``B``.
+
+    Each such ``k`` averages ``s[k-k', -k'] rho[k-k'] rho[k']`` over
+    ``k' = k-B..B``, which reads ``rho[<= B]`` only, so one gather serves
+    all of them.  Returns the row and column of each term in ``s`` (offset
+    ``B``), its ``k - k'`` and ``k'``, grouped by ``k`` with ``k'``
+    ascending, and the start and length of each ``k``'s group; all read-only.
+    """
+    high = np.arange(B + 1, 2 * B + 1)
+    counts = 2 * B + 1 - high
+    starts = np.cumsum(counts) - counts
+    k = high.repeat(counts)
+    kp = np.concatenate([np.arange(h - B, B + 1) for h in high])
+    return _frozen(k - kp + B, -kp + B, k - kp, kp, starts, counts)
 
 
 def _reduce_radial(s_full: np.ndarray, starts: np.ndarray, opts: FMOptions) -> np.ndarray:

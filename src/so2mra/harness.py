@@ -291,8 +291,13 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
         # Every trial would have drawn this failing instance.
         outcomes = [[dict.fromkeys(cfg.algos) for _ in points] for *_, points in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(run, tasks))
+        workers = min(cfg.threads, os.cpu_count() or 1)
+        if workers == 1:
+            # In the calling thread, whose simulator workspace outlives the sweep.
+            outcomes = list(map(run, tasks))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(run, tasks))
     errors = {
         (gi, ti): errs
         for (_key_gi, ti, _n, points), outcome in zip(tasks, outcomes, strict=True)

@@ -61,8 +61,10 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     # sums collapsed into c_k.
     k_lo, k_hi = int(ke.min()), int(ke.max())
     k_range = np.arange(k_lo, k_hi + 1)
-    c = np.zeros(k_range.size, dtype=np.complex128)
-    np.add.at(c, ke - k_lo, t.conj() * e)
+    products = t.conj() * e
+    c = np.empty(k_range.size, dtype=np.complex128)
+    c.real = np.bincount(ke - k_lo, products.real, k_range.size)
+    c.imag = np.bincount(ke - k_lo, products.imag, k_range.size)
 
     n_grid = GRID_FACTOR * k_range.size
     values = _grid_overlap(c, k_range, n_grid)
@@ -72,10 +74,11 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
 
     phi = best
     converged = False
+    dc1, dc2 = 1j * k_range * c, -(k_range**2) * c  # the derivatives' coefficients
     for _ in range(NEWTON_ITERATIONS):
         ph = np.exp(1j * phi * k_range)
-        d1 = float((1j * k_range * c * ph).sum().real)
-        d2 = float((-(k_range**2) * c * ph).sum().real)
+        d1 = float((dc1 * ph).sum().real)
+        d2 = float((dc2 * ph).sum().real)
         if d2 >= 0.0:
             break
         step = d1 / d2

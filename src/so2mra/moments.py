@@ -15,6 +15,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .signal_model import (
     TWO_PI,
     FBImage,
     RotationDistribution,
+    _frozen,
     _readonly,
     _trig_design,
     observation_map,
@@ -63,6 +65,13 @@ class MomentPair:
     @property
     def dim(self) -> int:
         return self.M1.size
+
+    @cached_property
+    def _debiased(self) -> "MomentPair":
+        """``debias(self)``, formed on first use and then shared."""
+        m2 = self.M2 - self.sigma**2 * np.eye(self.dim)
+        m2 = 0.5 * (m2 + m2.conj().T)
+        return MomentPair(self.M1, m2, 0.0)
 
 
 def population_moments_2d(
@@ -132,11 +141,12 @@ def debias(m: MomentPair) -> MomentPair:
 
     The result has ``sigma = 0``, so debiasing it again changes no bit.  It
     is re-symmetrised so downstream Hermitian eigensolvers see an exactly
-    Hermitian matrix.
+    Hermitian matrix; this runs at ``sigma = 0`` too, since a population
+    ``M2`` is Hermitian only to rounding.  Each pair is debiased once: every
+    later call returns the same object, so the recoveries of one pair share
+    it.
     """
-    m2 = m.M2 - m.sigma**2 * np.eye(m.dim)
-    m2 = 0.5 * (m2 + m2.conj().T)
-    return MomentPair(m.M1, m2, 0.0)
+    return m._debiased
 
 
 def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
@@ -263,8 +273,14 @@ def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray
     """Lower-triangular ``L`` with ``L L^T ~ Wishart_dim(dof, I)`` (Bartlett); needs ``dof >= dim``."""
     lower = np.zeros((dim, dim))
     lower[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
-    lower[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    lower[_strict_lower(dim)] = rng.standard_normal(dim * (dim - 1) // 2)
     return lower
+
+
+@lru_cache(maxsize=64)
+def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(dim, -1)``, built once per ``dim`` and read-only."""
+    return _frozen(*np.tril_indices(dim, -1))
 
 
 def _draw_gram_factor(

@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,13 @@ def _readonly(a, dtype=None) -> np.ndarray:
     return a
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only in place: for arrays that a cache hands to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
@@ -56,7 +63,11 @@ def _check_conj_symmetric(coeffs: np.ndarray, what: str) -> None:
 
 
 def coefficient_layout(B: int, radial_bandwidths) -> tuple[np.ndarray, np.ndarray]:
-    """Angular index of every flat coefficient of an ``FBImage``, and the start of each block ``k = -B..B``."""
+    """Angular index of every flat coefficient of an ``FBImage``, and the start of each block ``k = -B..B``.
+
+    ``radial_bandwidths`` is checked on every call; the two arrays are built
+    once per ``(B, Q_k)`` and shared, so they are read-only.
+    """
     if B < 0:
         raise ValueError("bandwidth must be nonnegative")
     qk = np.asarray(radial_bandwidths)
@@ -64,8 +75,14 @@ def coefficient_layout(B: int, radial_bandwidths) -> tuple[np.ndarray, np.ndarra
         qk = qk.astype(np.int64)  # integral floats such as 2.0
     if qk.dtype.kind not in "iu" or qk.shape != (B + 1,) or qk.min() < 1:
         raise ValueError("radial_bandwidths must hold Q_k >= 1 for k = 0..B")
-    sizes = np.concatenate((qk[:0:-1], qk))  # Q_|k| for k = -B..B
-    return np.arange(-B, B + 1).repeat(sizes), sizes.cumsum() - sizes
+    return _cached_layout(B, tuple(qk.tolist()))
+
+
+@lru_cache(maxsize=256)
+def _cached_layout(B: int, qk: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``coefficient_layout`` of checked bandwidths, as read-only arrays."""
+    sizes = np.array(qk[:0:-1] + qk)  # Q_|k| for k = -B..B
+    return _frozen(np.arange(-B, B + 1).repeat(sizes), sizes.cumsum() - sizes)
 
 
 def radial_block_mean(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -101,7 +118,7 @@ class FBImage:
         _check_finite(coeffs, "image coefficients")
         object.__setattr__(self, "radial_bandwidths", qk)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_layout", (_readonly(k_index), starts))
+        object.__setattr__(self, "_layout", (k_index, starts))
         if self.is_real:
             mismatch = max(
                 np.abs(coeffs[_negative_partners(k_index)] - coeffs[k_index > 0].conj()).max(initial=0.0),
@@ -142,6 +159,11 @@ class FBImage:
     @property
     def power_spectrum(self) -> np.ndarray:
         return np.abs(self.coeffs) ** 2
+
+    @cached_property
+    def _observation_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sigma-free blocks ``C`` and ``U`` of ``observation_map``, built on first use and read-only."""
+        return _frozen(_design_map(self), conjugate_noise_map(self.k_values))
 
 
 @dataclass(frozen=True)
@@ -225,10 +247,7 @@ class RotationDistribution:
         buf = np.zeros(m, dtype=np.complex128)
         np.add.at(buf, self.k_values % m, self.coeffs)
         dens = (np.fft.ifft(buf) * m).real
-        grid = np.linspace(0.0, TWO_PI, m + 1), np.concatenate([dens, dens[:1]])
-        for a in grid:
-            a.flags.writeable = False
-        return grid
+        return _frozen(np.linspace(0.0, TWO_PI, m + 1), np.concatenate([dens, dens[:1]]))
 
     @cached_property
     def cdf_levels(self) -> Optional[np.ndarray]:
@@ -422,8 +441,10 @@ def observation_map(signal: FBImage, sigma: float) -> np.ndarray:
     """``K = [C, sigma U]`` (``_design_map``, ``conjugate_noise_map``).
 
     An observation is ``K @ [g(phi); z]`` (``_trig_design``, real ``z ~ N(0, I)``).
+    ``C`` and ``U`` do not depend on ``sigma``; each image builds them once.
     """
-    return np.concatenate([_design_map(signal), sigma * conjugate_noise_map(signal.k_values)], axis=1)
+    design, noise = signal._observation_parts
+    return np.concatenate([design, sigma * noise], axis=1)
 
 
 def generate_observations(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import FMOptions, _march, _reduce_radial, fm_recover_2d
+from so2mra.freq_march import FMOptions, _high_gather, _march, _ratio_matrix, _reduce_radial, fm_recover_2d
 from so2mra.harness import simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
 from so2mra.moments import MomentPair, debias, population_moments_2d
@@ -11,6 +11,7 @@ from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
+    coefficient_layout,
     make_experiment_distribution,
     perturb_distribution,
     rotate_distribution,
@@ -164,6 +165,56 @@ class TestRobustKernels:
             expected[k] = np.sum(np.full(kp.size, 1.0 / kp.size) * terms)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() < 1e-13 * scale
+
+
+def _meshgrid_gather(B):
+    """The robust k > B gather in its meshgrid form: (row, column, k - k', k', group starts, counts)."""
+    k, kp = np.meshgrid(np.arange(B + 1, 2 * B + 1), np.arange(1, B + 1), indexing="ij")
+    admissible = kp >= k - B
+    k, kp = k[admissible], kp[admissible]
+    counts = admissible.sum(axis=1)
+    return k - kp + B, -kp + B, k - kp, kp, np.cumsum(counts) - counts, counts
+
+
+def _robust_march_reference(s, B):
+    """The robust recursion with ``.mean()`` for k <= B and the meshgrid gather for k > B."""
+    rho = np.zeros(2 * B + 1, dtype=np.complex128)
+    rho[0] = UNIFORM_DENSITY
+    rho[1] = 1.0 / np.sqrt(2 * np.pi * s[1 + B, 1 + B].real)
+    for k in range(2, B + 1):
+        kp = np.arange(1, k)
+        blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).mean()
+        rho[k] = 1.0 / np.sqrt(2 * np.pi * s[k + B, k + B].real) * blended / abs(blended)
+    rows, cols, lo, kp, starts, counts = _meshgrid_gather(B)
+    rho[B + 1 :] = np.add.reduceat(s[rows, cols] * rho[lo] * rho[kp], starts) / counts
+    return rho
+
+
+class TestRobustGather:
+    """The cached k > B gather and the robust march equal their meshgrid / ``.mean()`` forms bit for bit."""
+
+    @pytest.mark.parametrize("B", range(1, 13))
+    def test_gather_matches_meshgrid(self, B):
+        got = _high_gather(B)
+        for a, b in zip(got, _meshgrid_gather(B), strict=True):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+        assert _high_gather(B) is got
+
+    @pytest.mark.parametrize("B", range(1, 13))
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_march_matches_reference(self, B, uniform):
+        rng = np.random.default_rng((47, B, uniform))
+        qk = np.full(B + 1, 2) if uniform else rng.integers(1, 4, B + 1)
+        k_index, starts = coefficient_layout(B, qk)
+        coeffs = rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size))
+        x = FBImage(B, qk, coeffs)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
+        s_full, *_ = _ratio_matrix(m)
+        s = _reduce_radial(s_full, starts, FMOptions(variant="robust"))
+        got, _ = _march(s, B, FMOptions(variant="robust"))
+        assert np.array_equal(got, _robust_march_reference(s, B))
 
 
 class TestImageShapeCheck:

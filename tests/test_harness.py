@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -368,9 +369,12 @@ class TestDeterminism:
         threaded = [rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=t))) for t in (2, 4)]
         assert first == second == threaded[0] == threaded[1]
 
-    def test_pool_capped_at_core_count(self, monkeypatch):
-        # A stand-in pool records its size and runs the tasks in order, so
-        # the test starts no threads.
+    @staticmethod
+    def recording_pool(monkeypatch) -> list:
+        """Replace the harness's pool by one that records its size and runs the tasks in order.
+
+        The test then starts no threads.  Returns the list of sizes.
+        """
         sizes = []
 
         class RecordingPool:
@@ -387,11 +391,36 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-        cores = os.cpu_count() or 1
+        return sizes
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # Three cores stand in for the runner's, so the cap is tested on a
+        # runner of any size.
+        sizes = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         cfg = ExperimentConfig(**TINY_SNR)
-        pooled = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=cores + 1)))
-        assert sizes == [cores]
+        pooled = rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=4)))
+        assert sizes == [3]
         assert pooled == rows_to_csv(run_experiment(cfg))
+
+    @pytest.mark.parametrize("threads, cores", [(1, 3), (2, 1), (4, None)])
+    def test_one_worker_runs_in_calling_thread(self, monkeypatch, threads, cores):
+        # One worker, asked for or left by the core count (None counts as
+        # one core), makes no pool: every trial runs in the calling thread.
+        sizes = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        seen = []
+        trial = harness._sampling_trial
+
+        def recording_trial(*args):
+            seen.append(threading.get_ident())
+            return trial(*args)
+
+        monkeypatch.setattr(harness, "_sampling_trial", recording_trial)
+        for cfg in (ExperimentConfig(**TINY_SNR), ExperimentConfig(**TINY_N)):
+            run_experiment(dataclasses.replace(cfg, threads=threads))
+        assert sizes == []
+        assert seen and set(seen) == {threading.get_ident()}
 
     def test_blas_serial_during_sweep_and_restored(self, monkeypatch):
         controls = harness._openblas_thread_controls()

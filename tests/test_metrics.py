@@ -2,8 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so2mra.metrics import GRID_FACTOR, _grid_overlap, aggregate, recovery_error, sigma_for_snr, snr
-from so2mra.signal_model import make_experiment_signal_2d, rotate_signal
+from so2mra import metrics
+from so2mra.metrics import (
+    GRID_FACTOR,
+    NEWTON_ITERATIONS,
+    NEWTON_STEP_TOL,
+    _grid_overlap,
+    aggregate,
+    recovery_error,
+    sigma_for_snr,
+    snr,
+)
+from so2mra.signal_model import (
+    FBImage,
+    coefficient_layout,
+    make_experiment_distribution,
+    make_experiment_signal_2d,
+    perturb_distribution,
+    rotate_distribution,
+    rotate_signal,
+)
 
 from conftest import random_image, random_signal_1d, signal_1d
 
@@ -16,6 +34,74 @@ def brute_force_error(est, truth, k, n_grid=1_000_000):
     overlap = (np.exp(1j * np.outer(phis, np.arange(k.min(), k.max() + 1))) @ c).real
     norms = np.vdot(est, est).real + np.vdot(truth, truth).real
     return (norms - 2 * overlap.max()) / np.vdot(truth, truth).real
+
+
+def add_at_error(estimate, truth):
+    """``recovery_error``'s (error, angle, aligned estimate), with the coefficients collapsed by
+    ``np.add.at`` and the derivative products formed inside the Newton loop."""
+    e, ke, t = estimate.coeffs, estimate.k_values, truth.coeffs
+    k_lo = int(ke.min())
+    k_range = np.arange(k_lo, int(ke.max()) + 1)
+    c = np.zeros(k_range.size, dtype=np.complex128)
+    np.add.at(c, ke - k_lo, t.conj() * e)
+    n_grid = GRID_FACTOR * k_range.size
+    values = _grid_overlap(c, k_range, n_grid)
+    spacing = 2.0 * np.pi / n_grid
+    j = int(np.argmax(values))
+    best, best_val = j * spacing, float(values[j])
+    phi, converged = best, False
+    for _ in range(NEWTON_ITERATIONS):
+        ph = np.exp(1j * phi * k_range)
+        d1 = float((1j * k_range * c * ph).sum().real)
+        d2 = float((-(k_range**2) * c * ph).sum().real)
+        if d2 >= 0.0:
+            break
+        step = d1 / d2
+        if abs(step) > spacing:
+            break
+        phi -= step
+        if abs(step) < NEWTON_STEP_TOL:
+            converged = True
+            break
+    if converged or float((np.exp(1j * phi * k_range) @ c).real) > best_val:
+        best = phi % (2.0 * np.pi)
+        if best == 2.0 * np.pi:
+            best = 0.0
+    aligned = e * np.exp(1j * ke * best)
+    return float(np.vdot(aligned - t, aligned - t).real) / float(np.vdot(t, t).real), best, aligned
+
+
+class TestCollapsedCoefficients:
+    """``recovery_error`` gives the bits of its ``np.add.at`` form."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("qk", [[1, 1, 1, 1], [2, 2, 2, 2], [3, 1, 2, 4], [40, 9, 25, 16]])
+    def test_images(self, seed, qk, monkeypatch):
+        rng = np.random.default_rng((53, seed, *qk))
+        k_index, _starts = coefficient_layout(3, qk)
+        truth = FBImage(3, qk, rng.standard_normal(k_index.size) + 1j * rng.standard_normal(k_index.size))
+        noise = rng.standard_normal(k_index.size) + 1j * rng.standard_normal(k_index.size)
+        estimate = FBImage(3, qk, rotate_signal(truth, rng.uniform(0, 2 * np.pi)).coeffs + 0.1 * noise)
+        # The grid search reads the collapsed coefficients first.
+        seen = []
+        monkeypatch.setattr(metrics, "_grid_overlap", lambda c, *args: seen.append(c) or _grid_overlap(c, *args))
+        report = recovery_error(estimate, truth)
+        expected = np.zeros(7, dtype=np.complex128)
+        np.add.at(expected, k_index + 3, truth.coeffs.conj() * estimate.coeffs)
+        assert np.array_equal(seen[0], expected)
+        err, angle, aligned = add_at_error(estimate, truth)
+        assert (report.relative_error, report.best_angle) == (err, angle)
+        assert np.array_equal(report.aligned_estimate, aligned)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distributions(self, seed):
+        rng = np.random.default_rng((59, seed))
+        truth = make_experiment_distribution(4, rng, tol_pos=0.05)
+        estimate = perturb_distribution(rotate_distribution(truth, rng.uniform(0, 2 * np.pi)), 0.05)
+        report = recovery_error(estimate, truth)
+        err, angle, aligned = add_at_error(estimate, truth)
+        assert (report.relative_error, report.best_angle) == (err, angle)
+        assert np.array_equal(report.aligned_estimate, aligned)
 
 
 class TestRecoveryError:

@@ -665,6 +665,18 @@ class TestSufficientStatisticSimulator:
             simulate_empirical_moments(img, RotationDistribution.uniform(2), 100, 0.1, rng, chunk)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("dim", [1, 2, 42])
+    def test_bartlett_factor_fills_tril_indices(self, dim):
+        # The strict lower triangle's indices are kept per dimension; the
+        # factor has the bits of one filled through np.tril_indices.
+        got = _bartlett_factor(dim, dim + 5, np.random.default_rng(dim))
+        rng = np.random.default_rng(dim)
+        expected = np.zeros((dim, dim))
+        expected[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dim + 5 - np.arange(dim)))
+        expected[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(_bartlett_factor(dim, dim + 5, np.random.default_rng(dim)), expected)
+
 
 class TestDebias:
     def test_population_structure(self):
@@ -702,6 +714,23 @@ class TestDebias:
         m = debias(population_moments_2d(x, RotationDistribution.uniform(2), 0.2))
         assert m.sigma == 0.0
         assert debias(m).M2.tobytes() == m.M2.tobytes()
+
+    def test_debiased_once(self):
+        # The recoveries of one pair share its debiased pair.
+        rng = np.random.default_rng(15)
+        x = random_image(3, 2, rng)
+        m = simulate_empirical_moments(x, make_experiment_distribution(3, rng), 2000, 0.4, rng)
+        assert debias(m) is debias(m)
+
+    def test_sigma_zero_still_resymmetrised(self):
+        # A population M2 is Hermitian only to rounding, so debiasing it at
+        # sigma = 0 changes bits: it must not be skipped.
+        rng = np.random.default_rng(16)
+        x = make_experiment_signal_2d(10, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
+        m = population_moments_2d(x, rho, 0.0)
+        assert not np.array_equal(m.M2, m.M2.conj().T)
+        assert debias(m).M2.tobytes() == (0.5 * (m.M2 + m.M2.conj().T)).tobytes()
 
     def test_hermitian_preserved(self):
         rng = np.random.default_rng(14)

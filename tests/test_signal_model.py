@@ -12,12 +12,14 @@ from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
+    _design_map,
     _negative_partners,
     coefficient_layout,
     conjugate_noise_map,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
+    observation_map,
     perturb_distribution,
     rotate_distribution,
     rotate_signal,
@@ -96,6 +98,28 @@ class TestCoefficientLayout:
                 img.block_start(k)
             with pytest.raises(IndexError):
                 img.block(k)
+
+    @pytest.mark.parametrize("B, qk", [(0, [3]), (2, [1, 1, 1]), (3, [2, 1, 3, 2]), (10, [2] * 11)])
+    def test_cached_arrays_read_only_and_fresh(self, B, qk):
+        # The layout is built once per (B, Q_k): every call, and every image
+        # of that layout, shares read-only arrays equal to a fresh build.
+        k_index, starts = coefficient_layout(B, qk)
+        sizes = np.array(qk[:0:-1] + qk)
+        assert np.array_equal(k_index, np.arange(-B, B + 1).repeat(sizes))
+        assert np.array_equal(starts, sizes.cumsum() - sizes)
+        assert not k_index.flags.writeable and not starts.flags.writeable
+        again = coefficient_layout(B, np.array(qk, dtype=np.int32))
+        assert again[0] is k_index and again[1] is starts
+        img = FBImage(B, qk, np.zeros(k_index.size, dtype=complex))
+        assert img.k_values is k_index
+
+    def test_invalid_bandwidths_raise_after_valid_call(self):
+        # The cache sits behind the checks: a valid call for B = 2 does not
+        # let a bad Q_k of the same B through.
+        coefficient_layout(2, [1, 1, 1])
+        for qk in ([1, 0, 1], [1, 1], [1, 1.5, 1]):
+            with pytest.raises(ValueError, match="radial_bandwidths must hold Q_k >= 1"):
+                coefficient_layout(2, qk)
 
     @pytest.mark.parametrize("qk", [[2, 2, 2], [1, 3, 2]], ids=["uniform", "non_uniform"])
     def test_radial_index_out_of_range_raises(self, qk):
@@ -569,6 +593,17 @@ class TestObservations:
         neg = _negative_partners(k_index)
         pairing[pos, neg] = pairing[neg, pos] = 1.0
         assert np.allclose(u @ u.T, pairing, atol=1e-15)
+
+    def test_observation_map_parts_built_once(self):
+        # Each image builds C and U once; at every sigma the map has the
+        # bits of a fresh build.
+        img = FBImage(2, np.array([1, 2, 3]), np.arange(11) * (1 + 0.5j))
+        design, noise = img._observation_parts
+        assert img._observation_parts[0] is design
+        assert not design.flags.writeable and not noise.flags.writeable
+        for sigma in (0.0, 0.3, 2.0):
+            fresh = np.concatenate([_design_map(img), sigma * conjugate_noise_map(img.k_values)], axis=1)
+            assert np.array_equal(observation_map(img, sigma), fresh)
 
     def test_generated_rows_are_held_once(self):
         # The rows returned are the generator's product array: the traced
