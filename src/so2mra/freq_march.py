@@ -27,6 +27,7 @@ from .signal_model import (
     UNIFORM_DENSITY,
     FBImage,
     RotationDistribution,
+    _check_finite,
     _frozen,
     coefficient_layout,
     radial_block_mean,
@@ -56,66 +57,94 @@ class RecoveryResult:
     diagnostics: dict
 
 
-def _ratio_matrix(m: MomentPair) -> tuple[np.ndarray, float, float]:
-    """Form ``S`` from debiased moments, refusing ``|M1|`` entries at or below
-    ``RELATIVE_M1_TOL * max|M1|``."""
-    abs_m1 = np.abs(m.M1)
-    min_abs = float(abs_m1.min())
-    tol = RELATIVE_M1_TOL * float(abs_m1.max(initial=0.0))
-    if min_abs <= tol:
+def _ratio_matrix(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Form ``S`` for each debiased pair of a stack (``(S, d)`` and ``(S, d, d)``).
+
+    Refuses a pair with an ``|M1|`` entry at or below ``RELATIVE_M1_TOL``
+    times its own ``max|M1|``.  Also returns each pair's ``min|M1|`` and guard.
+    """
+    abs_m1 = np.abs(m1)
+    min_abs = abs_m1.min(axis=1)
+    tol = RELATIVE_M1_TOL * abs_m1.max(axis=1, initial=0.0)
+    bad = np.flatnonzero(min_abs <= tol)
+    if bad.size:
         raise VanishingCoefficientError(
-            f"|M1| entry {min_abs:.3g} at or below the inversion guard {tol:.3g}"
+            f"|M1| entry {min_abs[bad[0]]:.3g} at or below the inversion guard {tol[bad[0]]:.3g}"
         )
-    s = TWO_PI * m.M2 / np.outer(m.M1, m.M1.conj())
+    s = TWO_PI * m2
+    s /= m1[:, :, None] * m1.conj()[:, None, :]
     return s, min_abs, tol
 
 
-def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Recover ``rho[0..2B]`` from the reduced ratio matrix ``S``.
+def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for complex arrays of one shape, rounded as numpy rounds a product of two complex scalars.
 
-    ``s`` is indexed by ``k1, k2 = -B..B`` via offset ``B``.  Returns the
-    nonnegative-frequency coefficients and the per-step diagonal residuals
-    ``|2*pi*Re(S[k,k])*|rho[k]|^2 - 1|`` for ``k = 1..B``.
+    numpy's array loop may fuse the multiply and add of each part, which
+    changes the last bit; the scalar product rounds every real product.
+    """
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Recover ``rho[0..2B]`` from each reduced ratio matrix ``S`` of a stack.
+
+    ``s`` is ``(S, 2B+1, 2B+1)``, indexed by ``k1, k2 = -B..B`` via offset
+    ``B``.  The loop over ``k`` runs once for the whole stack, and it raises
+    if any pair fails.  Returns each pair's nonnegative-frequency
+    coefficients and its per-step diagonal residuals
+    ``|2*pi*Re(S[k,k])*|rho[k]|^2 - 1|`` for ``k = 1..B``.  Each pair's
+    values are those of a stack of that pair alone, bit for bit.
     """
     robust = opts.variant == "robust"
-    rho = np.zeros(2 * B + 1, dtype=np.complex128)
-    rho[0] = UNIFORM_DENSITY
+    rho = np.zeros((s.shape[0], 2 * B + 1), dtype=np.complex128)
+    rho[:, 0] = UNIFORM_DENSITY
     if B == 0:
-        return rho, np.zeros(0)
+        return rho, np.zeros((s.shape[0], 0))
+    ks = np.arange(1, B + 1)
+    diag = s[:, ks + B, ks + B].real  # Re S[k, k], k = 1..B
+    inconsistent = diag <= DIAGONAL_TOL
+    # |rho[k]| pinned by the diagonal; a column that is not positive is
+    # refused before it is used, so its (clipped) value never is.
+    magnitude = 1.0 / np.sqrt(TWO_PI * np.maximum(diag, DIAGONAL_TOL))
 
-    def ent(k1: int, k2: int) -> complex:
-        return s[k1 + B, k2 + B]
-
-    def diag_magnitude(k: int) -> float:
-        skk = ent(k, k).real
-        if skk <= DIAGONAL_TOL:
+    def pinned(k: int) -> np.ndarray:
+        if inconsistent[:, k - 1].any():
+            skk = diag[inconsistent[:, k - 1], k - 1][0]
             raise MomentConsistencyError(
                 f"Re S[{k},{k}] = {skk:.3g} is not positive; moments are inconsistent"
             )
-        return 1.0 / np.sqrt(TWO_PI * skk)
+        return magnitude[:, k - 1]
 
-    rho[1] = diag_magnitude(1)  # gauge: phase of rho[1] fixed to zero
+    rho[:, 1] = pinned(1)  # gauge: phase of rho[1] fixed to zero
+    below = s[:, ks[1:] + B, ks[:-1] + B]  # S[k, k-1], k = 2..B
     for k in range(2, B + 1):
         if robust:
-            kp = np.arange(1, k)
-            blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).sum() / (k - 1)
-            if abs(blended) <= 1e-14:
+            # k' = 1..k-1: rho[k-k'] / (S[k, k'] conj(rho[k'])).  Slices keep
+            # the terms in C order, so each row is summed pairwise as one
+            # pair's vector is; gathered, they come out in Fortran order and
+            # a row's sum is rounded differently.
+            ratios = rho[:, k - 1 : 0 : -1] / (s[:, k + B, B + 1 : B + k] * rho[:, 1:k].conj())
+            blended = ratios.sum(axis=1) / (k - 1)
+            size = np.hypot(blended.real, blended.imag)  # abs() of a complex scalar, to the bit
+            if (size <= 1e-14).any():
                 raise MomentConsistencyError(
                     f"blended marching estimate for k={k} has undefined phase"
                 )
-            rho[k] = diag_magnitude(k) * blended / abs(blended)
+            rho[:, k] = pinned(k) * blended / size
         else:
-            rho[k] = rho[1] / (ent(k, k - 1) * rho[k - 1].conj())
+            rho[:, k] = rho[:, 1] / _scalar_product(below[:, k - 2], rho[:, k - 1].conj())
     high = np.arange(B + 1, 2 * B + 1)
     if robust:
         rows, cols, lo, kp, starts, counts = _high_gather(B)
-        terms = s[rows, cols] * rho[lo] * rho[kp]
-        rho[high] = np.add.reduceat(terms, starts) / counts
+        terms = s[:, rows, cols] * rho[:, lo] * rho[:, kp]
+        rho[:, high] = np.add.reduceat(terms, starts, axis=1) / counts
     else:
-        rho[high] = s[high, 0] * rho[high - B] * rho[B]
+        rho[:, high] = s[:, high, 0] * rho[:, high - B] * rho[:, B, None]
 
-    ks = np.arange(1, B + 1)
-    residuals = np.abs(TWO_PI * s[ks + B, ks + B].real * np.abs(rho[ks]) ** 2 - 1.0)
+    residuals = np.abs(TWO_PI * diag * np.abs(rho[:, 1 : B + 1]) ** 2 - 1.0)
     return rho, residuals
 
 
@@ -138,14 +167,14 @@ def _high_gather(B: int) -> tuple[np.ndarray, ...]:
 
 
 def _reduce_radial(s_full: np.ndarray, starts: np.ndarray, opts: FMOptions) -> np.ndarray:
-    """Collapse the block ratio matrix to one entry per ``(k1, k2)``.
+    """Collapse each block ratio matrix of a stack to one entry per ``(k1, k2)``.
 
     ``starts`` are the block starts of ``coefficient_layout``.  Plain: take
     the ``q1 = q2 = 0`` entry of each block.  Robust: the mean over all
     radial pairs of each block.
     """
     if opts.variant == "plain":
-        return s_full[np.ix_(starts, starts)]
+        return s_full[:, starts[:, None], starts]
     return radial_block_mean(s_full, starts)
 
 
@@ -160,6 +189,30 @@ def _image_layout(B: int, qk, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return k_index, starts
 
 
+def _fm_estimates(
+    m1: np.ndarray, m2: np.ndarray, image_shape: tuple, opts: FMOptions
+) -> tuple[np.ndarray, ...]:
+    """Marching recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
+
+    Returns the ``(S, d)`` image estimates, the ``(S, 2B+1)`` coefficients
+    ``rho[0..2B]``, and each pair's ``min|M1|``, guard and residuals.  A
+    failing pair raises for the whole stack; each pair's values are those of
+    a stack of that pair alone, bit for bit.
+    """
+    B, qk = image_shape
+    k_index, starts = _image_layout(B, qk, m1.shape[1])
+    s_full, min_abs_m1, tol = _ratio_matrix(m1, m2)
+    rho, residuals = _march(_reduce_radial(s_full, starts, opts), B, opts)
+    # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
+    signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
+    x_est = m1 / (TWO_PI * signed[:, k_index + B])
+    # The checks of the value types a recovery returns, which the sweeps do
+    # not build, so that a non-finite estimate still aborts a sweep.
+    _check_finite(rho, "rotation density coefficients")
+    _check_finite(x_est, "image coefficients")
+    return x_est, rho, min_abs_m1, tol, residuals
+
+
 def fm_recover_2d(
     m: MomentPair, image_shape: tuple, opts: FMOptions = FMOptions()
 ) -> RecoveryResult:
@@ -167,21 +220,18 @@ def fm_recover_2d(
 
     ``image_shape`` is ``(B, radial_bandwidths)`` with ``radial_bandwidths``
     holding ``Q_k`` for ``k = 0..B``; all ``Q_k = 1`` is the 1-D model.  The
-    marching recursion is plain or robust per ``opts.variant``.
+    marching recursion is plain or robust per ``opts.variant``.  This is the
+    stacked core ``_fm_estimates`` on one pair.
     """
     B, qk = image_shape
-    k_index, starts = _image_layout(B, qk, m.dim)
     m = debias(m)
-    s_full, min_abs_m1, tol = _ratio_matrix(m)
-    s = _reduce_radial(s_full, starts, opts)
-    rho_nonneg, residuals = _march(s, B, opts)
-    rho_est = RotationDistribution.from_positive(B, rho_nonneg[1:])
-    x_est = m.M1 / (TWO_PI * rho_est[k_index])
+    x_est, rho, min_abs_m1, tol, residuals = _fm_estimates(m.M1[None], m.M2[None], image_shape, opts)
     diagnostics = {
         "variant": opts.variant,
         "gauge": "rho[1] phase fixed to zero",
-        "min_abs_m1": min_abs_m1,
-        "tol_m1": tol,
-        "residuals": residuals,
+        "min_abs_m1": float(min_abs_m1[0]),
+        "tol_m1": float(tol[0]),
+        "residuals": residuals[0],
     }
-    return RecoveryResult(FBImage(B, qk, x_est), rho_est, diagnostics)
+    rho_est = RotationDistribution.from_positive(B, rho[0, 1:])
+    return RecoveryResult(FBImage(B, qk, x_est[0]), rho_est, diagnostics)

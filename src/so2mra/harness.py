@@ -19,6 +19,16 @@ error-versus-SNR slopes far less noisy.  A sweep on one fixed ground truth
 draws it once, from trial ``(0, 0)``'s generator.  Failed trials are
 counted per row instead of aborting the sweep; an instance that fails
 fails its trial at every SNR.
+
+A task is a few trials that share ``n``: as many as keep its stack of
+``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
+trials split evenly between tasks.  Its (trial, SNR) cells form one stack,
+and each algorithm recovers and scores the whole stack in one call to its
+stacked core; the public one-pair functions are those cores on one cell.
+If that call raises an expected failure, the algorithm runs again on each
+cell alone, so a failure stays with its cell.  A cell's result does not
+depend on the stack it is in, bit for bit, so neither the grouping nor the
+thread count changes the CSV.
 """
 
 from __future__ import annotations
@@ -36,9 +46,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, So2MraError
-from .freq_march import FMOptions, fm_recover_2d
-from .metrics import aggregate, recovery_error, sigma_for_snr
+from .freq_march import FMOptions, _fm_estimates
+from .metrics import _alignment_errors, aggregate, recovery_error, sigma_for_snr
 from .moments import (
+    _check_pairs,
+    _debias_in_place,
     _draw_gram_factor,
     _moments_from_factor,
     population_moments_2d,
@@ -53,17 +65,19 @@ from .signal_model import (
 from .spectral import (
     RANK_TOL_EMPIRICAL,
     EigOptions,
+    _spectral_estimates,
     davis_kahan_bound_2d,
     spectral_recover_2d,
 )
 
-# Each sweep algorithm's recovery from (moments, image_shape).  The lambdas
-# look the recovery functions up when called, so a patched module attribute
-# (a test's stand-in) is what a sweep runs.
+# Each sweep algorithm's image estimates from a stack of debiased moments,
+# ``(S, d)`` first and ``(S, d, d)`` second, and the image shape.  The
+# lambdas look the stacked cores up when called, so a patched module
+# attribute (a test's stand-in) is what a sweep runs.
 _RECOVERIES = {
-    "fm_plain": lambda m, shape: fm_recover_2d(m, shape, FMOptions(variant="plain")),
-    "fm_robust": lambda m, shape: fm_recover_2d(m, shape, FMOptions(variant="robust")),
-    "spectral": lambda m, shape: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0],
+    "fm_plain": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="plain"))[0],
+    "fm_robust": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="robust"))[0],
+    "spectral": lambda m1, m2, shape: _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)[0],
 }
 ALGORITHMS = tuple(_RECOVERIES)
 # experiment: (code keying its trial generators, grid field, grid element type,
@@ -101,6 +115,14 @@ def _row(*cells) -> dict:
 # Expected numerical failures, which mark a single trial/algorithm as failed
 # instead of aborting; any other exception is a bug and propagates.
 _TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
+
+# Largest size in bytes of one task's stack of complex (d, d) second moments.
+# A sampling task takes as many trials as fit, and at least one: 4 cells at
+# B = 10, Q = 2 (d = 42), one trial per task above d = 64.  The stacked
+# cores hold up to about four arrays of this size at once, per worker.  At
+# twice this budget a sweep ran little faster and its peak RSS rose by a
+# further 0.4-0.5 MB; at this one an n sweep's peak RSS stays within 0.2 MB.
+_STACK_BYTES = 1 << 17
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "text"}
@@ -229,35 +251,71 @@ def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
     return image, perturb_distribution(base, cfg.eta)
 
 
-def _sampling_trial(
-    cfg: ExperimentConfig, grid_idx: int, trial_idx: int, n_value: int, snr_values, instance
-) -> list[dict]:
-    """Each algorithm's relative error at each SNR of one trial, ``None`` where it failed.
+def _sampling_task(
+    cfg: ExperimentConfig, grid_idx: int, trial_idxs, n_value: int, snr_values, instance
+) -> list[list[dict]]:
+    """Each algorithm's relative error at each SNR of each trial in ``trial_idxs``, ``None`` where it failed.
 
-    The trial draws one Gram factor for ``n_value`` observations and forms
+    Each trial draws one Gram factor for ``n_value`` observations and forms
     the moments at every SNR from it.  ``instance`` is the sweep's fixed
-    ``(image, rho)``; with ``None`` the trial draws its own.  A failed draw
-    fails the trial at every SNR.
+    ``(image, rho)``; with ``None`` each trial draws its own.  A failed draw
+    fails its trial at every SNR.  The (trial, SNR) cells of the trials that
+    drew form one stack, which each algorithm recovers and scores in one
+    call (``_cell_errors``).  Returns one list per trial, one dict per SNR.
     """
+    dim = (2 * cfg.b + 1) * cfg.q
+    m1 = np.empty((len(trial_idxs) * len(snr_values), dim), dtype=np.complex128)
+    m2 = np.empty((len(m1), dim, dim), dtype=np.complex128)
+    drawn, sigmas, truths = set(), [], []
+    for ti in trial_idxs:
+        try:
+            image, rho = _instance(cfg, grid_idx, ti) if instance is None else instance
+            factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, grid_idx, ti, 2))
+        except _TRIAL_ERRORS:
+            continue
+        drawn.add(ti)
+        for snr in snr_values:
+            sigma = sigma_for_snr(image, snr)
+            m1[len(sigmas)], m2[len(sigmas)] = _moments_from_factor(image, factor, n_value, sigma)
+            sigmas.append(sigma)
+            truths.append(image.coeffs)
+    errors = {}
+    if drawn:
+        m1, m2 = m1[: len(sigmas)], m2[: len(sigmas)]
+        _check_pairs(m1, m2, np.array(sigmas))
+        _debias_in_place(m2, sigmas)
+        shape = (image.B, image.radial_bandwidths)
+        errors = {
+            algo: iter(_cell_errors(_RECOVERIES[algo], m1, m2, np.array(truths), shape, image.k_values))
+            for algo in cfg.algos
+        }
+    return [
+        [{algo: next(errors[algo]) if ti in drawn else None for algo in cfg.algos} for _ in snr_values]
+        for ti in trial_idxs
+    ]
+
+
+def _cell_errors(recover, m1, m2, truths, shape, k_values) -> list:
+    """One algorithm's relative error on each cell of a stack, ``None`` where the cell failed.
+
+    The algorithm runs once on the whole stack; if that raises an expected
+    failure, it runs once per cell, so that only the failing cells fail.
+    """
+
+    def scored(cells) -> list:
+        errors, _angles, _aligned = _alignment_errors(recover(m1[cells], m2[cells], shape), truths[cells], k_values)
+        return [None if np.isnan(err) else err for err in errors]
+
     try:
-        image, rho = _instance(cfg, grid_idx, trial_idx) if instance is None else instance
-        factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, grid_idx, trial_idx, 2))
+        return scored(slice(None))
     except _TRIAL_ERRORS:
-        return [dict.fromkeys(cfg.algos) for _ in snr_values]
-    shape = (image.B, image.radial_bandwidths)
-    outcomes = []
-    for snr_value in snr_values:
-        m = _moments_from_factor(image, factor, n_value, sigma_for_snr(image, snr_value))
-        errors: dict = {}
-        for algo in cfg.algos:
+        out = []
+        for i in range(len(m1)):
             try:
-                result = _RECOVERIES[algo](m, shape)
-                err = recovery_error(result.signal_est, image).relative_error
-                errors[algo] = None if np.isnan(err) else err
+                out += scored(slice(i, i + 1))
             except _TRIAL_ERRORS:
-                errors[algo] = None
-        outcomes.append(errors)
-    return outcomes
+                out.append(None)
+        return out
 
 
 def _format(value) -> str:
@@ -273,23 +331,27 @@ def _format(value) -> str:
 def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     snr_sweep = cfg.experiment == "snr_sweep"
     grid, param = (cfg.snr_grid, "snr") if snr_sweep else (cfg.n_grid, "n")
-    # A task is one trial: the grid index of its generator keys, its trial
-    # index, n, and its (grid index, SNR) points.  An n sweep's trial is one
-    # point with draws of its own.
+    # A task is the grid index of its generator keys, its trial indices, n,
+    # and its (grid index, SNR) points; its cells, trials x points, form one
+    # stack.  The trials are split as evenly as the stack budget allows.  An
+    # SNR sweep's trial covers every SNR; an n sweep's covers one point.
+    dim = (2 * cfg.b + 1) * cfg.q
+    per_task = max(1, _STACK_BYTES // ((len(grid) if snr_sweep else 1) * 16 * dim * dim))
+    groups = [tuple(g.tolist()) for g in np.array_split(np.arange(cfg.trials), -(-cfg.trials // per_task))]
     if snr_sweep:
-        tasks = [(0, ti, cfg.n, tuple(enumerate(grid))) for ti in range(cfg.trials)]
+        tasks = [(0, tis, cfg.n, tuple(enumerate(grid))) for tis in groups]
     else:
-        tasks = [(gi, ti, n, ((gi, cfg.snr),)) for gi, n in enumerate(grid) for ti in range(cfg.trials)]
+        tasks = [(gi, tis, n, ((gi, cfg.snr),)) for gi, n in enumerate(grid) for tis in groups]
 
     def run(task):
-        key_gi, ti, n, points = task
-        return _sampling_trial(cfg, key_gi, ti, n, [snr for _gi, snr in points], fixed)
+        key_gi, tis, n, points = task
+        return _sampling_task(cfg, key_gi, tis, n, [snr for _gi, snr in points], fixed)
 
     try:
         fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
     except _TRIAL_ERRORS:
         # Every trial would have drawn this failing instance.
-        outcomes = [[dict.fromkeys(cfg.algos) for _ in points] for *_, points in tasks]
+        outcomes = [[[dict.fromkeys(cfg.algos) for _ in points] for _ in tis] for _gi, tis, _n, points in tasks]
     else:
         workers = min(cfg.threads, os.cpu_count() or 1)
         if workers == 1:
@@ -300,8 +362,9 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
                 outcomes = list(pool.map(run, tasks))
     errors = {
         (gi, ti): errs
-        for (_key_gi, ti, _n, points), outcome in zip(tasks, outcomes, strict=True)
-        for (gi, _snr), errs in zip(points, outcome, strict=True)
+        for (_key_gi, tis, _n, points), outcome in zip(tasks, outcomes, strict=True)
+        for ti, trial in zip(tis, outcome, strict=True)
+        for (gi, _snr), errs in zip(points, trial, strict=True)
     }
 
     rows = []

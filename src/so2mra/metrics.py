@@ -23,22 +23,93 @@ class ErrorReport:
 
 
 def _grid_overlap(c: np.ndarray, k_range: np.ndarray, n_grid: int) -> np.ndarray:
-    """``Re sum_k c_k exp(1j*k*phi_j)`` on the grid ``phi_j = 2*pi*j/n_grid``.
+    """``Re sum_k c_k exp(1j*k*phi_j)`` on the grid ``phi_j = 2*pi*j/n_grid``, for each row of ``c``.
 
     That grid is the FFT grid, so the sum is ``n_grid * ifft`` of ``c``
     placed at ``k mod n_grid`` (``n_grid`` must exceed the span of ``k``).
     """
-    buf = np.zeros(n_grid, dtype=np.complex128)
-    buf[k_range % n_grid] = c
-    return (np.fft.ifft(buf) * n_grid).real
+    buf = np.zeros(c.shape[:-1] + (n_grid,), dtype=np.complex128)
+    buf[..., k_range % n_grid] = c
+    return (np.fft.ifft(buf, axis=-1) * n_grid).real
+
+
+def _alignment_errors(e: np.ndarray, t: np.ndarray, ke: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """``recovery_error`` of each row of a stack of estimates ``e`` against the same row of ``t``.
+
+    ``e`` and ``t`` are ``(S, d)`` coefficients whose angular indices are
+    ``ke``.  Returns the relative errors and best angles as floats, and the
+    ``(S, d)`` aligned estimates.  The grid search and the Newton steps run
+    once for the stack, each row stopping by its own rule; each row's values
+    are those of a stack of that row alone, bit for bit.
+    """
+    norms = [float(np.vdot(row, row).real) for row in t]
+    if 0.0 in norms:
+        raise ValueError("truth has zero norm")
+
+    # <est, rotate(truth, phi)> = sum_k exp(1j*k*phi) * c_k with the radial
+    # sums collapsed into c_k: one bincount over the stack, row r's
+    # frequencies in bins r*K..r*K+K-1.
+    k_lo, k_hi = int(ke.min()), int(ke.max())
+    k_range = np.arange(k_lo, k_hi + 1)
+    size = len(e) * k_range.size
+    bins = (np.arange(len(e))[:, None] * k_range.size + (ke - k_lo)).ravel()
+    products = t.conj() * e
+    c = np.empty((len(e), k_range.size), dtype=np.complex128)
+    c.real = np.bincount(bins, products.real.ravel(), size).reshape(c.shape)
+    c.imag = np.bincount(bins, products.imag.ravel(), size).reshape(c.shape)
+
+    n_grid = GRID_FACTOR * k_range.size
+    values = _grid_overlap(c, k_range, n_grid)
+    spacing = 2.0 * np.pi / n_grid
+    j = np.argmax(values, axis=1)
+    best_vals = values[np.arange(len(e)), j].tolist()
+    angles = (j * spacing).tolist()
+
+    # Newton steps: the phases and the derivatives are formed for the whole
+    # stack, and each row still moving takes its step in Python floats.  A
+    # row stops when the curvature is not negative or a step leaves the grid
+    # cell (phi kept), or when a step falls below NEWTON_STEP_TOL (converged).
+    phis, live, converged = list(angles), range(len(e)), [False] * len(e)
+    # The coefficients of the first and second derivatives, per row.
+    dc = np.array([1j * k_range, -(k_range**2)]) * c[:, None, :]
+    for _ in range(NEWTON_ITERATIONS):
+        if not live:
+            break
+        ph = np.exp((1j * np.array(phis))[:, None] * k_range)
+        d1s, d2s = (dc * ph[:, None, :]).sum(axis=2).real.T.tolist()
+        moving = []
+        for r in live:
+            if d2s[r] >= 0.0:
+                continue
+            step = d1s[r] / d2s[r]
+            if abs(step) > spacing:
+                continue
+            phis[r] -= step
+            if abs(step) < NEWTON_STEP_TOL:
+                converged[r] = True
+            else:
+                moving.append(r)
+        live = moving
+
+    for r, (phi, done) in enumerate(zip(phis, converged)):
+        # A converged polish is kept even when its gain over the grid point
+        # is below the rounding of the overlap value itself.
+        if done or float((np.exp(1j * phi * k_range) @ c[r]).real) > best_vals[r]:
+            angles[r] = phi % (2.0 * np.pi)
+            if angles[r] == 2.0 * np.pi:  # a tiny negative phi rounds up to 2*pi
+                angles[r] = 0.0
+
+    aligned = e * np.exp(1j * ke * np.array(angles)[:, None])
+    errors = [float(np.vdot(row, row).real) / norm for row, norm in zip(aligned - t, norms)]
+    return errors, angles, aligned
 
 
 def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     """Relative squared error after aligning the estimate over all rotations.
 
     ``estimate`` and ``truth`` are both images or both rotation
-    distributions, of one coefficient layout; a bare coefficient array
-    raises ``TypeError``.
+    distributions, of one coefficient layout; anything else raises
+    ``TypeError``.
 
     Minimises ``|est - exp(-1j*k*phi) . truth|^2 / |truth|^2`` over the
     continuous angle ``phi``.  The objective's rotation-dependent part is the
@@ -46,58 +117,16 @@ def recovery_error(estimate: Estimable, truth: Estimable) -> ErrorReport:
     grid (one FFT) and polished with Newton iterations on its derivative,
     stopped once a step falls below ``NEWTON_STEP_TOL``.  The polished angle
     replaces the grid angle when the polish converged or raised the overlap.
+    This is the stacked core ``_alignment_errors`` on one pair.
     """
-    if not (isinstance(estimate, Estimable) and isinstance(truth, Estimable)):
-        raise TypeError("recovery_error compares FBImage or RotationDistribution objects")
+    if not (isinstance(estimate, Estimable) and type(estimate) is type(truth)):
+        raise TypeError("recovery_error compares FBImage or RotationDistribution objects of one type")
     e, ke = estimate.coeffs, estimate.k_values
     t, kt = truth.coeffs, truth.k_values
     if e.shape != t.shape or not np.array_equal(ke, kt):
         raise ValueError("estimate and truth must share shape and angular layout")
-    norm_t = float(np.vdot(t, t).real)
-    if norm_t == 0.0:
-        raise ValueError("truth has zero norm")
-
-    # <est, rotate(truth, phi)> = sum_k exp(1j*k*phi) * c_k with the radial
-    # sums collapsed into c_k.
-    k_lo, k_hi = int(ke.min()), int(ke.max())
-    k_range = np.arange(k_lo, k_hi + 1)
-    products = t.conj() * e
-    c = np.empty(k_range.size, dtype=np.complex128)
-    c.real = np.bincount(ke - k_lo, products.real, k_range.size)
-    c.imag = np.bincount(ke - k_lo, products.imag, k_range.size)
-
-    n_grid = GRID_FACTOR * k_range.size
-    values = _grid_overlap(c, k_range, n_grid)
-    spacing = 2.0 * np.pi / n_grid
-    j = int(np.argmax(values))
-    best, best_val = j * spacing, float(values[j])
-
-    phi = best
-    converged = False
-    dc1, dc2 = 1j * k_range * c, -(k_range**2) * c  # the derivatives' coefficients
-    for _ in range(NEWTON_ITERATIONS):
-        ph = np.exp(1j * phi * k_range)
-        d1 = float((dc1 * ph).sum().real)
-        d2 = float((dc2 * ph).sum().real)
-        if d2 >= 0.0:
-            break
-        step = d1 / d2
-        if abs(step) > spacing:
-            break
-        phi -= step
-        if abs(step) < NEWTON_STEP_TOL:
-            converged = True
-            break
-    # A converged polish is kept even when its gain over the grid point is
-    # below the rounding of the overlap value itself.
-    if converged or float((np.exp(1j * phi * k_range) @ c).real) > best_val:
-        best = phi % (2.0 * np.pi)
-        if best == 2.0 * np.pi:  # a tiny negative phi rounds up to 2*pi
-            best = 0.0
-
-    aligned = e * np.exp(1j * ke * best)
-    rel = float(np.vdot(aligned - t, aligned - t).real) / norm_t
-    return ErrorReport(relative_error=rel, best_angle=best, aligned_estimate=aligned)
+    [rel], [best], aligned = _alignment_errors(e[None], t[None], ke)
+    return ErrorReport(relative_error=rel, best_angle=best, aligned_estimate=aligned[0])
 
 
 def snr(signal: FBImage, sigma: float) -> float:

@@ -12,6 +12,7 @@ complex rows, as ``K F (K F)^H / n`` from one real factor ``F``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -41,7 +42,11 @@ _workspace = threading.local()
 
 @dataclass(frozen=True)
 class MomentPair:
-    """First moment vector and Hermitian second-moment matrix at noise level sigma."""
+    """First moment vector and Hermitian second-moment matrix at noise level sigma.
+
+    ``sigma`` is kept as a float; a bool, a string or an array is a
+    ``TypeError``.
+    """
 
     M1: np.ndarray
     M2: np.ndarray
@@ -52,15 +57,11 @@ class MomentPair:
         m2 = _readonly(self.M2, np.complex128)
         if m1.ndim != 1 or m2.shape != (m1.size, m1.size):
             raise ValueError("M1 must be a vector and M2 a matching square matrix")
-        if not (np.isfinite(m1).all() and np.isfinite(m2).all() and np.isfinite(self.sigma)):
-            raise ValueError("M1, M2 and sigma must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        scale = max(1.0, float(np.abs(m2).max(initial=0.0)))
-        if np.abs(m2 - m2.conj().T).max(initial=0.0) > 1e-12 * scale:
-            raise ValueError("M2 must be Hermitian to 1e-12 relative")
+        sigma = _noise_level(self.sigma)
+        _check_pairs(m1[None], m2[None], np.array([sigma]))
         object.__setattr__(self, "M1", m1)
         object.__setattr__(self, "M2", m2)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:
@@ -69,9 +70,48 @@ class MomentPair:
     @cached_property
     def _debiased(self) -> "MomentPair":
         """``debias(self)``, formed on first use and then shared."""
-        m2 = self.M2 - self.sigma**2 * np.eye(self.dim)
-        m2 = 0.5 * (m2 + m2.conj().T)
-        return MomentPair(self.M1, m2, 0.0)
+        m2 = np.array(self.M2[None])
+        _debias_in_place(m2, [self.sigma])
+        return MomentPair(self.M1, m2[0], 0.0)
+
+
+def _noise_level(sigma) -> float:
+    """``sigma`` as a float; a bool, or anything but one real number, is a ``TypeError``."""
+    if isinstance(sigma, (bool, np.bool_)) or not isinstance(sigma, numbers.Real):
+        raise TypeError(f"sigma must be a real number, not {sigma!r}")
+    return float(sigma)
+
+
+def _check_pairs(m1: np.ndarray, m2: np.ndarray, sigmas: np.ndarray) -> None:
+    """``MomentPair``'s value checks on each pair of a stack, or ``ValueError``.
+
+    ``m1`` is ``(S, d)``, ``m2`` is ``(S, d, d)`` and ``sigmas`` holds the
+    ``S`` noise levels as floats.  Each pair must be finite, with
+    ``sigma >= 0`` and ``M2`` Hermitian to 1e-12 relative to its own largest
+    entry (or to 1).
+    """
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all() and np.isfinite(sigmas).all()):
+        raise ValueError("M1, M2 and sigma must be finite")
+    if (sigmas < 0).any():
+        raise ValueError("sigma must be nonnegative")
+    scale = np.maximum(1.0, np.abs(m2).max(axis=(1, 2), initial=0.0))
+    if (np.abs(m2 - m2.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale).any():
+        raise ValueError("M2 must be Hermitian to 1e-12 relative")
+
+
+def _debias_in_place(m2: np.ndarray, sigmas) -> None:
+    """Replace each ``(d, d)`` matrix of a stack by ``M2 - sigma^2 I``, re-symmetrised, for its float ``sigma``.
+
+    The same operations, in the same order, as ``(A + A^H) / 2`` for
+    ``A = M2 - sigma^2 I`` formed in new arrays; in place, a stack takes
+    one extra array of its size.
+    """
+    # Each sigma^2 is Python's float power, as a single pair always took it;
+    # off the diagonal, the subtracted zeros change no bit.
+    diagonal = np.arange(m2.shape[-1])
+    m2[:, diagonal, diagonal] -= np.array([sigma**2 for sigma in sigmas])[:, None]
+    np.add(m2, m2.conj().transpose(0, 2, 1), out=m2)
+    np.multiply(0.5, m2, out=m2)
 
 
 def population_moments_2d(
@@ -259,14 +299,28 @@ def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
     and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
     ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
     """
-    B = (sums.size - 1) // 2
+    plus, minus, c_c, c_conj_c = _gram_tables((sums.size - 1) // 2)
+    signed = np.concatenate([sums[:0:-1].conj(), sums])  # m = -2B..2B
+    return 0.5 * (c_c * signed[plus] + c_conj_c * signed[minus]).real
+
+
+@lru_cache(maxsize=64)
+def _gram_tables(B: int) -> tuple[np.ndarray, ...]:
+    """``_gram_from_sums``' tables for one ``B``, built once and read-only.
+
+    The positions of ``S[f_a+f_b]`` and ``S[f_a-f_b]`` among ``S_m``,
+    ``m = -2B..2B``, and the coefficient products ``c_a c_b`` and
+    ``c_a conj(c_b)``.
+    """
     col = np.arange(2 * B + 1)
     freq = (col + 1) // 2
     c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
-    signed = np.concatenate([sums[:0:-1].conj(), sums])  # m = -2B..2B
-    plus = signed[2 * B + freq[:, None] + freq[None, :]]
-    minus = signed[2 * B + freq[:, None] - freq[None, :]]
-    return 0.5 * (np.outer(c, c) * plus + np.outer(c, c.conj()) * minus).real
+    return _frozen(
+        2 * B + freq[:, None] + freq[None, :],
+        2 * B + freq[:, None] - freq[None, :],
+        np.outer(c, c),
+        np.outer(c, c.conj()),
+    )
 
 
 def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
@@ -313,11 +367,11 @@ def _draw_gram_factor(
     return factor
 
 
-def _moments_from_factor(signal, factor: np.ndarray, n: int, sigma: float) -> MomentPair:
+def _moments_from_factor(signal, factor: np.ndarray, n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """``M1 = K F F[0] / n`` and ``M2 = K F (K F)^H / n`` at noise level ``sigma``, ``K = observation_map``."""
     kf = observation_map(signal, sigma) @ factor
     m2 = kf @ kf.conj().T / n
-    return MomentPair(kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T), sigma)
+    return kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T)
 
 
 def simulate_empirical_moments(
@@ -351,6 +405,7 @@ def simulate_empirical_moments(
     65,536-element arrays and the ``6 x 8192`` table.  A larger ``chunk``
     is served by arrays that are freed after the call.
     """
+    sigma = _noise_level(sigma)
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
-    return _moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma)
+    return MomentPair(*_moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma), sigma)

@@ -86,11 +86,16 @@ def _cached_layout(B: int, qk: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radial_block_mean(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Mean of a flat vector, or a square matrix, over each radial block ``starts`` begins."""
-    sizes = np.add.reduceat(np.ones(len(a), dtype=np.int64), starts)
-    for axis in range(a.ndim):
+    """Mean over each radial block ``starts`` begins, of a flat vector, a square matrix or a stack of matrices.
+
+    A vector is reduced along its one axis; a square matrix, or each matrix
+    of a stack ``(S, d, d)``, along its two.
+    """
+    axes = range(max(a.ndim - 2, 0), a.ndim)
+    sizes = np.add.reduceat(np.ones(a.shape[-1], dtype=np.int64), starts)
+    for axis in axes:
         a = np.add.reduceat(a, starts, axis=axis)
-    return a / reduce(np.multiply.outer, [sizes] * a.ndim)
+    return a / reduce(np.multiply.outer, [sizes] * len(axes))
 
 
 @dataclass(frozen=True)

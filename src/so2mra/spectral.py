@@ -25,6 +25,7 @@ from .signal_model import (
     FBImage,
     RotationDistribution,
     TWO_PI,
+    coefficient_layout,
     radial_block_mean,
     rotate_distribution,
 )
@@ -143,6 +144,51 @@ def _rho_from_first_moment(
     return RotationDistribution.from_positive(B, np.concatenate([means[B + 1 :], np.zeros(B)]))
 
 
+def _spectral_estimates(
+    m1: np.ndarray, m2: np.ndarray, image_shape: tuple, rank_tol: float
+) -> tuple[np.ndarray, list]:
+    """Spectral recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
+
+    The normalisation and the eigendecomposition run once for the stack;
+    the rank cut and the choice of eigenvalue differ in length from pair to
+    pair, so they run pair by pair.  Returns the ``(S, d)`` image estimates
+    and, per pair, the scanned eigenvalues (descending), ``kappa``, its gap
+    and the phase vector ``x_tilde``.  A failing pair raises for the whole
+    stack; each pair's values are those of a stack of that pair alone, bit
+    for bit.
+    """
+    B, qk = image_shape
+    _k_index, starts = _image_layout(B, qk, m1.shape[1])
+    if not (np.asarray(qk) == qk[0]).all():
+        raise ValueError("the spectral path requires a uniform radial bandwidth")
+    anchor = int(starts[B])
+    p = np.diagonal(m2, axis1=1, axis2=2).real
+    low = p.min(axis=1)
+    bad = np.flatnonzero(low <= 0.0)
+    if bad.size:
+        raise MomentConsistencyError(
+            f"power-spectrum entry {low[bad[0]]:.3g} is not positive after debiasing"
+        )
+    inv_sqrt = 1.0 / np.sqrt(p)
+    all_lams, all_vecs = np.linalg.eigh(m2 * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :]))
+    scale = np.sqrt(float(m1.shape[1]))
+    x_est = np.empty_like(m1)
+    spectra = []
+    for i, (lams, vecs) in enumerate(zip(all_lams[:, ::-1], all_vecs[:, :, ::-1])):
+        keep = np.flatnonzero(np.abs(lams) > rank_tol * np.abs(lams).max(initial=0.0))
+        if not keep.size:
+            raise MomentConsistencyError("no eigenvalue above the rank threshold")
+        lams = lams[keep]
+        kappa, gap = _select_isolated(lams)
+        x_tilde = scale * vecs[:, keep[kappa]]
+        if abs(x_tilde[anchor]) < PHASE_ANCHOR_TOL:
+            raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
+        x_tilde = np.exp(1j * (np.angle(m1[i, anchor]) - np.angle(x_tilde[anchor]))) * x_tilde
+        x_est[i] = np.sqrt(p[i]) * x_tilde
+        spectra.append((lams, kappa, gap, x_tilde))
+    return x_est, spectra
+
+
 def spectral_recover_2d(
     m: MomentPair, image_shape: tuple, opts: EigOptions = EigOptions()
 ) -> tuple[RecoveryResult, SpectralReport]:
@@ -152,38 +198,15 @@ def spectral_recover_2d(
     most isolated one: the conjugated second moment has rank at most
     ``2B+1``, the rest of the spectrum is structural zeros.  The chosen
     eigenvector carries the signal phases up to a grid rotation and a global
-    phase, which the first ``k = 0`` entry of the first moment fixes.
+    phase, which the first ``k = 0`` entry of the first moment fixes.  This
+    is the stacked core ``_spectral_estimates`` on one pair.
     """
     B, qk = image_shape
-    _k_index, starts = _image_layout(B, qk, m.dim)
-    if not (np.asarray(qk) == qk[0]).all():
-        raise ValueError("the spectral path requires a uniform radial bandwidth")
-    anchor = int(starts[B])
     m = debias(m)
-    p = np.diag(m.M2).real
-    if p.min() <= 0.0:
-        raise MomentConsistencyError(
-            f"power-spectrum entry {p.min():.3g} is not positive after debiasing"
-        )
-    inv_sqrt = 1.0 / np.sqrt(p)
-    mat = m.M2 * np.outer(inv_sqrt, inv_sqrt)
-    lams, vecs = np.linalg.eigh(mat)
-    lams = lams[::-1]
-    vecs = vecs[:, ::-1]
-    keep = np.abs(lams) > opts.rank_tol * np.abs(lams).max(initial=0.0)
-    if not keep.any():
-        raise MomentConsistencyError("no eigenvalue above the rank threshold")
-    lams = lams[keep]
-    vecs = vecs[:, keep]
-    kappa, gap = _select_isolated(lams)
-    x_tilde = np.sqrt(float(m.dim)) * vecs[:, kappa]
-    if abs(x_tilde[anchor]) < PHASE_ANCHOR_TOL:
-        raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
-    x_tilde = np.exp(1j * (np.angle(m.M1[anchor]) - np.angle(x_tilde[anchor]))) * x_tilde
-    x_est = np.sqrt(p) * x_tilde
-    rho_est = _rho_from_first_moment(m.M1, x_est, starts, B)
+    x_est, [(lams, kappa, gap, x_tilde)] = _spectral_estimates(m.M1[None], m.M2[None], image_shape, opts.rank_tol)
+    rho_est = _rho_from_first_moment(m.M1, x_est[0], coefficient_layout(B, qk)[1], B)
     result = RecoveryResult(
-        FBImage(B, qk, x_est),
+        FBImage(B, qk, x_est[0]),
         rho_est,
         {"x_tilde": x_tilde, "kappa": kappa, "gap": gap},
     )

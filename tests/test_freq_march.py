@@ -141,9 +141,9 @@ class TestRobustKernels:
                     for b in range(sizes[i2]):
                         total += s_full[starts[i1] + a, starts[i2] + b]
                 expected[i1, i2] = total / (sizes[i1] * sizes[i2])
-        got = _reduce_radial(s_full, starts, FMOptions(variant="robust"))
+        got = _reduce_radial(s_full[None], starts, FMOptions(variant="robust"))[0]
         assert np.abs(got - expected).max() < 1e-13
-        plain = _reduce_radial(s_full, starts, FMOptions(variant="plain"))
+        plain = _reduce_radial(s_full[None], starts, FMOptions(variant="plain"))[0]
         assert np.array_equal(plain, s_full[np.ix_(starts, starts)])
 
     @pytest.mark.parametrize("B", [1, 2, 5, 10])
@@ -156,7 +156,7 @@ class TestRobustKernels:
         m = simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 10.0), rng)
         m = debias(m)
         s = 2 * np.pi * m.M2 / np.outer(m.M1, m.M1.conj())
-        got, _ = _march(s, B, FMOptions(variant="robust"))
+        got = _march(s[None], B, FMOptions(variant="robust"))[0][0]
         expected = got.copy()
         expected[B + 1 :] = 0.0
         for k in range(B + 1, 2 * B + 1):
@@ -190,6 +190,18 @@ def _robust_march_reference(s, B):
     return rho
 
 
+def _plain_march_reference(s, B):
+    """The plain recursion on one pair, one numpy complex scalar at a time."""
+    rho = np.zeros(2 * B + 1, dtype=np.complex128)
+    rho[0] = UNIFORM_DENSITY
+    rho[1] = 1.0 / np.sqrt(2 * np.pi * s[1 + B, 1 + B].real)
+    for k in range(2, B + 1):
+        rho[k] = rho[1] / (s[k + B, k - 1 + B] * rho[k - 1].conj())
+    high = np.arange(B + 1, 2 * B + 1)
+    rho[high] = s[high, 0] * rho[high - B] * rho[B]
+    return rho
+
+
 class TestRobustGather:
     """The cached k > B gather and the robust march equal their meshgrid / ``.mean()`` forms bit for bit."""
 
@@ -211,10 +223,27 @@ class TestRobustGather:
         x = FBImage(B, qk, coeffs)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-        s_full, *_ = _ratio_matrix(m)
+        s_full, *_ = _ratio_matrix(m.M1[None], m.M2[None])
         s = _reduce_radial(s_full, starts, FMOptions(variant="robust"))
-        got, _ = _march(s, B, FMOptions(variant="robust"))
-        assert np.array_equal(got, _robust_march_reference(s, B))
+        got = _march(s, B, FMOptions(variant="robust"))[0][0]
+        assert np.array_equal(got, _robust_march_reference(s[0], B))
+
+    @pytest.mark.parametrize("B", range(1, 13))
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_plain_march_matches_scalar_reference(self, B, uniform):
+        # The stack's plain step rounds each complex product as a product of
+        # two scalars does, so a stack of one has the bits of the scalar loop.
+        rng = np.random.default_rng((67, B, uniform))
+        qk = np.full(B + 1, 2) if uniform else rng.integers(1, 4, B + 1)
+        k_index, starts = coefficient_layout(B, qk)
+        coeffs = rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size))
+        x = FBImage(B, qk, coeffs)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
+        s_full, *_ = _ratio_matrix(m.M1[None], m.M2[None])
+        s = _reduce_radial(s_full, starts, FMOptions(variant="plain"))
+        got = _march(s, B, FMOptions(variant="plain"))[0][0]
+        assert np.array_equal(got, _plain_march_reference(s[0], B))
 
 
 class TestImageShapeCheck:

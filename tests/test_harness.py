@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from so2mra import harness
 from so2mra.errors import ConfigError, NotSampleableError
@@ -22,14 +23,18 @@ from so2mra.harness import (
     run_experiment,
     write_csv,
 )
-from so2mra.metrics import sigma_for_snr
+from so2mra.freq_march import FMOptions, fm_recover_2d
+from so2mra.metrics import _alignment_errors, recovery_error, sigma_for_snr
 from so2mra.moments import MomentPair, simulate_empirical_moments
 from so2mra.signal_model import (
     UNIFORM_DENSITY,
+    FBImage,
+    coefficient_layout,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
 )
+from so2mra.spectral import RANK_TOL_EMPIRICAL, EigOptions, spectral_recover_2d
 
 TINY_SNR = dict(
     experiment="snr_sweep", b=3, q=2, n=1500, trials=3, snr_grid=(1.0, 50.0), seed=7
@@ -38,18 +43,17 @@ TINY_N = dict(experiment="n_sweep", b=3, q=2, trials=3, n_grid=(1500, 3000), see
 
 
 def misspecify_sigma(monkeypatch, factor: float = 50.0) -> None:
-    """Make every simulated moment pair report ``factor`` times its true noise level.
+    """Make every simulated moment pair debias at ``factor`` times its true noise level.
 
     A grossly overstated sigma drives the debiased power spectrum negative,
     so the recoveries fail through their real error paths.
     """
-    real = harness._moments_from_factor
+    real = harness._debias_in_place
 
-    def misspecified(*args, **kwargs):
-        m = real(*args, **kwargs)
-        return MomentPair(m.M1, m.M2, factor * m.sigma)
+    def misspecified(m2, sigmas):
+        real(m2, [factor * sigma for sigma in sigmas])
 
-    monkeypatch.setattr(harness, "_moments_from_factor", misspecified)
+    monkeypatch.setattr(harness, "_debias_in_place", misspecified)
 
 
 class TestConfigValidation:
@@ -167,7 +171,7 @@ class TestSamplingSweeps:
         def broken(*args, **kwargs):
             raise exc("operands could not be broadcast together")
 
-        monkeypatch.setattr(harness, "fm_recover_2d", broken)
+        monkeypatch.setattr(harness, "_fm_estimates", broken)
         with pytest.raises(exc):
             run_experiment(ExperimentConfig(**TINY_SNR))
 
@@ -215,16 +219,19 @@ class TestFixedGroundTruth:
         base_cfg = TINY_SNR if experiment == "snr_sweep" else TINY_N
         cfg = ExperimentConfig(**{**base_cfg, "fixed_ground_truth": True})
         csvs = [rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=t))) for t in (1, 4)]
-        real_trial = harness._sampling_trial
+        real_task = harness._sampling_task
         code = harness.SWEEPS[experiment][0]
 
-        def per_trial_draw(cfg, gi, ti, n, snrs, instance):
+        def draw():
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, code, 0, 0, 1)))
             image = make_experiment_signal_2d(cfg.b, cfg.q, rng)
             base = make_experiment_distribution(cfg.b, rng, tol_pos=harness.TOL_POS)
-            return real_trial(cfg, gi, ti, n, snrs, (image, perturb_distribution(base, cfg.eta)))
+            return image, perturb_distribution(base, cfg.eta)
 
-        monkeypatch.setattr(harness, "_sampling_trial", per_trial_draw)
+        def per_trial_draw(cfg, gi, tis, n, snrs, instance):
+            return [real_task(cfg, gi, (ti,), n, snrs, draw())[0] for ti in tis]
+
+        monkeypatch.setattr(harness, "_sampling_task", per_trial_draw)
         reference = rows_to_csv(run_experiment(cfg))
         assert csvs == [reference, reference]
 
@@ -267,9 +274,9 @@ class TestSnrSweepSharesDraws:
         real = harness._moments_from_factor
 
         def recording(signal, factor, n_value, sigma):
-            m = real(signal, factor, n_value, sigma)
-            seen.append(m)
-            return m
+            m1, m2 = real(signal, factor, n_value, sigma)
+            seen.append(MomentPair(m1, m2, sigma))
+            return m1, m2
 
         monkeypatch.setattr(harness, "_moments_from_factor", recording)
         run_experiment(cfg)
@@ -328,6 +335,127 @@ class TestSnrSweepSharesDraws:
         rows = run_experiment(cfg)
         assert len(rows) == 3 * len(ALGORITHMS)
         assert [row["failures"] for row in rows] == [1] * len(rows)
+
+
+# 36 of its 72 (trial, algorithm) results fail, spread over every algorithm
+# and both grid points.
+MIXED_FAILURES = dict(experiment="n_sweep", b=3, q=2, snr=0.1, n_grid=(30, 200), trials=12)
+# The benchmark's two workloads, at fewer trials.
+SNR_DESK = dict(experiment="snr_sweep", b=10, q=2, n=100_000, snr_grid=(1.0, 100.0, 10_000.0), trials=4, threads=2)
+N_FIXED_GT = dict(
+    experiment="n_sweep", b=10, q=2, snr=100.0, n_grid=(1000, 10_000), trials=12, fixed_ground_truth=True
+)
+
+
+class TestStacks:
+    """A task's cells form one stack per algorithm; a cell's result does not depend on its stack."""
+
+    @staticmethod
+    def stack_sizes(monkeypatch) -> list:
+        sizes = []
+        real = harness._cell_errors
+
+        def recording(recover, m1, *args):
+            sizes.append(len(m1))
+            return real(recover, m1, *args)
+
+        monkeypatch.setattr(harness, "_cell_errors", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "config, stacked",
+        [(MIXED_FAILURES, [12] * 6), (SNR_DESK, [3] * 12), (N_FIXED_GT, [4] * 18)],
+        ids=["mixed_failures", "snr_desk", "n_fixed_gt"],
+    )
+    def test_csv_does_not_depend_on_the_stack_size(self, monkeypatch, config, stacked):
+        # One trial per task, the default budget, and every trial of a grid
+        # point in one task write the same bytes.
+        sizes = self.stack_sizes(monkeypatch)
+        cfg = ExperimentConfig(**config)
+        default = rows_to_csv(run_experiment(cfg))
+        assert sizes == stacked
+        csvs = []
+        for budget, cells in [(1, len(cfg.snr_grid or (None,))), (1 << 30, len(cfg.snr_grid or (None,)) * cfg.trials)]:
+            sizes.clear()
+            monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+            csvs.append(rows_to_csv(run_experiment(cfg)))
+            assert set(sizes) == {cells}
+        assert csvs == [default, default]
+
+    def test_failures_stay_with_their_cells(self):
+        rows = run_experiment(ExperimentConfig(**MIXED_FAILURES))
+        failures = [row["failures"] for row in rows]
+        assert sum(failures) == 36
+        # Every algorithm has a grid point where its stack mixes failing and
+        # passing cells.
+        for algo in ALGORITHMS:
+            assert any(0 < row["failures"] < row["trials"] for row in rows if row["algorithm"] == algo)
+
+    def test_non_finite_estimate_aborts_the_sweep(self, monkeypatch):
+        # A zero S[2, 1] makes the plain march divide by zero.  The sweep
+        # builds no RotationDistribution or FBImage, whose checks used to
+        # refuse the non-finite estimate; the core refuses it instead, and
+        # as a programming error it aborts the sweep.
+        real = harness._moments_from_factor
+
+        def zero_entry(signal, factor, n, sigma):
+            m1, m2 = real(signal, factor, n, sigma)
+            starts = coefficient_layout(signal.B, signal.radial_bandwidths)[1]
+            row, col = starts[signal.B + 2], starts[signal.B + 1]
+            m2[row, col] = m2[col, row] = 0.0
+            return m1, m2
+
+        monkeypatch.setattr(harness, "_moments_from_factor", zero_entry)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+            run_experiment(ExperimentConfig(**{**TINY_N, "algos": ("fm_plain",)}))
+
+    @settings(max_examples=25, deadline=None)
+    # The robust march sums k - 1 >= 8 terms, past numpy's sequential
+    # short-sum branch, only from B = 9 on.
+    @example(B=10, uniform=True, cells=8, seed=1)
+    @example(B=12, uniform=False, cells=6, seed=2)
+    @given(B=st.integers(1, 6), uniform=st.booleans(), cells=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_each_cell_equals_its_one_cell_call(self, B, uniform, cells, seed):
+        # The stacked cores against the public one-pair functions, bit for
+        # bit: estimates, errors, angles and aligned estimates.  Spectral
+        # runs at uniform Q_k only.
+        rng = np.random.default_rng(seed)
+        qk = np.full(B + 1, int(rng.integers(1, 4))) if uniform else rng.integers(1, 5, B + 1)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=harness.TOL_POS), 0.1)
+        images, pairs = [], []
+        for _ in range(cells):
+            k_index, _starts = coefficient_layout(B, qk)
+            image = FBImage(B, qk, rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size)))
+            sigma = sigma_for_snr(image, 10.0 ** rng.uniform(0.0, 3.0))
+            images.append(image)
+            pairs.append(simulate_empirical_moments(image, rho, int(rng.integers(30, 5000)), sigma, rng))
+        m1 = np.array([m.M1 for m in pairs])
+        m2 = np.array([m.M2 for m in pairs])
+        harness._debias_in_place(m2, [m.sigma for m in pairs])
+        truths = np.array([image.coeffs for image in images])
+        shape = (B, qk)
+        algos = {
+            "fm_plain": lambda m: fm_recover_2d(m, shape, FMOptions(variant="plain")),
+            "fm_robust": lambda m: fm_recover_2d(m, shape, FMOptions(variant="robust")),
+        }
+        if uniform:
+            algos["spectral"] = lambda m: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0]
+        for algo, one_pair in algos.items():
+            try:
+                estimates = harness._RECOVERIES[algo](m1, m2, shape)
+            except harness._TRIAL_ERRORS:
+                # Some cell fails on its own too.
+                with pytest.raises(harness._TRIAL_ERRORS):
+                    for m in pairs:
+                        one_pair(m)
+                continue
+            errors, angles, aligned = _alignment_errors(estimates, truths, images[0].k_values)
+            for i, (m, image) in enumerate(zip(pairs, images)):
+                result = one_pair(m)
+                report = recovery_error(result.signal_est, image)
+                assert np.array_equal(result.signal_est.coeffs, estimates[i])
+                assert (report.relative_error, report.best_angle) == (errors[i], angles[i])
+                assert np.array_equal(report.aligned_estimate, aligned[i])
 
 
 class TestBoundSweep:
@@ -410,13 +538,13 @@ class TestDeterminism:
         sizes = self.recording_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
         seen = []
-        trial = harness._sampling_trial
+        trial = harness._sampling_task
 
         def recording_trial(*args):
             seen.append(threading.get_ident())
             return trial(*args)
 
-        monkeypatch.setattr(harness, "_sampling_trial", recording_trial)
+        monkeypatch.setattr(harness, "_sampling_task", recording_trial)
         for cfg in (ExperimentConfig(**TINY_SNR), ExperimentConfig(**TINY_N)):
             run_experiment(dataclasses.replace(cfg, threads=threads))
         assert sizes == []
@@ -431,7 +559,7 @@ class TestDeterminism:
         set_threads(2)
         before = get_threads()
         seen = []
-        real_trial = harness._sampling_trial
+        real_trial = harness._sampling_task
 
         def recording_trial(*args):
             seen.append(get_threads())
@@ -441,11 +569,11 @@ class TestDeterminism:
             raise RuntimeError("trial crashed")
 
         try:
-            monkeypatch.setattr(harness, "_sampling_trial", recording_trial)
+            monkeypatch.setattr(harness, "_sampling_task", recording_trial)
             run_experiment(ExperimentConfig(**TINY_SNR))
             assert seen and set(seen) == {1}
             assert get_threads() == before
-            monkeypatch.setattr(harness, "_sampling_trial", failing_trial)
+            monkeypatch.setattr(harness, "_sampling_task", failing_trial)
             with pytest.raises(RuntimeError):
                 run_experiment(ExperimentConfig(**TINY_SNR))
             assert get_threads() == before
@@ -678,13 +806,13 @@ class TestConfigFileAndCli:
 
     def test_unwritable_out_fails_before_any_trial(self, tmp_path, monkeypatch):
         calls = []
-        real_trial = harness._sampling_trial
+        real_trial = harness._sampling_task
 
         def counting_trial(*args):
             calls.append(args)
             return real_trial(*args)
 
-        monkeypatch.setattr(harness, "_sampling_trial", counting_trial)
+        monkeypatch.setattr(harness, "_sampling_task", counting_trial)
         out = tmp_path / "missing" / "y.csv"
         assert main(["--b", "2", "--n", "500", "--trials", "2", "--out", str(out)]) == 2
         assert calls == []
@@ -697,7 +825,7 @@ class TestConfigFileAndCli:
             assert old.read_text(encoding="utf-8") == "old\n" and not fresh.exists()
             raise RuntimeError("trial crashed")
 
-        monkeypatch.setattr(harness, "_sampling_trial", crashing_trial)
+        monkeypatch.setattr(harness, "_sampling_task", crashing_trial)
         for out in (old, fresh):
             with pytest.raises(RuntimeError):
                 main(["--b", "2", "--n", "500", "--trials", "1", "--out", str(out)])

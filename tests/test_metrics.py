@@ -15,6 +15,7 @@ from so2mra.metrics import (
 )
 from so2mra.signal_model import (
     FBImage,
+    RotationDistribution,
     coefficient_layout,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -82,13 +83,13 @@ class TestCollapsedCoefficients:
         truth = FBImage(3, qk, rng.standard_normal(k_index.size) + 1j * rng.standard_normal(k_index.size))
         noise = rng.standard_normal(k_index.size) + 1j * rng.standard_normal(k_index.size)
         estimate = FBImage(3, qk, rotate_signal(truth, rng.uniform(0, 2 * np.pi)).coeffs + 0.1 * noise)
-        # The grid search reads the collapsed coefficients first.
+        # The grid search reads the collapsed coefficients first, as a stack of one row.
         seen = []
         monkeypatch.setattr(metrics, "_grid_overlap", lambda c, *args: seen.append(c) or _grid_overlap(c, *args))
         report = recovery_error(estimate, truth)
         expected = np.zeros(7, dtype=np.complex128)
         np.add.at(expected, k_index + 3, truth.coeffs.conj() * estimate.coeffs)
-        assert np.array_equal(seen[0], expected)
+        assert np.array_equal(seen[0], expected[None])
         err, angle, aligned = add_at_error(estimate, truth)
         assert (report.relative_error, report.best_angle) == (err, angle)
         assert np.array_equal(report.aligned_estimate, aligned)
@@ -198,6 +199,14 @@ class TestRecoveryError:
         x = random_signal_1d(1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             recovery_error(x, z)
+
+    def test_image_against_distribution_rejected(self):
+        # Same flat shape and k values (-2..2), but an image is not a distribution.
+        image = FBImage(2, [1, 1, 1], np.ones(5))
+        rho = RotationDistribution.uniform(1)
+        for est, truth in [(image, rho), (rho, image)]:
+            with pytest.raises(TypeError, match="of one type"):
+                recovery_error(est, truth)
 
     def test_raw_coefficient_array_rejected(self):
         # An array carries no layout; none is guessed from its length.

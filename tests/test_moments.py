@@ -16,7 +16,10 @@ from so2mra.moments import (
     MomentPair,
     _angle_sums,
     _bartlett_factor,
+    _check_pairs,
+    _debias_in_place,
     _gram_from_sums,
+    _gram_tables,
     debias,
     empirical_moments,
     population_moments_2d,
@@ -315,11 +318,34 @@ def _oracle_moments(signal, rho, n, sigma, rng, chunk):
     return acc.finalize(sigma)
 
 
+def _gram_from_sums_direct(sums):
+    """``_gram_from_sums`` with its index tables and coefficient products built on every call."""
+    B = (sums.size - 1) // 2
+    col = np.arange(2 * B + 1)
+    freq = (col + 1) // 2
+    c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
+    signed = np.concatenate([sums[:0:-1].conj(), sums])
+    plus = signed[2 * B + freq[:, None] + freq[None, :]]
+    minus = signed[2 * B + freq[:, None] - freq[None, :]]
+    return 0.5 * (np.outer(c, c) * plus + np.outer(c, c.conj()) * minus).real
+
+
 class TestSufficientStatisticSimulator:
     def test_one_simulator_under_every_import_path(self):
         # perfbench imports the simulator from so2mra.harness.
         assert so2mra.simulate_empirical_moments is simulate_empirical_moments
         assert harness.simulate_empirical_moments is simulate_empirical_moments
+
+    @pytest.mark.parametrize("B", [0, 1, 2, 3, 10, 25])
+    def test_gram_tables_give_the_bits_of_the_direct_form(self, B):
+        # The per-B tables are built once and read-only; the Gram matrix has
+        # the bits of the form that built its index tables on every call.
+        rng = np.random.default_rng((61, B))
+        sums = rng.standard_normal(2 * B + 1) + 1j * rng.standard_normal(2 * B + 1)
+        sums[0] = 5000.0
+        assert np.array_equal(_gram_from_sums(sums), _gram_from_sums_direct(sums))
+        tables = _gram_tables(B)
+        assert _gram_tables(B) is tables and not any(t.flags.writeable for t in tables)
 
     @pytest.mark.parametrize("B", [1, 3, 10])
     def test_gram_from_sums_matches_explicit(self, B):
@@ -646,6 +672,8 @@ class TestSufficientStatisticSimulator:
             (0, 0.1, ValueError),
             (-5, 0.1, ValueError),
             (2.5, 0.1, TypeError),
+            (100, True, TypeError),
+            (100, "0.1", TypeError),
         ],
     )
     def test_bad_input_fails_before_any_draw(self, n, sigma, error):
@@ -740,6 +768,46 @@ class TestDebias:
         assert np.array_equal(md.M2, md.M2.conj().T)
 
 
+class TestStackedDebias:
+    """The stacked pair checks and debias act on each pair of a stack as on that pair alone."""
+
+    @staticmethod
+    def pairs(count: int, seed: int) -> list:
+        rng = np.random.default_rng(seed)
+        img = random_image(3, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
+        return [
+            simulate_empirical_moments(img, rho, int(rng.integers(20, 5000)), float(rng.uniform(0.0, 2.0)), rng)
+            for _ in range(count)
+        ]
+
+    def test_each_pair_debiased_as_alone(self):
+        pairs = self.pairs(6, 71)
+        stack = np.array([m.M2 for m in pairs])
+        _debias_in_place(stack, [m.sigma for m in pairs])
+        for row, m in zip(stack, pairs):
+            assert np.array_equal(row, debias(m).M2)
+
+    @pytest.mark.parametrize("bad_cell", [0, 3])
+    @pytest.mark.parametrize("fault", ["non_finite", "non_hermitian", "negative_sigma"])
+    def test_one_bad_pair_fails_the_stack(self, bad_cell, fault):
+        pairs = self.pairs(4, 72)
+        m1 = np.array([m.M1 for m in pairs])
+        m2 = np.array([m.M2 for m in pairs])
+        sigmas = np.array([m.sigma for m in pairs])
+        _check_pairs(m1, m2, sigmas)
+        if fault == "non_finite":
+            m1[bad_cell, 2] = np.nan
+        elif fault == "non_hermitian":
+            m2[bad_cell, 0, 1] += 1e-6
+        else:
+            sigmas[bad_cell] = -0.1
+        with pytest.raises(ValueError, match="finite|Hermitian|nonnegative"):
+            _check_pairs(m1, m2, sigmas)
+        with pytest.raises(ValueError, match="finite|Hermitian|nonnegative"):
+            MomentPair(m1[bad_cell], m2[bad_cell], sigmas[bad_cell])
+
+
 class TestMomentPairValidation:
     def test_rejects_non_hermitian(self):
         m2 = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
@@ -773,3 +841,21 @@ class TestMomentPairValidation:
         assert m1.flags.writeable and m2.flags.writeable
         view[0, 1] = 5.0
         assert np.array_equal(m.M2, np.eye(2)) and not m.M1.flags.writeable and not m.M2.flags.writeable
+
+    @pytest.mark.parametrize(
+        "sigma, kept",
+        [(0.1, 0.1), (np.float64(0.25), 0.25), (np.float32(0.5), 0.5), (0, 0.0), (np.int64(2), 2.0)],
+        ids=["float", "float64", "float32", "int", "int64"],
+    )
+    def test_sigma_kept_as_a_float(self, sigma, kept):
+        m = MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), sigma)
+        assert type(m.sigma) is float and m.sigma == kept
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [True, False, np.bool_(True), "0.1", np.array([0.1]), [0.1], 0.1 + 0j],
+        ids=["True", "False", "np_bool", "str", "array", "list", "complex"],
+    )
+    def test_sigma_must_be_one_real_number(self, sigma):
+        with pytest.raises(TypeError, match="sigma must be a real number"):
+            MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), sigma)
