@@ -57,10 +57,16 @@ class RecoveryResult:
     diagnostics: dict
 
 
-def _ratio_matrix(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Form ``S`` for each debiased pair of a stack (``(S, d)`` and ``(S, d, d)``).
+def _ratio_matrix(
+    m1: np.ndarray, m2: np.ndarray, starts: np.ndarray, robust: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced ``(S, 2B+1, 2B+1)`` ratio matrices of a stack of debiased pairs (``(S, d)`` and ``(S, d, d)``).
 
-    Refuses a pair with an ``|M1|`` entry at or below ``RELATIVE_M1_TOL``
+    ``starts`` are the block starts of ``coefficient_layout``.  Plain keeps
+    one entry per ``(k1, k2)``, the ``q1 = q2 = 0`` one of ``S``, so only the
+    block-start entries of ``M1`` and ``M2`` are divided.  Robust forms all
+    of ``S`` and takes the mean over the radial pairs of each block.
+    Refuses a pair with any ``|M1|`` entry at or below ``RELATIVE_M1_TOL``
     times its own ``max|M1|``.  Also returns each pair's ``min|M1|`` and guard.
     """
     abs_m1 = np.abs(m1)
@@ -71,9 +77,11 @@ def _ratio_matrix(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise VanishingCoefficientError(
             f"|M1| entry {min_abs[bad[0]]:.3g} at or below the inversion guard {tol[bad[0]]:.3g}"
         )
+    if not robust:
+        m1, m2 = m1[:, starts], m2[:, starts[:, None], starts]
     s = TWO_PI * m2
     s /= m1[:, :, None] * m1.conj()[:, None, :]
-    return s, min_abs, tol
+    return (radial_block_mean(s, starts) if robust else s), min_abs, tol
 
 
 def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,18 +174,6 @@ def _high_gather(B: int) -> tuple[np.ndarray, ...]:
     return _frozen(k - kp + B, -kp + B, k - kp, kp, starts, counts)
 
 
-def _reduce_radial(s_full: np.ndarray, starts: np.ndarray, opts: FMOptions) -> np.ndarray:
-    """Collapse each block ratio matrix of a stack to one entry per ``(k1, k2)``.
-
-    ``starts`` are the block starts of ``coefficient_layout``.  Plain: take
-    the ``q1 = q2 = 0`` entry of each block.  Robust: the mean over all
-    radial pairs of each block.
-    """
-    if opts.variant == "plain":
-        return s_full[:, starts[:, None], starts]
-    return radial_block_mean(s_full, starts)
-
-
 def _image_layout(B: int, qk, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``coefficient_layout(B, qk)`` of a recovery's ``image_shape``, checked against the moment dimension."""
     try:
@@ -201,8 +197,8 @@ def _fm_estimates(
     """
     B, qk = image_shape
     k_index, starts = _image_layout(B, qk, m1.shape[1])
-    s_full, min_abs_m1, tol = _ratio_matrix(m1, m2)
-    rho, residuals = _march(_reduce_radial(s_full, starts, opts), B, opts)
+    s, min_abs_m1, tol = _ratio_matrix(m1, m2, starts, opts.variant == "robust")
+    rho, residuals = _march(s, B, opts)
     # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
     signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
     x_est = m1 / (TWO_PI * signed[:, k_index + B])

@@ -26,9 +26,10 @@ trials split evenly between tasks.  Its (trial, SNR) cells form one stack,
 and each algorithm recovers and scores the whole stack in one call to its
 stacked core; the public one-pair functions are those cores on one cell.
 If that call raises an expected failure, the algorithm runs again on each
-cell alone, so a failure stays with its cell.  A cell's result does not
-depend on the stack it is in, bit for bit, so neither the grouping nor the
-thread count changes the CSV.
+cell alone, so a failure stays with its cell.  A task returns its cells'
+errors keyed by (grid index, trial index), and the sweep merges them.  A
+cell's result does not depend on the stack it is in, bit for bit, so
+neither the grouping nor the thread count changes the CSV.
 """
 
 from __future__ import annotations
@@ -251,48 +252,46 @@ def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
     return image, perturb_distribution(base, cfg.eta)
 
 
-def _sampling_task(
-    cfg: ExperimentConfig, grid_idx: int, trial_idxs, n_value: int, snr_values, instance
-) -> list[list[dict]]:
-    """Each algorithm's relative error at each SNR of each trial in ``trial_idxs``, ``None`` where it failed.
+def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
+    """Each algorithm's relative error on each cell of ``task``, ``None`` where it failed.
 
-    Each trial draws one Gram factor for ``n_value`` observations and forms
-    the moments at every SNR from it.  ``instance`` is the sweep's fixed
+    ``task`` is ``(key grid index, trial indices, n, (grid index, SNR) points)``.
+    Each trial draws one Gram factor for ``n`` observations and forms the
+    moments at every point from it.  ``instance`` is the sweep's fixed
     ``(image, rho)``; with ``None`` each trial draws its own.  A failed draw
-    fails its trial at every SNR.  The (trial, SNR) cells of the trials that
-    drew form one stack, which each algorithm recovers and scores in one
-    call (``_cell_errors``).  Returns one list per trial, one dict per SNR.
+    fails its trial at every point.  The cells of the trials that drew form
+    one stack, which each algorithm recovers and scores in one call
+    (``_cell_errors``).  Returns ``{(grid index, trial index): {algorithm:
+    error or None}}`` for every cell of the task.
     """
+    key_gi, trial_idxs, n_value, points = task
     dim = (2 * cfg.b + 1) * cfg.q
-    m1 = np.empty((len(trial_idxs) * len(snr_values), dim), dtype=np.complex128)
+    m1 = np.empty((len(trial_idxs) * len(points), dim), dtype=np.complex128)
     m2 = np.empty((len(m1), dim, dim), dtype=np.complex128)
-    drawn, sigmas, truths = set(), [], []
+    cells, sigmas, truths = [], [], []
     for ti in trial_idxs:
         try:
-            image, rho = _instance(cfg, grid_idx, ti) if instance is None else instance
-            factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, grid_idx, ti, 2))
+            image, rho = _instance(cfg, key_gi, ti) if instance is None else instance
+            factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, key_gi, ti, 2))
         except _TRIAL_ERRORS:
             continue
-        drawn.add(ti)
-        for snr in snr_values:
+        for gi, snr in points:
             sigma = sigma_for_snr(image, snr)
-            m1[len(sigmas)], m2[len(sigmas)] = _moments_from_factor(image, factor, n_value, sigma)
+            m1[len(cells)], m2[len(cells)] = _moments_from_factor(image, factor, n_value, sigma)
+            cells.append((gi, ti))
             sigmas.append(sigma)
             truths.append(image.coeffs)
-    errors = {}
-    if drawn:
-        m1, m2 = m1[: len(sigmas)], m2[: len(sigmas)]
+    errors = {(gi, ti): dict.fromkeys(cfg.algos) for ti in trial_idxs for gi, _snr in points}
+    if cells:
+        m1, m2 = m1[: len(cells)], m2[: len(cells)]
         _check_pairs(m1, m2, np.array(sigmas))
         _debias_in_place(m2, sigmas)
         shape = (image.B, image.radial_bandwidths)
-        errors = {
-            algo: iter(_cell_errors(_RECOVERIES[algo], m1, m2, np.array(truths), shape, image.k_values))
-            for algo in cfg.algos
-        }
-    return [
-        [{algo: next(errors[algo]) if ti in drawn else None for algo in cfg.algos} for _ in snr_values]
-        for ti in trial_idxs
-    ]
+        for algo in cfg.algos:
+            scores = _cell_errors(_RECOVERIES[algo], m1, m2, np.array(truths), shape, image.k_values)
+            for cell, err in zip(cells, scores, strict=True):
+                errors[cell][algo] = err
+    return errors
 
 
 def _cell_errors(recover, m1, m2, truths, shape, k_values) -> list:
@@ -343,16 +342,13 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     else:
         tasks = [(gi, tis, n, ((gi, cfg.snr),)) for gi, n in enumerate(grid) for tis in groups]
 
-    def run(task):
-        key_gi, tis, n, points = task
-        return _sampling_task(cfg, key_gi, tis, n, [snr for _gi, snr in points], fixed)
-
     try:
         fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
     except _TRIAL_ERRORS:
         # Every trial would have drawn this failing instance.
-        outcomes = [[[dict.fromkeys(cfg.algos) for _ in points] for _ in tis] for _gi, tis, _n, points in tasks]
+        errors = {(gi, ti): dict.fromkeys(cfg.algos) for gi in range(len(grid)) for ti in range(cfg.trials)}
     else:
+        run = functools.partial(_sampling_task, cfg, instance=fixed)
         workers = min(cfg.threads, os.cpu_count() or 1)
         if workers == 1:
             # In the calling thread, whose simulator workspace outlives the sweep.
@@ -360,12 +356,7 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run, tasks))
-    errors = {
-        (gi, ti): errs
-        for (_key_gi, tis, _n, points), outcome in zip(tasks, outcomes, strict=True)
-        for ti, trial in zip(tis, outcome, strict=True)
-        for (gi, _snr), errs in zip(points, trial, strict=True)
-    }
+        errors = {cell: errs for outcome in outcomes for cell, errs in outcome.items()}
 
     rows = []
     for gi, value in enumerate(grid):

@@ -12,11 +12,10 @@ complex rows, as ``K F (K F)^H / n`` from one real factor ``F``.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .signal_model import (
     FBImage,
     RotationDistribution,
     _frozen,
+    _noise_level,
     _readonly,
     _trig_design,
     observation_map,
@@ -45,7 +45,7 @@ class MomentPair:
     """First moment vector and Hermitian second-moment matrix at noise level sigma.
 
     ``sigma`` is kept as a float; a bool, a string or an array is a
-    ``TypeError``.
+    ``TypeError``, and a negative or non-finite one a ``ValueError``.
     """
 
     M1: np.ndarray
@@ -62,24 +62,6 @@ class MomentPair:
         object.__setattr__(self, "M1", m1)
         object.__setattr__(self, "M2", m2)
         object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def dim(self) -> int:
-        return self.M1.size
-
-    @cached_property
-    def _debiased(self) -> "MomentPair":
-        """``debias(self)``, formed on first use and then shared."""
-        m2 = np.array(self.M2[None])
-        _debias_in_place(m2, [self.sigma])
-        return MomentPair(self.M1, m2[0], 0.0)
-
-
-def _noise_level(sigma) -> float:
-    """``sigma`` as a float; a bool, or anything but one real number, is a ``TypeError``."""
-    if isinstance(sigma, (bool, np.bool_)) or not isinstance(sigma, numbers.Real):
-        raise TypeError(f"sigma must be a real number, not {sigma!r}")
-    return float(sigma)
 
 
 def _check_pairs(m1: np.ndarray, m2: np.ndarray, sigmas: np.ndarray) -> None:
@@ -182,11 +164,11 @@ def debias(m: MomentPair) -> MomentPair:
     The result has ``sigma = 0``, so debiasing it again changes no bit.  It
     is re-symmetrised so downstream Hermitian eigensolvers see an exactly
     Hermitian matrix; this runs at ``sigma = 0`` too, since a population
-    ``M2`` is Hermitian only to rounding.  Each pair is debiased once: every
-    later call returns the same object, so the recoveries of one pair share
-    it.
+    ``M2`` is Hermitian only to rounding.
     """
-    return m._debiased
+    m2 = np.array(m.M2[None])
+    _debias_in_place(m2, [m.sigma])
+    return MomentPair(m.M1, m2[0], 0.0)
 
 
 def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
@@ -406,6 +388,4 @@ def simulate_empirical_moments(
     is served by arrays that are freed after the call.
     """
     sigma = _noise_level(sigma)
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError("sigma must be finite and nonnegative")
     return MomentPair(*_moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma), sigma)

@@ -17,6 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Optional
@@ -50,6 +52,20 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
+
+
+def _noise_level(sigma) -> float:
+    """``sigma`` as a float, the one noise-level rule of every entry point.
+
+    A bool, or anything but one real number, is a ``TypeError``; a value
+    that is not finite and nonnegative is a ``ValueError``.
+    """
+    if isinstance(sigma, (bool, np.bool_)) or not isinstance(sigma, numbers.Real):
+        raise TypeError(f"sigma must be a real number, not {sigma!r}")
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and nonnegative")
+    return sigma
 
 
 def _conj_tol(coeffs: np.ndarray) -> float:
@@ -469,8 +485,7 @@ def generate_observations(
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError("sigma must be finite and nonnegative")
+    sigma = _noise_level(sigma)
     angles = sample_rotations(rho, n, rng)
     draws = np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
     # One real product with K^T's interleaved real and imaginary parts.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import FMOptions, _high_gather, _march, _ratio_matrix, _reduce_radial, fm_recover_2d
+from so2mra.freq_march import FMOptions, _high_gather, _march, _ratio_matrix, fm_recover_2d
 from so2mra.harness import simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
 from so2mra.moments import MomentPair, debias, population_moments_2d
@@ -10,10 +10,13 @@ from so2mra.spectral import spectral_recover_2d
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
+    TWO_PI,
     UNIFORM_DENSITY,
     coefficient_layout,
     make_experiment_distribution,
+    make_experiment_signal_2d,
     perturb_distribution,
+    radial_block_mean,
     rotate_distribution,
     rotate_signal,
 )
@@ -126,12 +129,14 @@ class TestRobustVariant:
 class TestRobustKernels:
     @pytest.mark.parametrize("qk", [[2, 2, 2, 2], [2, 1, 3, 2], [1, 1, 1, 1]])
     def test_reduce_radial_is_block_mean(self, qk):
+        # The radial reduction inside _ratio_matrix; with M1 all ones, S is 2 pi M2.
         rng = np.random.default_rng(30)
         B = 3
         qk = np.array(qk)
         sizes = qk[np.abs(np.arange(-B, B + 1))]
         d = int(sizes.sum())
-        s_full = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        s_full = TWO_PI * m2
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         expected = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
         for i1 in range(2 * B + 1):
@@ -141,9 +146,10 @@ class TestRobustKernels:
                     for b in range(sizes[i2]):
                         total += s_full[starts[i1] + a, starts[i2] + b]
                 expected[i1, i2] = total / (sizes[i1] * sizes[i2])
-        got = _reduce_radial(s_full[None], starts, FMOptions(variant="robust"))[0]
-        assert np.abs(got - expected).max() < 1e-13
-        plain = _reduce_radial(s_full[None], starts, FMOptions(variant="plain"))[0]
+        m1 = np.ones((1, d), dtype=complex)
+        got = _ratio_matrix(m1, m2[None], starts, robust=True)[0][0]
+        assert np.abs(got - expected).max() < 1e-13 * TWO_PI
+        plain = _ratio_matrix(m1, m2[None], starts, robust=False)[0][0]
         assert np.array_equal(plain, s_full[np.ix_(starts, starts)])
 
     @pytest.mark.parametrize("B", [1, 2, 5, 10])
@@ -223,8 +229,7 @@ class TestRobustGather:
         x = FBImage(B, qk, coeffs)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-        s_full, *_ = _ratio_matrix(m.M1[None], m.M2[None])
-        s = _reduce_radial(s_full, starts, FMOptions(variant="robust"))
+        s, *_ = _ratio_matrix(m.M1[None], m.M2[None], starts, robust=True)
         got = _march(s, B, FMOptions(variant="robust"))[0][0]
         assert np.array_equal(got, _robust_march_reference(s[0], B))
 
@@ -240,10 +245,55 @@ class TestRobustGather:
         x = FBImage(B, qk, coeffs)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-        s_full, *_ = _ratio_matrix(m.M1[None], m.M2[None])
-        s = _reduce_radial(s_full, starts, FMOptions(variant="plain"))
+        s, *_ = _ratio_matrix(m.M1[None], m.M2[None], starts, robust=False)
         got = _march(s, B, FMOptions(variant="plain"))[0][0]
         assert np.array_equal(got, _plain_march_reference(s[0], B))
+
+
+def _ratio_matrix_reference(m1, m2, starts, robust):
+    """The reduced ratio matrices formed from all ``d^2`` entries of ``S``: block means (robust) or block starts (plain)."""
+    s = TWO_PI * m2 / (m1[:, :, None] * m1.conj()[:, None, :])
+    return radial_block_mean(s, starts) if robust else s[:, starts[:, None], starts]
+
+
+class TestReducedRatioMatrix:
+    """``_ratio_matrix`` divides only the entries each variant reads, with the bits of dividing all of them."""
+
+    @pytest.mark.parametrize("B", range(1, 13))
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
+    def test_matches_full_division(self, B, uniform, robust):
+        rng = np.random.default_rng((83, B, uniform, robust))
+        for size in range(1, 6):
+            qk = np.full(B + 1, 2) if uniform else rng.integers(1, 5, B + 1)
+            _k_index, starts = coefficient_layout(B, qk)
+            d = int(_k_index.size)
+            m1 = rng.uniform(0.1, 2.0, (size, d)) * np.exp(2j * np.pi * rng.random((size, d)))
+            m2 = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
+            got, min_abs, tol = _ratio_matrix(m1, m2, starts, robust)
+            assert got.shape == (size, 2 * B + 1, 2 * B + 1)
+            assert np.array_equal(got, _ratio_matrix_reference(m1, m2, starts, robust))
+            assert np.array_equal(min_abs, np.abs(m1).min(axis=1))
+
+    @pytest.mark.parametrize("cell", [0, 2])
+    def test_guard_reads_entries_off_the_block_starts(self, cell):
+        # The plain march divides no entry off the block starts, yet a
+        # vanishing one there still refuses the pair, as a stack and alone.
+        rng = np.random.default_rng(84)
+        x = make_experiment_signal_2d(3, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
+        m = population_moments_2d(x, rho, 0.0)
+        _k_index, starts = coefficient_layout(x.B, x.radial_bandwidths)
+        off_start = int(starts[4]) + 1  # the second radial entry of block k = 1
+        assert off_start not in starts
+        m1 = np.array([m.M1] * 3)
+        m1[cell, off_start] = 0.0
+        m2 = np.array([m.M2] * 3)
+        _ratio_matrix(np.array([m.M1] * 3), m2, starts, robust=False)
+        with pytest.raises(VanishingCoefficientError):
+            _ratio_matrix(m1, m2, starts, robust=False)
+        with pytest.raises(VanishingCoefficientError):
+            fm_recover_2d(MomentPair(m1[cell], m.M2, 0.0), (x.B, x.radial_bandwidths), FMOptions(variant="plain"))
 
 
 class TestImageShapeCheck:

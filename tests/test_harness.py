@@ -228,8 +228,12 @@ class TestFixedGroundTruth:
             base = make_experiment_distribution(cfg.b, rng, tol_pos=harness.TOL_POS)
             return image, perturb_distribution(base, cfg.eta)
 
-        def per_trial_draw(cfg, gi, tis, n, snrs, instance):
-            return [real_task(cfg, gi, (ti,), n, snrs, draw())[0] for ti in tis]
+        def per_trial_draw(cfg, task, instance):
+            key_gi, tis, n, points = task
+            errors = {}
+            for ti in tis:
+                errors.update(real_task(cfg, (key_gi, (ti,), n, points), draw()))
+            return errors
 
         monkeypatch.setattr(harness, "_sampling_task", per_trial_draw)
         reference = rows_to_csv(run_experiment(cfg))
@@ -540,9 +544,9 @@ class TestDeterminism:
         seen = []
         trial = harness._sampling_task
 
-        def recording_trial(*args):
+        def recording_trial(cfg, task, instance):
             seen.append(threading.get_ident())
-            return trial(*args)
+            return trial(cfg, task, instance)
 
         monkeypatch.setattr(harness, "_sampling_task", recording_trial)
         for cfg in (ExperimentConfig(**TINY_SNR), ExperimentConfig(**TINY_N)):
@@ -561,11 +565,11 @@ class TestDeterminism:
         seen = []
         real_trial = harness._sampling_task
 
-        def recording_trial(*args):
+        def recording_trial(cfg, task, instance):
             seen.append(get_threads())
-            return real_trial(*args)
+            return real_trial(cfg, task, instance)
 
-        def failing_trial(*args):
+        def failing_trial(cfg, task, instance):
             raise RuntimeError("trial crashed")
 
         try:
@@ -808,9 +812,9 @@ class TestConfigFileAndCli:
         calls = []
         real_trial = harness._sampling_task
 
-        def counting_trial(*args):
-            calls.append(args)
-            return real_trial(*args)
+        def counting_trial(cfg, task, instance):
+            calls.append(task)
+            return real_trial(cfg, task, instance)
 
         monkeypatch.setattr(harness, "_sampling_task", counting_trial)
         out = tmp_path / "missing" / "y.csv"
@@ -821,7 +825,7 @@ class TestConfigFileAndCli:
         old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
         old.write_text("old\n", encoding="utf-8")
 
-        def crashing_trial(*args):
+        def crashing_trial(cfg, task, instance):
             assert old.read_text(encoding="utf-8") == "old\n" and not fresh.exists()
             raise RuntimeError("trial crashed")
 

@@ -743,13 +743,6 @@ class TestDebias:
         assert m.sigma == 0.0
         assert debias(m).M2.tobytes() == m.M2.tobytes()
 
-    def test_debiased_once(self):
-        # The recoveries of one pair share its debiased pair.
-        rng = np.random.default_rng(15)
-        x = random_image(3, 2, rng)
-        m = simulate_empirical_moments(x, make_experiment_distribution(3, rng), 2000, 0.4, rng)
-        assert debias(m) is debias(m)
-
     def test_sigma_zero_still_resymmetrised(self):
         # A population M2 is Hermitian only to rounding, so debiasing it at
         # sigma = 0 changes bits: it must not be skipped.
@@ -859,3 +852,49 @@ class TestMomentPairValidation:
     def test_sigma_must_be_one_real_number(self, sigma):
         with pytest.raises(TypeError, match="sigma must be a real number"):
             MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), sigma)
+
+
+class TestNoiseLevel:
+    """Every entry point that takes a noise level applies one rule to it, before any draw."""
+
+    @staticmethod
+    def drawn(draw, sigma):
+        image = random_image(2, 2, np.random.default_rng(1))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        try:
+            draw(image, RotationDistribution.uniform(2), 100, sigma, rng)
+        finally:
+            assert rng.bit_generator.state == state
+
+    @classmethod
+    def generate(cls, sigma):
+        cls.drawn(generate_observations, sigma)
+
+    @classmethod
+    def simulate(cls, sigma):
+        cls.drawn(simulate_empirical_moments, sigma)
+
+    @staticmethod
+    def pair(sigma):
+        MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), sigma)
+
+    @pytest.mark.parametrize("entry", ["generate", "simulate", "pair"])
+    @pytest.mark.parametrize(
+        "sigma, error",
+        [
+            (True, TypeError),
+            (np.True_, TypeError),
+            (np.array([0.1]), TypeError),
+            ([0.1], TypeError),
+            (0.1 + 0j, TypeError),
+            ("0.1", TypeError),
+            (np.nan, ValueError),
+            (np.inf, ValueError),
+            (-1, ValueError),
+        ],
+        ids=["True", "np_True", "array", "list", "complex", "str", "nan", "inf", "negative"],
+    )
+    def test_one_rule_at_every_entry_point(self, entry, sigma, error):
+        with pytest.raises(error, match="sigma"):
+            getattr(self, entry)(sigma)
