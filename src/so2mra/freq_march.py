@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MomentConsistencyError, VanishingCoefficientError
-from .moments import MomentPair, debias
+from .moments import MomentPair, _debias_in_place
 from .signal_model import (
     TWO_PI,
     UNIFORM_DENSITY,
@@ -220,8 +220,9 @@ def fm_recover_2d(
     stacked core ``_fm_estimates`` on one pair.
     """
     B, qk = image_shape
-    m = debias(m)
-    x_est, rho, min_abs_m1, tol, residuals = _fm_estimates(m.M1[None], m.M2[None], image_shape, opts)
+    m2 = np.array(m.M2[None])
+    _debias_in_place(m2, [m.sigma])
+    x_est, rho, min_abs_m1, tol, residuals = _fm_estimates(m.M1[None], m2, image_shape, opts)
     diagnostics = {
         "variant": opts.variant,
         "gauge": "rho[1] phase fixed to zero",

@@ -22,7 +22,9 @@ fails its trial at every SNR.
 
 A task is a few trials that share ``n``: as many as keep its stack of
 ``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
-trials split evenly between tasks.  Its (trial, SNR) cells form one stack,
+trials split evenly between tasks.  A grid point's trials form at least as
+many tasks as the sweep has workers, so that none idles, unless there are
+fewer trials.  Its (trial, SNR) cells form one stack,
 and each algorithm recovers and scores the whole stack in one call to its
 stacked core; the public one-pair functions are those cores on one cell.
 If that call raises an expected failure, the algorithm runs again on each
@@ -118,12 +120,16 @@ def _row(*cells) -> dict:
 _TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
 
 # Largest size in bytes of one task's stack of complex (d, d) second moments.
-# A sampling task takes as many trials as fit, and at least one: 4 cells at
-# B = 10, Q = 2 (d = 42), one trial per task above d = 64.  The stacked
-# cores hold up to about four arrays of this size at once, per worker.  At
-# twice this budget a sweep ran little faster and its peak RSS rose by a
-# further 0.4-0.5 MB; at this one an n sweep's peak RSS stays within 0.2 MB.
-_STACK_BYTES = 1 << 17
+# A sampling task takes as many trials as fit, and at least one: 18 cells at
+# B = 10, Q = 2 (d = 42); an n-sweep task holds one trial above d = 181.  The
+# stacked cores hold up to about four arrays of this size at once, per
+# worker.  Each stacked call has a fixed Python cost, which a bigger stack
+# spreads over more cells.  Against 128 KiB, this budget ran the benchmark's
+# SNR sweep at 1.17 times the trials per second and its fixed-instance n
+# sweep at 1.25 times, for 1.1-1.3 MB more peak RSS; 256 KiB gave 64-92% of
+# the CPU saving, and 1 MiB ran no faster than this budget and took a
+# further 1.9 MB of RSS on the n sweep (2 vCPUs; BENCH_26.json).
+_STACK_BYTES = 1 << 19
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "text"}
@@ -332,11 +338,15 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
     grid, param = (cfg.snr_grid, "snr") if snr_sweep else (cfg.n_grid, "n")
     # A task is the grid index of its generator keys, its trial indices, n,
     # and its (grid index, SNR) points; its cells, trials x points, form one
-    # stack.  The trials are split as evenly as the stack budget allows.  An
-    # SNR sweep's trial covers every SNR; an n sweep's covers one point.
+    # stack.  The trials are split evenly between the fewest groups that
+    # keep each stack within the budget and number at least the workers (so
+    # none idles), but never more groups than trials.  An SNR sweep's trial
+    # covers every SNR; an n sweep's covers one point.
+    workers = min(cfg.threads, os.cpu_count() or 1)
     dim = (2 * cfg.b + 1) * cfg.q
     per_task = max(1, _STACK_BYTES // ((len(grid) if snr_sweep else 1) * 16 * dim * dim))
-    groups = [tuple(g.tolist()) for g in np.array_split(np.arange(cfg.trials), -(-cfg.trials // per_task))]
+    count = max(-(-cfg.trials // per_task), min(cfg.trials, workers))
+    groups = [tuple(g.tolist()) for g in np.array_split(np.arange(cfg.trials), count)]
     if snr_sweep:
         tasks = [(0, tis, cfg.n, tuple(enumerate(grid))) for tis in groups]
     else:
@@ -349,7 +359,6 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
         errors = {(gi, ti): dict.fromkeys(cfg.algos) for gi in range(len(grid)) for ti in range(cfg.trials)}
     else:
         run = functools.partial(_sampling_task, cfg, instance=fixed)
-        workers = min(cfg.threads, os.cpu_count() or 1)
         if workers == 1:
             # In the calling thread, whose simulator workspace outlives the sweep.
             outcomes = list(map(run, tasks))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import MomentConsistencyError
 from .freq_march import RecoveryResult, _image_layout
 from .metrics import _grid_overlap
-from .moments import MomentPair, debias
+from .moments import MomentPair, _debias_in_place
 from .signal_model import (
     FBImage,
     RotationDistribution,
@@ -202,8 +202,9 @@ def spectral_recover_2d(
     is the stacked core ``_spectral_estimates`` on one pair.
     """
     B, qk = image_shape
-    m = debias(m)
-    x_est, [(lams, kappa, gap, x_tilde)] = _spectral_estimates(m.M1[None], m.M2[None], image_shape, opts.rank_tol)
+    m2 = np.array(m.M2[None])
+    _debias_in_place(m2, [m.sigma])
+    x_est, [(lams, kappa, gap, x_tilde)] = _spectral_estimates(m.M1[None], m2, image_shape, opts.rank_tol)
     rho_est = _rho_from_first_moment(m.M1, x_est[0], coefficient_layout(B, qk)[1], B)
     result = RecoveryResult(
         FBImage(B, qk, x_est[0]),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so2mra import harness
+from so2mra import harness, moments
 from so2mra.errors import ConfigError, NotSampleableError
 from so2mra.harness import (
     ALGORITHMS,
@@ -25,7 +25,7 @@ from so2mra.harness import (
 )
 from so2mra.freq_march import FMOptions, fm_recover_2d
 from so2mra.metrics import _alignment_errors, recovery_error, sigma_for_snr
-from so2mra.moments import MomentPair, simulate_empirical_moments
+from so2mra.moments import MomentPair, debias, simulate_empirical_moments
 from so2mra.signal_model import (
     UNIFORM_DENSITY,
     FBImage,
@@ -368,23 +368,75 @@ class TestStacks:
 
     @pytest.mark.parametrize(
         "config, stacked",
-        [(MIXED_FAILURES, [12] * 6), (SNR_DESK, [3] * 12), (N_FIXED_GT, [4] * 18)],
+        [(MIXED_FAILURES, [12] * 6), (SNR_DESK, [6] * 6), (N_FIXED_GT, [12] * 6)],
         ids=["mixed_failures", "snr_desk", "n_fixed_gt"],
     )
     def test_csv_does_not_depend_on_the_stack_size(self, monkeypatch, config, stacked):
-        # One trial per task, the default budget, and every trial of a grid
-        # point in one task write the same bytes.
+        # One trial per task, the default budget (on two cores, so the
+        # two-thread config splits its trials between two workers), and every
+        # trial of a grid point in one task, on one thread, write the same
+        # bytes.
         sizes = self.stack_sizes(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cfg = ExperimentConfig(**config)
         default = rows_to_csv(run_experiment(cfg))
         assert sizes == stacked
+        points = len(cfg.snr_grid or (None,))
         csvs = []
-        for budget, cells in [(1, len(cfg.snr_grid or (None,))), (1 << 30, len(cfg.snr_grid or (None,)) * cfg.trials)]:
+        for budget, threads, cells in [(1, cfg.threads, points), (1 << 30, 1, points * cfg.trials)]:
             sizes.clear()
             monkeypatch.setattr(harness, "_STACK_BYTES", budget)
-            csvs.append(rows_to_csv(run_experiment(cfg)))
+            csvs.append(rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))))
             assert set(sizes) == {cells}
         assert csvs == [default, default]
+
+    def test_every_worker_gets_a_task(self, monkeypatch):
+        # The default budget fits every trial of this sweep in one task, but
+        # each worker gets a group of trials, as long as there are trials.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        groups = []
+        real_task = harness._sampling_task
+
+        def recording_task(cfg, task, instance):
+            groups.append(task[1])
+            return real_task(cfg, task, instance)
+
+        monkeypatch.setattr(harness, "_sampling_task", recording_task)
+        cfg = ExperimentConfig(**TINY_SNR)
+        csvs = []
+        for threads, expected in [(2, [(0, 1), (2,)]), (4, [(0,), (1,), (2,)]), (1, [(0, 1, 2)])]:
+            groups.clear()
+            csvs.append(rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))))
+            assert sorted(groups) == expected
+        assert csvs == [csvs[0]] * 3
+
+    def test_public_recovery_makes_no_second_pair(self, monkeypatch):
+        # A public recovery debiases a copy of its pair's M2 and runs its
+        # core on it, bit for bit as the core on debias(m), without building
+        # (and checking) a debiased MomentPair.
+        rng = np.random.default_rng(3)
+        image = make_experiment_signal_2d(4, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(4, rng, tol_pos=harness.TOL_POS), 0.1)
+        m = simulate_empirical_moments(image, rho, 20_000, sigma_for_snr(image, 100.0), rng)
+        md = debias(m)
+        shape = (image.B, image.radial_bandwidths)
+        checks = []
+        real_check = moments._check_pairs
+
+        def counting_check(*args):
+            checks.append(args)
+            real_check(*args)
+
+        monkeypatch.setattr(moments, "_check_pairs", counting_check)
+        for algo, one_pair in [
+            ("fm_plain", lambda: fm_recover_2d(m, shape, FMOptions(variant="plain"))),
+            ("fm_robust", lambda: fm_recover_2d(m, shape, FMOptions(variant="robust"))),
+            ("spectral", lambda: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0]),
+        ]:
+            checks.clear()
+            estimate = one_pair().signal_est.coeffs
+            assert checks == []
+            assert np.array_equal(estimate, harness._RECOVERIES[algo](md.M1[None], md.M2[None], shape)[0])
 
     def test_failures_stay_with_their_cells(self):
         rows = run_experiment(ExperimentConfig(**MIXED_FAILURES))
