@@ -27,7 +27,6 @@ from .signal_model import (
     UNIFORM_DENSITY,
     FBImage,
     RotationDistribution,
-    _check_finite,
     _frozen,
     coefficient_layout,
     radial_block_mean,
@@ -193,7 +192,9 @@ def _fm_estimates(
     Returns the ``(S, d)`` image estimates, the ``(S, 2B+1)`` coefficients
     ``rho[0..2B]``, and each pair's ``min|M1|``, guard and residuals.  A
     failing pair raises for the whole stack; each pair's values are those of
-    a stack of that pair alone, bit for bit.
+    a stack of that pair alone, bit for bit.  The estimates are not checked
+    here: ``fm_recover_2d``'s value types refuse a non-finite one, and so
+    does the sweep (``harness._cell_errors``).
     """
     B, qk = image_shape
     k_index, starts = _image_layout(B, qk, m1.shape[1])
@@ -202,10 +203,6 @@ def _fm_estimates(
     # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
     signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
     x_est = m1 / (TWO_PI * signed[:, k_index + B])
-    # The checks of the value types a recovery returns, which the sweeps do
-    # not build, so that a non-finite estimate still aborts a sweep.
-    _check_finite(rho, "rotation density coefficients")
-    _check_finite(x_est, "image coefficients")
     return x_est, rho, min_abs_m1, tol, residuals
 
 

@@ -61,6 +61,7 @@ from .moments import (
 )
 from .signal_model import (
     FBImage,
+    _check_finite,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
@@ -305,11 +306,15 @@ def _cell_errors(recover, m1, m2, truths, shape, k_values) -> list:
 
     The algorithm runs once on the whole stack; if that raises an expected
     failure, it runs once per cell, so that only the failing cells fail.
+    This is where the sweep checks every algorithm's estimates: a
+    non-finite one is a programming error, a ``ValueError`` that aborts the
+    sweep, as the value types of the public recoveries refuse it.
     """
 
     def scored(cells) -> list:
-        errors, _angles, _aligned = _alignment_errors(recover(m1[cells], m2[cells], shape), truths[cells], k_values)
-        return [None if np.isnan(err) else err for err in errors]
+        estimates = recover(m1[cells], m2[cells], shape)
+        _check_finite(estimates, "image coefficients")
+        return _alignment_errors(estimates, truths[cells], k_values)[0]
 
     try:
         return scored(slice(None))

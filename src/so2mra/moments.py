@@ -25,11 +25,10 @@ from .signal_model import (
     RotationDistribution,
     _frozen,
     _noise_level,
+    _observation_draws,
     _readonly,
-    _trig_design,
     observation_map,
     rotation_cdf,
-    sample_rotations,
 )
 
 DEFAULT_CHUNK = 4096
@@ -86,7 +85,12 @@ def _debias_in_place(m2: np.ndarray, sigmas) -> None:
 
     The same operations, in the same order, as ``(A + A^H) / 2`` for
     ``A = M2 - sigma^2 I`` formed in new arrays; in place, a stack takes
-    one extra array of its size.
+    one extra array of its size.  This and ``debias``, which calls it, own
+    the symmetry of a second moment: the result is exactly Hermitian, and
+    it has the same bits for an input that is Hermitian to rounding only
+    (``simulate_empirical_moments``) as for that input made exactly
+    Hermitian first, since each entry is ``(A_ij + conj(A_ji)) / 2`` either
+    way and the diagonal's doubling and halving are exact.
     """
     # Each sigma^2 is Python's float power, as a single pair always took it;
     # off the diagonal, the subtracted zeros change no bit.
@@ -162,9 +166,10 @@ def debias(m: MomentPair) -> MomentPair:
     """Remove the noise contribution ``sigma^2 I`` from the second moment.
 
     The result has ``sigma = 0``, so debiasing it again changes no bit.  It
-    is re-symmetrised so downstream Hermitian eigensolvers see an exactly
-    Hermitian matrix; this runs at ``sigma = 0`` too, since a population
-    ``M2`` is Hermitian only to rounding.
+    is re-symmetrised (``_debias_in_place``) so downstream Hermitian
+    eigensolvers see an exactly Hermitian matrix; this runs at ``sigma = 0``
+    too, since a population or simulated ``M2`` is Hermitian only to
+    rounding.
     """
     m2 = np.array(m.M2[None])
     _debias_in_place(m2, [m.sigma])
@@ -334,8 +339,7 @@ def _draw_gram_factor(
         raise ValueError("n and chunk must be positive integers")
     B, dim, p = signal.B, signal.size, 2 * signal.B + 1
     if n < p + dim:
-        angles = sample_rotations(rho, n, rng)
-        return np.concatenate([_trig_design(angles, B), rng.standard_normal((n, dim))], axis=1).T
+        return _observation_draws(signal, rho, n, rng).T
     gram = _gram_from_sums(_angle_sums(*rotation_cdf(rho), n, 2 * B, rng, chunk))
     try:
         lower = np.linalg.cholesky(gram)
@@ -350,10 +354,14 @@ def _draw_gram_factor(
 
 
 def _moments_from_factor(signal, factor: np.ndarray, n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """``M1 = K F F[0] / n`` and ``M2 = K F (K F)^H / n`` at noise level ``sigma``, ``K = observation_map``."""
+    """``M1 = K F F[0] / n`` and ``M2 = K F (K F)^H / n`` at noise level ``sigma``, ``K = observation_map``.
+
+    ``M2`` is the product as computed, Hermitian to rounding only: debiasing
+    (``_debias_in_place``, ``debias``) is what makes a second moment exactly
+    Hermitian, and it gives the same bits whether or not its input was.
+    """
     kf = observation_map(signal, sigma) @ factor
-    m2 = kf @ kf.conj().T / n
-    return kf @ factor[0] / n, 0.5 * (m2 + m2.conj().T)
+    return kf @ factor[0] / n, kf @ kf.conj().T / n
 
 
 def simulate_empirical_moments(
@@ -365,8 +373,11 @@ def simulate_empirical_moments(
     ``generate_observations`` also uses) and the real ``r_i = [g(phi_i); z_i]``,
     ``z_i ~ N(0, I_d)``.  Every call forms one real ``F`` with
     ``F F^T = Gamma = [G Z]^T [G Z]`` and returns ``M1 = K F F[0] / n``
-    (``g_0 = 1``) and ``M2 = K F (K F)^H / n``.  When ``n < p + d``
-    (``p = 2B + 1``), ``F = [G Z]^T``: the draws of ``generate_observations``.
+    (``g_0 = 1``) and ``M2 = K F (K F)^H / n``, which is Hermitian to
+    rounding, not exactly: debiasing symmetrises it (``debias``).  When
+    ``n < p + d`` (``p = 2B + 1``), ``F = [G Z]^T`` for the draws of
+    ``signal_model._observation_draws``, which ``generate_observations``
+    also reads.
     Otherwise ``G^T G`` comes from the gridded angle Fourier sums of
     ``_angle_sums``, whose ``n`` angles are drawn ``chunk`` at a time from
     the random stream of ``sample_rotations``, at O(n) per Taylor term, not

@@ -468,6 +468,16 @@ def observation_map(signal: FBImage, sigma: float) -> np.ndarray:
     return np.concatenate([design, sigma * noise], axis=1)
 
 
+def _observation_draws(signal: FBImage, rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The real ``(n, 2B+1+d)`` rows ``[g(phi_i); z_i]`` of ``n`` observations, the one place they are drawn.
+
+    The angles are the first draws, exactly ``sample_rotations(rho, n, rng)``;
+    one ``(n, d)`` standard normal block ``z`` follows.
+    """
+    angles = sample_rotations(rho, n, rng)
+    return np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
+
+
 def generate_observations(
     signal: FBImage,
     rho: RotationDistribution,
@@ -478,15 +488,14 @@ def generate_observations(
     """Draw ``n`` observations ``y_i = rotate(x, phi_i) + eps_i`` in coefficient space.
 
     Returns a new ``(n, dim)`` complex array, one observation per row, that
-    the caller owns.  Row ``i`` is ``observation_map(signal, sigma) @ [g(phi_i); z_i]``.
-    The angles are the first draws, exactly ``sample_rotations(rho, n, rng)``,
-    so a generator with the same seed gives them back; one real ``(n, dim)``
-    normal block ``z`` follows.
+    the caller owns.  Row ``i`` is ``observation_map(signal, sigma) @ [g(phi_i); z_i]``
+    for the draws of ``_observation_draws``, which the simulator's small-``n``
+    path also reads: the angles first, exactly ``sample_rotations(rho, n, rng)``,
+    so a generator with the same seed gives them back, then one real
+    ``(n, dim)`` normal block ``z``.
     """
     if signal.B != rho.B:
         raise ValueError("signal and distribution bandwidths must agree")
-    sigma = _noise_level(sigma)
-    angles = sample_rotations(rho, n, rng)
-    draws = np.concatenate([_trig_design(angles, signal.B), rng.standard_normal((n, signal.size))], axis=1)
     # One real product with K^T's interleaved real and imaginary parts.
-    return (draws @ np.ascontiguousarray(observation_map(signal, sigma).T).view(np.float64)).view(np.complex128)
+    k_t = np.ascontiguousarray(observation_map(signal, _noise_level(sigma)).T).view(np.float64)
+    return (_observation_draws(signal, rho, n, rng) @ k_t).view(np.complex128)

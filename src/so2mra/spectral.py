@@ -47,10 +47,15 @@ class EigOptions:
 
     ``rank_tol`` is the relative threshold below which eigenvalues count as
     zero in the low-rank problem (use ``RANK_TOL_EMPIRICAL`` for sampled
-    moments).
+    moments).  It must satisfy ``0 <= rank_tol < 1`` (else ``ValueError``):
+    at 1 or above no eigenvalue would pass it, and below 0 every one would.
     """
 
     rank_tol: float = RANK_TOL_POPULATION
+
+    def __post_init__(self):
+        if not 0 <= self.rank_tol < 1:
+            raise ValueError(f"rank_tol must satisfy 0 <= rank_tol < 1, not {self.rank_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,21 @@ def rho_truncation(rho, B):
     return RotationDistribution.from_positive(B // 2, rho.positive_coeffs[:B])
 
 
+class _Uniforms:
+    """Stands in for a ``Generator``: ``random(size)`` and ``random(out=...)``
+    hand out fixed uniforms in order."""
+
+    def __init__(self, u):
+        self._u, self._next = u, 0
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self._u[self._next : self._next + out.size]
+        self._next += out.size
+        return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -98,6 +98,8 @@ class TestConfigValidation:
             {"snr": 0.0},
             {"eta": -0.1},
             {"seed": -1},
+            {"snr_grid": (10.0, 0.0)},
+            {"experiment": "n_sweep", "n_grid": (1000, -5)},
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -115,6 +117,7 @@ class TestConfigValidation:
             {"snr_grid": (10.0, np.nan)},
             {"experiment": "n_sweep", "n_grid": (1000, 2.5)},
             {"fixed_ground_truth": "no"},
+            {"snr_grid": 5.0},
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -447,23 +450,35 @@ class TestStacks:
         for algo in ALGORITHMS:
             assert any(0 < row["failures"] < row["trials"] for row in rows if row["algorithm"] == algo)
 
-    def test_non_finite_estimate_aborts_the_sweep(self, monkeypatch):
-        # A zero S[2, 1] makes the plain march divide by zero.  The sweep
-        # builds no RotationDistribution or FBImage, whose checks used to
-        # refuse the non-finite estimate; the core refuses it instead, and
-        # as a programming error it aborts the sweep.
-        real = harness._moments_from_factor
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_non_finite_estimate_aborts_the_sweep(self, monkeypatch, algo):
+        # The sweep builds no FBImage, whose check would refuse a non-finite
+        # estimate; it checks every algorithm's stacked estimates itself, and
+        # a non-finite one is a programming error that aborts the sweep, not
+        # a failed cell.  Zero blocks (2, 1) and (1, 2) of M2 make both
+        # marches divide by zero; spectral gets a stand-in core.
+        if algo == "spectral":
+            real_core = harness._spectral_estimates
 
-        def zero_entry(signal, factor, n, sigma):
-            m1, m2 = real(signal, factor, n, sigma)
-            starts = coefficient_layout(signal.B, signal.radial_bandwidths)[1]
-            row, col = starts[signal.B + 2], starts[signal.B + 1]
-            m2[row, col] = m2[col, row] = 0.0
-            return m1, m2
+            def nan_entry(m1, m2, shape, rank_tol):
+                x_est, spectra = real_core(m1, m2, shape, rank_tol)
+                x_est[0, 0] = np.nan
+                return x_est, spectra
 
-        monkeypatch.setattr(harness, "_moments_from_factor", zero_entry)
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
-            run_experiment(ExperimentConfig(**{**TINY_N, "algos": ("fm_plain",)}))
+            monkeypatch.setattr(harness, "_spectral_estimates", nan_entry)
+        else:
+            real = harness._moments_from_factor
+
+            def zero_blocks(signal, factor, n, sigma):
+                m1, m2 = real(signal, factor, n, sigma)
+                two, one = (signal.k_values == 2), (signal.k_values == 1)
+                m2[np.ix_(two, one)] = m2[np.ix_(one, two)] = 0.0
+                return m1, m2
+
+            monkeypatch.setattr(harness, "_moments_from_factor", zero_blocks)
+        cfg = ExperimentConfig(**{**TINY_N, "algos": (algo,)})
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="image coefficients must"):
+            run_experiment(cfg)
 
     @settings(max_examples=25, deadline=None)
     # The robust march sums k - 1 >= 8 terms, past numpy's sequential
@@ -739,6 +754,14 @@ class TestConfigFileAndCli:
         cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
         cfg_file.write_text(f"b = 2\nn = 500\ntrials = 1\nalgos = {text}\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unmatched quote"):
+            load_config_file(str(cfg_file))
+        assert main([str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text("b = 2\ntrials 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"cfg.txt:2: expected 'key = value'"):
             load_config_file(str(cfg_file))
         assert main([str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()

@@ -200,6 +200,49 @@ class TestRecoveryError:
         with pytest.raises(ValueError):
             recovery_error(x, z)
 
+    @pytest.mark.parametrize(
+        "estimate, truth",
+        [
+            (FBImage(1, [1, 1], np.ones(3)), FBImage(2, [1, 1, 1], np.ones(5))),
+            (FBImage(1, [2, 1], np.ones(4)), FBImage(0, [4], np.ones(4))),
+            (RotationDistribution.uniform(1), RotationDistribution.uniform(2)),
+        ],
+        ids=["image_shape", "image_layout", "distribution_shape"],
+    )
+    def test_layout_mismatch_rejected(self, estimate, truth):
+        with pytest.raises(ValueError, match="shape and angular layout"):
+            recovery_error(estimate, truth)
+
+    @pytest.mark.parametrize(
+        "coeffs, rule",
+        [
+            # The k = -1 and k = 1 terms cancel, so the overlap is constant
+            # and its curvature is zero at every angle.
+            ([-0.2 - 0.6j, -1 - 0.7j, 0.2 - 0.6j], "curvature"),
+            # 8 cos(phi) - 2 cos(2 phi) has a quartic maximum at 0; shifted
+            # by 0.03, with a small cubic term, the curvature at the grid
+            # point 0 is barely negative and the first step is 3.3 cells.
+            ([0, 0, 0, 8.017849 + 0.005302j, -2.004351 - 0.002594j], "step"),
+        ],
+    )
+    def test_newton_stop_keeps_the_grid_angle(self, coeffs, rule):
+        # Against a truth of ones the collapsed coefficients are the
+        # estimate's own, so the first Newton step is read off them here.
+        estimate, truth = signal_1d(np.array(coeffs)), signal_1d(np.ones(len(coeffs)))
+        k, c = truth.k_values, estimate.coeffs
+        n_grid = GRID_FACTOR * k.size
+        spacing = 2.0 * np.pi / n_grid
+        j = int(np.argmax(_grid_overlap(c, k, n_grid)))
+        phase = np.exp(1j * k * (j * spacing))
+        d1, d2 = (1j * k * c * phase).sum().real, (-(k**2) * c * phase).sum().real
+        if rule == "curvature":
+            assert d2 >= 0.0
+        else:
+            assert d2 < 0.0 and abs(d1 / d2) > spacing
+        rep = recovery_error(estimate, truth)
+        assert rep.best_angle == j * spacing
+        assert np.array_equal(rep.aligned_estimate, c * np.exp(1j * k * (j * spacing)))
+
     def test_image_against_distribution_rejected(self):
         # Same flat shape and k values (-2..2), but an image is not a distribution.
         image = FBImage(2, [1, 1, 1], np.ones(5))

@@ -39,7 +39,7 @@ from so2mra.signal_model import (
     rotation_cdf,
 )
 
-from conftest import random_image, random_rho, random_signal_1d
+from conftest import _Uniforms, random_image, random_rho, random_signal_1d
 
 
 class TestPopulation1D:
@@ -123,6 +123,11 @@ class TestPopulation2D:
         var_m2 = np.maximum(fourth / n - np.abs(pop.M2) ** 2, 1e-12)
         assert (np.abs(emp.M2 - pop.M2) <= 3 * np.sqrt(var_m2 / n) + 1e-9).all()
 
+    def test_bandwidth_mismatch(self):
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="bandwidths must agree"):
+            population_moments_2d(img, RotationDistribution.uniform(3), 0.1)
+
 
 class TestEmpirical:
     def test_single_noiseless_observation(self):
@@ -144,6 +149,18 @@ class TestEmpirical:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             empirical_moments(np.zeros((0, 3), dtype=complex), 0.1)
+
+    @pytest.mark.parametrize("rows", [np.ones(3), np.ones((2, 3, 1))], ids=["vector", "3d"])
+    def test_data_must_be_a_matrix(self, rows):
+        with pytest.raises(ValueError, match=r"data must be a \(n, dim\) matrix"):
+            empirical_moments(rows, 0.1)
+
+    @pytest.mark.parametrize("rows", [np.ones(3), np.ones((2, 4))], ids=["vector", "wrong_dim"])
+    def test_accumulator_rows_must_match_its_dimension(self, rows):
+        acc = MomentAccumulator(3)
+        with pytest.raises(ValueError, match=r"rows must be \(n, dim\)"):
+            acc.update(rows)
+        assert acc.count == 0
 
     def test_clt_scale_deviation(self):
         rng = np.random.default_rng(8)
@@ -208,21 +225,6 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
     factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
     kf = observation_map(signal, sigma) @ factor
     return kf @ factor[0] / n, kf @ kf.conj().T / n
-
-
-class _Uniforms:
-    """Stands in for a ``Generator``: ``random(size)`` and ``random(out=...)``
-    hand out fixed uniforms in order."""
-
-    def __init__(self, u):
-        self._u, self._next = u, 0
-
-    def random(self, size=None, out=None):
-        if out is None:
-            out = np.empty(size)
-        out[...] = self._u[self._next : self._next + out.size]
-        self._next += out.size
-        return out
 
 
 def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
@@ -502,12 +504,21 @@ class TestSufficientStatisticSimulator:
         assert peak <= 512 * 1024
 
     @pytest.mark.parametrize(
-        "B, Q, n, chunk", [(1, 1, 50, 65536), (3, 2, 5000, 777), (10, 2, 100_000, 65536), (32, 1, 20_000, 4096)]
+        "B, Q, n, chunk",
+        [
+            (1, 1, 50, 65536),
+            (3, 2, 5000, 777),
+            (10, 2, 100_000, 65536),
+            (32, 1, 20_000, 4096),
+            (65, 1, 1000, 65536),
+        ],
     )
     def test_same_draws_as_per_angle_simulation(self, B, Q, n, chunk):
         # The gridded sums read the random stream exactly as the per-angle
         # sums did, so the result is the same draw up to rounding, and the
-        # in-distribution test against the direct oracle covers it.
+        # in-distribution test against the direct oracle covers it.  At
+        # B = 65 the order 2B = 130 needs 4 * 130 = 520 cells, more than the
+        # 512 that n = 1000 gives, so the grid doubles to 1024.
         rng = np.random.default_rng(41 + B)
         img = make_experiment_signal_2d(B, Q, rng)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
@@ -781,6 +792,43 @@ class TestStackedDebias:
         for row, m in zip(stack, pairs):
             assert np.array_equal(row, debias(m).M2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 40),
+        n=st.integers(1, 60),
+        sigmas=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_debias_needs_no_symmetric_input(self, dim, n, sigmas, seed):
+        # Debias owns the symmetry of M2: on a product R = X X^H / n, which
+        # is Hermitian to rounding only, it gives the bytes it gives on R
+        # made exactly Hermitian first.  Each entry is (A_ij + conj(A_ji)) / 2
+        # either way, and the diagonal's doubling and halving are exact.
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, (len(sigmas), 1, 1))
+        x = scales * (rng.standard_normal((len(sigmas), dim, n)) + 1j * rng.standard_normal((len(sigmas), dim, n)))
+        product = x @ x.conj().transpose(0, 2, 1) / n
+        symmetrised = 0.5 * (product + product.conj().transpose(0, 2, 1))
+        _debias_in_place(product, sigmas)
+        _debias_in_place(symmetrised, sigmas)
+        assert product.tobytes() == symmetrised.tobytes()
+
+    @pytest.mark.parametrize("n", [15, 5000], ids=["draws_as_factor", "bartlett_factor"])
+    def test_simulated_second_moment_is_the_product(self, n):
+        # simulate_empirical_moments returns K F (K F)^H / n as computed;
+        # debias makes it exactly Hermitian, with the bits of debiasing it
+        # made exactly Hermitian first.
+        rng = np.random.default_rng(73)
+        img = random_image(3, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
+        m = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(74))
+        kf = observation_map(img, 0.4) @ moments._draw_gram_factor(img, rho, n, np.random.default_rng(74))
+        assert np.array_equal(m.M2, kf @ kf.conj().T / n)
+        md = debias(m)
+        assert np.array_equal(md.M2, md.M2.conj().T)
+        symmetrised = MomentPair(m.M1, 0.5 * (m.M2 + m.M2.conj().T), m.sigma)
+        assert debias(symmetrised).M2.tobytes() == md.M2.tobytes()
+
     @pytest.mark.parametrize("bad_cell", [0, 3])
     @pytest.mark.parametrize("fault", ["non_finite", "non_hermitian", "negative_sigma"])
     def test_one_bad_pair_fails_the_stack(self, bad_cell, fault):
@@ -824,6 +872,15 @@ class TestMomentPairValidation:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             MomentPair(np.ones(2, dtype=complex), np.eye(2, dtype=complex), -0.1)
+
+    @pytest.mark.parametrize(
+        "m1, m2",
+        [(np.ones((2, 1)), np.eye(2)), (np.ones(2), np.eye(3)), (np.ones(2), np.ones(4))],
+        ids=["m1_matrix", "m2_size", "m2_vector"],
+    )
+    def test_rejects_mismatched_shapes(self, m1, m2):
+        with pytest.raises(ValueError, match="M1 must be a vector and M2 a matching square matrix"):
+            MomentPair(m1, m2, 0.1)
 
     def test_keeps_a_read_only_copy_of_the_callers_arrays(self):
         # The caller's arrays stay writeable, and a write through a view of

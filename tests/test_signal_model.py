@@ -14,6 +14,8 @@ from so2mra.signal_model import (
     UNIFORM_DENSITY,
     _design_map,
     _negative_partners,
+    _observation_draws,
+    _trig_design,
     coefficient_layout,
     conjugate_noise_map,
     generate_observations,
@@ -26,9 +28,10 @@ from so2mra.signal_model import (
     rotation_cdf,
     sample_rotations,
 )
+from so2mra.moments import _draw_gram_factor
 from so2mra.spectral import circulant_project
 
-from conftest import random_rho, random_signal_1d
+from conftest import _Uniforms, random_rho, random_signal_1d
 
 
 class TestExperimentSignal:
@@ -224,6 +227,35 @@ class TestNonFiniteRejected:
             RotationDistribution.from_positive(3, pos)
 
 
+class TestShapeAndRangeChecks:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: FBImage(1, [1, 1], np.ones(4)), "expected 3 coefficients"),
+            (lambda: RotationDistribution(-1, np.ones(1)), "bandwidth must be nonnegative"),
+            (lambda: RotationDistribution(1, np.full(3, UNIFORM_DENSITY)), "expected 5 coefficients"),
+            (lambda: RotationDistribution(1, np.array([0, 0, 1.0, 0, 0])), r"rho\[0\] must equal"),
+            (lambda: RotationDistribution.from_positive(1, np.zeros(3)), "expected 2 positive-frequency"),
+            (lambda: make_experiment_signal_2d(-1, 2, np.random.default_rng(0)), "need B >= 0 and Q >= 1"),
+            (lambda: make_experiment_signal_2d(2, 0, np.random.default_rng(0)), "need B >= 0 and Q >= 1"),
+            (lambda: make_experiment_distribution(0, np.random.default_rng(0)), "need B >= 1"),
+        ],
+        ids=[
+            "image_size",
+            "distribution_bandwidth",
+            "distribution_size",
+            "distribution_dc",
+            "positive_size",
+            "signal_bandwidth",
+            "signal_radial",
+            "experiment_distribution_bandwidth",
+        ],
+    )
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestExperimentDistribution:
     @pytest.mark.parametrize("tol_pos", [-1.0, np.nan])
     def test_bad_tol_pos_fails_before_any_draw(self, tol_pos):
@@ -288,6 +320,21 @@ class TestExperimentDistribution:
             assert np.allclose(gamma, gamma[0], rtol=1e-14, atol=0.0)
             assert abs(gamma[0] - reference) <= 2e-12
             assert rho.min_density >= tol_pos
+
+
+    def test_floor_that_does_not_bind_keeps_the_draw(self):
+        # Uniforms of at most 0.004 give 2B = 6 coefficients of modulus at
+        # most 0.004 * sqrt(2), so the density stays within 0.07 of
+        # 1/(2 pi) = 0.159, above the floor: gamma = 1, and the result is the
+        # circulant-compatible draw itself, unshrunk.
+        B, tol_pos = 3, 0.05
+        n, k = 2 * B + 1, np.arange(1, 2 * B + 1)
+        u = np.linspace(0.001, 0.004, 4 * B)
+        rho = make_experiment_distribution(B, _Uniforms(u), tol_pos=tol_pos)
+        pos = u[: 2 * B] + 1j * u[2 * B :]
+        merged = (k * pos[::-1].conj() + (n - k) * pos) / n
+        assert np.array_equal(rho.positive_coeffs, merged)
+        assert rho.min_density > tol_pos
 
 
 def _parent_density_grid(rho):
@@ -631,6 +678,23 @@ class TestObservations:
         rho = RotationDistribution.uniform(3)
         with pytest.raises(ValueError):
             generate_observations(x, rho, 5, 0.1, np.random.default_rng(0))
+
+    def test_generator_and_simulator_read_one_set_of_draws(self):
+        # _observation_draws is where [g(phi); z] is drawn: the angles of
+        # sample_rotations first, then the normals.  The generator's rows
+        # are K times them, and below p + d observations the simulator's
+        # factor is their transpose.
+        rng = np.random.default_rng(23)
+        img = make_experiment_signal_2d(2, 2, rng)
+        rho = perturb_distribution(make_experiment_distribution(2, rng, tol_pos=0.05), 0.1)
+        n = 6
+        draws = _observation_draws(img, rho, n, np.random.default_rng(24))
+        angles = sample_rotations(rho, n, np.random.default_rng(24))
+        assert draws.shape == (n, 5 + img.size) and draws.dtype == np.float64
+        assert np.array_equal(draws[:, :5], _trig_design(angles, 2))
+        rows = generate_observations(img, rho, n, 0.4, np.random.default_rng(24))
+        assert np.abs(rows - draws @ observation_map(img, 0.4).T).max() <= 1e-13
+        assert np.array_equal(_draw_gram_factor(img, rho, n, np.random.default_rng(24)), draws.T)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
     def test_bad_sigma_fails_before_any_draw(self, sigma):

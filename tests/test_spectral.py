@@ -291,6 +291,21 @@ class TestSpectralRecovery2D:
             )
 
 
+class TestEigOptions:
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-3, 1.0, 2.0])
+    def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
+        # At 1 or above (or nan) no eigenvalue would pass the threshold, and
+        # the caller's mistake would surface as a MomentConsistencyError, an
+        # expected failure; below 0 every structural zero would be scanned.
+        with pytest.raises(ValueError, match="rank_tol"):
+            EigOptions(rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL_POPULATION, spectral.RANK_TOL_EMPIRICAL, 0.0])
+    def test_valid_rank_tol_accepted(self, rank_tol):
+        assert EigOptions(rank_tol=rank_tol).rank_tol == rank_tol
+        assert EigOptions().rank_tol == RANK_TOL_POPULATION
+
+
 class TestRhoFromFirstMoment:
     @pytest.mark.parametrize("Q", [1, 2, 3])
     def test_block_mean_matches_per_k_loop(self, Q):
@@ -399,6 +414,33 @@ class TestMinBoundOverRotations:
         assert np.array_equal(report.eigenvalues_circ, direct.eigenvalues_circ)
         assert report.delta_kappa == direct.delta_kappa
         assert report.conditions_met == direct.conditions_met
+
+
+    def test_no_matching_circulant_eigenvalue(self):
+        # rho[1] = 1/(2 pi) + 1/8 and rho[2] = 1/(2 pi) - 1/4 project onto the
+        # constant circulant column 1/(2 pi), of rank one, while the most
+        # isolated Toeplitz eigenvalue is the third: there is no circulant
+        # eigenvalue to pair it with, so the gap is 0 and no bound applies.
+        rho = RotationDistribution.from_positive(1, UNIFORM_DENSITY + np.array([0.125, -0.25]))
+        for q in (1, 2):
+            _angle, report = min_bound_over_rotations(FBImage(1, [q, q], np.ones(3 * q)), rho, 1)
+            assert report.eigenvalues_circ.size == 1 and report.kappa == 2
+            assert report.delta_kappa == 0.0 and report.bound is None
+            assert report.conditions_met["distance_within_gap"] is False
+            assert report.conditions_met["simple_eigenvalues"] is False
+
+    @pytest.mark.parametrize(
+        "x, rho, grid_size, message",
+        [
+            (FBImage(1, [1, 1], np.ones(3)), RotationDistribution.uniform(1), 0, "grid_size"),
+            (FBImage(1, [1, 1], np.ones(3)), RotationDistribution.uniform(2), 1, "bandwidths"),
+            (FBImage(1, [2, 1], np.ones(4)), RotationDistribution.uniform(1), 1, "uniform radial"),
+        ],
+        ids=["empty_grid", "bandwidth_mismatch", "non_uniform_q"],
+    )
+    def test_input_checks(self, x, rho, grid_size, message):
+        with pytest.raises(ValueError, match=message):
+            min_bound_over_rotations(x, rho, grid_size)
 
 
 def per_angle_scan(x, rho, grid_size, recovery=None):
