@@ -66,9 +66,12 @@ def _alignment_errors(e: np.ndarray, t: np.ndarray, ke: np.ndarray) -> tuple[lis
     angles = (j * spacing).tolist()
 
     # Newton steps: the phases and the derivatives are formed for the whole
-    # stack, and each row still moving takes its step in Python floats.  A
-    # row stops when the curvature is not negative or a step leaves the grid
-    # cell (phi kept), or when a step falls below NEWTON_STEP_TOL (converged).
+    # stack, and each row still moving takes its step in Python floats.  The
+    # polish looks for the maximum within one spacing of the best grid angle
+    # (its cell).  Near a flat maximum a step can be cells long, so a step
+    # that would leave the cell is halved until it lands inside.  A row
+    # stops when the curvature is not negative or no halving lands inside
+    # (phi kept), or when a step falls below NEWTON_STEP_TOL (converged).
     phis, live, converged = list(angles), range(len(e)), [False] * len(e)
     # The coefficients of the first and second derivatives, per row.
     dc = np.array([1j * k_range, -(k_range**2)]) * c[:, None, :]
@@ -82,7 +85,9 @@ def _alignment_errors(e: np.ndarray, t: np.ndarray, ke: np.ndarray) -> tuple[lis
             if d2s[r] >= 0.0:
                 continue
             step = d1s[r] / d2s[r]
-            if abs(step) > spacing:
+            while abs(phis[r] - step - angles[r]) > spacing and abs(step) >= NEWTON_STEP_TOL:
+                step *= 0.5
+            if abs(phis[r] - step - angles[r]) > spacing:
                 continue
             phis[r] -= step
             if abs(step) < NEWTON_STEP_TOL:

@@ -222,6 +222,7 @@ class TestRecoveryError:
             # 8 cos(phi) - 2 cos(2 phi) has a quartic maximum at 0; shifted
             # by 0.03, with a small cubic term, the curvature at the grid
             # point 0 is barely negative and the first step is 3.3 cells.
+            # Halved into the cell, the steps still reach the maximum there.
             ([0, 0, 0, 8.017849 + 0.005302j, -2.004351 - 0.002594j], "step"),
         ],
     )
@@ -235,13 +236,25 @@ class TestRecoveryError:
         j = int(np.argmax(_grid_overlap(c, k, n_grid)))
         phase = np.exp(1j * k * (j * spacing))
         d1, d2 = (1j * k * c * phase).sum().real, (-(k**2) * c * phase).sum().real
+        rep = recovery_error(estimate, truth)
         if rule == "curvature":
             assert d2 >= 0.0
-        else:
-            assert d2 < 0.0 and abs(d1 / d2) > spacing
-        rep = recovery_error(estimate, truth)
-        assert rep.best_angle == j * spacing
-        assert np.array_equal(rep.aligned_estimate, c * np.exp(1j * k * (j * spacing)))
+            assert rep.best_angle == j * spacing
+            assert np.array_equal(rep.aligned_estimate, c * np.exp(1j * k * (j * spacing)))
+            return
+        assert d2 < 0.0 and abs(d1 / d2) > spacing
+        # A dense scan of the overlap's derivative over the cell, refined
+        # once around its one sign change from + to -: the maximum to 4e-10.
+        lo, hi = (j - 1) * spacing, (j + 1) * spacing
+        for _ in range(2):
+            phi = np.linspace(lo, hi, 20_001)
+            slope = (np.exp(1j * np.outer(phi, k)) @ (1j * k * c)).real
+            [i] = np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0))
+            lo, hi = phi[i], phi[i + 1]
+        assert abs(lo - j * spacing) < spacing
+        offset = (rep.best_angle - lo + np.pi) % (2.0 * np.pi) - np.pi
+        assert abs(offset) <= 1e-9
+        assert np.array_equal(rep.aligned_estimate, c * np.exp(1j * k * rep.best_angle))
 
     def test_image_against_distribution_rejected(self):
         # Same flat shape and k values (-2..2), but an image is not a distribution.

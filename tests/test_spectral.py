@@ -1,10 +1,12 @@
 import decimal
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from so2mra import signal_model, spectral
+from so2mra import harness, signal_model, spectral
 from so2mra.errors import MomentConsistencyError
 from so2mra.freq_march import RecoveryResult
 from so2mra.metrics import recovery_error
@@ -22,14 +24,17 @@ from so2mra.signal_model import (
 )
 from so2mra.spectral import (
     DEGENERACY_TOL,
+    RANK_TOL_EMPIRICAL,
     RANK_TOL_POPULATION,
+    TIE_TOL,
     bound_value,
     EigOptions,
     SpectralReport,
     _inner_sign_condition,
-    _neighbour_gaps,
+    _isolation_gaps,
+    _pick_isolated,
     _rho_from_first_moment,
-    _select_isolated,
+    _spectral_estimates,
     circulant_project,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
@@ -38,6 +43,23 @@ from so2mra.spectral import (
 )
 
 from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
+
+
+def neighbour_gaps(lams):
+    """Distance from each eigenvalue of a sorted spectrum to its nearest
+    neighbour, which is adjacent; ``inf`` for a lone eigenvalue."""
+    steps = np.abs(np.diff(lams))
+    return np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
+
+
+def select_isolated(lams):
+    """Index and gap of the eigenvalue of a sorted spectrum with the largest
+    isolation gap; ties within ``TIE_TOL`` go to the larger ``|lambda|``,
+    then to the smaller index.  The per-pair rule the stacked pick replaces."""
+    gaps = neighbour_gaps(lams)
+    cand = np.flatnonzero(gaps >= gaps.max() - TIE_TOL)
+    best = cand[int(np.argmax(np.abs(lams[cand])))]
+    return int(best), float(gaps[best])
 
 
 def brute_force_toeplitz(rho):
@@ -493,7 +515,7 @@ class TestRotationScan:
             lam_c = r.eigenvalues_circ
             deg_tol = DEGENERACY_TOL * max(np.abs(r.eigenvalues).max(), np.abs(lam_c).max(initial=0.0), 1e-30)
             assume(not near(r.gap, deg_tol))
-            assume(r.kappa >= lam_c.size or not near(_neighbour_gaps(lam_c)[r.kappa], deg_tol))
+            assume(r.kappa >= lam_c.size or not near(neighbour_gaps(lam_c)[r.kappa], deg_tol))
             assume(not near(Q**2 * r.s_b, r.delta_kappa**2))
             assume(r.kappa == reports[0].kappa)
         # bound_value rounds 1 - s_b/delta^2 once, an absolute error of about
@@ -586,7 +608,7 @@ def block_matrix_bound(x, rho, recovery=None):
 
     lam_t = nonzero_desc(toeplitz_matrix(rho))
     lam_c = nonzero_desc(circulant_matrix(ca.v_opt))
-    kappa, gap = _select_isolated(lam_t)
+    _kept, _count, [kappa], [gap] = _pick_isolated(lam_t[None], 0.0)
     if kappa >= lam_c.size:
         delta = 0.0
     else:
@@ -712,13 +734,227 @@ class TestReportConditions:
 class TestNeighbourGaps:
     @pytest.mark.parametrize("size", [1, 2, 7, 21])
     def test_matches_all_pairs_minimum(self, size):
-        # On a sorted spectrum the nearest neighbour is adjacent, so the
-        # gaps equal the all-pairs minimum bit for bit, ties included.
+        # The kept eigenvalues of a descending spectrum are a prefix and a
+        # suffix of it; on them the nearest neighbour is adjacent, so the
+        # stacked gaps equal the all-pairs minimum bit for bit, ties included.
         rng = np.random.default_rng(size)
-        lams = np.sort(np.round(rng.standard_normal(size), 1))[::-1]
-        diffs = np.abs(lams[:, None] - lams[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        assert _neighbour_gaps(lams).tobytes() == diffs.min(axis=1).tobytes()
+        lams = np.sort(np.round(rng.standard_normal((20, size)), 1), axis=1)[:, ::-1]
+        kept, counts, gaps = _isolation_gaps(lams, 0.1)
+        for row, count, kept_row, gap_row in zip(lams, counts, kept, gaps):
+            ref = row[np.abs(row) > 0.1 * np.abs(row).max()]
+            assert count == ref.size and kept_row[:count].tobytes() == ref.tobytes()
+            diffs = np.abs(ref[:, None] - ref[None, :])
+            np.fill_diagonal(diffs, np.inf)
+            assert gap_row[:count].tobytes() == diffs.min(axis=1, initial=np.inf).tobytes()
+            assert (gap_row[count:] == -np.inf).all()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def workload_values(name, seed):
+    """A benchmark workload's sweep config, read from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.config(name, seed, "unused.csv")
+
+
+def reference_pick(lams, rank_tol):
+    """The rank cut and ``select_isolated``, pair by pair: the kept
+    eigenvalues, kappa and gap of each row."""
+    picks = []
+    for row in lams:
+        kept = row[np.abs(row) > rank_tol * np.abs(row).max(initial=0.0)]
+        if not kept.size:
+            raise MomentConsistencyError("no eigenvalue above the rank threshold")
+        picks.append((kept, *select_isolated(kept)))
+    return picks
+
+
+def eigh_spectral_estimates(m1, m2, image_shape, rank_tol):
+    """The core the stacked one replaced, on a stack of one pair: ``eigh``'s
+    vector of the eigenvalue ``select_isolated`` picks, in the return format
+    of ``_spectral_estimates``."""
+    B, qk = image_shape
+    anchor = int(coefficient_layout(B, qk)[1][B])
+    p = np.diagonal(m2, axis1=1, axis2=2).real
+    inv_sqrt = 1.0 / np.sqrt(p)
+    lams, vecs = np.linalg.eigh(m2[0] * (inv_sqrt[0, :, None] * inv_sqrt[0, None, :]))
+    lams, vecs = lams[::-1], vecs[:, ::-1]
+    keep = np.flatnonzero(np.abs(lams) > rank_tol * np.abs(lams).max())
+    kappa, gap = select_isolated(lams[keep])
+    x_tilde = np.sqrt(float(m1.shape[1])) * vecs[:, keep[kappa]]
+    x_tilde *= np.exp(1j * (np.angle(m1[0, anchor]) - np.angle(x_tilde[anchor])))
+    return np.sqrt(p) * x_tilde, (lams[keep][None], [keep.size], [kappa], [gap], x_tilde[None])
+
+
+@st.composite
+def descending_spectra(draw):
+    """Stacks of 1-8 descending spectra whose kept eigenvalues are a prefix
+    only, a suffix only, both, or one alone, on a coarse grid (exact ties)
+    moved by less than ``TIE_TOL`` (ties within the window)."""
+    rank_tol = draw(st.sampled_from([0.0, 1e-3, 0.25]))
+    d = draw(st.integers(1, 10))
+    # Kept magnitudes are at least 1.5, above 0.25 times the largest, 5.
+    kept_value = st.tuples(st.integers(6, 20), st.sampled_from([0.0, 0.4 * TIE_TOL, -0.4 * TIE_TOL]))
+    dropped = st.sampled_from([0.0] if rank_tol == 0.0 else [0.0, 1e-4, -1e-4])
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["prefix", "suffix", "both", "lone"]))
+        if kind == "lone" or d == 1:
+            signs = [draw(st.sampled_from([1.0, -1.0]))]
+        elif kind == "both":
+            n_pos = draw(st.integers(1, d - 1))
+            signs = [1.0] * n_pos + [-1.0] * draw(st.integers(1, d - n_pos))
+        else:
+            signs = [1.0 if kind == "prefix" else -1.0] * draw(st.integers(1, d))
+        row = [sign * (k / 4 + jitter) for sign in signs for k, jitter in [draw(kept_value)]]
+        row += [draw(dropped) for _ in range(d - len(row))]
+        rows.append(sorted(row, reverse=True))
+    return np.array(rows), rank_tol
+
+
+class TestStackedCore:
+    @settings(max_examples=300, deadline=None)
+    @given(case=descending_spectra())
+    def test_pick_matches_per_pair_rule(self, case):
+        lams, rank_tol = case
+        try:
+            picks = reference_pick(lams, rank_tol)
+        except MomentConsistencyError:
+            with pytest.raises(MomentConsistencyError, match="rank threshold"):
+                _pick_isolated(lams, rank_tol)
+            return
+        kept, counts, kappa, gap = _pick_isolated(lams, rank_tol)
+        for i, (ref_kept, ref_kappa, ref_gap) in enumerate(picks):
+            assert kept[i, : counts[i]].tobytes() == ref_kept.tobytes()
+            assert (kappa[i], gap[i].tobytes()) == (ref_kappa, np.float64(ref_gap).tobytes())
+            # A stack of that row alone picks the same, bit for bit.
+            alone = _pick_isolated(lams[i : i + 1], rank_tol)
+            assert (alone[2][0], alone[3].tobytes()) == (kappa[i], gap[i : i + 1].tobytes())
+
+    @staticmethod
+    def assert_eigh_vectors(m1, m2, image_shape, rank_tol, tol=1e-10):
+        """The core's phase vectors against ``eigh``'s vectors of the chosen
+        eigenvalues, up to a unit phase; returns the chosen eigenvalues."""
+        d = m1.shape[1]
+        _est, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(m1, m2, image_shape, rank_tol)
+        p = np.diagonal(m2, axis1=1, axis2=2).real
+        lams, vecs = np.linalg.eigh(m2 / np.sqrt(p[:, :, None] * p[:, None, :]))
+        chosen = kept[np.arange(len(m1)), kappa]
+        for i, lam in enumerate(chosen):
+            scale = np.abs(lams[i]).max()
+            j = int(np.argmin(np.abs(lams[i] - lam)))
+            assert abs(lams[i, j] - lam) <= 1e-12 * scale
+            assert np.abs(np.sort(lams[i]) - np.sort(kept[i])).max() <= 1e-12 * scale
+            v, x = vecs[i, :, j], x_tilde[i] / np.sqrt(d)
+            phase = np.vdot(v, x)
+            assert abs(abs(phase) - 1.0) <= tol
+            assert np.abs(x - phase / abs(phase) * v).max() <= tol
+        return chosen
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 21, 34, 42, 60])
+    def test_eigenvector_matches_eigh_on_random_stacks(self, d):
+        # I + H with a zero-diagonal Hermitian H: a unit diagonal, so the
+        # core's normalisation leaves the matrix as it is, and a spectrum
+        # around 1 whose most isolated eigenvalue is one of its two ends,
+        # negative in some draws.
+        rng = np.random.default_rng((28, d))
+        signs = set()
+        for size in range(1, 9):
+            h = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
+            h = (h + h.conj().transpose(0, 2, 1)) / np.sqrt(8.0 * d) * 1.5
+            h[:, np.arange(d), np.arange(d)] = 0.0
+            m2 = np.eye(d) + h
+            m1 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (size, d)))
+            chosen = self.assert_eigh_vectors(m1, m2, (0, np.array([d])), RANK_TOL_EMPIRICAL)
+            signs.update(np.sign(chosen))
+        # At d = 2 the eigenvalues 1 +- |h| tie in gap, and 1 + |h| is larger.
+        assert signs == ({1.0} if d < 3 else {1.0, -1.0})
+
+    @pytest.mark.parametrize("workload", ["snr_desk", "n_fixed_gt"])
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_eigenvector_matches_eigh_on_sweep_stacks(self, monkeypatch, workload, seed):
+        stacks = []
+        core = harness._RECOVERIES["spectral"]
+
+        def recording(m1, m2, shape):
+            stacks.append((m1.copy(), m2.copy(), shape))
+            return core(m1, m2, shape)
+
+        monkeypatch.setitem(harness._RECOVERIES, "spectral", recording)
+        values = {**workload_values(workload, seed), "threads": 1}
+        harness.run_experiment(harness.config_from_sources(values))
+        assert sum(len(m1) for m1, _m2, _shape in stacks) == {"snr_desk": 30, "n_fixed_gt": 64}[workload]
+        for m1, m2, shape in stacks:
+            self.assert_eigh_vectors(m1, m2, shape, RANK_TOL_EMPIRICAL)
+
+    def test_bound_sweep_matches_eigh_core(self, monkeypatch):
+        # The default bound sweep recovers from exact moments, so its errors
+        # are about 1e-9 and a change of the estimate shows up magnified:
+        # one inverse-iteration step moved them by 9e-9 relative, the two
+        # steps move them by less than 1e-9.  Every other cell is unchanged.
+        cfg = harness.ExperimentConfig(experiment="bound_sweep")
+        rows = harness.run_experiment(cfg)
+        calls = []
+
+        def reference(*args):
+            calls.append(args)
+            return eigh_spectral_estimates(*args)
+
+        monkeypatch.setattr(spectral, "_spectral_estimates", reference)
+        refs = harness.run_experiment(cfg)
+        assert len(calls) == len(rows) == 20
+        for row, ref in zip(rows, refs, strict=True):
+            for column in ("median_error", "lower", "upper"):
+                assert abs(row[column] - ref[column]) <= 1e-9 * ref[column]
+            assert {k: v for k, v in row.items() if k not in ("median_error", "lower", "upper")} == {
+                k: v for k, v in ref.items() if k not in ("median_error", "lower", "upper")
+            }
+
+    def test_eigenvector_orthogonal_to_ones(self):
+        # A Hermitian circulant has the Fourier vectors as eigenvectors and a
+        # constant diagonal, here 1.  The isolated eigenvalue 5 (before the
+        # scaling) sits at frequency 3, whose vector sums to zero.
+        d, f = 12, 3
+        lam = 0.5 + 0.01 * np.arange(d)
+        lam[f] = 5.0
+        lam /= lam.mean()
+        fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+        m2 = (fourier * lam) @ fourier.conj().T
+        assert abs(fourier[:, f].sum()) < 1e-14
+        assert abs(np.vdot(fourier[:, f], spectral._start_vector(d))) > 0.1
+        self.assert_eigh_vectors(np.ones((1, d), dtype=complex), m2[None], (0, np.array([d])), 0.0, tol=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_exactly_degenerate_spectrum(self, c):
+        # Every eigenvalue ties: no LinAlgError, which a sweep would count as
+        # a failed cell, and the vector is a unit phase vector times sqrt(d).
+        for d in (1, 5, 42):
+            m2 = np.broadcast_to(c * np.eye(d, dtype=complex), (3, d, d)).copy()
+            est, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
+                np.ones((3, d), dtype=complex), m2, (0, np.array([d])), RANK_TOL_EMPIRICAL
+            )
+            assert (counts == d).all() and (kappa == 0).all()
+            assert np.isfinite(est).all()
+            assert np.allclose(np.linalg.norm(x_tilde, axis=1), np.sqrt(d), rtol=1e-14)
+
+    def test_population_moments_at_uniform_rho(self):
+        # At a uniform rho the normalised second moment is Q times a rank
+        # 2B+1 projector: 2B+1 tied eigenvalues.  The recovery returns a
+        # vector of that eigenspace.
+        B, Q = 3, 2
+        img = random_image(B, Q, np.random.default_rng(28))
+        m = population_moments_2d(img, RotationDistribution.uniform(B), 0.5)
+        rec, report = spectral_recover_2d(m, (B, np.full(B + 1, Q)))
+        assert report.eigenvalues.size == 2 * B + 1
+        assert np.abs(report.eigenvalues - Q).max() <= 1e-12
+        md = debias(m)
+        p = np.sqrt(np.diag(md.M2).real)
+        a = md.M2 / np.outer(p, p)
+        xt = rec.diagnostics["x_tilde"]
+        assert np.abs(a @ xt - Q * xt).max() <= 1e-10
 
 
 class TestInnerSign:
