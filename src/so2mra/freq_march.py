@@ -7,10 +7,12 @@ for every radial pair of the blocks ``k1`` and ``k2``.
 The marching recursion then recovers ``rho[k]`` for ``k = 1..2B`` from low to
 high frequency, and the signal follows from the first moment.
 
-The plain recursion uses a single entry of ``S`` per step.  The robust variant
-averages each radial block of ``S`` and all admissible marching estimates
-with uniform weights, and pins each magnitude for ``k <= B`` to the diagonal
-of ``S``, which mitigates cascading errors on empirical moments.
+Both variants march in one recursion.  Each step forms the admissible
+marching estimates of ``rho[k]``; the plain variant takes the last of them,
+which reads a single entry of ``S``.  The robust variant averages each radial
+block of ``S`` and all of the estimates with uniform weights, and pins each
+magnitude for ``k <= B`` to the diagonal of ``S``, which mitigates cascading
+errors on empirical moments.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .signal_model import (
     FBImage,
     RotationDistribution,
     _frozen,
-    coefficient_layout,
+    _image_layout,
     radial_block_mean,
 )
 
@@ -83,29 +85,19 @@ def _ratio_matrix(
     return (radial_block_mean(s, starts) if robust else s), min_abs, tol
 
 
-def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` for complex arrays of one shape, rounded as numpy rounds a product of two complex scalars.
-
-    numpy's array loop may fuse the multiply and add of each part, which
-    changes the last bit; the scalar product rounds every real product.
-    """
-    out = np.empty(a.shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarray]:
+def _march(s: np.ndarray, B: int, robust: bool) -> tuple[np.ndarray, np.ndarray]:
     """Recover ``rho[0..2B]`` from each reduced ratio matrix ``S`` of a stack.
 
     ``s`` is ``(S, 2B+1, 2B+1)``, indexed by ``k1, k2 = -B..B`` via offset
-    ``B``.  The loop over ``k`` runs once for the whole stack, and it raises
-    if any pair fails.  Returns each pair's nonnegative-frequency
-    coefficients and its per-step diagonal residuals
+    ``B``.  Both variants run one loop over ``k`` for the whole stack, and
+    it raises if any pair fails.  Each step's estimates are the robust
+    average's terms; plain takes the last of them, which is one entry of
+    ``S``: ``rho[1] / (S[k, k-1] conj(rho[k-1]))`` for ``k <= B`` and
+    ``S[k-B, -B] rho[k-B] rho[B]`` above.  Returns each pair's
+    nonnegative-frequency coefficients and its per-step diagonal residuals
     ``|2*pi*Re(S[k,k])*|rho[k]|^2 - 1|`` for ``k = 1..B``.  Each pair's
     values are those of a stack of that pair alone, bit for bit.
     """
-    robust = opts.variant == "robust"
     rho = np.zeros((s.shape[0], 2 * B + 1), dtype=np.complex128)
     rho[:, 0] = UNIFORM_DENSITY
     if B == 0:
@@ -126,30 +118,30 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
         return magnitude[:, k - 1]
 
     rho[:, 1] = pinned(1)  # gauge: phase of rho[1] fixed to zero
-    below = s[:, ks[1:] + B, ks[:-1] + B]  # S[k, k-1], k = 2..B
     for k in range(2, B + 1):
+        # k' = first..k-1: rho[k-k'] / (S[k, k'] conj(rho[k'])), all of them
+        # for robust, the last alone for plain.  Slices keep the terms in C
+        # order, so each row is summed pairwise as one pair's vector is;
+        # gathered, they come out in Fortran order and a row's sum is
+        # rounded differently.
+        first = 1 if robust else k - 1
+        ratios = rho[:, k - first : 0 : -1] / (s[:, k + B, B + first : B + k] * rho[:, first:k].conj())
         if robust:
-            # k' = 1..k-1: rho[k-k'] / (S[k, k'] conj(rho[k'])).  Slices keep
-            # the terms in C order, so each row is summed pairwise as one
-            # pair's vector is; gathered, they come out in Fortran order and
-            # a row's sum is rounded differently.
-            ratios = rho[:, k - 1 : 0 : -1] / (s[:, k + B, B + 1 : B + k] * rho[:, 1:k].conj())
             blended = ratios.sum(axis=1) / (k - 1)
-            size = np.hypot(blended.real, blended.imag)  # abs() of a complex scalar, to the bit
+            size = np.abs(blended)
             if (size <= 1e-14).any():
                 raise MomentConsistencyError(
                     f"blended marching estimate for k={k} has undefined phase"
                 )
             rho[:, k] = pinned(k) * blended / size
         else:
-            rho[:, k] = rho[:, 1] / _scalar_product(below[:, k - 2], rho[:, k - 1].conj())
-    high = np.arange(B + 1, 2 * B + 1)
+            rho[:, k] = ratios[:, 0]
+    rows, cols, lo, kp, starts, counts = _high_gather(B)
+    terms = s[:, rows, cols] * rho[:, lo] * rho[:, kp]
     if robust:
-        rows, cols, lo, kp, starts, counts = _high_gather(B)
-        terms = s[:, rows, cols] * rho[:, lo] * rho[:, kp]
-        rho[:, high] = np.add.reduceat(terms, starts, axis=1) / counts
+        rho[:, B + 1 :] = np.add.reduceat(terms, starts, axis=1) / counts
     else:
-        rho[:, high] = s[:, high, 0] * rho[:, high - B] * rho[:, B, None]
+        rho[:, B + 1 :] = terms[:, starts + counts - 1]  # k' = B
 
     residuals = np.abs(TWO_PI * diag * np.abs(rho[:, 1 : B + 1]) ** 2 - 1.0)
     return rho, residuals
@@ -157,13 +149,14 @@ def _march(s: np.ndarray, B: int, opts: FMOptions) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=64)
 def _high_gather(B: int) -> tuple[np.ndarray, ...]:
-    """Indices of the robust step for every ``k = B+1..2B`` at once, built once per ``B``.
+    """Indices of the marching step for every ``k = B+1..2B`` at once, built once per ``B``.
 
-    Each such ``k`` averages ``s[k-k', -k'] rho[k-k'] rho[k']`` over
-    ``k' = k-B..B``, which reads ``rho[<= B]`` only, so one gather serves
-    all of them.  Returns the row and column of each term in ``s`` (offset
-    ``B``), its ``k - k'`` and ``k'``, grouped by ``k`` with ``k'``
-    ascending, and the start and length of each ``k``'s group; all read-only.
+    Each such ``k`` reads the terms ``s[k-k', -k'] rho[k-k'] rho[k']`` for
+    ``k' = k-B..B`` (robust averages them, plain takes ``k' = B``), which
+    read ``rho[<= B]`` only, so one gather serves all of them.  Returns the
+    row and column of each term in ``s`` (offset ``B``), its ``k - k'`` and
+    ``k'``, grouped by ``k`` with ``k'`` ascending, and the start and length
+    of each ``k``'s group; all read-only.
     """
     high = np.arange(B + 1, 2 * B + 1)
     counts = 2 * B + 1 - high
@@ -171,17 +164,6 @@ def _high_gather(B: int) -> tuple[np.ndarray, ...]:
     k = high.repeat(counts)
     kp = np.concatenate([np.arange(h - B, B + 1) for h in high])
     return _frozen(k - kp + B, -kp + B, k - kp, kp, starts, counts)
-
-
-def _image_layout(B: int, qk, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``coefficient_layout(B, qk)`` of a recovery's ``image_shape``, checked against the moment dimension."""
-    try:
-        k_index, starts = coefficient_layout(B, qk)
-    except ValueError:
-        raise ValueError("image_shape must be (B, Q_k for k = 0..B)") from None
-    if k_index.size != dim:
-        raise ValueError("moment dimension does not match the image shape")
-    return k_index, starts
 
 
 def _fm_estimates(
@@ -194,12 +176,14 @@ def _fm_estimates(
     failing pair raises for the whole stack; each pair's values are those of
     a stack of that pair alone, bit for bit.  The estimates are not checked
     here: ``fm_recover_2d``'s value types refuse a non-finite one, and so
-    does the sweep (``harness._cell_errors``).
+    does the sweep (``harness._cell_errors``).  The variant is read here
+    once; ``_ratio_matrix`` and ``_march`` take it as ``robust``.
     """
     B, qk = image_shape
     k_index, starts = _image_layout(B, qk, m1.shape[1])
-    s, min_abs_m1, tol = _ratio_matrix(m1, m2, starts, opts.variant == "robust")
-    rho, residuals = _march(s, B, opts)
+    robust = opts.variant == "robust"
+    s, min_abs_m1, tol = _ratio_matrix(m1, m2, starts, robust)
+    rho, residuals = _march(s, B, robust)
     # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
     signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
     x_est = m1 / (TWO_PI * signed[:, k_index + B])

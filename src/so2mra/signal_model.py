@@ -94,6 +94,17 @@ def coefficient_layout(B: int, radial_bandwidths) -> tuple[np.ndarray, np.ndarra
     return _cached_layout(B, tuple(qk.tolist()))
 
 
+def _image_layout(B: int, qk, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``coefficient_layout(B, qk)`` of a recovery's ``image_shape``, checked against the moment dimension."""
+    try:
+        k_index, starts = coefficient_layout(B, qk)
+    except ValueError:
+        raise ValueError("image_shape must be (B, Q_k for k = 0..B)") from None
+    if k_index.size != dim:
+        raise ValueError("moment dimension does not match the image shape")
+    return k_index, starts
+
+
 @lru_cache(maxsize=256)
 def _cached_layout(B: int, qk: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``coefficient_layout`` of checked bandwidths, as read-only arrays."""

@@ -25,13 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import MomentConsistencyError
-from .freq_march import RecoveryResult, _image_layout
+from .freq_march import RecoveryResult
 from .metrics import _grid_overlap
 from .moments import MomentPair, _debias_in_place
 from .signal_model import (
     FBImage,
     RotationDistribution,
     TWO_PI,
+    _image_layout,
     coefficient_layout,
     radial_block_mean,
     rotate_distribution,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import FMOptions, _high_gather, _march, _ratio_matrix, fm_recover_2d
-from so2mra.harness import simulate_empirical_moments
+from so2mra.freq_march import DIAGONAL_TOL, FMOptions, _high_gather, _march, _ratio_matrix, fm_recover_2d
+from so2mra.harness import _RECOVERIES, _cell_errors, simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
-from so2mra.moments import MomentPair, debias, population_moments_2d
+from so2mra.moments import MomentPair, _debias_in_place, debias, population_moments_2d
 from so2mra.spectral import spectral_recover_2d
 from so2mra.signal_model import (
     FBImage,
@@ -162,7 +162,7 @@ class TestRobustKernels:
         m = simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 10.0), rng)
         m = debias(m)
         s = 2 * np.pi * m.M2 / np.outer(m.M1, m.M1.conj())
-        got = _march(s[None], B, FMOptions(variant="robust"))[0][0]
+        got = _march(s[None], B, robust=True)[0][0]
         expected = got.copy()
         expected[B + 1 :] = 0.0
         for k in range(B + 1, 2 * B + 1):
@@ -183,33 +183,57 @@ def _meshgrid_gather(B):
 
 
 def _robust_march_reference(s, B):
-    """The robust recursion with ``.mean()`` for k <= B and the meshgrid gather for k > B."""
+    """The robust recursion on one pair, in arrays: ``.mean()`` for k <= B and the meshgrid gather for k > B."""
     rho = np.zeros(2 * B + 1, dtype=np.complex128)
     rho[0] = UNIFORM_DENSITY
     rho[1] = 1.0 / np.sqrt(2 * np.pi * s[1 + B, 1 + B].real)
     for k in range(2, B + 1):
         kp = np.arange(1, k)
-        blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).mean()
-        rho[k] = 1.0 / np.sqrt(2 * np.pi * s[k + B, k + B].real) * blended / abs(blended)
+        blended = (rho[k - kp] / (s[k + B, kp + B] * rho[kp].conj())).mean(keepdims=True)
+        rho[k : k + 1] = 1.0 / np.sqrt(2 * np.pi * s[k + B, k + B].real) * blended / np.abs(blended)
     rows, cols, lo, kp, starts, counts = _meshgrid_gather(B)
     rho[B + 1 :] = np.add.reduceat(s[rows, cols] * rho[lo] * rho[kp], starts) / counts
     return rho
 
 
 def _plain_march_reference(s, B):
+    """The plain recursion on one pair, in arrays: one entry of ``S`` per step."""
+    rho = np.zeros(2 * B + 1, dtype=np.complex128)
+    rho[0] = UNIFORM_DENSITY
+    rho[1] = 1.0 / np.sqrt(2 * np.pi * s[1 + B, 1 + B].real)
+    for k in range(2, B + 1):
+        rho[k : k + 1] = rho[1:2] / (s[k + B, k - 1 + B : k + B] * rho[k - 1 : k].conj())
+    high = np.arange(B + 1, 2 * B + 1)
+    rho[high] = s[high, 0] * rho[high - B] * rho[B : B + 1]
+    return rho
+
+
+def _plain_march_scalar(s, B):
     """The plain recursion on one pair, one numpy complex scalar at a time."""
     rho = np.zeros(2 * B + 1, dtype=np.complex128)
     rho[0] = UNIFORM_DENSITY
     rho[1] = 1.0 / np.sqrt(2 * np.pi * s[1 + B, 1 + B].real)
     for k in range(2, B + 1):
         rho[k] = rho[1] / (s[k + B, k - 1 + B] * rho[k - 1].conj())
-    high = np.arange(B + 1, 2 * B + 1)
-    rho[high] = s[high, 0] * rho[high - B] * rho[B]
+    for k in range(B + 1, 2 * B + 1):
+        rho[k] = s[k, 0] * rho[k - B] * rho[B]
     return rho
 
 
+def _sampled_ratio_matrix(seed, B, uniform, robust):
+    """The reduced ratio matrix ``(1, 2B+1, 2B+1)`` of a debiased sampled pair at SNR 100."""
+    rng = np.random.default_rng(seed)
+    qk = np.full(B + 1, 2) if uniform else rng.integers(1, 4, B + 1)
+    k_index, starts = coefficient_layout(B, qk)
+    coeffs = rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size))
+    x = FBImage(B, qk, coeffs)
+    rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+    m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
+    return _ratio_matrix(m.M1[None], m.M2[None], starts, robust)[0]
+
+
 class TestRobustGather:
-    """The cached k > B gather and the robust march equal their meshgrid / ``.mean()`` forms bit for bit."""
+    """The cached k > B gather, and both marches against one-pair references in arrays, bit for bit."""
 
     @pytest.mark.parametrize("B", range(1, 13))
     def test_gather_matches_meshgrid(self, B):
@@ -222,32 +246,82 @@ class TestRobustGather:
     @pytest.mark.parametrize("B", range(1, 13))
     @pytest.mark.parametrize("uniform", [True, False])
     def test_march_matches_reference(self, B, uniform):
-        rng = np.random.default_rng((47, B, uniform))
-        qk = np.full(B + 1, 2) if uniform else rng.integers(1, 4, B + 1)
-        k_index, starts = coefficient_layout(B, qk)
-        coeffs = rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size))
-        x = FBImage(B, qk, coeffs)
-        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
-        m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-        s, *_ = _ratio_matrix(m.M1[None], m.M2[None], starts, robust=True)
-        got = _march(s, B, FMOptions(variant="robust"))[0][0]
+        s = _sampled_ratio_matrix((47, B, uniform), B, uniform, robust=True)
+        got = _march(s, B, robust=True)[0][0]
         assert np.array_equal(got, _robust_march_reference(s[0], B))
 
     @pytest.mark.parametrize("B", range(1, 13))
     @pytest.mark.parametrize("uniform", [True, False])
-    def test_plain_march_matches_scalar_reference(self, B, uniform):
-        # The stack's plain step rounds each complex product as a product of
-        # two scalars does, so a stack of one has the bits of the scalar loop.
-        rng = np.random.default_rng((67, B, uniform))
-        qk = np.full(B + 1, 2) if uniform else rng.integers(1, 4, B + 1)
-        k_index, starts = coefficient_layout(B, qk)
-        coeffs = rng.uniform(0.5, 1.5, k_index.size) * np.exp(2j * np.pi * rng.random(k_index.size))
-        x = FBImage(B, qk, coeffs)
-        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
-        m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-        s, *_ = _ratio_matrix(m.M1[None], m.M2[None], starts, robust=False)
-        got = _march(s, B, FMOptions(variant="plain"))[0][0]
+    def test_plain_march_matches_reference(self, B, uniform):
+        # Bit for bit against the one-pair array recursion; the scalar loop
+        # rounds each complex product on its own, so it agrees to rounding.
+        s = _sampled_ratio_matrix((67, B, uniform), B, uniform, robust=False)
+        got = _march(s, B, robust=False)[0][0]
         assert np.array_equal(got, _plain_march_reference(s[0], B))
+        scalar = _plain_march_scalar(s[0], B)
+        assert np.abs(got - scalar).max() <= 1e-13 * np.abs(scalar).max()
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 10])
+    def test_plain_high_step_is_the_last_robust_term(self, B):
+        # Above B the plain step is the k' = B term of the robust average:
+        # s[k, 0] rho[k-B] rho[B] in the march's offset indexing, bit for bit.
+        s = np.concatenate([_sampled_ratio_matrix((71, B, i), B, True, robust=False) for i in range(7)])
+        rho = _march(s, B, robust=False)[0]
+        high = np.arange(B + 1, 2 * B + 1)
+        assert np.array_equal(rho[:, high], s[:, high, 0] * rho[:, high - B] * rho[:, B, None])
+
+
+def _block_scaled(m2, starts, q, i, j, factor):
+    """A copy of ``M2`` with its blocks ``(i, j)`` and ``(j, i)`` of ``q`` rows each scaled, Hermitian kept."""
+    out = m2.copy()
+    rows, cols = starts[i] + np.arange(q), starts[j] + np.arange(q)
+    out[np.ix_(rows, cols)] *= factor
+    if i != j:
+        out[np.ix_(cols, rows)] *= np.conj(factor)
+    return out
+
+
+class TestMixedFailures:
+    """Each variant refuses the same pairs inside a stack as alone, and plain only the one whose rho[1] it pins."""
+
+    def test_failing_pairs_fail_in_a_mixed_stack(self):
+        rng = np.random.default_rng(29)
+        B, q = 3, 2
+        x = make_experiment_signal_2d(B, q, rng)
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
+        m = population_moments_2d(x, rho, 0.0)
+        _k_index, starts = coefficient_layout(B, x.radial_bandwidths)
+        pairs = {
+            "good": m.M2,
+            # Re S[1,1] < 0: both variants refuse (plain pins rho[1] too).
+            "diag1": _block_scaled(m.M2, starts, q, 1 + B, 1 + B, -1.0),
+            # Re S[2,2] < 0 only: robust pins |rho[2]| to it, plain never reads it.
+            "diag2": _block_scaled(m.M2, starts, q, 2 + B, 2 + B, -1.0),
+            # S[2,1] scaled by 1e20: the robust blend for k = 2 is about 1e-21.
+            "blend": _block_scaled(m.M2, starts, q, 2 + B, 1 + B, 1e20),
+        }
+        s_diag1 = _ratio_matrix(m.M1[None], pairs["diag1"][None], starts, robust=True)[0][0]
+        assert s_diag1[1 + B, 1 + B].real <= DIAGONAL_TOL
+        names = ["good", "diag1", "diag2", "good", "blend", "good"]
+        m1 = np.array([m.M1] * len(names))
+        m2 = np.array([pairs[name] for name in names])
+        _debias_in_place(m2, [0.0] * len(names))
+        truths = np.array([x.coeffs] * len(names))
+        shape = (B, x.radial_bandwidths)
+        refused = {"fm_plain": {"diag1"}, "fm_robust": {"diag1", "diag2", "blend"}}
+        messages = {"diag1": r"Re S\[1,1\]", "diag2": r"Re S\[2,2\]", "blend": "undefined phase"}
+        for algo, failing in refused.items():
+            errors = _cell_errors(_RECOVERIES[algo], m1, m2, truths, shape, x.k_values)
+            assert [err is None for err in errors] == [name in failing for name in names]
+            assert all(err < 1e-10 for err, name in zip(errors, names) if name == "good")
+            opts = FMOptions(variant=algo[3:])
+            for name in names:
+                pair = MomentPair(m.M1, pairs[name], 0.0)
+                if name in failing:
+                    with pytest.raises(MomentConsistencyError, match=messages[name]):
+                        fm_recover_2d(pair, shape, opts)
+                else:
+                    assert np.isfinite(fm_recover_2d(pair, shape, opts).signal_est.coeffs).all()
 
 
 def _ratio_matrix_reference(m1, m2, starts, robust):
