@@ -32,10 +32,8 @@ from .signal_model import (
 )
 
 DEFAULT_CHUNK = 4096
-# The simulator's default chunk of angles, and the largest array a thread's
-# workspace keeps.
+# The simulator's default chunk of angles.
 _ANGLE_CHUNK = 65536
-_INTERP_BLOCK = 8192
 _workspace = threading.local()
 
 
@@ -180,13 +178,10 @@ def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
     """A length-``size`` array of ``dtype`` from this thread's workspace, contents undefined.
 
     Each ``name`` keeps one array per thread, grown on demand and reused by
-    later calls, so ``_angle_sums`` takes no fresh pages from the kernel once
-    a thread has run it.  A request above ``_ANGLE_CHUNK`` elements gets
-    an array of its own, which the workspace does not keep: what a thread
-    retains is bounded by the default chunk's buffers.
+    later calls, so ``_angle_sums`` takes no fresh pages from the kernel for
+    a call no larger than one the thread has already run.  A thread keeps
+    the largest array it has asked for under each name until it ends.
     """
-    if size > _ANGLE_CHUNK:
-        return np.empty(size, dtype)
     array = getattr(_workspace, name, None)
     if array is None or array.size < size:
         array = np.empty(size, dtype)
@@ -221,13 +216,13 @@ def _angle_sums(
     The uniforms (reused for the offset powers), the offsets, the cell
     indices and the ``terms x cells`` table live in this thread's workspace
     (``_workspace_array``) and are filled in place, so a thread's later
-    calls allocate only ``rfft``'s output and small temporaries
-    (``np.interp``'s blocks, ``np.bincount``'s ``cells``-long counts).  At
-    the default chunk a thread retains three 512 KiB arrays and the table
-    (384 KiB at ``cells = 8192``, ``terms = 6``).  A ``chunk`` or table
-    larger than ``_ANGLE_CHUNK`` elements is allocated per call and not
-    kept.  The draws and the operations are those of the same loop on
-    fresh arrays, so the sums are bit for bit the same.
+    calls allocate only ``np.interp``'s output (one chunk, copied into the
+    offsets), ``rfft``'s output and small temporaries (``np.bincount``'s
+    ``cells``-long counts).  A thread keeps each array at the largest size
+    it has asked for until it ends: at the default chunk, three 512 KiB
+    arrays and the table (384 KiB at ``cells = 8192``, ``terms = 6``).
+    The draws and the operations are those of the same loop on fresh
+    arrays, so the sums are bit for bit the same.
     """
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
@@ -251,10 +246,7 @@ def _angle_sums(
         # Sorted queries make the interpolation's binary searches several
         # times faster; the sums ignore the order of the angles.
         u.sort()
-        # np.interp has no ``out``; in blocks, its temporaries are small
-        # enough for the allocator to reuse instead of mapping fresh pages.
-        for lo in range(0, take, _INTERP_BLOCK):
-            offset[lo : lo + _INTERP_BLOCK] = np.interp(u[lo : lo + _INTERP_BLOCK], levels, nodes)
+        offset[:] = np.interp(u, levels, nodes)
         offset *= cells / TWO_PI
         np.copyto(cell, offset, casting="unsafe")
         offset -= cell
@@ -394,9 +386,9 @@ def simulate_empirical_moments(
     The angle sums fill buffers that each thread keeps (``_angle_sums``), so
     once a thread has simulated at the default ``chunk``, a further call at
     the same bandwidth takes no fresh pages for them, whatever its ``n``.
-    At B = 10 and n >= 65,536 a thread keeps about 1.9 MiB: three
-    65,536-element arrays and the ``6 x 8192`` table.  A larger ``chunk``
-    is served by arrays that are freed after the call.
+    A thread keeps the largest buffers it has asked for until it ends: at
+    B = 10 and n >= 65,536, about 1.9 MiB (three 65,536-element arrays and
+    the ``6 x 8192`` table); a larger ``chunk`` or bandwidth grows them.
     """
     sigma = _noise_level(sigma)
     return MomentPair(*_moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma), sigma)
