@@ -24,7 +24,11 @@ A task is a few trials that share ``n``: as many as keep its stack of
 ``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
 trials split evenly between tasks.  A grid point's trials form at least as
 many tasks as the sweep has workers, so that none idles, unless there are
-fewer trials.  Its (trial, SNR) cells form one stack,
+fewer trials.  The task simulates its trials as one stack
+(``moments._simulate_stack``): one stacked Cholesky for their Gram
+matrices and one factor stack, each trial drawing from its own
+generators, so a cell has the bits of ``simulate_empirical_moments``
+on its trial's generator.  Its (trial, SNR) cells form one stack,
 and each algorithm recovers and scores the whole stack in one call to its
 stacked core; the public one-pair functions are those cores on one cell.
 If that call raises an expected failure, the algorithm runs again on each
@@ -54,8 +58,7 @@ from .metrics import _alignment_errors, aggregate, recovery_error, sigma_for_snr
 from .moments import (
     _check_pairs,
     _debias_in_place,
-    _draw_gram_factor,
-    _moments_from_factor,
+    _simulate_stack,
     population_moments_2d,
     simulate_empirical_moments,  # noqa: F401  (callers import it from here)
 )
@@ -122,9 +125,13 @@ _TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
 
 # Largest size in bytes of one task's stack of complex (d, d) second moments.
 # A sampling task takes as many trials as fit, and at least one: 18 cells at
-# B = 10, Q = 2 (d = 42); an n-sweep task holds one trial above d = 181.  The
-# stacked cores hold up to about four arrays of this size at once, per
-# worker.  Each stacked call has a fixed Python cost, which a bigger stack
+# B = 10, Q = 2 (d = 42); an n-sweep task holds one trial above d = 181.
+# While it simulates, a task holds this stack, its first moments and the
+# real (p + d, p + d) factor of each trial (p = 2B + 1), about 0.57 MB for
+# 18 trials at B = 10, Q = 2, and one trial's rotation distribution at a
+# time unless the sweep has one fixed instance; while it recovers, the
+# stacked cores hold up to about four arrays of the stack's size at once,
+# per worker.  Each stacked call has a fixed Python cost, which a bigger stack
 # spreads over more cells.  Against 128 KiB, this budget ran the benchmark's
 # SNR sweep at 1.17 times the trials per second and its fixed-instance n
 # sweep at 1.25 times, for 1.1-1.3 MB more peak RSS; 256 KiB gave 64-92% of
@@ -263,41 +270,46 @@ def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
     """Each algorithm's relative error on each cell of ``task``, ``None`` where it failed.
 
     ``task`` is ``(key grid index, trial indices, n, (grid index, SNR) points)``.
-    Each trial draws one Gram factor for ``n`` observations and forms the
-    moments at every point from it.  ``instance`` is the sweep's fixed
-    ``(image, rho)``; with ``None`` each trial draws its own.  A failed draw
-    fails its trial at every point.  The cells of the trials that drew form
-    one stack, which each algorithm recovers and scores in one call
+    ``instance`` is the sweep's fixed ``(image, rho)``; with ``None`` each
+    trial draws its own, as the simulator reaches it, so that its
+    distribution is freed once its angles are drawn.  The trials are
+    simulated as one stack (``_simulate_stack``): each draws one Gram
+    factor for ``n`` observations from its stream-2 generator and forms the
+    moments at every point from it.  A failed instance or draw fails its
+    trial at every point.  The cells of the trials that drew form one
+    stack, which each algorithm recovers and scores in one call
     (``_cell_errors``).  Returns ``{(grid index, trial index): {algorithm:
     error or None}}`` for every cell of the task.
     """
     key_gi, trial_idxs, n_value, points = task
-    dim = (2 * cfg.b + 1) * cfg.q
-    m1 = np.empty((len(trial_idxs) * len(points), dim), dtype=np.complex128)
-    m2 = np.empty((len(m1), dim, dim), dtype=np.complex128)
-    cells, sigmas, truths = [], [], []
-    for ti in trial_idxs:
-        try:
-            image, rho = _instance(cfg, key_gi, ti) if instance is None else instance
-            factor = _draw_gram_factor(image, rho, n_value, _trial_rng(cfg, key_gi, ti, 2))
-        except _TRIAL_ERRORS:
-            continue
-        for gi, snr in points:
-            sigma = sigma_for_snr(image, snr)
-            m1[len(cells)], m2[len(cells)] = _moments_from_factor(image, factor, n_value, sigma)
-            cells.append((gi, ti))
-            sigmas.append(sigma)
-            truths.append(image.coeffs)
     errors = {(gi, ti): dict.fromkeys(cfg.algos) for ti in trial_idxs for gi, _snr in points}
-    if cells:
-        m1, m2 = m1[: len(cells)], m2[: len(cells)]
-        _check_pairs(m1, m2, np.array(sigmas))
-        _debias_in_place(m2, sigmas)
-        shape = (image.B, image.radial_bandwidths)
-        for algo in cfg.algos:
-            scores = _cell_errors(_RECOVERIES[algo], m1, m2, np.array(truths), shape, image.k_values)
-            for cell, err in zip(cells, scores, strict=True):
-                errors[cell][algo] = err
+    handed = []  # (trial index, image, noise levels) of each trial handed to the simulator
+
+    def trials():
+        for ti in trial_idxs:
+            try:
+                image, rho = _instance(cfg, key_gi, ti) if instance is None else instance
+            except _TRIAL_ERRORS:
+                continue
+            sigmas = [sigma_for_snr(image, snr) for _gi, snr in points]
+            handed.append((ti, image, sigmas))
+            yield image, rho, _trial_rng(cfg, key_gi, ti, 2), sigmas
+
+    drawn, m1, m2 = _simulate_stack(trials(), n_value, skip=_TRIAL_ERRORS)
+    if not drawn:
+        return errors
+    handed = [handed[t] for t in drawn]
+    cells = [(gi, ti) for ti, _image, _sigmas in handed for gi, _snr in points]
+    sigmas = [sigma for *_, trial_sigmas in handed for sigma in trial_sigmas]
+    truths = np.array([image.coeffs for _ti, image, _sigmas in handed for _point in points])
+    _check_pairs(m1, m2, np.array(sigmas))
+    _debias_in_place(m2, sigmas)
+    image = handed[0][1]
+    shape = (image.B, image.radial_bandwidths)
+    for algo in cfg.algos:
+        scores = _cell_errors(_RECOVERIES[algo], m1, m2, truths, shape, image.k_values)
+        for cell, err in zip(cells, scores, strict=True):
+            errors[cell][algo] = err
     return errors
 
 

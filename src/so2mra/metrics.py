@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +153,36 @@ def sigma_for_snr(signal: FBImage, target_snr: float) -> float:
     return float(np.sqrt(signal.power_spectrum.sum() / (signal.size * target_snr)))
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of sorted values, with numpy's arithmetic, bit for bit.
+
+    numpy's default ("linear") method: the value at index ``(n - 1) * (q / 100)``
+    of the sorted values, by numpy's ``_lerp``, which takes ``b - (b - a)(1 - t)``
+    from the upper neighbour for ``t >= 1/2``.  At and past the last index
+    both neighbours are the last value, and any NaN, which sorts last,
+    makes the result NaN.  Python floats round as numpy's float64 does.
+    """
+    index = (len(ordered) - 1) * (q / 100)
+    below = math.floor(index)
+    above = below + 1
+    if index >= len(ordered) - 1:
+        below = above = -1
+    a, b = float(ordered[below]), float(ordered[above])
+    t = index - below
+    diff = b - a
+    value = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return float("nan") if math.isnan(ordered[-1]) else value
+
+
 def aggregate(errors: np.ndarray) -> tuple[float, float, float]:
-    """Median, 30th and 70th percentiles (linear interpolation between order statistics)."""
+    """Median, 30th and 70th percentiles (linear interpolation between order statistics).
+
+    The values of ``np.percentile``, bit for bit (``_percentile``), from one
+    sort: ``np.percentile`` imports ``numpy.ma`` on its first call in
+    numpy 2, which a sweep need not pay.
+    """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("cannot aggregate an empty error vector")
-    med, lo, hi = np.percentile(errors, [50.0, 30.0, 70.0])
-    return float(med), float(lo), float(hi)
+    ordered = np.sort(errors, axis=None)
+    return _percentile(ordered, 50.0), _percentile(ordered, 30.0), _percentile(ordered, 70.0)

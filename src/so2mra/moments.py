@@ -6,7 +6,11 @@ rotation phases, ``M1[k, .] = 2*pi*x[k, .]*rho[k]`` and
 ``sigma^2`` on the diagonal.  Empirical moments average observation rows and
 their rank-one outer products in a single streaming pass;
 ``simulate_empirical_moments`` draws them in distribution without forming
-complex rows, as ``K F (K F)^H / n`` from one real factor ``F``.
+complex rows, as ``K F (K F)^H / n`` from one real factor ``F``.  The
+sweeps draw a whole stack of trials at once (``_simulate_stack``: one
+stacked Cholesky for the stack's Gram matrices, one factor stack, each
+trial's draws from its own generator), and ``simulate_empirical_moments``
+is that code on a stack of one.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ import numpy as np
 from .signal_model import (
     TWO_PI,
     FBImage,
+    InverseCdf,
     RotationDistribution,
     _frozen,
     _noise_level,
     _observation_draws,
     _readonly,
+    inverse_cdf,
     observation_map,
-    rotation_cdf,
 )
 
 DEFAULT_CHUNK = 4096
@@ -189,13 +194,12 @@ def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
     return array[:size]
 
 
-def _angle_sums(
-    levels: np.ndarray, nodes: np.ndarray, n: int, order: int, rng: np.random.Generator, chunk: int
-) -> np.ndarray:
+def _angle_sums(table: InverseCdf, n: int, order: int, rng: np.random.Generator, chunk: int) -> np.ndarray:
     """``S_m = sum_i exp(1j*m*a_i)``, ``m = 0..order``, over ``n`` angles drawn like ``sample_rotations``.
 
-    The angles are ``np.interp(u, levels, nodes)`` of ``chunk`` sorted uniforms
-    at a time, so the random stream is ``sample_rotations``'.  They are
+    The angles are ``inverse_cdf`` of ``chunk`` uniforms at a time, in the
+    order drawn, so the random stream and each angle are
+    ``sample_rotations``'.  They are
     gridded, not summed one by one: angle ``a`` falls in cell
     ``j = floor(a / h)`` with centre ``c_j = (j + 1/2) h``, ``h = 2 pi / cells``,
     and offset ``delta = a - c_j``.  ``np.bincount`` accumulates the offset
@@ -213,16 +217,17 @@ def _angle_sums(
     which bounds each angle's truncation error.  The work is O(n * terms)
     for the powers plus ``terms`` real FFTs of ``cells`` points.
 
-    The uniforms (reused for the offset powers), the offsets, the cell
-    indices and the ``terms x cells`` table live in this thread's workspace
-    (``_workspace_array``) and are filled in place, so a thread's later
-    calls allocate only ``np.interp``'s output (one chunk, copied into the
-    offsets), ``rfft``'s output and small temporaries (``np.bincount``'s
-    ``cells``-long counts).  A thread keeps each array at the largest size
-    it has asked for until it ends: at the default chunk, three 512 KiB
-    arrays and the table (384 KiB at ``cells = 8192``, ``terms = 6``).
-    The draws and the operations are those of the same loop on fresh
-    arrays, so the sums are bit for bit the same.
+    The uniforms (reused for the lookup's gathers and the offset powers),
+    the offsets, the cell indices (which first hold each angle's CDF
+    interval) and the ``terms x cells`` table live in this thread's
+    workspace (``_workspace_array``) and are filled in place, so a thread's
+    later calls allocate only ``rfft``'s output and small temporaries (the
+    lookup's boolean masks, ``np.bincount``'s ``cells``-long counts).  A
+    thread keeps each array at the largest size it has asked for until it
+    ends: at the default chunk, three 512 KiB arrays and the table (384 KiB
+    at ``cells = 8192``, ``terms = 6``).  The draws and the operations are
+    those of the same loop on fresh arrays with ``np.interp`` in place of
+    the lookup, so the sums are bit for bit the same.
     """
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
@@ -235,7 +240,7 @@ def _angle_sums(
     size = min(chunk, n)
     uniform = _workspace_array("uniform", size, np.float64)
     offset_buf = _workspace_array("offset", size, np.float64)
-    cell_buf = _workspace_array("cell", size, np.intp)
+    cell_buf = _workspace_array("cell", size, np.int64)
     power_sums = _workspace_array("table", terms * cells, np.float64).reshape(terms, cells)
     power_sums.fill(0.0)
     rows = list(power_sums)
@@ -243,10 +248,8 @@ def _angle_sums(
         take = min(chunk, n - start)
         u, offset, cell = uniform[:take], offset_buf[:take], cell_buf[:take]
         rng.random(out=u)
-        # Sorted queries make the interpolation's binary searches several
-        # times faster; the sums ignore the order of the angles.
-        u.sort()
-        offset[:] = np.interp(u, levels, nodes)
+        # The cell array receives each angle's CDF interval, then its grid cell.
+        inverse_cdf(table, u, offset, cell)
         offset *= cells / TWO_PI
         np.copyto(cell, offset, casting="unsafe")
         offset -= cell
@@ -273,14 +276,16 @@ def _angle_sums(
 def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
     """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]`` of ``_trig_design``.
 
-    ``sums`` holds ``S_m`` for ``m = 0..2B``.  Column ``a`` is
-    ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines, ``-1j`` for sines),
+    ``sums`` holds ``S_m`` for ``m = 0..2B`` on its last axis; a stack of
+    them gives the stack of matrices, each with the bits it has alone.
+    Column ``a`` is ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines,
+    ``-1j`` for sines),
     and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
     ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
     """
-    plus, minus, c_c, c_conj_c = _gram_tables((sums.size - 1) // 2)
-    signed = np.concatenate([sums[:0:-1].conj(), sums])  # m = -2B..2B
-    return 0.5 * (c_c * signed[plus] + c_conj_c * signed[minus]).real
+    plus, minus, c_c, c_conj_c = _gram_tables((sums.shape[-1] - 1) // 2)
+    signed = np.concatenate([sums[..., :0:-1].conj(), sums], axis=-1)  # m = -2B..2B
+    return 0.5 * (c_c * signed[..., plus] + c_conj_c * signed[..., minus]).real
 
 
 @lru_cache(maxsize=64)
@@ -316,44 +321,83 @@ def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(*np.tril_indices(dim, -1))
 
 
-def _draw_gram_factor(
-    signal, rho, n: int, rng: np.random.Generator, chunk: int = _ANGLE_CHUNK
-) -> np.ndarray:
-    """A real ``F`` with ``F F^T = Gamma = [G Z]^T [G Z]`` for ``n`` observations of ``signal`` under ``rho``.
+def _gram_roots(grams: np.ndarray) -> np.ndarray:
+    """A real ``L`` with ``L L^T = G`` for each matrix ``G`` of a ``(T, p, p)`` stack of Gram matrices.
 
-    The draws of ``simulate_empirical_moments``, which documents ``F``.  No
-    draw depends on the noise level, so one ``F`` serves every ``sigma``.
+    One stacked Cholesky factorisation.  If it fails, each matrix is taken
+    alone, and one that fails alone gets its eigenvalue root
+    ``V sqrt(max(lambda, 0))``: ``G`` itself within rounding when the
+    matrix is numerically singular.  So each matrix's ``L`` has the bits it
+    has in a stack of one.
     """
-    if signal.B != rho.B:
-        raise ValueError("signal and distribution bandwidths must agree")
+    try:
+        return np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        if len(grams) > 1:
+            return np.array([_gram_roots(gram[None])[0] for gram in grams])
+    lam, vec = np.linalg.eigh(grams[0])
+    return (vec * np.sqrt(np.maximum(lam, 0.0)))[None]
+
+
+def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK, skip: tuple = ()) -> tuple:
+    """The empirical moments of ``n`` observations for each trial of a stack, exactly in distribution.
+
+    ``trials`` yields ``(signal, rho, rng, sigmas)``: signals of one
+    coefficient layout, each trial's own generator, and its noise levels as
+    floats.  It is read once, trial by trial, and a trial's ``rho`` is let
+    go once its angles are drawn.  A trial whose draws raise one of
+    ``skip`` is left out.  Returns ``(drawn, m1, m2)``: the positions in
+    ``trials`` of the trials drawn, and the ``(C, d)`` first and
+    ``(C, d, d)`` second moments of their cells, trial by trial and, within
+    a trial, in the order of its ``sigmas``.  ``simulate_empirical_moments``,
+    which documents the factor ``F``, is this function on a stack of one,
+    and a cell has the bits it has there on a fresh copy of its trial's
+    generator: the stack changes no draw and no operation of a cell.
+
+    Each trial draws its angles, then ``W``, then its Bartlett block, from
+    its own generator, as ``simulate_empirical_moments`` does.  The Gram
+    matrices of the trials drawn form one stack with one Cholesky call
+    (``_gram_roots``), their factors one ``(T, p + d, min(n, p + d))``
+    stack, and each cell's moments are written into the returned stacks in
+    place.
+    """
     n, chunk = operator.index(n), operator.index(chunk)
     if n < 1 or chunk < 1:
         raise ValueError("n and chunk must be positive integers")
-    B, dim, p = signal.B, signal.size, 2 * signal.B + 1
+    drawn, firsts, kept = [], [], []
+    for t, (signal, rho, rng, sigmas) in enumerate(trials):
+        if signal.B != rho.B:
+            raise ValueError("signal and distribution bandwidths must agree")
+        p, dim = 2 * signal.B + 1, signal.size
+        try:
+            if n < p + dim:
+                firsts.append(_observation_draws(signal, rho, n, rng).T)
+            else:
+                firsts.append(_angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, chunk))
+        except skip:
+            continue
+        drawn.append(t)
+        kept.append((signal, rng, sigmas))
+    if not kept:
+        return drawn, np.empty((0, 0), np.complex128), np.empty((0, 0, 0), np.complex128)
     if n < p + dim:
-        return _observation_draws(signal, rho, n, rng).T
-    gram = _gram_from_sums(_angle_sums(*rotation_cdf(rho), n, 2 * B, rng, chunk))
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        lam, vec = np.linalg.eigh(gram)
-        lower = vec * np.sqrt(np.maximum(lam, 0.0))
-    factor = np.zeros((p + dim, p + dim))
-    factor[:p, :p] = lower
-    factor[p:, :p] = rng.standard_normal((dim, p))
-    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
-    return factor
-
-
-def _moments_from_factor(signal, factor: np.ndarray, n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """``M1 = K F F[0] / n`` and ``M2 = K F (K F)^H / n`` at noise level ``sigma``, ``K = observation_map``.
-
-    ``M2`` is the product as computed, Hermitian to rounding only: debiasing
-    (``_debias_in_place``, ``debias``) is what makes a second moment exactly
-    Hermitian, and it gives the same bits whether or not its input was.
-    """
-    kf = observation_map(signal, sigma) @ factor
-    return kf @ factor[0] / n, kf @ kf.conj().T / n
+        factors = np.array(firsts)
+    else:
+        factors = np.zeros((len(kept), p + dim, p + dim))
+        factors[:, :p, :p] = _gram_roots(_gram_from_sums(np.array(firsts)))
+        for factor, (_signal, rng, _sigmas) in zip(factors, kept):
+            factor[p:, :p] = rng.standard_normal((dim, p))
+            factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+    m1 = np.empty((sum(len(sigmas) for *_, sigmas in kept), dim), dtype=np.complex128)
+    m2 = np.empty((len(m1), dim, dim), dtype=np.complex128)
+    cell = 0
+    for factor, (signal, _rng, sigmas) in zip(factors, kept):
+        for sigma in sigmas:
+            kf = observation_map(signal, sigma) @ factor
+            np.divide(np.matmul(kf, factor[0], out=m1[cell]), n, out=m1[cell])
+            np.divide(np.matmul(kf, kf.conj().T, out=m2[cell]), n, out=m2[cell])
+            cell += 1
+    return drawn, m1, m2
 
 
 def simulate_empirical_moments(
@@ -379,16 +423,17 @@ def simulate_empirical_moments(
     or, if ``G^T G`` is numerically singular, its eigenvalue root
     ``V sqrt(max(lambda, 0))``: exact when ``G`` has full column rank, and
     otherwise ``G^T G`` within rounding.  Any such ``L`` gives the same law.
-    Only ``K`` depends on ``sigma``: the call is ``_draw_gram_factor``
-    followed by ``_moments_from_factor``, so moments at several noise levels
-    can share one ``F``.
+    No draw depends on ``sigma``, which sets only ``K``.
 
-    The angle sums fill buffers that each thread keeps (``_angle_sums``), so
-    once a thread has simulated at the default ``chunk``, a further call at
-    the same bandwidth takes no fresh pages for them, whatever its ``n``.
-    A thread keeps the largest buffers it has asked for until it ends: at
-    B = 10 and n >= 65,536, about 1.9 MiB (three 65,536-element arrays and
-    the ``6 x 8192`` table); a larger ``chunk`` or bandwidth grows them.
+    This is ``_simulate_stack``, the sweeps' simulator, on a stack of one
+    trial with one noise level.  The angle sums fill buffers that each
+    thread keeps (``_angle_sums``), so once a thread has simulated at the
+    default ``chunk``, a further call at the same bandwidth takes no fresh
+    pages for them, whatever its ``n``.  A thread keeps the largest buffers
+    it has asked for until it ends: at B = 10 and n >= 65,536, about
+    1.9 MiB (three 65,536-element arrays and the ``6 x 8192`` table); a
+    larger ``chunk`` or bandwidth grows them.
     """
     sigma = _noise_level(sigma)
-    return MomentPair(*_moments_from_factor(signal, _draw_gram_factor(signal, rho, n, rng, chunk), n, sigma), sigma)
+    _drawn, m1, m2 = _simulate_stack([(signal, rho, rng, (sigma,))], n, chunk)
+    return MomentPair(m1[0], m2[0], sigma)

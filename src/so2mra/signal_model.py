@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +33,10 @@ UNIFORM_DENSITY = 1.0 / TWO_PI
 # Number of subintervals of [0, 2*pi] used for density evaluation, positivity
 # checks and inverse-CDF rotation sampling.
 DENSITY_GRID_SIZE = 8192
+# Buckets of the inverse-CDF lookup per CDF interval, at least: with four,
+# a bucket of an experiment density (floor 0.05, about a third of the
+# uniform level) holds at most one interval boundary.
+BUCKETS_PER_INTERVAL = 4
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
@@ -302,6 +306,15 @@ class RotationDistribution:
         return levels
 
     @cached_property
+    def _inverse_cdf(self) -> "InverseCdf":
+        """``inverse_cdf_table`` of ``rotation_cdf``'s table, built on first use and read-only.
+
+        Raises as ``rotation_cdf`` does, on every access, for a distribution
+        that cannot be sampled.
+        """
+        return inverse_cdf_table(*rotation_cdf(self))
+
+    @cached_property
     def min_density(self) -> float:
         """Minimum of the density on the evaluation grid."""
         return float(self.density_grid[1].min())
@@ -407,10 +420,90 @@ def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
     return levels, rho.density_grid[0]
 
 
+class InverseCdf(NamedTuple):
+    """``rotation_cdf``'s table and a bucket index over its levels, built by ``inverse_cdf_table``.
+
+    ``slopes`` and ``first`` are read-only; ``levels`` and ``nodes`` are the
+    arrays given, which a distribution keeps read-only.
+    """
+
+    levels: np.ndarray
+    nodes: np.ndarray
+    # np.interp's slope of each interval, 0 on one of zero width.
+    slopes: np.ndarray
+    # For bucket b, covering uniforms in [b/G, (b+1)/G), the last interval
+    # that starts at or below b/G.
+    first: np.ndarray
+    # Whether some bucket holds two or more levels, so that one step from
+    # its first interval may fall short.
+    crowded: bool
+
+
+def inverse_cdf_table(levels: np.ndarray, nodes: np.ndarray) -> InverseCdf:
+    """The lookup of ``inverse_cdf`` for the nondecreasing ``levels`` (0 first, 1 last) and their ``nodes``.
+
+    The table cuts [0, 1) into ``G`` equal buckets, ``G`` the smallest power
+    of two at or above ``BUCKETS_PER_INTERVAL`` times the number of
+    intervals, so ``levels * G`` and ``u * G`` are exact.  A level ``L``
+    lies at or below bucket ``b``'s start ``b / G`` exactly when
+    ``ceil(L * G) <= b``, and the last such level starts the bucket's first
+    interval (Chen and Asau's guide table, AIIE Trans. 1974).
+    """
+    intervals = levels.size - 1
+    buckets = 1 << (BUCKETS_PER_INTERVAL * intervals - 1).bit_length()
+    # Level k is the last at or below the start of every bucket from
+    # ceil(levels[k] * G) up to the next level's, none if the two share it.
+    spans = np.diff(np.ceil(levels * buckets).astype(np.intp), append=buckets)
+    first = np.repeat(np.arange(levels.size, dtype=np.int64), spans)
+    widths = np.diff(levels)
+    slopes = np.divide(np.diff(nodes), widths, out=np.zeros(intervals), where=widths > 0)
+    return InverseCdf(levels, nodes, *_frozen(slopes, first), not spans[:-1].all())
+
+
+def inverse_cdf(table: InverseCdf, u: np.ndarray, angles: np.ndarray, index: np.ndarray) -> None:
+    """Write ``np.interp(u, table.levels, table.nodes)`` of the uniforms ``u`` in ``[0, 1)`` into ``angles``.
+
+    ``index`` (int64) receives each uniform's interval,
+    ``searchsorted(levels, u, "right") - 1``: the first interval of its
+    bucket (``inverse_cdf_table``), then one vectorised step, and a binary
+    search only for the uniforms of a crowded table that the step leaves
+    short.  Each angle is then ``slope[j] * (u - levels[j]) + nodes[j]``,
+    np.interp's own formula, so it has np.interp's bits; the uniforms need
+    not be sorted.  The three arrays have one length, and ``u`` is
+    overwritten.  The gathers are ``np.take`` into these arrays, with
+    ``angles`` and ``index`` also serving as scratch of each other's dtype
+    (float64 and int64 items have one size), so the only temporaries are
+    boolean masks.
+    """
+    levels, nodes, slopes, first, crowded = table
+    np.multiply(u, first.size, out=angles)
+    np.copyto(index, angles, casting="unsafe")  # each uniform's bucket
+    interval = first.take(index, out=angles.view(np.int64), mode="clip")
+    # The level that ends each uniform's interval so far.
+    ends = levels[1:].take(interval, out=index.view(np.float64), mode="clip")
+    interval += ends <= u
+    if crowded:
+        levels[1:].take(interval, out=ends, mode="clip")
+        short = np.flatnonzero(ends <= u)
+        interval[short] = np.searchsorted(levels, u[short], "right") - 1
+    np.copyto(index, interval)
+    levels.take(index, out=angles, mode="clip")
+    np.subtract(u, angles, out=angles)
+    angles *= slopes.take(index, out=u, mode="clip")
+    angles += nodes.take(index, out=u, mode="clip")
+
+
 def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` angles in ``[0, 2*pi)`` by interpolating the ``rotation_cdf`` table."""
-    levels, nodes = rotation_cdf(rho)
-    return np.interp(rng.random(n), levels, nodes)
+    """Draw ``n`` angles in ``[0, 2*pi)``: ``np.interp(u, *rotation_cdf(rho))`` of ``n`` uniforms, bit for bit.
+
+    The angles come from ``inverse_cdf``, which the simulator's angle sums
+    also use.
+    """
+    table = rho._inverse_cdf
+    u = rng.random(n)
+    angles = np.empty(n)
+    inverse_cdf(table, u, angles, np.empty(n, np.int64))
+    return angles
 
 
 def _negative_partners(k_index: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from so2mra.signal_model import (
+    TWO_PI,
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
@@ -30,6 +31,18 @@ def random_signal_1d(B, rng, real=True):
     zero = rng.uniform(0.5, 1.5) * (1.0 if rng.integers(0, 2) else -1.0)
     coeffs = np.concatenate([pos[::-1].conj(), [zero], pos])
     return signal_1d(coeffs, real=real)
+
+
+def _clamped_cdf(shift, freq, phase):
+    """``rotation_cdf``'s table for the density ``max(cos(freq*theta + phase) + shift, 0)``.
+
+    With ``shift < 1`` the density is clamped to zero on whole arcs, where
+    the CDF is flat: runs of equal levels, intervals of zero width.
+    """
+    nodes = np.linspace(0.0, TWO_PI, 8193)
+    dens = np.maximum(np.cos(freq * nodes + phase) + shift, 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+    return cdf / cdf[-1], nodes
 
 
 def random_rho(B, rng, min_mod=0.2, max_mod=1.0):

@@ -278,14 +278,16 @@ class TestSnrSweepSharesDraws:
         # themselves; n = 1500 takes the Cholesky/Bartlett factor.
         cfg = ExperimentConfig(**{**TINY_SNR, "n": n, "snr_grid": (1.0, 50.0, 1000.0)}).validated()
         seen = []
-        real = harness._moments_from_factor
+        real = harness._simulate_stack
 
-        def recording(signal, factor, n_value, sigma):
-            m1, m2 = real(signal, factor, n_value, sigma)
-            seen.append(MomentPair(m1, m2, sigma))
-            return m1, m2
+        def recording(trials, n_value, **kwargs):
+            trials = list(trials)
+            drawn, m1, m2 = real(trials, n_value, **kwargs)
+            sigmas = [sigma for t in drawn for sigma in trials[t][3]]
+            seen.extend(MomentPair(a, b, sigma) for a, b, sigma in zip(m1, m2, sigmas, strict=True))
+            return drawn, m1, m2
 
-        monkeypatch.setattr(harness, "_moments_from_factor", recording)
+        monkeypatch.setattr(harness, "_simulate_stack", recording)
         run_experiment(cfg)
         assert len(seen) == cfg.trials * len(cfg.snr_grid)
         for ti in range(cfg.trials):
@@ -308,16 +310,18 @@ class TestSnrSweepSharesDraws:
 
             return wrapper
 
-        for name in ("make_experiment_signal_2d", "make_experiment_distribution", "_draw_gram_factor"):
+        for name in ("make_experiment_signal_2d", "make_experiment_distribution"):
             monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+        # Each trial's Gram factor starts from one draw of its angle sums.
+        monkeypatch.setattr(moments, "_angle_sums", counted(moments._angle_sums))
         cfg = ExperimentConfig(**{**TINY_SNR, "snr_grid": (1.0, 50.0, 1000.0), "threads": threads})
         run_experiment(cfg)
         assert len(calls) == 3 * cfg.trials
-        assert calls.count("_draw_gram_factor") == cfg.trials
+        assert calls.count("_angle_sums") == cfg.trials
         calls.clear()
         run_experiment(dataclasses.replace(cfg, fixed_ground_truth=True))
         assert sorted(calls) == [
-            "_draw_gram_factor", "_draw_gram_factor", "_draw_gram_factor",
+            "_angle_sums", "_angle_sums", "_angle_sums",
             "make_experiment_distribution", "make_experiment_signal_2d",
         ]
 
@@ -467,15 +471,17 @@ class TestStacks:
 
             monkeypatch.setattr(harness, "_spectral_estimates", nan_entry)
         else:
-            real = harness._moments_from_factor
+            real = harness._simulate_stack
 
-            def zero_blocks(signal, factor, n, sigma):
-                m1, m2 = real(signal, factor, n, sigma)
-                two, one = (signal.k_values == 2), (signal.k_values == 1)
-                m2[np.ix_(two, one)] = m2[np.ix_(one, two)] = 0.0
-                return m1, m2
+            def zero_blocks(trials, n, **kwargs):
+                trials = list(trials)
+                drawn, m1, m2 = real(trials, n, **kwargs)
+                k_values = trials[0][0].k_values
+                two, one = np.flatnonzero(k_values == 2), np.flatnonzero(k_values == 1)
+                m2[:, two[:, None], one] = m2[:, one[:, None], two] = 0.0
+                return drawn, m1, m2
 
-            monkeypatch.setattr(harness, "_moments_from_factor", zero_blocks)
+            monkeypatch.setattr(harness, "_simulate_stack", zero_blocks)
         cfg = ExperimentConfig(**{**TINY_N, "algos": (algo,)})
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="image coefficients must"):
             run_experiment(cfg)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -394,3 +399,39 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate(np.array([]))
+
+    def test_bits_of_np_percentile(self):
+        # 24,000 vectors of 1 to 60 values over 40 decades, a third of them
+        # with ties, some with zeros and values rounded to few digits: each
+        # percentile has np.percentile's bits, its _lerp branches included.
+        rng = np.random.default_rng(110)
+        for i in range(24_000):
+            n = int(rng.integers(1, 61))
+            v = rng.random(n) * 10.0 ** rng.uniform(-20.0, 20.0)
+            if i % 3 == 0:
+                v = rng.choice(v[: max(1, n // 3)], n)
+            if i % 5 == 0:
+                v = np.round(v / v.max(), 1)
+            want = np.percentile(v, [50.0, 30.0, 70.0])
+            got = np.array(aggregate(v))
+            assert got.tobytes() == want.tobytes(), v
+
+    def test_sweep_does_not_import_numpy_ma(self, tmp_path):
+        # np.percentile's first call imports numpy.ma under numpy 2 (through
+        # np.unique); a sweep loads it only if importing numpy already did,
+        # as numpy 1.x does.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys\n"
+            "from so2mra import ExperimentConfig, run_experiment\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "run_experiment(ExperimentConfig(experiment='n_sweep', b=3, q=2, n_grid=(1000,), trials=3))\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before

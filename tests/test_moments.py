@@ -20,6 +20,7 @@ from so2mra.moments import (
     _debias_in_place,
     _gram_from_sums,
     _gram_tables,
+    _simulate_stack,
     debias,
     empirical_moments,
     population_moments_2d,
@@ -31,7 +32,9 @@ from so2mra.signal_model import (
     RotationDistribution,
     UNIFORM_DENSITY,
     _trig_design,
+    _observation_draws,
     generate_observations,
+    inverse_cdf_table,
     make_experiment_distribution,
     make_experiment_signal_2d,
     observation_map,
@@ -39,7 +42,7 @@ from so2mra.signal_model import (
     rotation_cdf,
 )
 
-from conftest import _Uniforms, random_image, random_rho, random_signal_1d
+from conftest import _Uniforms, _clamped_cdf, random_image, random_rho, random_signal_1d
 
 
 class TestPopulation1D:
@@ -217,7 +220,6 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
     sums = np.zeros(p, dtype=np.complex128)
     for start in range(0, n, chunk):
         u = rng.random(min(chunk, n - start))
-        u.sort()
         sums += _fourier_sums(np.interp(u, levels, nodes), p - 1)
     factor = np.zeros((p + dim, p + dim))
     factor[:p, :p] = np.linalg.cholesky(_gram_from_sums(sums))
@@ -228,8 +230,9 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
 
 
 def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
-    """``_angle_sums``' loop on arrays allocated afresh for every chunk: the
-    reference that its per-thread workspace must match bit for bit."""
+    """``_angle_sums``' loop on arrays allocated afresh for every chunk, with
+    np.interp in place of the bucket lookup: the reference that its
+    per-thread workspace and its lookup must match bit for bit."""
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
         cells *= 2
@@ -242,7 +245,6 @@ def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
     rows = list(power_sums)
     for start in range(0, n, chunk):
         u = rng.random(min(chunk, n - start))
-        u.sort()
         offset = np.interp(u, levels, nodes)
         offset *= cells / TWO_PI
         cell = offset.astype(np.intp)
@@ -267,16 +269,23 @@ def _experiment_cdf(B, seed):
     return rotation_cdf(perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1))
 
 
-def _clamped_cdf(shift, freq, phase):
-    """``rotation_cdf``'s table for the density ``max(cos(freq*theta + phase) + shift, 0)``.
-
-    With ``shift < 1`` the density is clamped to zero on whole arcs, where
-    the CDF is flat.
-    """
-    nodes = np.linspace(0.0, TWO_PI, 8193)
-    dens = np.maximum(np.cos(freq * nodes + phase) + shift, 0.0)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
-    return cdf / cdf[-1], nodes
+def _one_trial_factor(signal, rho, n, rng):
+    """The factor ``F`` of one trial drawn step by step, with no stack: the
+    draws ``_simulate_stack`` makes for that trial, in the same order."""
+    p, dim = 2 * signal.B + 1, signal.size
+    if n < p + dim:
+        return _observation_draws(signal, rho, n, rng).T
+    sums = _angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, 65536)
+    gram = _gram_from_sums(sums)
+    factor = np.zeros((p + dim, p + dim))
+    try:
+        factor[:p, :p] = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(gram)
+        factor[:p, :p] = vec * np.sqrt(np.maximum(lam, 0.0))
+    factor[p:, :p] = rng.standard_normal((dim, p))
+    factor[p:, p:] = _bartlett_factor(dim, n - p, rng)
+    return factor
 
 
 def _fejer_density(B):
@@ -383,15 +392,15 @@ class TestSufficientStatisticSimulator:
         # Angles at 0, in the flat (zero-density) part of the table and just below 2*pi.
         edges = [0.0, levels[np.argmax(np.diff(levels) == 0.0)], 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)]
         u[: len(edges)] = edges
-        got = _angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 2 * B, _Uniforms(u), chunk)
         want = _fourier_sums(np.interp(u, levels, nodes), 2 * B)
         assert np.abs(got - want).max() <= 1e-13 * n
         assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk))
 
     def test_angle_sums_of_order_zero_count_the_angles(self):
-        levels, nodes = rotation_cdf(RotationDistribution.uniform(0))
+        table = RotationDistribution.uniform(0)._inverse_cdf
         for n in (1, 7, 100_000):
-            sums = _angle_sums(levels, nodes, n, 0, np.random.default_rng(n), 4096)
+            sums = _angle_sums(table, n, 0, np.random.default_rng(n), 4096)
             assert sums.shape == (1,) and sums[0] == n
 
     @pytest.mark.parametrize("Q", [1, 2])
@@ -410,7 +419,7 @@ class TestSufficientStatisticSimulator:
         u = np.random.default_rng(40).random(3001)
         angles = np.interp(u, levels, nodes)
         assert (angles == TWO_PI).sum() > 1000
-        got = _angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), u.size, 20, _Uniforms(u), 1024)
         assert np.abs(got - _fourier_sums(angles, 20)).max() <= 1e-13 * u.size
         assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024))
 
@@ -420,7 +429,7 @@ class TestSufficientStatisticSimulator:
         # n below, equal to, a multiple of and not a multiple of the chunk:
         # filling the workspace in place changes no bit of the sums.
         levels, nodes = _experiment_cdf(10, 50)
-        got = _angle_sums(levels, nodes, n, 20, np.random.default_rng(n + chunk), chunk)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 20, np.random.default_rng(n + chunk), chunk)
         want = _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n + chunk), chunk)
         assert np.array_equal(got, want)
 
@@ -428,11 +437,12 @@ class TestSufficientStatisticSimulator:
         # One thread, starting with an empty workspace: a large call, a small
         # one that reuses the front of its buffers and table, then a large one.
         levels, nodes = _experiment_cdf(10, 52)
+        table = inverse_cdf_table(levels, nodes)
 
         def calls():
             return [
                 (
-                    _angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536),
+                    _angle_sums(table, n, 20, np.random.default_rng(n), 65536),
                     _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536),
                 )
                 for n in (100_000, 1000, 100_000)
@@ -446,14 +456,14 @@ class TestSufficientStatisticSimulator:
     def test_concurrent_threads_equal_serial_calls(self):
         # More threads than cores, each with its own n, all started together
         # and switching often: every thread's sums equal the serial ones.
-        levels, nodes = _experiment_cdf(10, 53)
+        table = inverse_cdf_table(*_experiment_cdf(10, 53))
         sizes = [100_000, 1000, 70_000, 4096]
-        serial = {n: _angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536) for n in sizes}
+        serial = {n: _angle_sums(table, n, 20, np.random.default_rng(n), 65536) for n in sizes}
         start = threading.Barrier(len(sizes))
 
         def run(n):
             start.wait(timeout=30)
-            return [_angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536) for _ in range(5)]
+            return [_angle_sums(table, n, 20, np.random.default_rng(n), 65536) for _ in range(5)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -470,22 +480,25 @@ class TestSufficientStatisticSimulator:
         # One thread, starting with an empty workspace: each array is kept at
         # the largest size asked for, the table and a chunk above the default
         # included, and a call no larger reuses the same array objects.
-        levels, nodes = _experiment_cdf(100, 54)
+        table = inverse_cdf_table(*_experiment_cdf(100, 54))
 
         def kept_arrays():
             kept = []
             calls = [(70_000, 200, 65536), (70_000, 200, 65536), (200_000, 20, 200_000), (100_000, 20, 65536)]
             for n, order, chunk in calls:
-                _angle_sums(levels, nodes, n, order, np.random.default_rng(n), chunk)
+                _angle_sums(table, n, order, np.random.default_rng(n), chunk)
                 kept.append(dict(vars(moments._workspace)))
             return kept
 
         with ThreadPoolExecutor(1) as pool:
             first, second, large, default = pool.submit(kept_arrays).result(timeout=60)
-        # At B = 100 and n = 70,000 the table is 9 x 8192, above the default chunk.
+        # At B = 100 and n = 70,000 the table is 9 x 8192, above the default
+        # chunk.  The bucket lookup keeps no array of its own: its intervals
+        # and scratch share the offsets and the int64 cell indices.
         assert {name: a.size for name, a in first.items()} == {
             "uniform": 65536, "offset": 65536, "cell": 65536, "table": 9 * 8192
         }
+        assert first["cell"].dtype == np.int64
         assert all(second[name] is first[name] for name in first)
         # The 200,000-angle chunk grows the angle arrays; its 6 x 8192 table fits the kept one.
         assert {name: a.size for name, a in large.items()} == {
@@ -496,9 +509,10 @@ class TestSufficientStatisticSimulator:
 
     def test_second_call_allocates_little(self):
         # Once a thread has simulated at n = 1e5, another call allocates only
-        # np.interp's one-chunk output (512 KiB), rfft's output and small
-        # temporaries: its traced peak stays below 1 MiB, a bound that still
-        # separates it from fresh arrays per chunk, which peak at 2.7 MiB.
+        # rfft's output (6 x 4097 complex, 384 KiB), the lookup's boolean
+        # masks and small temporaries: its traced peak stays below 512 KiB,
+        # a bound that still separates it from fresh arrays per chunk, which
+        # peak at 2.6 MiB.
         rng = np.random.default_rng(55)
         img = make_experiment_signal_2d(10, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
@@ -514,7 +528,7 @@ class TestSufficientStatisticSimulator:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 1024 * 1024
+        assert peak <= 512 * 1024
 
     @pytest.mark.parametrize(
         "B, Q, n, chunk",
@@ -642,7 +656,7 @@ class TestSufficientStatisticSimulator:
         for seed in range(5):
             for n in (42, 63, 100, 150):
                 m = simulate_empirical_moments(img, rho, n, 0.0, np.random.default_rng(seed))
-                sums = _angle_sums(*rotation_cdf(rho), n, 2 * B, np.random.default_rng(seed), 65536)
+                sums = _angle_sums(rho._inverse_cdf, n, 2 * B, np.random.default_rng(seed), 65536)
                 gram = _gram_from_sums(sums)
                 m2 = design @ gram @ design.conj().T / n
                 m1 = design @ gram[:, 0] / n
@@ -728,6 +742,86 @@ class TestSufficientStatisticSimulator:
         expected[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
         assert np.array_equal(got, expected)
         assert np.array_equal(_bartlett_factor(dim, dim + 5, np.random.default_rng(dim)), expected)
+
+
+class TestStackedSimulator:
+    """``_simulate_stack`` on a stack gives each cell the bits of the one-trial simulator."""
+
+    @staticmethod
+    def specs(seed):
+        """Five B = 10, Q = 1 trials ``(image, rho, generator key, sigmas)``: experiment
+        densities, one density that cannot be sampled (position 1), and the
+        Fejer density (position 2), whose Gram matrix is singular at
+        n = 42, 63 and 150 for its key and not at 5000."""
+        rng = np.random.default_rng(seed)
+        base = make_experiment_distribution(10, rng, tol_pos=0.05)
+        rhos = [
+            perturb_distribution(base, 0.1),
+            random_rho(10, np.random.default_rng(1), min_mod=0.9, max_mod=1.0),
+            _fejer_density(10),
+            make_experiment_distribution(10, rng, tol_pos=0.05),
+            perturb_distribution(base, 0.05),
+        ]
+        assert not rhos[1].sampleable
+        sigmas = [(0.3,), (0.5, 2.0), (0.0, 0.7, 1e-3), (1.0,), (0.2, 0.4)]
+        return [
+            (make_experiment_signal_2d(10, 1, rng), rho, (97, key), sigma)
+            for key, (rho, sigma) in enumerate(zip(rhos, sigmas), start=8)
+        ]
+
+    @pytest.mark.parametrize("n", [30, 42, 63, 150, 5000])
+    def test_each_cell_is_the_one_trial_simulators(self, monkeypatch, n):
+        # n = 30 lies below p + d = 42 (the draws are the factor); from 42 on
+        # the Gram matrices form one stack.  The trial that cannot be
+        # sampled is left out; the Fejer trial's singular matrix fails the
+        # stacked Cholesky, and every matrix is then factored alone.
+        specs = self.specs(98)
+        outcomes = _record_cholesky(monkeypatch)
+        trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in specs]
+        drawn, m1, m2 = _simulate_stack(iter(trials), n, skip=(NotSampleableError,))
+        stacked = list(outcomes)
+        assert drawn == [0, 2, 3, 4]
+        assert m1.shape == (7, 21) and m2.shape == (7, 21, 21)
+        cell = 0
+        for t in drawn:
+            img, rho, key, sigmas = specs[t]
+            for sigma in sigmas:
+                want = simulate_empirical_moments(img, rho, n, sigma, np.random.default_rng(key))
+                assert np.array_equal(m1[cell], want.M1) and np.array_equal(m2[cell], want.M2)
+                cell += 1
+        if n < 42:
+            assert stacked == []
+        elif n < 5000:
+            assert stacked == ["failed", "factored", "failed", "factored", "factored"]
+        else:
+            assert stacked == ["factored"]
+
+    @pytest.mark.parametrize("n", [30, 5000])
+    def test_each_cell_equals_the_factor_drawn_trial_by_trial(self, n):
+        # The reference draws each trial's factor alone (_one_trial_factor)
+        # and forms the moments as K F F[0] / n and K F (K F)^H / n.
+        specs = [spec for t, spec in enumerate(self.specs(99)) if t != 1]
+        trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in specs]
+        drawn, m1, m2 = _simulate_stack(trials, n)
+        assert drawn == [0, 1, 2, 3]
+        cell = 0
+        for img, rho, key, sigmas in specs:
+            factor = _one_trial_factor(img, rho, n, np.random.default_rng(key))
+            for sigma in sigmas:
+                kf = observation_map(img, sigma) @ factor
+                assert np.array_equal(m1[cell], kf @ factor[0] / n)
+                assert np.array_equal(m2[cell], kf @ kf.conj().T / n)
+                cell += 1
+
+    def test_unsampleable_trial_raises_without_skip(self):
+        img, rho, key, sigmas = self.specs(100)[1]
+        with pytest.raises(NotSampleableError, match="dips to"):
+            _simulate_stack([(img, rho, np.random.default_rng(key), sigmas)], 5000)
+
+    def test_nothing_drawn_gives_empty_stacks(self):
+        img, rho, key, sigmas = self.specs(101)[1]
+        drawn, m1, m2 = _simulate_stack([(img, rho, np.random.default_rng(key), sigmas)], 5000, skip=(NotSampleableError,))
+        assert drawn == [] and m1.shape == (0, 0) and m2.shape == (0, 0, 0)
 
 
 class TestDebias:
@@ -835,7 +929,7 @@ class TestStackedDebias:
         img = random_image(3, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(3, rng, tol_pos=0.05), 0.1)
         m = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(74))
-        kf = observation_map(img, 0.4) @ moments._draw_gram_factor(img, rho, n, np.random.default_rng(74))
+        kf = observation_map(img, 0.4) @ _one_trial_factor(img, rho, n, np.random.default_rng(74))
         assert np.array_equal(m.M2, kf @ kf.conj().T / n)
         md = debias(m)
         assert np.array_equal(md.M2, md.M2.conj().T)

@@ -12,6 +12,7 @@ from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
+    TWO_PI,
     _design_map,
     _negative_partners,
     _observation_draws,
@@ -19,6 +20,8 @@ from so2mra.signal_model import (
     coefficient_layout,
     conjugate_noise_map,
     generate_observations,
+    inverse_cdf,
+    inverse_cdf_table,
     make_experiment_distribution,
     make_experiment_signal_2d,
     observation_map,
@@ -28,10 +31,10 @@ from so2mra.signal_model import (
     rotation_cdf,
     sample_rotations,
 )
-from so2mra.moments import _draw_gram_factor
+from so2mra.moments import simulate_empirical_moments
 from so2mra.spectral import circulant_project
 
-from conftest import _Uniforms, random_rho, random_signal_1d
+from conftest import _Uniforms, _clamped_cdf, random_rho, random_signal_1d
 
 
 class TestExperimentSignal:
@@ -434,6 +437,94 @@ class TestCdfTable:
             sample_rotations(rho, 10, np.random.default_rng(0))
 
 
+def _looked_up(levels, nodes, u):
+    """``inverse_cdf``'s angles and intervals for the uniforms ``u``, on arrays of its own."""
+    angles, index = np.empty(u.size), np.empty(u.size, np.int64)
+    inverse_cdf(inverse_cdf_table(levels, nodes), u.copy(), angles, index)
+    return angles, index
+
+
+class TestInverseCdfLookup:
+    """The bucket lookup gives np.interp's angle and searchsorted's interval, bit for bit."""
+
+    @staticmethod
+    def check(levels, nodes, u):
+        angles, index = _looked_up(levels, nodes, u)
+        assert np.array_equal(index, np.searchsorted(levels, u, "right") - 1)
+        assert np.array_equal(angles, np.interp(u, levels, nodes))
+
+    @staticmethod
+    def edges(levels):
+        """The uniform 0, every level of a flat stretch (or one level), and the largest below 1."""
+        flat = levels[:-1][np.diff(levels) == 0.0]
+        return np.concatenate([[0.0], flat if flat.size else levels[1:2], [1.0 - 2.0**-53, np.nextafter(1.0, 0.0)]])
+
+    @pytest.mark.parametrize("B, eta, seed", [(1, 0.0, 0), (3, 0.1, 1), (10, 0.0, 2), (10, 0.1, 3), (40, 0.1, 4)])
+    def test_experiment_tables(self, B, eta, seed):
+        rng = np.random.default_rng((90, seed))
+        rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), eta)
+        if not rho.sampleable:
+            pytest.skip("this draw dips below zero")
+        levels, nodes = rotation_cdf(rho)
+        u = np.concatenate([self.edges(levels), levels[:-1], rng.random(100_000)])
+        self.check(levels, nodes, u)
+        # A density at or above 0.05, about a third of the uniform level,
+        # keeps every bucket below two level boundaries.
+        if rho.min_density >= 0.05:
+            assert not rho._inverse_cdf.crowded
+
+    @pytest.mark.parametrize(
+        "shift, freq, phase", [(-0.5, 1, 0.0), (0.0, 3, 1.0), (0.5, 5, 2.5), (-0.9, 2, 0.3), (0.9, 1, 4.0)]
+    )
+    def test_tables_with_flat_stretches(self, shift, freq, phase):
+        # Zero-width intervals get no slope and raise no warning (the
+        # suite fails on a RuntimeWarning); a uniform equal to a run of
+        # equal levels lands past the whole run.
+        levels, nodes = _clamped_cdf(shift, freq, phase)
+        assert (np.diff(levels) == 0.0).any()
+        rng = np.random.default_rng((91, freq))
+        u = np.concatenate([self.edges(levels), levels[:-1], rng.random(100_000)])
+        self.check(levels, nodes, u)
+        assert inverse_cdf_table(levels, nodes).crowded
+
+    def test_three_node_table_with_a_zero_width_angle_stretch(self):
+        # Every u >= 1/2 maps to exactly 2*pi; the first interval has zero
+        # width in angle, the table only three nodes (two buckets each).
+        levels, nodes = np.array([0.0, 0.5, 1.0]), np.array([0.0, TWO_PI, TWO_PI])
+        u = np.concatenate([[0.0, 0.5, 0.25, 1.0 - 2.0**-53], np.random.default_rng(92).random(10_000)])
+        self.check(levels, nodes, u)
+        assert inverse_cdf_table(levels, nodes).first.size == 8
+
+    def test_crowded_bucket_takes_the_binary_search(self):
+        # Three levels inside one bucket of [0, 1/4): the step reaches the
+        # second, the search the third.
+        levels = np.array([0.0, 0.01, 0.02, 0.03, 0.5, 1.0])
+        nodes = np.linspace(0.0, TWO_PI, levels.size)
+        u = np.concatenate([levels[:-1], [0.015, 0.025, 0.035, 1.0 - 2.0**-53], np.random.default_rng(93).random(1000)])
+        self.check(levels, nodes, u)
+
+    def test_table_cached_read_only_and_refused_like_rotation_cdf(self):
+        rho = perturb_distribution(make_experiment_distribution(10, np.random.default_rng(94), tol_pos=0.05), 0.1)
+        table = rho._inverse_cdf
+        assert rho._inverse_cdf is table
+        assert table.levels is rho.cdf_levels and table.nodes is rho.density_grid[0]
+        for a in table[:4]:
+            with pytest.raises(ValueError):
+                a[0] = 1
+        # G = 4 * 8192 buckets, a power of two.
+        assert table.first.size == 4 * DENSITY_GRID_SIZE
+        bad = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
+        for _ in range(2):
+            with pytest.raises(NotSampleableError, match="dips to"):
+                bad._inverse_cdf
+
+    def test_sample_rotations_is_the_lookup(self):
+        rho = perturb_distribution(make_experiment_distribution(10, np.random.default_rng(95), tol_pos=0.05), 0.1)
+        u = np.random.default_rng(96).random(5000)
+        angles, _index = _looked_up(*rotation_cdf(rho), u)
+        assert np.array_equal(sample_rotations(rho, 5000, np.random.default_rng(96)), angles)
+
+
 class TestPerturbation:
     def test_zero_eta_is_identity(self):
         rho = make_experiment_distribution(3, np.random.default_rng(2))
@@ -683,7 +774,8 @@ class TestObservations:
         # _observation_draws is where [g(phi); z] is drawn: the angles of
         # sample_rotations first, then the normals.  The generator's rows
         # are K times them, and below p + d observations the simulator's
-        # factor is their transpose.
+        # factor is their transpose: its moments are K F F[0] / n and
+        # K F (K F)^H / n for F = draws^T.
         rng = np.random.default_rng(23)
         img = make_experiment_signal_2d(2, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(2, rng, tol_pos=0.05), 0.1)
@@ -694,7 +786,10 @@ class TestObservations:
         assert np.array_equal(draws[:, :5], _trig_design(angles, 2))
         rows = generate_observations(img, rho, n, 0.4, np.random.default_rng(24))
         assert np.abs(rows - draws @ observation_map(img, 0.4).T).max() <= 1e-13
-        assert np.array_equal(_draw_gram_factor(img, rho, n, np.random.default_rng(24)), draws.T)
+        m = simulate_empirical_moments(img, rho, n, 0.4, np.random.default_rng(24))
+        kf = observation_map(img, 0.4) @ draws.T
+        assert np.array_equal(m.M1, kf @ draws[:, 0] / n)
+        assert np.array_equal(m.M2, kf @ kf.conj().T / n)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
     def test_bad_sigma_fails_before_any_draw(self, sigma):
