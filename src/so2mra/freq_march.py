@@ -58,66 +58,78 @@ class RecoveryResult:
     diagnostics: dict
 
 
-def _ratio_matrix(
-    m1: np.ndarray, m2: np.ndarray, starts: np.ndarray, robust: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refuse(failures: list, cells: np.ndarray, bad: np.ndarray, error, *arrays: np.ndarray) -> tuple:
+    """Refuse the rows of a live stack where ``bad`` holds, and keep the rest.
+
+    ``cells`` holds each live row's index in the stack the core was given,
+    and ``failures`` one entry per cell of that stack: each refused row's
+    entry becomes ``error(row)``, the exception that the one-pair recovery
+    raises on that cell.  Returns ``cells`` and each of ``arrays`` with only
+    the rows that remain, the arrays themselves when none is refused.
+    """
+    if not bad.any():
+        return (cells, *arrays)
+    for row in np.flatnonzero(bad):
+        failures[cells[row]] = error(row)
+    return tuple(a[~bad] for a in (cells, *arrays))
+
+
+def _ratio_matrix(m1: np.ndarray, m2: np.ndarray, starts: np.ndarray, robust: bool) -> np.ndarray:
     """The reduced ``(S, 2B+1, 2B+1)`` ratio matrices of a stack of debiased pairs (``(S, d)`` and ``(S, d, d)``).
 
     ``starts`` are the block starts of ``coefficient_layout``.  Plain keeps
     one entry per ``(k1, k2)``, the ``q1 = q2 = 0`` one of ``S``, so only the
     block-start entries of ``M1`` and ``M2`` are divided.  Robust forms all
-    of ``S`` and takes the mean over the radial pairs of each block.
-    Refuses a pair with any ``|M1|`` entry at or below ``RELATIVE_M1_TOL``
-    times its own ``max|M1|``.  Also returns each pair's ``min|M1|`` and guard.
+    of ``S`` and takes the mean over the radial pairs of each block.  Every
+    ``M1`` entry must be nonzero: ``_fm_estimates`` refuses the pairs with
+    one that vanishes before it calls this.
     """
-    abs_m1 = np.abs(m1)
-    min_abs = abs_m1.min(axis=1)
-    tol = RELATIVE_M1_TOL * abs_m1.max(axis=1, initial=0.0)
-    bad = np.flatnonzero(min_abs <= tol)
-    if bad.size:
-        raise VanishingCoefficientError(
-            f"|M1| entry {min_abs[bad[0]]:.3g} at or below the inversion guard {tol[bad[0]]:.3g}"
-        )
     if not robust:
         m1, m2 = m1[:, starts], m2[:, starts[:, None], starts]
     s = TWO_PI * m2
     s /= m1[:, :, None] * m1.conj()[:, None, :]
-    return (radial_block_mean(s, starts) if robust else s), min_abs, tol
+    return radial_block_mean(s, starts) if robust else s
 
 
-def _march(s: np.ndarray, B: int, robust: bool) -> tuple[np.ndarray, np.ndarray]:
+def _step_error(k: int, flat: bool, skk: float) -> MomentConsistencyError:
+    """The march's refusal of a pair at step ``k``: its blend has no phase if ``flat``, else ``Re S[k,k] = skk``."""
+    if flat:
+        return MomentConsistencyError(f"blended marching estimate for k={k} has undefined phase")
+    return MomentConsistencyError(f"Re S[{k},{k}] = {skk:.3g} is not positive; moments are inconsistent")
+
+
+def _march(
+    s: np.ndarray, B: int, robust: bool, failures: list, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover ``rho[0..2B]`` from each reduced ratio matrix ``S`` of a stack.
 
     ``s`` is ``(S, 2B+1, 2B+1)``, indexed by ``k1, k2 = -B..B`` via offset
-    ``B``.  Both variants run one loop over ``k`` for the whole stack, and
-    it raises if any pair fails.  Each step's estimates are the robust
-    average's terms; plain takes the last of them, which is one entry of
-    ``S``: ``rho[1] / (S[k, k-1] conj(rho[k-1]))`` for ``k <= B`` and
-    ``S[k-B, -B] rho[k-B] rho[B]`` above.  Returns each pair's
-    nonnegative-frequency coefficients and its per-step diagonal residuals
-    ``|2*pi*Re(S[k,k])*|rho[k]|^2 - 1|`` for ``k = 1..B``.  Each pair's
-    values are those of a stack of that pair alone, bit for bit.
+    ``B``, and ``cells`` its rows' cells (``_refuse``).  Both variants run
+    one loop over ``k`` for the whole stack.  Each step's estimates are the
+    robust average's terms; plain takes the last of them, which is one entry
+    of ``S``: ``rho[1] / (S[k, k-1] conj(rho[k-1]))`` for ``k <= B`` and
+    ``S[k-B, -B] rho[k-B] rho[B]`` above.  A pair is refused where its
+    ``Re S[1,1]`` is not positive and, for robust, at each ``k`` where its
+    blended estimate has no phase or, after that, its ``Re S[k,k]`` is not
+    positive; it is dropped there, before the division or the pin that
+    needs the check.  Returns the remaining pairs' nonnegative-frequency
+    coefficients, their per-step diagonal residuals
+    ``|2*pi*Re(S[k,k])*|rho[k]|^2 - 1|`` for ``k = 1..B``, and their cells.
+    Each pair's values are those of a stack of that pair alone, bit for bit.
     """
     rho = np.zeros((s.shape[0], 2 * B + 1), dtype=np.complex128)
     rho[:, 0] = UNIFORM_DENSITY
     if B == 0:
-        return rho, np.zeros((s.shape[0], 0))
+        return rho, np.zeros((s.shape[0], 0)), cells
     ks = np.arange(1, B + 1)
     diag = s[:, ks + B, ks + B].real  # Re S[k, k], k = 1..B
-    inconsistent = diag <= DIAGONAL_TOL
-    # |rho[k]| pinned by the diagonal; a column that is not positive is
-    # refused before it is used, so its (clipped) value never is.
-    magnitude = 1.0 / np.sqrt(TWO_PI * np.maximum(diag, DIAGONAL_TOL))
-
-    def pinned(k: int) -> np.ndarray:
-        if inconsistent[:, k - 1].any():
-            skk = diag[inconsistent[:, k - 1], k - 1][0]
-            raise MomentConsistencyError(
-                f"Re S[{k},{k}] = {skk:.3g} is not positive; moments are inconsistent"
-            )
-        return magnitude[:, k - 1]
-
-    rho[:, 1] = pinned(1)  # gauge: phase of rho[1] fixed to zero
+    # |rho[k]| is pinned by Re S[k, k], which the check before the pin leaves
+    # positive; the gauge fixes the phase of rho[1] to zero.
+    refused = diag[:, 0] <= DIAGONAL_TOL
+    cells, s, rho, diag = _refuse(
+        failures, cells, refused, lambda row: _step_error(1, False, diag[row, 0]), s, rho, diag
+    )
+    rho[:, 1] = 1.0 / np.sqrt(TWO_PI * diag[:, 0])
     for k in range(2, B + 1):
         # k' = first..k-1: rho[k-k'] / (S[k, k'] conj(rho[k'])), all of them
         # for robust, the last alone for plain.  Slices keep the terms in C
@@ -129,11 +141,13 @@ def _march(s: np.ndarray, B: int, robust: bool) -> tuple[np.ndarray, np.ndarray]
         if robust:
             blended = ratios.sum(axis=1) / (k - 1)
             size = np.abs(blended)
-            if (size <= 1e-14).any():
-                raise MomentConsistencyError(
-                    f"blended marching estimate for k={k} has undefined phase"
-                )
-            rho[:, k] = pinned(k) * blended / size
+            flat = size <= 1e-14
+            refused = flat | (diag[:, k - 1] <= DIAGONAL_TOL)
+            live = (s, rho, diag, blended, size)
+            cells, s, rho, diag, blended, size = _refuse(
+                failures, cells, refused, lambda row: _step_error(k, flat[row], diag[row, k - 1]), *live
+            )
+            rho[:, k] = 1.0 / np.sqrt(TWO_PI * diag[:, k - 1]) * blended / size
         else:
             rho[:, k] = ratios[:, 0]
     rows, cols, lo, kp, starts, counts = _high_gather(B)
@@ -144,7 +158,7 @@ def _march(s: np.ndarray, B: int, robust: bool) -> tuple[np.ndarray, np.ndarray]
         rho[:, B + 1 :] = terms[:, starts + counts - 1]  # k' = B
 
     residuals = np.abs(TWO_PI * diag * np.abs(rho[:, 1 : B + 1]) ** 2 - 1.0)
-    return rho, residuals
+    return rho, residuals, cells
 
 
 @lru_cache(maxsize=64)
@@ -168,26 +182,41 @@ def _high_gather(B: int) -> tuple[np.ndarray, ...]:
 
 def _fm_estimates(
     m1: np.ndarray, m2: np.ndarray, image_shape: tuple, opts: FMOptions
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, list, tuple]:
     """Marching recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
 
-    Returns the ``(S, d)`` image estimates, the ``(S, 2B+1)`` coefficients
-    ``rho[0..2B]``, and each pair's ``min|M1|``, guard and residuals.  A
-    failing pair raises for the whole stack; each pair's values are those of
-    a stack of that pair alone, bit for bit.  The estimates are not checked
-    here: ``fm_recover_2d``'s value types refuse a non-finite one, and so
-    does the sweep (``harness._cell_errors``).  The variant is read here
-    once; ``_ratio_matrix`` and ``_march`` take it as ``robust``.
+    A pair is refused, and dropped from the stack, at the first check it
+    fails: an ``|M1|`` entry at or below ``RELATIVE_M1_TOL`` times its own
+    ``max|M1|`` (the inversion guard), then the march's (``_march``).
+    Returns the passing pairs' ``(P, d)`` image estimates, in order; a list
+    with each pair's failure, ``None`` or the exception that
+    ``fm_recover_2d`` raises on that pair (the core raises none); and the
+    passing pairs' ``(P, 2B+1)`` coefficients ``rho[0..2B]``, ``min|M1|``,
+    guard and residuals.  Each pair's values are those of a stack of that
+    pair alone, bit for bit.  The estimates are not checked here: ``fm_recover_2d``'s
+    value types refuse a non-finite one, and so does the sweep
+    (``harness._cell_errors``).  The variant is read here once;
+    ``_ratio_matrix`` and ``_march`` take it as ``robust``.
     """
     B, qk = image_shape
     k_index, starts = _image_layout(B, qk, m1.shape[1])
     robust = opts.variant == "robust"
-    s, min_abs_m1, tol = _ratio_matrix(m1, m2, starts, robust)
-    rho, residuals = _march(s, B, robust)
+    failures = [None] * len(m1)
+    abs_m1 = np.abs(m1)
+    min_abs = abs_m1.min(axis=1)
+    tol = RELATIVE_M1_TOL * abs_m1.max(axis=1, initial=0.0)
+
+    def vanishing(row: int) -> VanishingCoefficientError:
+        return VanishingCoefficientError(
+            f"|M1| entry {min_abs[row]:.3g} at or below the inversion guard {tol[row]:.3g}"
+        )
+
+    cells, guarded, m2 = _refuse(failures, np.arange(len(m1)), min_abs <= tol, vanishing, m1, m2)
+    rho, residuals, cells = _march(_ratio_matrix(guarded, m2, starts, robust), B, robust, failures, cells)
     # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
     signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
-    x_est = m1 / (TWO_PI * signed[:, k_index + B])
-    return x_est, rho, min_abs_m1, tol, residuals
+    x_est = m1[cells] / (TWO_PI * signed[:, k_index + B])
+    return x_est, failures, (rho, min_abs[cells], tol[cells], residuals)
 
 
 def fm_recover_2d(
@@ -198,12 +227,15 @@ def fm_recover_2d(
     ``image_shape`` is ``(B, radial_bandwidths)`` with ``radial_bandwidths``
     holding ``Q_k`` for ``k = 0..B``; all ``Q_k = 1`` is the 1-D model.  The
     marching recursion is plain or robust per ``opts.variant``.  This is the
-    stacked core ``_fm_estimates`` on one pair.
+    stacked core ``_fm_estimates`` on one pair, which raises the pair's
+    failure if it has one.
     """
     B, qk = image_shape
     m2 = np.array(m.M2[None])
     _debias_in_place(m2, [m.sigma])
-    x_est, rho, min_abs_m1, tol, residuals = _fm_estimates(m.M1[None], m2, image_shape, opts)
+    x_est, [failure], (rho, min_abs_m1, tol, residuals) = _fm_estimates(m.M1[None], m2, image_shape, opts)
+    if failure is not None:
+        raise failure
     diagnostics = {
         "variant": opts.variant,
         "gauge": "rho[1] phase fixed to zero",

@@ -31,11 +31,12 @@ generators, so a cell has the bits of ``simulate_empirical_moments``
 on its trial's generator.  Its (trial, SNR) cells form one stack,
 and each algorithm recovers and scores the whole stack in one call to its
 stacked core; the public one-pair functions are those cores on one cell.
-If that call raises an expected failure, the algorithm runs again on each
-cell alone, so a failure stays with its cell.  A task returns its cells'
-errors keyed by (grid index, trial index), and the sweep merges them.  A
-cell's result does not depend on the stack it is in, bit for bit, so
-neither the grouping nor the thread count changes the CSV.
+A core raises no expected failure: it returns each cell's failure beside
+the passing cells' estimates, so a failure stays with its cell and only
+the passing cells are scored.  A task returns its cells' errors keyed by
+(grid index, trial index), and the sweep merges them.  A cell's result
+does not depend on the stack it is in, bit for bit, so neither the
+grouping nor the thread count changes the CSV.
 """
 
 from __future__ import annotations
@@ -77,14 +78,15 @@ from .spectral import (
     spectral_recover_2d,
 )
 
-# Each sweep algorithm's image estimates from a stack of debiased moments,
-# ``(S, d)`` first and ``(S, d, d)`` second, and the image shape.  The
-# lambdas look the stacked cores up when called, so a patched module
-# attribute (a test's stand-in) is what a sweep runs.
+# Each sweep algorithm on a stack of debiased moments, ``(S, d)`` first and
+# ``(S, d, d)`` second, and the image shape: the passing cells' image
+# estimates and each cell's failure (``None`` where it passed).  The lambdas
+# look the stacked cores up when called, so a patched module attribute (a
+# test's stand-in) is what a sweep runs.
 _RECOVERIES = {
-    "fm_plain": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="plain"))[0],
-    "fm_robust": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="robust"))[0],
-    "spectral": lambda m1, m2, shape: _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)[0],
+    "fm_plain": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="plain"))[:2],
+    "fm_robust": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="robust"))[:2],
+    "spectral": lambda m1, m2, shape: _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)[:2],
 }
 ALGORITHMS = tuple(_RECOVERIES)
 # experiment: (code keying its trial generators, grid field, grid element type,
@@ -316,28 +318,17 @@ def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
 def _cell_errors(recover, m1, m2, truths, shape, k_values) -> list:
     """One algorithm's relative error on each cell of a stack, ``None`` where the cell failed.
 
-    The algorithm runs once on the whole stack; if that raises an expected
-    failure, it runs once per cell, so that only the failing cells fail.
-    This is where the sweep checks every algorithm's estimates: a
+    The algorithm runs once on the whole stack and returns the passing
+    cells' estimates and each cell's failure; only the passing cells are
+    scored.  This is where the sweep checks every algorithm's estimates: a
     non-finite one is a programming error, a ``ValueError`` that aborts the
     sweep, as the value types of the public recoveries refuse it.
     """
-
-    def scored(cells) -> list:
-        estimates = recover(m1[cells], m2[cells], shape)
-        _check_finite(estimates, "image coefficients")
-        return _alignment_errors(estimates, truths[cells], k_values)[0]
-
-    try:
-        return scored(slice(None))
-    except _TRIAL_ERRORS:
-        out = []
-        for i in range(len(m1)):
-            try:
-                out += scored(slice(i, i + 1))
-            except _TRIAL_ERRORS:
-                out.append(None)
-        return out
+    estimates, failures = recover(m1, m2, shape)
+    _check_finite(estimates, "image coefficients")
+    passed = [failure is None for failure in failures]
+    scores = iter(_alignment_errors(estimates, truths[passed], k_values)[0])
+    return [next(scores) if ok else None for ok in passed]
 
 
 def _format(value) -> str:

@@ -14,7 +14,7 @@ one eigenvector.  So a stack of moments takes its spectra from one
 ``eigvalsh`` call, the choice runs on the whole stack at once
 (``_pick_isolated``, which the bound evaluators share), and each pair's one
 eigenvector comes from inverse iteration at its chosen eigenvalue
-(``_spectral_estimates``).
+(``_phase_vectors``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MomentConsistencyError
-from .freq_march import RecoveryResult
+from .freq_march import RecoveryResult, _refuse
 from .metrics import _grid_overlap
 from .moments import MomentPair, _debias_in_place
 from .signal_model import (
@@ -168,12 +168,12 @@ def _pick_isolated(lams: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nd
     ``TIE_TOL`` of a row's largest tie, and a tie goes to the larger
     ``|lambda|``, then to the smaller index, so the choice is deterministic.
     Returns the kept eigenvalues (at each row's front), their count, and
-    each row's chosen index ``kappa`` into them and its gap.  A row with no
-    kept eigenvalue raises for the whole stack.
+    each row's chosen index ``kappa`` into them and its gap.
     """
+    # Every row keeps its largest |lambda|, since rank_tol < 1 (EigOptions)
+    # and no caller passes a zero matrix: the spectral core's normalised M2
+    # has a unit diagonal, the bound's T has rho[0] = 1/(2*pi) on its own.
     kept, counts, gaps = _isolation_gaps(lams, rank_tol)
-    if not counts.all():
-        raise MomentConsistencyError("no eigenvalue above the rank threshold")
     tied = gaps >= gaps.max(axis=1, keepdims=True) - TIE_TOL
     kappa = np.argmax(np.where(tied, np.abs(kept), -np.inf), axis=1)
     return kept, counts, kappa, gaps[np.arange(len(lams)), kappa]
@@ -191,46 +191,27 @@ def _rho_from_first_moment(
     return RotationDistribution.from_positive(B, np.concatenate([means[B + 1 :], np.zeros(B)]))
 
 
-def _spectral_estimates(
-    m1: np.ndarray, m2: np.ndarray, image_shape: tuple, rank_tol: float
-) -> tuple[np.ndarray, tuple]:
-    """Spectral recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
+def _phase_vectors(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
+    """The spectral pick and its eigenvector for each pair of a stack whose power spectra ``p`` are positive.
 
-    One ``eigvalsh`` call gives the stack's spectra, and ``_pick_isolated``
-    chooses each pair's eigenvalue.  Only that eigenvector is formed, by two
-    steps of inverse iteration from a fixed start ``b`` (``_start_vector``):
-    solves of ``(A - mu*I) x = b`` with ``mu`` the chosen eigenvalue moved
-    by ``_INVERSE_SHIFT * max|lambda|``.  In the eigenbasis ``x`` has the
-    components ``(u_j^H b) / (lambda_j - mu)``, so each step damps every
-    other eigenvector against the chosen one by the shift over its distance
-    to the chosen eigenvalue.  That eigenvalue is the best isolated by
-    construction, so the normalised ``x`` is ``eigh``'s vector times a unit
-    phase, to rounding.  One step is not enough: on sampled B = 10, Q = 2
-    moments it left up to 4.5e-13 of the other eigenvectors, which moved
-    the bound sweep's smallest errors (about 1e-9) by 9e-9 relative; the
-    second step squares that.  The shift keeps ``A - mu*I`` nonsingular when
-    the spectrum is exactly degenerate (``A = c*I``).
-
-    Returns the ``(S, d)`` image estimates and, stacked over the pairs, the
-    kept eigenvalues (descending, at each row's front), their count,
-    ``kappa``, its gap and the phase vector ``x_tilde``.  A failing pair
-    raises for the whole stack.  LAPACK runs matrix by matrix and every
-    other step row by row, so each pair's values are those of a stack of
-    that pair alone, bit for bit.
+    One ``eigvalsh`` call gives the spectra of the normalised second moments
+    ``A``, and ``_pick_isolated`` chooses each pair's eigenvalue.  Only that
+    eigenvector is formed, by two steps of inverse iteration from a fixed
+    start ``b`` (``_start_vector``): solves of ``(A - mu*I) x = b`` with
+    ``mu`` the chosen eigenvalue moved by ``_INVERSE_SHIFT * max|lambda|``.
+    In the eigenbasis ``x`` has the components ``(u_j^H b) / (lambda_j - mu)``,
+    so each step damps every other eigenvector against the chosen one by the
+    shift over its distance to the chosen eigenvalue.  That eigenvalue is
+    the best isolated by construction, so the normalised ``x`` is ``eigh``'s
+    vector times a unit phase, to rounding.  One step is not enough: on
+    sampled B = 10, Q = 2 moments it left up to 4.5e-13 of the other
+    eigenvectors, which moved the bound sweep's smallest errors (about 1e-9)
+    by 9e-9 relative; the second step squares that.  The shift keeps
+    ``A - mu*I`` nonsingular when the spectrum is exactly degenerate
+    (``A = c*I``).  Returns the kept eigenvalues (descending, at each row's
+    front), their count, ``kappa``, its gap and the unit vectors ``x``.
     """
-    B, qk = image_shape
-    _k_index, starts = _image_layout(B, qk, m1.shape[1])
-    if not (np.asarray(qk) == qk[0]).all():
-        raise ValueError("the spectral path requires a uniform radial bandwidth")
-    anchor = int(starts[B])
-    size, d = m1.shape
-    p = np.diagonal(m2, axis1=1, axis2=2).real
-    low = p.min(axis=1)
-    bad = np.flatnonzero(low <= 0.0)
-    if bad.size:
-        raise MomentConsistencyError(
-            f"power-spectrum entry {low[bad[0]]:.3g} is not positive after debiasing"
-        )
+    size, d = p.shape
     inv_sqrt = 1.0 / np.sqrt(p)
     a = m2 * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
     lams = np.linalg.eigvalsh(a)[:, ::-1]
@@ -243,11 +224,73 @@ def _spectral_estimates(
         # both read as one column per pair.
         x = np.linalg.solve(a, np.broadcast_to(x[..., None], (size, d, 1)))[:, :, 0]
         x = x / np.sqrt((x.real**2 + x.imag**2).sum(axis=1))[:, None]
-    x_tilde = np.sqrt(float(d)) * x
-    if (np.abs(x_tilde[:, anchor]) < PHASE_ANCHOR_TOL).any():
-        raise MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
+    return kept, counts, kappa, gap, x
+
+
+def _lapack_failure(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> Optional[np.linalg.LinAlgError]:
+    """The ``LinAlgError`` that ``_phase_vectors`` raises on a stack, or ``None``."""
+    try:
+        _phase_vectors(m2, p, rank_tol)
+    except np.linalg.LinAlgError as exc:
+        return exc
+    return None
+
+
+def _spectral_estimates(
+    m1: np.ndarray, m2: np.ndarray, image_shape: tuple, rank_tol: float
+) -> tuple[np.ndarray, list, tuple]:
+    """Spectral recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
+
+    A pair is refused, and dropped from the stack, at the first check it
+    fails: a power spectrum (the diagonal of ``M2``) that is not positive,
+    before its square root; a ``LinAlgError`` of its ``eigvalsh`` or of its
+    solves (``_phase_vectors``); a vanishing phase anchor, the eigenvector's
+    first ``k = 0`` entry.  LAPACK runs matrix by matrix, but a stacked call
+    raises for the whole stack, so only when it does is each pair run alone
+    to find the pairs that raise.  That path guards a LAPACK failure on
+    finite moments, which has never been seen; it is no check on non-finite
+    ones.  A non-finite ``M2`` must be refused before the core, as
+    ``MomentPair`` and ``moments._check_pairs`` do: at ``d <= 2`` a NaN
+    entry makes ``eigvalsh`` return, not raise, and a later division warns.
+
+    Returns the passing pairs' ``(P, d)`` image estimates, in order; a list
+    with each pair's failure, ``None`` or the exception that
+    ``spectral_recover_2d`` raises on that pair (the core raises none); and,
+    stacked over the passing pairs, ``_phase_vectors``' kept eigenvalues,
+    their count, ``kappa`` and its gap, and the phase vector ``x_tilde``.
+    Every other step runs row by row, so each pair's values are those of a
+    stack of that pair alone, bit for bit.
+    """
+    B, qk = image_shape
+    _k_index, starts = _image_layout(B, qk, m1.shape[1])
+    if not (np.asarray(qk) == qk[0]).all():
+        raise ValueError("the spectral path requires a uniform radial bandwidth")
+    anchor = int(starts[B])
+    failures = [None] * len(m1)
+    p = np.diagonal(m2, axis1=1, axis2=2).real
+    low = p.min(axis=1)
+
+    def nonpositive(row: int) -> MomentConsistencyError:
+        return MomentConsistencyError(f"power-spectrum entry {low[row]:.3g} is not positive after debiasing")
+
+    cells, m1, m2, p = _refuse(failures, np.arange(len(m1)), low <= 0.0, nonpositive, m1, m2, p)
+    try:
+        kept, counts, kappa, gap, x = _phase_vectors(m2, p, rank_tol)
+    except np.linalg.LinAlgError:
+        raised = [_lapack_failure(m2[i : i + 1], p[i : i + 1], rank_tol) for i in range(len(m2))]
+        bad = np.array([exc is not None for exc in raised])
+        cells, m1, m2, p = _refuse(failures, cells, bad, raised.__getitem__, m1, m2, p)
+        kept, counts, kappa, gap, x = _phase_vectors(m2, p, rank_tol)
+    x_tilde = np.sqrt(float(m1.shape[1])) * x
+
+    def unanchored(_row: int) -> MomentConsistencyError:
+        return MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
+
+    vanishing = np.abs(x_tilde[:, anchor]) < PHASE_ANCHOR_TOL
+    live = (m1, p, kept, counts, kappa, gap, x_tilde)
+    _cells, m1, p, kept, counts, kappa, gap, x_tilde = _refuse(failures, cells, vanishing, unanchored, *live)
     x_tilde *= np.exp(1j * (np.angle(m1[:, anchor]) - np.angle(x_tilde[:, anchor])))[:, None]
-    return np.sqrt(p) * x_tilde, (kept, counts, kappa, gap, x_tilde)
+    return np.sqrt(p) * x_tilde, failures, (kept, counts, kappa, gap, x_tilde)
 
 
 def spectral_recover_2d(
@@ -260,15 +303,20 @@ def spectral_recover_2d(
     ``2B+1``, the rest of the spectrum is structural zeros.  The chosen
     eigenvector carries the signal phases up to a grid rotation and a global
     phase, which the first ``k = 0`` entry of the first moment fixes.  This
-    is the stacked core ``_spectral_estimates`` on one pair: the report's
-    ``eigenvalues`` come from ``eigvalsh``, and the eigenvector from inverse
-    iteration at the chosen one, which is ``eigh``'s vector up to a unit
-    phase (the anchor removes that phase), to rounding.
+    is the stacked core ``_spectral_estimates`` on one pair, which raises the
+    pair's failure if it has one: the report's ``eigenvalues`` come from
+    ``eigvalsh``, and the eigenvector from inverse iteration at the chosen
+    one, which is ``eigh``'s vector up to a unit phase (the anchor removes
+    that phase), to rounding.
     """
     B, qk = image_shape
     m2 = np.array(m.M2[None])
     _debias_in_place(m2, [m.sigma])
-    x_est, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(m.M1[None], m2, image_shape, opts.rank_tol)
+    x_est, [failure], (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
+        m.M1[None], m2, image_shape, opts.rank_tol
+    )
+    if failure is not None:
+        raise failure
     rho_est = _rho_from_first_moment(m.M1, x_est[0], coefficient_layout(B, qk)[1], B)
     kappa, gap = int(kappa[0]), float(gap[0])
     result = RecoveryResult(

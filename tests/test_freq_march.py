@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from so2mra.errors import MomentConsistencyError, VanishingCoefficientError
-from so2mra.freq_march import DIAGONAL_TOL, FMOptions, _high_gather, _march, _ratio_matrix, fm_recover_2d
+from so2mra.freq_march import (
+    DIAGONAL_TOL,
+    FMOptions,
+    RELATIVE_M1_TOL,
+    _fm_estimates,
+    _high_gather,
+    _march,
+    _ratio_matrix,
+    fm_recover_2d,
+)
 from so2mra.harness import _RECOVERIES, _cell_errors, simulate_empirical_moments
 from so2mra.metrics import recovery_error, sigma_for_snr
 from so2mra.moments import MomentPair, _debias_in_place, debias, population_moments_2d
-from so2mra.spectral import spectral_recover_2d
+from so2mra.spectral import RANK_TOL_EMPIRICAL, EigOptions, spectral_recover_2d
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
@@ -147,9 +156,9 @@ class TestRobustKernels:
                         total += s_full[starts[i1] + a, starts[i2] + b]
                 expected[i1, i2] = total / (sizes[i1] * sizes[i2])
         m1 = np.ones((1, d), dtype=complex)
-        got = _ratio_matrix(m1, m2[None], starts, robust=True)[0][0]
+        got = _ratio_matrix(m1, m2[None], starts, robust=True)[0]
         assert np.abs(got - expected).max() < 1e-13 * TWO_PI
-        plain = _ratio_matrix(m1, m2[None], starts, robust=False)[0][0]
+        plain = _ratio_matrix(m1, m2[None], starts, robust=False)[0]
         assert np.array_equal(plain, s_full[np.ix_(starts, starts)])
 
     @pytest.mark.parametrize("B", [1, 2, 5, 10])
@@ -162,7 +171,7 @@ class TestRobustKernels:
         m = simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 10.0), rng)
         m = debias(m)
         s = 2 * np.pi * m.M2 / np.outer(m.M1, m.M1.conj())
-        got = _march(s[None], B, robust=True)[0][0]
+        got = _march_passing(s[None], B, robust=True)[0][0]
         expected = got.copy()
         expected[B + 1 :] = 0.0
         for k in range(B + 1, 2 * B + 1):
@@ -220,6 +229,14 @@ def _plain_march_scalar(s, B):
     return rho
 
 
+def _march_passing(s, B, robust):
+    """``_march`` on a stack that refuses no pair: its coefficients and residuals."""
+    failures = [None] * len(s)
+    rho, residuals, cells = _march(s, B, robust, failures, np.arange(len(s)))
+    assert failures == [None] * len(s) and np.array_equal(cells, np.arange(len(s)))
+    return rho, residuals
+
+
 def _sampled_ratio_matrix(seed, B, uniform, robust):
     """The reduced ratio matrix ``(1, 2B+1, 2B+1)`` of a debiased sampled pair at SNR 100."""
     rng = np.random.default_rng(seed)
@@ -229,7 +246,7 @@ def _sampled_ratio_matrix(seed, B, uniform, robust):
     x = FBImage(B, qk, coeffs)
     rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
     m = debias(simulate_empirical_moments(x, rho, 5_000, sigma_for_snr(x, 100.0), rng))
-    return _ratio_matrix(m.M1[None], m.M2[None], starts, robust)[0]
+    return _ratio_matrix(m.M1[None], m.M2[None], starts, robust)
 
 
 class TestRobustGather:
@@ -247,7 +264,7 @@ class TestRobustGather:
     @pytest.mark.parametrize("uniform", [True, False])
     def test_march_matches_reference(self, B, uniform):
         s = _sampled_ratio_matrix((47, B, uniform), B, uniform, robust=True)
-        got = _march(s, B, robust=True)[0][0]
+        got = _march_passing(s, B, robust=True)[0][0]
         assert np.array_equal(got, _robust_march_reference(s[0], B))
 
     @pytest.mark.parametrize("B", range(1, 13))
@@ -256,7 +273,7 @@ class TestRobustGather:
         # Bit for bit against the one-pair array recursion; the scalar loop
         # rounds each complex product on its own, so it agrees to rounding.
         s = _sampled_ratio_matrix((67, B, uniform), B, uniform, robust=False)
-        got = _march(s, B, robust=False)[0][0]
+        got = _march_passing(s, B, robust=False)[0][0]
         assert np.array_equal(got, _plain_march_reference(s[0], B))
         scalar = _plain_march_scalar(s[0], B)
         assert np.abs(got - scalar).max() <= 1e-13 * np.abs(scalar).max()
@@ -266,7 +283,7 @@ class TestRobustGather:
         # Above B the plain step is the k' = B term of the robust average:
         # s[k, 0] rho[k-B] rho[B] in the march's offset indexing, bit for bit.
         s = np.concatenate([_sampled_ratio_matrix((71, B, i), B, True, robust=False) for i in range(7)])
-        rho = _march(s, B, robust=False)[0]
+        rho = _march_passing(s, B, robust=False)[0]
         high = np.arange(B + 1, 2 * B + 1)
         assert np.array_equal(rho[:, high], s[:, high, 0] * rho[:, high - B] * rho[:, B, None])
 
@@ -282,7 +299,8 @@ def _block_scaled(m2, starts, q, i, j, factor):
 
 
 class TestMixedFailures:
-    """Each variant refuses the same pairs inside a stack as alone, and plain only the one whose rho[1] it pins."""
+    """Each algorithm refuses the same pairs inside a stack as alone, with the same exception, and the pairs it
+    passes keep their bits; plain FM refuses only the pair whose rho[1] it pins."""
 
     def test_failing_pairs_fail_in_a_mixed_stack(self):
         rng = np.random.default_rng(29)
@@ -291,37 +309,89 @@ class TestMixedFailures:
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1)
         m = population_moments_2d(x, rho, 0.0)
         _k_index, starts = coefficient_layout(B, x.radial_bandwidths)
+        anchor = int(starts[B])
+        vanishing = m.M1.copy()
+        vanishing[anchor - 1] = 0.0
+        decoupled = m.M2.copy()
+        decoupled[anchor, :] = decoupled[:, anchor] = 0.0
+        decoupled[anchor, anchor] = m.M2[anchor, anchor]
+        blended = _block_scaled(m.M2, starts, q, 2 + B, 1 + B, 1e20)
         pairs = {
-            "good": m.M2,
-            # Re S[1,1] < 0: both variants refuse (plain pins rho[1] too).
-            "diag1": _block_scaled(m.M2, starts, q, 1 + B, 1 + B, -1.0),
+            "good": (m.M1, m.M2),
+            # Re S[1,1] < 0: both variants refuse (plain pins rho[1] too), and
+            # the power spectrum is negative there.
+            "diag1": (m.M1, _block_scaled(m.M2, starts, q, 1 + B, 1 + B, -1.0)),
             # Re S[2,2] < 0 only: robust pins |rho[2]| to it, plain never reads it.
-            "diag2": _block_scaled(m.M2, starts, q, 2 + B, 2 + B, -1.0),
-            # S[2,1] scaled by 1e20: the robust blend for k = 2 is about 1e-21.
-            "blend": _block_scaled(m.M2, starts, q, 2 + B, 1 + B, 1e20),
+            "diag2": (m.M1, _block_scaled(m.M2, starts, q, 2 + B, 2 + B, -1.0)),
+            # S[2,1] scaled by 1e20: the robust blend for k = 2 is about 1e-21,
+            # and the chosen eigenvector misses the phase anchor.
+            "blend": (m.M1, blended),
+            # Both at k = 2: robust checks the blend before Re S[2,2].
+            "blend+diag2": (m.M1, _block_scaled(blended, starts, q, 2 + B, 2 + B, -1.0)),
+            # An M1 entry next to the anchor vanishes: both marches refuse to
+            # invert it, and spectral divides by no M1 entry.
+            "vanish": (vanishing, m.M2),
+            # The anchor's row and column of M2 vanish off the diagonal, so
+            # only an eigenvector of its own reaches the anchor, and that one
+            # is not chosen.
+            "anchor": (m.M1, decoupled),
         }
-        s_diag1 = _ratio_matrix(m.M1[None], pairs["diag1"][None], starts, robust=True)[0][0]
+        s_diag1 = _ratio_matrix(m.M1[None], pairs["diag1"][1][None], starts, robust=True)[0]
         assert s_diag1[1 + B, 1 + B].real <= DIAGONAL_TOL
-        names = ["good", "diag1", "diag2", "good", "blend", "good"]
-        m1 = np.array([m.M1] * len(names))
-        m2 = np.array([pairs[name] for name in names])
+        names = ["good", "diag1", "good", "diag2", "good", "blend", "good", "blend+diag2", "good", "vanish", "good"]
+        names += ["anchor", "good"]
+        m1 = np.array([pairs[name][0] for name in names])
+        m2 = np.array([pairs[name][1] for name in names])
         _debias_in_place(m2, [0.0] * len(names))
         truths = np.array([x.coeffs] * len(names))
         shape = (B, x.radial_bandwidths)
-        refused = {"fm_plain": {"diag1"}, "fm_robust": {"diag1", "diag2", "blend"}}
-        messages = {"diag1": r"Re S\[1,1\]", "diag2": r"Re S\[2,2\]", "blend": "undefined phase"}
-        for algo, failing in refused.items():
+        consistency, guard = MomentConsistencyError, VanishingCoefficientError
+        # algorithm: (its one-pair call, {refused pair: (exception class, message)})
+        refused = {
+            "fm_plain": (
+                lambda pair: fm_recover_2d(pair, shape, FMOptions(variant="plain")),
+                {"diag1": (consistency, r"Re S\[1,1\]"), "vanish": (guard, "inversion guard")},
+            ),
+            "fm_robust": (
+                lambda pair: fm_recover_2d(pair, shape, FMOptions(variant="robust")),
+                {
+                    "diag1": (consistency, r"Re S\[1,1\]"),
+                    "diag2": (consistency, r"Re S\[2,2\]"),
+                    "blend": (consistency, "undefined phase"),
+                    "blend+diag2": (consistency, "undefined phase"),
+                    "vanish": (guard, "inversion guard"),
+                },
+            ),
+            "spectral": (
+                lambda pair: spectral_recover_2d(pair, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0],
+                {
+                    "diag1": (consistency, "power-spectrum entry"),
+                    "diag2": (consistency, "power-spectrum entry"),
+                    "blend": (consistency, "phase anchor"),
+                    "blend+diag2": (consistency, "power-spectrum entry"),
+                    "anchor": (consistency, "phase anchor"),
+                },
+            ),
+        }
+        for algo, (one_pair, failing) in refused.items():
             errors = _cell_errors(_RECOVERIES[algo], m1, m2, truths, shape, x.k_values)
             assert [err is None for err in errors] == [name in failing for name in names]
-            assert all(err < 1e-10 for err, name in zip(errors, names) if name == "good")
-            opts = FMOptions(variant=algo[3:])
-            for name in names:
-                pair = MomentPair(m.M1, pairs[name], 0.0)
+            if algo != "spectral":  # the distribution is not circulant
+                assert all(err < 1e-10 for err, name in zip(errors, names) if name == "good")
+            estimates, failures = _RECOVERIES[algo](m1, m2, shape)
+            passing = iter(estimates)
+            for name, failure in zip(names, failures, strict=True):
+                pair = MomentPair(*pairs[name], 0.0)
                 if name in failing:
-                    with pytest.raises(MomentConsistencyError, match=messages[name]):
-                        fm_recover_2d(pair, shape, opts)
+                    kind, message = failing[name]
+                    with pytest.raises(kind, match=message) as raised:
+                        one_pair(pair)
+                    assert type(failure) is type(raised.value) is kind
+                    assert str(failure) == str(raised.value)
                 else:
-                    assert np.isfinite(fm_recover_2d(pair, shape, opts).signal_est.coeffs).all()
+                    assert failure is None
+                    assert np.array_equal(next(passing), one_pair(pair).signal_est.coeffs)
+            assert next(passing, None) is None
 
 
 def _ratio_matrix_reference(m1, m2, starts, robust):
@@ -344,10 +414,16 @@ class TestReducedRatioMatrix:
             d = int(_k_index.size)
             m1 = rng.uniform(0.1, 2.0, (size, d)) * np.exp(2j * np.pi * rng.random((size, d)))
             m2 = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
-            got, min_abs, tol = _ratio_matrix(m1, m2, starts, robust)
+            got = _ratio_matrix(m1, m2, starts, robust)
             assert got.shape == (size, 2 * B + 1, 2 * B + 1)
             assert np.array_equal(got, _ratio_matrix_reference(m1, m2, starts, robust))
-            assert np.array_equal(min_abs, np.abs(m1).min(axis=1))
+            # The core reports min|M1| and its guard for the pairs it passes,
+            # in order; a random M2 makes the march refuse some of them.
+            opts = FMOptions(variant="robust" if robust else "plain")
+            _est, failures, (_rho, min_abs, tol, _res) = _fm_estimates(m1, m2, (B, qk), opts)
+            passed = [i for i, failure in enumerate(failures) if failure is None]
+            assert np.array_equal(min_abs, np.abs(m1).min(axis=1)[passed])
+            assert np.array_equal(tol, RELATIVE_M1_TOL * np.abs(m1).max(axis=1)[passed])
 
     @pytest.mark.parametrize("cell", [0, 2])
     def test_guard_reads_entries_off_the_block_starts(self, cell):
@@ -363,11 +439,15 @@ class TestReducedRatioMatrix:
         m1 = np.array([m.M1] * 3)
         m1[cell, off_start] = 0.0
         m2 = np.array([m.M2] * 3)
-        _ratio_matrix(np.array([m.M1] * 3), m2, starts, robust=False)
-        with pytest.raises(VanishingCoefficientError):
-            _ratio_matrix(m1, m2, starts, robust=False)
-        with pytest.raises(VanishingCoefficientError):
-            fm_recover_2d(MomentPair(m1[cell], m.M2, 0.0), (x.B, x.radial_bandwidths), FMOptions(variant="plain"))
+        shape = (x.B, x.radial_bandwidths)
+        estimates, failures, _diagnostics = _fm_estimates(m1, m2, shape, FMOptions(variant="plain"))
+        assert len(estimates) == 2
+        assert [type(failure) for failure in failures] == [
+            VanishingCoefficientError if i == cell else type(None) for i in range(3)
+        ]
+        with pytest.raises(VanishingCoefficientError) as raised:
+            fm_recover_2d(MomentPair(m1[cell], m.M2, 0.0), shape, FMOptions(variant="plain"))
+        assert str(raised.value) == str(failures[cell])
 
 
 class TestImageShapeCheck:

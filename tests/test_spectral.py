@@ -766,8 +766,6 @@ def reference_pick(lams, rank_tol):
     picks = []
     for row in lams:
         kept = row[np.abs(row) > rank_tol * np.abs(row).max(initial=0.0)]
-        if not kept.size:
-            raise MomentConsistencyError("no eigenvalue above the rank threshold")
         picks.append((kept, *select_isolated(kept)))
     return picks
 
@@ -786,7 +784,7 @@ def eigh_spectral_estimates(m1, m2, image_shape, rank_tol):
     kappa, gap = select_isolated(lams[keep])
     x_tilde = np.sqrt(float(m1.shape[1])) * vecs[:, keep[kappa]]
     x_tilde *= np.exp(1j * (np.angle(m1[0, anchor]) - np.angle(x_tilde[anchor])))
-    return np.sqrt(p) * x_tilde, (lams[keep][None], [keep.size], [kappa], [gap], x_tilde[None])
+    return np.sqrt(p) * x_tilde, [None], (lams[keep][None], [keep.size], [kappa], [gap], x_tilde[None])
 
 
 @st.composite
@@ -820,12 +818,7 @@ class TestStackedCore:
     @given(case=descending_spectra())
     def test_pick_matches_per_pair_rule(self, case):
         lams, rank_tol = case
-        try:
-            picks = reference_pick(lams, rank_tol)
-        except MomentConsistencyError:
-            with pytest.raises(MomentConsistencyError, match="rank threshold"):
-                _pick_isolated(lams, rank_tol)
-            return
+        picks = reference_pick(lams, rank_tol)
         kept, counts, kappa, gap = _pick_isolated(lams, rank_tol)
         for i, (ref_kept, ref_kappa, ref_gap) in enumerate(picks):
             assert kept[i, : counts[i]].tobytes() == ref_kept.tobytes()
@@ -839,7 +832,8 @@ class TestStackedCore:
         """The core's phase vectors against ``eigh``'s vectors of the chosen
         eigenvalues, up to a unit phase; returns the chosen eigenvalues."""
         d = m1.shape[1]
-        _est, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(m1, m2, image_shape, rank_tol)
+        _est, failures, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(m1, m2, image_shape, rank_tol)
+        assert failures == [None] * len(m1)
         p = np.diagonal(m2, axis1=1, axis2=2).real
         lams, vecs = np.linalg.eigh(m2 / np.sqrt(p[:, :, None] * p[:, None, :]))
         chosen = kept[np.arange(len(m1)), kappa]
@@ -927,15 +921,48 @@ class TestStackedCore:
         assert abs(np.vdot(fourier[:, f], spectral._start_vector(d))) > 0.1
         self.assert_eigh_vectors(np.ones((1, d), dtype=complex), m2[None], (0, np.array([d])), 0.0, tol=1e-12)
 
+    def test_lapack_failure_stays_with_its_cell(self):
+        # No finite moments are known to make LAPACK fail, so a NaN entry,
+        # which every entry point refuses, stands in for one here: at d = 6
+        # it makes eigvalsh fail on its matrix and raise for any stack that
+        # holds it.  This tests the per-cell path, not non-finite input (at
+        # d <= 2 a NaN entry raises nothing in eigvalsh).  The core refuses
+        # that cell with the error a stack of it alone records, and the
+        # others keep their bits.
+        d, size, bad = 6, 5, 2
+        rng = np.random.default_rng(32)
+        h = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
+        h = (h + h.conj().transpose(0, 2, 1)) / 8.0
+        h[:, np.arange(d), np.arange(d)] = 0.0
+        m2 = np.eye(d) + h
+        m2[bad, 0, d - 1] = m2[bad, d - 1, 0] = np.nan
+        m1 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (size, d)))
+        shape = (0, np.array([d]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(m2)
+        estimates, failures, _spectra = _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)
+        assert isinstance(failures[bad], np.linalg.LinAlgError)
+        assert len(estimates) == size - 1
+        passing = iter(estimates)
+        for i, failure in enumerate(failures):
+            alone, [failure_alone], _ = _spectral_estimates(m1[i : i + 1], m2[i : i + 1], shape, RANK_TOL_EMPIRICAL)
+            if i == bad:
+                assert type(failure_alone) is type(failure) and str(failure_alone) == str(failure)
+                assert len(alone) == 0
+            else:
+                assert failure is None and failure_alone is None
+                assert np.array_equal(next(passing), alone[0])
+
     @pytest.mark.parametrize("c", [1.0, 2.5])
     def test_exactly_degenerate_spectrum(self, c):
         # Every eigenvalue ties: no LinAlgError, which a sweep would count as
         # a failed cell, and the vector is a unit phase vector times sqrt(d).
         for d in (1, 5, 42):
             m2 = np.broadcast_to(c * np.eye(d, dtype=complex), (3, d, d)).copy()
-            est, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
+            est, failures, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
                 np.ones((3, d), dtype=complex), m2, (0, np.array([d])), RANK_TOL_EMPIRICAL
             )
+            assert failures == [None] * 3
             assert (counts == d).all() and (kappa == 0).all()
             assert np.isfinite(est).all()
             assert np.allclose(np.linalg.norm(x_tilde, axis=1), np.sqrt(d), rtol=1e-14)
