@@ -27,8 +27,10 @@ from .moments import (
     simulate_empirical_moments,
 )
 from .signal_model import (
+    CirculantApprox,
     FBImage,
     RotationDistribution,
+    circulant_project,
     generate_observations,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -38,10 +40,8 @@ from .signal_model import (
     sample_rotations,
 )
 from .spectral import (
-    CirculantApprox,
     EigOptions,
     SpectralReport,
-    circulant_project,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
     spectral_recover_2d,
@@ -70,8 +70,10 @@ __all__ = [
     "empirical_moments",
     "population_moments_2d",
     "simulate_empirical_moments",
+    "CirculantApprox",
     "FBImage",
     "RotationDistribution",
+    "circulant_project",
     "generate_observations",
     "make_experiment_distribution",
     "make_experiment_signal_2d",
@@ -79,10 +81,8 @@ __all__ = [
     "rotate_distribution",
     "rotate_signal",
     "sample_rotations",
-    "CirculantApprox",
     "EigOptions",
     "SpectralReport",
-    "circulant_project",
     "davis_kahan_bound_2d",
     "min_bound_over_rotations",
     "spectral_recover_2d",

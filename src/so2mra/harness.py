@@ -17,8 +17,12 @@ the law of an independent draw, because it equals
 of one trial are dependent (common random numbers), which makes the
 error-versus-SNR slopes far less noisy.  A sweep on one fixed ground truth
 draws it once, from trial ``(0, 0)``'s generator.  Failed trials are
-counted per row instead of aborting the sweep; an instance that fails
-fails its trial at every SNR.
+counted per row instead of aborting the sweep.  Only a ``So2MraError``
+fails a trial; any other exception is a bug and aborts the sweep.  The
+instance draw (``_instance``) owns sampleability: an instance that cannot
+be drawn or sampled fails its trial at every SNR and never reaches the
+simulator, and a fixed instance that fails fails every trial of the sweep,
+which then simulates nothing.
 
 A task is a few trials that share ``n``: as many as keep its stack of
 ``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
@@ -69,6 +73,7 @@ from .signal_model import (
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
+    rotation_cdf,
 )
 from .spectral import (
     RANK_TOL_EMPIRICAL,
@@ -120,10 +125,6 @@ def _row(*cells) -> dict:
     """A CSV row from its cells, given in ``CSV_COLUMNS`` order."""
     return dict(zip(CSV_COLUMNS, cells, strict=True))
 
-
-# Expected numerical failures, which mark a single trial/algorithm as failed
-# instead of aborting; any other exception is a bug and propagates.
-_TRIAL_ERRORS = (So2MraError, np.linalg.LinAlgError)
 
 # Largest size in bytes of one task's stack of complex (d, d) second moments.
 # A sampling task takes as many trials as fit, and at least one: 18 cells at
@@ -263,9 +264,16 @@ def _ground_truth(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
 
 
 def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
-    """Trial ``(grid_idx, trial_idx)``'s image and its perturbed rotation distribution."""
+    """Trial ``(grid_idx, trial_idx)``'s image and its perturbed rotation distribution.
+
+    A distribution that cannot be sampled is refused here, by
+    ``rotation_cdf``'s ``NotSampleableError``, so every instance a sweep
+    hands to the simulator can be sampled.
+    """
     image, base = _ground_truth(cfg, grid_idx, trial_idx)
-    return image, perturb_distribution(base, cfg.eta)
+    rho = perturb_distribution(base, cfg.eta)
+    rotation_cdf(rho)
+    return image, rho
 
 
 def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
@@ -277,11 +285,12 @@ def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
     distribution is freed once its angles are drawn.  The trials are
     simulated as one stack (``_simulate_stack``): each draws one Gram
     factor for ``n`` observations from its stream-2 generator and forms the
-    moments at every point from it.  A failed instance or draw fails its
-    trial at every point.  The cells of the trials that drew form one
-    stack, which each algorithm recovers and scores in one call
-    (``_cell_errors``).  Returns ``{(grid index, trial index): {algorithm:
-    error or None}}`` for every cell of the task.
+    moments at every point from it.  A trial whose instance draw fails
+    (``_instance``) fails at every point and is not handed to the
+    simulator.  The cells of the trials handed form one stack, which each
+    algorithm recovers and scores in one call (``_cell_errors``).  Returns
+    ``{(grid index, trial index): {algorithm: error or None}}`` for every
+    cell of the task.
     """
     key_gi, trial_idxs, n_value, points = task
     errors = {(gi, ti): dict.fromkeys(cfg.algos) for ti in trial_idxs for gi, _snr in points}
@@ -291,16 +300,15 @@ def _sampling_task(cfg: ExperimentConfig, task: tuple, instance) -> dict:
         for ti in trial_idxs:
             try:
                 image, rho = _instance(cfg, key_gi, ti) if instance is None else instance
-            except _TRIAL_ERRORS:
+            except So2MraError:
                 continue
             sigmas = [sigma_for_snr(image, snr) for _gi, snr in points]
             handed.append((ti, image, sigmas))
             yield image, rho, _trial_rng(cfg, key_gi, ti, 2), sigmas
 
-    drawn, m1, m2 = _simulate_stack(trials(), n_value, skip=_TRIAL_ERRORS)
-    if not drawn:
+    m1, m2 = _simulate_stack(trials(), n_value)
+    if not handed:
         return errors
-    handed = [handed[t] for t in drawn]
     cells = [(gi, ti) for ti, _image, _sigmas in handed for gi, _snr in points]
     sigmas = [sigma for *_, trial_sigmas in handed for sigma in trial_sigmas]
     truths = np.array([image.coeffs for _ti, image, _sigmas in handed for _point in points])
@@ -362,7 +370,7 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     try:
         fixed = _instance(cfg, 0, 0) if cfg.fixed_ground_truth else None
-    except _TRIAL_ERRORS:
+    except So2MraError:
         # Every trial would have drawn this failing instance.
         errors = {(gi, ti): dict.fromkeys(cfg.algos) for gi in range(len(grid)) for ti in range(cfg.trials)}
     else:
@@ -413,14 +421,16 @@ def _bound_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     try:
         image, base = _ground_truth(cfg, 0, 0)
-    except _TRIAL_ERRORS:
+    except So2MraError:
         # Every eta point would have used this failing draw.
         return [failed(eta) for eta in cfg.eta_grid]
     rows = []
     for eta in cfg.eta_grid:
+        # A LAPACK failure fails its point too: spectral_recover_2d raises
+        # its cell's, and the bound calls eigvalsh.
         try:
             rows.append(_bound_point(cfg, image, base, eta))
-        except _TRIAL_ERRORS:
+        except (So2MraError, np.linalg.LinAlgError):
             rows.append(failed(eta))
     return rows
 

@@ -29,6 +29,7 @@ from .signal_model import (
     InverseCdf,
     RotationDistribution,
     _frozen,
+    _gram_from_sums,
     _noise_level,
     _observation_draws,
     _readonly,
@@ -273,40 +274,6 @@ def _angle_sums(table: InverseCdf, n: int, order: int, rng: np.random.Generator,
     return np.exp(-0.5 * steps[0]) * sums.conj()
 
 
-def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
-    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]`` of ``_trig_design``.
-
-    ``sums`` holds ``S_m`` for ``m = 0..2B`` on its last axis; a stack of
-    them gives the stack of matrices, each with the bits it has alone.
-    Column ``a`` is ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines,
-    ``-1j`` for sines),
-    and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
-    ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
-    """
-    plus, minus, c_c, c_conj_c = _gram_tables((sums.shape[-1] - 1) // 2)
-    signed = np.concatenate([sums[..., :0:-1].conj(), sums], axis=-1)  # m = -2B..2B
-    return 0.5 * (c_c * signed[..., plus] + c_conj_c * signed[..., minus]).real
-
-
-@lru_cache(maxsize=64)
-def _gram_tables(B: int) -> tuple[np.ndarray, ...]:
-    """``_gram_from_sums``' tables for one ``B``, built once and read-only.
-
-    The positions of ``S[f_a+f_b]`` and ``S[f_a-f_b]`` among ``S_m``,
-    ``m = -2B..2B``, and the coefficient products ``c_a c_b`` and
-    ``c_a conj(c_b)``.
-    """
-    col = np.arange(2 * B + 1)
-    freq = (col + 1) // 2
-    c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
-    return _frozen(
-        2 * B + freq[:, None] + freq[None, :],
-        2 * B + freq[:, None] - freq[None, :],
-        np.outer(c, c),
-        np.outer(c, c.conj()),
-    )
-
-
 def _bartlett_factor(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-triangular ``L`` with ``L L^T ~ Wishart_dim(dof, I)`` (Bartlett); needs ``dof >= dim``."""
     lower = np.zeros((dim, dim))
@@ -339,47 +306,43 @@ def _gram_roots(grams: np.ndarray) -> np.ndarray:
     return (vec * np.sqrt(np.maximum(lam, 0.0)))[None]
 
 
-def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK, skip: tuple = ()) -> tuple:
+def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK) -> tuple:
     """The empirical moments of ``n`` observations for each trial of a stack, exactly in distribution.
 
     ``trials`` yields ``(signal, rho, rng, sigmas)``: signals of one
     coefficient layout, each trial's own generator, and its noise levels as
     floats.  It is read once, trial by trial, and a trial's ``rho`` is let
-    go once its angles are drawn.  A trial whose draws raise one of
-    ``skip`` is left out.  Returns ``(drawn, m1, m2)``: the positions in
-    ``trials`` of the trials drawn, and the ``(C, d)`` first and
-    ``(C, d, d)`` second moments of their cells, trial by trial and, within
-    a trial, in the order of its ``sigmas``.  ``simulate_empirical_moments``,
-    which documents the factor ``F``, is this function on a stack of one,
-    and a cell has the bits it has there on a fresh copy of its trial's
-    generator: the stack changes no draw and no operation of a cell.
+    go once its angles are drawn; a ``rho`` that cannot be sampled raises
+    ``NotSampleableError``, as in ``simulate_empirical_moments``.  Returns
+    ``(m1, m2)``: the ``(C, d)`` first and ``(C, d, d)`` second moments of
+    every trial's cells, trial by trial and, within a trial, in the order
+    of its ``sigmas`` (empty stacks when ``trials`` yields none).
+    ``simulate_empirical_moments``, which documents the factor ``F``, is
+    this function on a stack of one, and a cell has the bits it has there
+    on a fresh copy of its trial's generator: the stack changes no draw and
+    no operation of a cell.
 
     Each trial draws its angles, then ``W``, then its Bartlett block, from
     its own generator, as ``simulate_empirical_moments`` does.  The Gram
-    matrices of the trials drawn form one stack with one Cholesky call
-    (``_gram_roots``), their factors one ``(T, p + d, min(n, p + d))``
-    stack, and each cell's moments are written into the returned stacks in
-    place.
+    matrices form one stack with one Cholesky call (``_gram_roots``), the
+    factors one ``(T, p + d, min(n, p + d))`` stack, and each cell's
+    moments are written into the returned stacks in place.
     """
     n, chunk = operator.index(n), operator.index(chunk)
     if n < 1 or chunk < 1:
         raise ValueError("n and chunk must be positive integers")
-    drawn, firsts, kept = [], [], []
-    for t, (signal, rho, rng, sigmas) in enumerate(trials):
+    firsts, kept = [], []
+    for signal, rho, rng, sigmas in trials:
         if signal.B != rho.B:
             raise ValueError("signal and distribution bandwidths must agree")
         p, dim = 2 * signal.B + 1, signal.size
-        try:
-            if n < p + dim:
-                firsts.append(_observation_draws(signal, rho, n, rng).T)
-            else:
-                firsts.append(_angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, chunk))
-        except skip:
-            continue
-        drawn.append(t)
+        if n < p + dim:
+            firsts.append(_observation_draws(signal, rho, n, rng).T)
+        else:
+            firsts.append(_angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, chunk))
         kept.append((signal, rng, sigmas))
     if not kept:
-        return drawn, np.empty((0, 0), np.complex128), np.empty((0, 0, 0), np.complex128)
+        return np.empty((0, 0), np.complex128), np.empty((0, 0, 0), np.complex128)
     if n < p + dim:
         factors = np.array(firsts)
     else:
@@ -397,7 +360,7 @@ def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK, skip: tuple = ())
             np.divide(np.matmul(kf, factor[0], out=m1[cell]), n, out=m1[cell])
             np.divide(np.matmul(kf, kf.conj().T, out=m2[cell]), n, out=m2[cell])
             cell += 1
-    return drawn, m1, m2
+    return m1, m2
 
 
 def simulate_empirical_moments(
@@ -423,7 +386,9 @@ def simulate_empirical_moments(
     or, if ``G^T G`` is numerically singular, its eigenvalue root
     ``V sqrt(max(lambda, 0))``: exact when ``G`` has full column rank, and
     otherwise ``G^T G`` within rounding.  Any such ``L`` gives the same law.
-    No draw depends on ``sigma``, which sets only ``K``.
+    No draw depends on ``sigma``, which sets only ``K``.  A ``rho`` that
+    cannot be sampled raises ``NotSampleableError`` (``rotation_cdf``'s
+    refusal) before any draw.
 
     This is ``_simulate_stack``, the sweeps' simulator, on a stack of one
     trial with one noise level.  The angle sums fill buffers that each
@@ -435,5 +400,5 @@ def simulate_empirical_moments(
     larger ``chunk`` or bandwidth grows them.
     """
     sigma = _noise_level(sigma)
-    _drawn, m1, m2 = _simulate_stack([(signal, rho, rng, (sigma,))], n, chunk)
+    m1, m2 = _simulate_stack([(signal, rho, rng, (sigma,))], n, chunk)
     return MomentPair(m1[0], m2[0], sigma)

@@ -324,6 +324,32 @@ class RotationDistribution:
         return bool(self.min_density >= 0.0)
 
 
+@dataclass(frozen=True)
+class CirculantApprox:
+    """First column of the circulant closest to the distribution's Toeplitz form."""
+
+    v_opt: np.ndarray
+    s_b: float
+
+
+def circulant_project(rho: RotationDistribution) -> CirculantApprox:
+    """Frobenius-closest circulant to the Toeplitz matrix of ``rho``.
+
+    ``v_opt[k] = (k*rho[-(N-k)] + (N-k)*rho[k]) / N`` for ``N = 2B+1``, with
+    the squared distance
+    ``s_b = sum_k |rho[k] - rho[-(N-k)]|^2 * k*(N-k)/N``.
+    """
+    n = 2 * rho.B + 1
+    k = np.arange(1, n)
+    pos = rho[k]
+    wrap = rho[k - n]
+    v = np.empty(n, dtype=np.complex128)
+    v[0] = rho[0]
+    v[1:] = (k * wrap + (n - k) * pos) / n
+    s_b = float(np.sum(np.abs(pos - wrap) ** 2 * (k * (n - k)) / n))
+    return CirculantApprox(v, s_b)
+
+
 def make_experiment_signal_2d(B: int, Q: int, rng: np.random.Generator) -> FBImage:
     """Random real image with unit-modulus coefficients and uniform phases.
 
@@ -345,12 +371,12 @@ def make_experiment_distribution(
     """Random nonnegative density whose Toeplitz form is exactly circulant.
 
     Real and imaginary parts of ``rho[k]``, ``k = 1..2B``, are drawn uniformly
-    on ``[0, 1]``; each coefficient pair ``(k, -(2B+1-k))`` is replaced by its
-    closest circulant-compatible value (the Frobenius-optimal weighted
-    average), which forces the circulant distance to vanish.  The non-DC
-    coefficients are then shrunk by the largest ``gamma`` in ``(0, 1]`` that
-    keeps the density at or above ``tol_pos`` on the evaluation grid;
-    shrinking is linear, so circulant compatibility is preserved.  The floor
+    on ``[0, 1]``, and the draw is replaced by the first column of the
+    circulant closest to its Toeplitz form (``circulant_project``), which
+    forces the circulant distance to vanish.  The non-DC coefficients are
+    then shrunk by the largest ``gamma`` in ``(0, 1]`` that keeps the
+    density at or above ``tol_pos`` on the evaluation grid; shrinking is
+    linear, so circulant compatibility is preserved.  The floor
     binds this draw only: what is derived from it must itself be nonnegative.
     """
     if B < 1:
@@ -359,13 +385,7 @@ def make_experiment_distribution(
         raise ValueError("tol_pos must be nonnegative")
     re = rng.random(2 * B)
     im = rng.random(2 * B)
-    pos = re + 1j * im  # k = 1..2B
-    n = 2 * B + 1
-    # Closest circulant-compatible coefficients: for each k the pair
-    # (rho[k], rho[-(n-k)]) collapses onto the weighted average
-    # (k*rho[-(n-k)] + (n-k)*rho[k]) / n, mirrored conjugately.
-    k = np.arange(1, n)
-    pos = (k * pos[::-1].conj() + (n - k) * pos) / n
+    pos = circulant_project(RotationDistribution.from_positive(B, re + 1j * im)).v_opt[1:]
 
     if tol_pos > UNIFORM_DENSITY:
         raise DegenerateDrawError("positivity target exceeds the uniform density level")
@@ -560,6 +580,40 @@ def _trig_design(angles: np.ndarray, B: int) -> np.ndarray:
     design[:, 1::2] = np.cos(phases)
     design[:, 2::2] = np.sin(phases)
     return design
+
+
+def _gram_from_sums(sums: np.ndarray) -> np.ndarray:
+    """``G^T G`` for the rows ``g(phi) = [1, cos phi, sin phi, ..., cos B phi, sin B phi]`` of ``_trig_design``.
+
+    ``sums`` holds ``S_m`` for ``m = 0..2B`` on its last axis; a stack of
+    them gives the stack of matrices, each with the bits it has alone.
+    Column ``a`` is ``Re(c_a exp(1j*f_a*phi))`` (``c = 1`` for cosines,
+    ``-1j`` for sines),
+    and ``Re(u) Re(v) = Re(u v + u conj(v)) / 2`` turns every entry into
+    ``Re(c_a c_b S[f_a+f_b] + c_a conj(c_b) S[f_a-f_b]) / 2``.
+    """
+    plus, minus, c_c, c_conj_c = _gram_tables((sums.shape[-1] - 1) // 2)
+    signed = np.concatenate([sums[..., :0:-1].conj(), sums], axis=-1)  # m = -2B..2B
+    return 0.5 * (c_c * signed[..., plus] + c_conj_c * signed[..., minus]).real
+
+
+@lru_cache(maxsize=64)
+def _gram_tables(B: int) -> tuple[np.ndarray, ...]:
+    """``_gram_from_sums``' tables for one ``B``, built once and read-only.
+
+    The positions of ``S[f_a+f_b]`` and ``S[f_a-f_b]`` among ``S_m``,
+    ``m = -2B..2B``, and the coefficient products ``c_a c_b`` and
+    ``c_a conj(c_b)``.
+    """
+    col = np.arange(2 * B + 1)
+    freq = (col + 1) // 2
+    c = np.where((col % 2 == 1) | (col == 0), 1.0, -1j)
+    return _frozen(
+        2 * B + freq[:, None] + freq[None, :],
+        2 * B + freq[:, None] - freq[None, :],
+        np.outer(c, c),
+        np.outer(c, c.conj()),
+    )
 
 
 def observation_map(signal: FBImage, sigma: float) -> np.ndarray:

@@ -29,9 +29,11 @@ from .freq_march import RecoveryResult, _refuse
 from .metrics import _grid_overlap
 from .moments import MomentPair, _debias_in_place
 from .signal_model import (
+    CirculantApprox,
     FBImage,
     RotationDistribution,
     TWO_PI,
+    circulant_project,
     _image_layout,
     coefficient_layout,
     radial_block_mean,
@@ -81,14 +83,6 @@ class EigOptions:
 
 
 @dataclass(frozen=True)
-class CirculantApprox:
-    """First column of the circulant closest to the distribution's Toeplitz form."""
-
-    v_opt: np.ndarray
-    s_b: float
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     """Eigen-structure of a spectral run or of a bound evaluation.
 
@@ -113,24 +107,6 @@ class SpectralReport:
         if self.conditions_met is None:
             return False
         return all(v is None or bool(v) for v in self.conditions_met.values())
-
-
-def circulant_project(rho: RotationDistribution) -> CirculantApprox:
-    """Frobenius-closest circulant to the Toeplitz matrix of ``rho``.
-
-    ``v_opt[k] = (k*rho[-(N-k)] + (N-k)*rho[k]) / N`` for ``N = 2B+1``, with
-    the squared distance
-    ``s_b = sum_k |rho[k] - rho[-(N-k)]|^2 * k*(N-k)/N``.
-    """
-    n = 2 * rho.B + 1
-    k = np.arange(1, n)
-    pos = rho[k]
-    wrap = rho[k - n]
-    v = np.empty(n, dtype=np.complex128)
-    v[0] = rho[0]
-    v[1:] = (k * wrap + (n - k) * pos) / n
-    s_b = float(np.sum(np.abs(pos - wrap) ** 2 * (k * (n - k)) / n))
-    return CirculantApprox(v, s_b)
 
 
 def toeplitz_matrix(rho: RotationDistribution) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from so2mra import harness, moments
-from so2mra.errors import ConfigError, NotSampleableError
+from so2mra.errors import ConfigError, DegenerateDrawError, MomentConsistencyError, NotSampleableError
 from so2mra.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -267,6 +267,65 @@ class TestFixedGroundTruth:
         assert capsys.readouterr().out == f"wrote {out}: 6 rows, 18 of 18 (trial, algorithm) results failed\n"
 
 
+class TestTrialFailureRule:
+    """Only a ``So2MraError`` fails a trial, and the instance draw refuses a density it cannot sample."""
+
+    @staticmethod
+    def failing_draw(monkeypatch, exc, failing_trial):
+        real = harness._ground_truth
+
+        def ground_truth(cfg, gi, ti):
+            if ti == failing_trial:
+                raise exc("stand-in failure of the instance draw")
+            return real(cfg, gi, ti)
+
+        monkeypatch.setattr(harness, "_ground_truth", ground_truth)
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["per_trial", "fixed"])
+    @pytest.mark.parametrize("base", [TINY_SNR, TINY_N], ids=["snr_sweep", "n_sweep"])
+    def test_lapack_error_in_the_instance_draw_propagates(self, monkeypatch, base, fixed):
+        # The instance draw makes no LAPACK call, so a LinAlgError there is
+        # a bug, not a failed trial.  A fixed instance is trial (0, 0)'s.
+        self.failing_draw(monkeypatch, np.linalg.LinAlgError, 0 if fixed else 1)
+        with pytest.raises(np.linalg.LinAlgError, match="stand-in"):
+            run_experiment(ExperimentConfig(**{**base, "fixed_ground_truth": fixed}))
+
+    def test_lapack_error_in_the_bound_sweeps_draw_propagates(self, monkeypatch):
+        self.failing_draw(monkeypatch, np.linalg.LinAlgError, 0)
+        with pytest.raises(np.linalg.LinAlgError, match="stand-in"):
+            run_experiment(ExperimentConfig(experiment="bound_sweep", b=3, q=2, eta_grid=(0.01, 0.02)))
+
+    @pytest.mark.parametrize("base", [TINY_SNR, TINY_N], ids=["snr_sweep", "n_sweep"])
+    def test_package_error_in_the_instance_draw_fails_only_its_trial(self, monkeypatch, base):
+        self.failing_draw(monkeypatch, DegenerateDrawError, 1)
+        rows = run_experiment(ExperimentConfig(**base))
+        assert [row["failures"] for row in rows] == [1] * len(rows)
+        assert all(np.isfinite(row["median_error"]) for row in rows)
+
+    def test_unsampleable_instances_never_reach_the_simulator(self, monkeypatch):
+        # At eta = 3 the fixed instance of seed 2024 cannot be sampled, so
+        # the sweep makes no simulator call; at eta = 0.5 trials 4 and 7
+        # cannot be sampled, and only the other six are handed on.
+        calls = []
+        real = harness._simulate_stack
+
+        def recording(trials, n, **kwargs):
+            trials = list(trials)
+            calls.append([rho for _image, rho, _rng, _sigmas in trials])
+            return real(trials, n, **kwargs)
+
+        monkeypatch.setattr(harness, "_simulate_stack", recording)
+        failfix = dict(experiment="n_sweep", b=3, q=2, eta=3.0, n_grid=(100, 1000), trials=4, fixed_ground_truth=True)
+        rows = run_experiment(ExperimentConfig(**failfix))
+        assert calls == []
+        assert [row["failures"] for row in rows] == [4] * 6
+        skip = dict(experiment="snr_sweep", snr_grid=(1.0, 100.0), n=20000, trials=8, eta=0.5)
+        rows = run_experiment(ExperimentConfig(**skip))
+        handed = [rho for call in calls for rho in call]
+        assert len(handed) == 6 and all(rho.sampleable for rho in handed)
+        assert [row["failures"] for row in rows] == [2] * 6
+
+
 class TestSnrSweepSharesDraws:
     """An SNR-sweep trial draws its instance and Gram factor once and reuses them at every SNR."""
 
@@ -282,10 +341,10 @@ class TestSnrSweepSharesDraws:
 
         def recording(trials, n_value, **kwargs):
             trials = list(trials)
-            drawn, m1, m2 = real(trials, n_value, **kwargs)
-            sigmas = [sigma for t in drawn for sigma in trials[t][3]]
+            m1, m2 = real(trials, n_value, **kwargs)
+            sigmas = [sigma for *_, trial_sigmas in trials for sigma in trial_sigmas]
             seen.extend(MomentPair(a, b, sigma) for a, b, sigma in zip(m1, m2, sigmas, strict=True))
-            return drawn, m1, m2
+            return m1, m2
 
         monkeypatch.setattr(harness, "_simulate_stack", recording)
         run_experiment(cfg)
@@ -493,11 +552,11 @@ class TestStacks:
 
             def zero_blocks(trials, n, **kwargs):
                 trials = list(trials)
-                drawn, m1, m2 = real(trials, n, **kwargs)
+                m1, m2 = real(trials, n, **kwargs)
                 k_values = trials[0][0].k_values
                 two, one = np.flatnonzero(k_values == 2), np.flatnonzero(k_values == 1)
                 m2[:, two[:, None], one] = m2[:, one[:, None], two] = 0.0
-                return drawn, m1, m2
+                return m1, m2
 
             monkeypatch.setattr(harness, "_simulate_stack", zero_blocks)
         cfg = ExperimentConfig(**{**TINY_N, "algos": (algo,)})
@@ -575,6 +634,43 @@ class TestBoundSweep:
             assert row["algorithm"] == "spectral"
             if row["bound"] is not None:
                 assert row["median_error"] * norm_sq <= row["bound"]
+
+    def test_failing_point_fails_its_row_only(self, tmp_path, monkeypatch):
+        # An expected failure of the recovery at one eta, and a LAPACK
+        # failure at another, each fail their own row; the other rows keep
+        # their bytes.
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(
+            "experiment = bound_sweep\nb = 3\nq = 2\nseed = 5\neta_grid = 0.005, 0.01, 0.02, 0.04, 0.08\n",
+            encoding="utf-8",
+        )
+        assert main([str(cfg_file), "--out", str(tmp_path / "plain.csv")]) == 0
+        calls = []
+        real = harness.spectral_recover_2d
+
+        def failing_at_two_points(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise MomentConsistencyError("stand-in inconsistent moments")
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("stand-in LAPACK failure")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "spectral_recover_2d", failing_at_two_points)
+        assert main([str(cfg_file), "--out", str(tmp_path / "failed.csv")]) == 3
+        assert len(calls) == 5
+        header, *plain = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines()
+        failed_header, *failed = (tmp_path / "failed.csv").read_text(encoding="utf-8").splitlines()
+        assert failed_header == header and len(failed) == len(plain) == 5
+        for i, (line, plain_line) in enumerate(zip(failed, plain)):
+            if i in (1, 3):
+                row = dict(zip(header.split(","), line.split(",")))
+                assert row["grid_param_value"] == plain_line.split(",")[3]
+                assert row["failures"] == "1"
+                assert (row["median_error"], row["lower"], row["upper"]) == ("nan", "nan", "nan")
+                assert (row["s_b"], row["bound"]) == ("", "")
+            else:
+                assert line == plain_line
 
     def test_failing_draw_fails_every_eta_point(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TOL_POS", UNIFORM_DENSITY)

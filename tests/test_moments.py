@@ -18,8 +18,6 @@ from so2mra.moments import (
     _bartlett_factor,
     _check_pairs,
     _debias_in_place,
-    _gram_from_sums,
-    _gram_tables,
     _simulate_stack,
     debias,
     empirical_moments,
@@ -31,6 +29,8 @@ from so2mra.signal_model import (
     _negative_partners,
     RotationDistribution,
     UNIFORM_DENSITY,
+    _gram_from_sums,
+    _gram_tables,
     _trig_design,
     _observation_draws,
     generate_observations,
@@ -773,18 +773,21 @@ class TestStackedSimulator:
     def test_each_cell_is_the_one_trial_simulators(self, monkeypatch, n):
         # n = 30 lies below p + d = 42 (the draws are the factor); from 42 on
         # the Gram matrices form one stack.  The trial that cannot be
-        # sampled is left out; the Fejer trial's singular matrix fails the
-        # stacked Cholesky, and every matrix is then factored alone.
+        # sampled makes the stack of all five raise; the Fejer trial's
+        # singular matrix fails the stacked Cholesky of the other four, and
+        # every matrix is then factored alone.
         specs = self.specs(98)
-        outcomes = _record_cholesky(monkeypatch)
         trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in specs]
-        drawn, m1, m2 = _simulate_stack(iter(trials), n, skip=(NotSampleableError,))
+        with pytest.raises(NotSampleableError, match="dips to"):
+            _simulate_stack(iter(trials), n)
+        sampleable = [spec for t, spec in enumerate(specs) if t != 1]
+        outcomes = _record_cholesky(monkeypatch)
+        trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in sampleable]
+        m1, m2 = _simulate_stack(iter(trials), n)
         stacked = list(outcomes)
-        assert drawn == [0, 2, 3, 4]
         assert m1.shape == (7, 21) and m2.shape == (7, 21, 21)
         cell = 0
-        for t in drawn:
-            img, rho, key, sigmas = specs[t]
+        for img, rho, key, sigmas in sampleable:
             for sigma in sigmas:
                 want = simulate_empirical_moments(img, rho, n, sigma, np.random.default_rng(key))
                 assert np.array_equal(m1[cell], want.M1) and np.array_equal(m2[cell], want.M2)
@@ -802,8 +805,8 @@ class TestStackedSimulator:
         # and forms the moments as K F F[0] / n and K F (K F)^H / n.
         specs = [spec for t, spec in enumerate(self.specs(99)) if t != 1]
         trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in specs]
-        drawn, m1, m2 = _simulate_stack(trials, n)
-        assert drawn == [0, 1, 2, 3]
+        m1, m2 = _simulate_stack(trials, n)
+        assert len(m1) == sum(len(sigmas) for *_, sigmas in specs)
         cell = 0
         for img, rho, key, sigmas in specs:
             factor = _one_trial_factor(img, rho, n, np.random.default_rng(key))
@@ -813,15 +816,14 @@ class TestStackedSimulator:
                 assert np.array_equal(m2[cell], kf @ kf.conj().T / n)
                 cell += 1
 
-    def test_unsampleable_trial_raises_without_skip(self):
+    def test_unsampleable_trial_raises(self):
         img, rho, key, sigmas = self.specs(100)[1]
         with pytest.raises(NotSampleableError, match="dips to"):
             _simulate_stack([(img, rho, np.random.default_rng(key), sigmas)], 5000)
 
     def test_nothing_drawn_gives_empty_stacks(self):
-        img, rho, key, sigmas = self.specs(101)[1]
-        drawn, m1, m2 = _simulate_stack([(img, rho, np.random.default_rng(key), sigmas)], 5000, skip=(NotSampleableError,))
-        assert drawn == [] and m1.shape == (0, 0) and m2.shape == (0, 0, 0)
+        m1, m2 = _simulate_stack(iter([]), 5000)
+        assert m1.shape == (0, 0) and m2.shape == (0, 0, 0)
 
 
 class TestDebias:

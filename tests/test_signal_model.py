@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from so2mra.signal_model import (
     _negative_partners,
     _observation_draws,
     _trig_design,
+    circulant_project,
     coefficient_layout,
     conjugate_noise_map,
     generate_observations,
@@ -32,7 +34,6 @@ from so2mra.signal_model import (
     sample_rotations,
 )
 from so2mra.moments import simulate_empirical_moments
-from so2mra.spectral import circulant_project
 
 from conftest import _Uniforms, _clamped_cdf, random_rho, random_signal_1d
 
@@ -326,18 +327,21 @@ class TestExperimentDistribution:
 
 
     def test_floor_that_does_not_bind_keeps_the_draw(self):
-        # Uniforms of at most 0.004 give 2B = 6 coefficients of modulus at
-        # most 0.004 * sqrt(2), so the density stays within 0.07 of
-        # 1/(2 pi) = 0.159, above the floor: gamma = 1, and the result is the
-        # circulant-compatible draw itself, unshrunk.
-        B, tol_pos = 3, 0.05
-        n, k = 2 * B + 1, np.arange(1, 2 * B + 1)
-        u = np.linspace(0.001, 0.004, 4 * B)
-        rho = make_experiment_distribution(B, _Uniforms(u), tol_pos=tol_pos)
-        pos = u[: 2 * B] + 1j * u[2 * B :]
-        merged = (k * pos[::-1].conj() + (n - k) * pos) / n
-        assert np.array_equal(rho.positive_coeffs, merged)
-        assert rho.min_density > tol_pos
+        # Uniforms of at most 0.004 / B give 4B coefficients rho[+-k] of
+        # modulus at most 0.004 * sqrt(2) / B, so the density stays within
+        # 0.023 of 1/(2 pi) = 0.159, above the floor: gamma = 1, and the
+        # result is the draw's closest circulant itself, unshrunk, with the
+        # bits of each pair (rho[k], rho[-(n-k)]) averaged with weights
+        # n - k and k.
+        tol_pos = 0.05
+        for B, seed in itertools.product([1, 2, 3, 10, 40], range(50)):
+            n, k = 2 * B + 1, np.arange(1, 2 * B + 1)
+            u = np.random.default_rng(seed).uniform(0.001, 0.004, 4 * B) / B
+            rho = make_experiment_distribution(B, _Uniforms(u), tol_pos=tol_pos)
+            pos = u[: 2 * B] + 1j * u[2 * B :]
+            merged = (k * pos[::-1].conj() + (n - k) * pos) / n
+            assert np.array_equal(rho.positive_coeffs, merged)
+            assert rho.min_density > tol_pos
 
 
 def _parent_density_grid(rho):
