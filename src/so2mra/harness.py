@@ -19,10 +19,11 @@ error-versus-SNR slopes far less noisy.  A sweep on one fixed ground truth
 draws it once, from trial ``(0, 0)``'s generator.  Failed trials are
 counted per row instead of aborting the sweep.  Only a ``So2MraError``
 fails a trial; any other exception is a bug and aborts the sweep.  The
-instance draw (``_instance``) owns sampleability: an instance that cannot
-be drawn or sampled fails its trial at every SNR and never reaches the
-simulator, and a fixed instance that fails fails every trial of the sweep,
-which then simulates nothing.
+instance draw (``_instance``) owns sampleability: it builds the
+distribution's ``sampler``, which refuses a density that cannot be
+sampled, so an instance that cannot be drawn or sampled fails its trial at
+every SNR and never reaches the simulator, and a fixed instance that fails
+fails every trial of the sweep, which then simulates nothing.
 
 A task is a few trials that share ``n``: as many as keep its stack of
 ``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
@@ -73,7 +74,6 @@ from .signal_model import (
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
-    rotation_cdf,
 )
 from .spectral import (
     RANK_TOL_EMPIRICAL,
@@ -267,12 +267,13 @@ def _instance(cfg: ExperimentConfig, grid_idx: int, trial_idx: int):
     """Trial ``(grid_idx, trial_idx)``'s image and its perturbed rotation distribution.
 
     A distribution that cannot be sampled is refused here, by
-    ``rotation_cdf``'s ``NotSampleableError``, so every instance a sweep
-    hands to the simulator can be sampled.
+    ``rho.sampler``'s ``NotSampleableError``, so every instance a sweep
+    hands to the simulator can be sampled; the lookup built here is the
+    one the simulator draws its angles with.
     """
     image, base = _ground_truth(cfg, grid_idx, trial_idx)
     rho = perturb_distribution(base, cfg.eta)
-    rotation_cdf(rho)
+    rho.sampler
     return image, rho
 
 

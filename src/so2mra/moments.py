@@ -339,7 +339,7 @@ def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK) -> tuple:
         if n < p + dim:
             firsts.append(_observation_draws(signal, rho, n, rng).T)
         else:
-            firsts.append(_angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, chunk))
+            firsts.append(_angle_sums(rho.sampler, n, 2 * signal.B, rng, chunk))
         kept.append((signal, rng, sigmas))
     if not kept:
         return np.empty((0, 0), np.complex128), np.empty((0, 0, 0), np.complex128)
@@ -387,7 +387,7 @@ def simulate_empirical_moments(
     ``V sqrt(max(lambda, 0))``: exact when ``G`` has full column rank, and
     otherwise ``G^T G`` within rounding.  Any such ``L`` gives the same law.
     No draw depends on ``sigma``, which sets only ``K``.  A ``rho`` that
-    cannot be sampled raises ``NotSampleableError`` (``rotation_cdf``'s
+    cannot be sampled raises ``NotSampleableError`` (``rho.sampler``'s
     refusal) before any draw.
 
     This is ``_simulate_stack``, the sweeps' simulator, on a stack of one

@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,8 +209,8 @@ class RotationDistribution:
     The DC coefficient is pinned to ``1/(2*pi)`` and negative frequencies are
     mirrored from the positive ones, so normalisation and conjugate symmetry
     hold exactly.  ``sampleable`` says whether the synthesised density is
-    nonnegative on the evaluation grid; the grid is synthesised on first
-    use only.
+    nonnegative on the evaluation grid, and ``sampler`` is the lookup its
+    rotations are drawn with; both are built on first use only.
     """
 
     B: int
@@ -286,33 +286,26 @@ class RotationDistribution:
         return _frozen(np.linspace(0.0, TWO_PI, m + 1), np.concatenate([dens, dens[:1]]))
 
     @cached_property
-    def cdf_levels(self) -> Optional[np.ndarray]:
-        """Normalised CDF at the ``density_grid`` nodes, computed once and read-only.
+    def sampler(self) -> "InverseCdf":
+        """The inverse-CDF lookup that rotations are drawn with, built on first use and read-only.
 
-        The density is clamped at zero and integrated with the trapezoid
-        rule, so the table stays monotone for a density that dips below zero,
-        which ``rotation_cdf`` refuses.  ``None`` when the clamped density has
-        no mass on the grid.
+        The CDF is the trapezoid rule on ``density_grid``, normalised to end
+        at 1; ``np.interp(u, sampler.levels, sampler.nodes)`` maps uniform
+        ``u`` to angles, and ``inverse_cdf`` does so bit for bit.  A
+        distribution that cannot be sampled raises ``NotSampleableError``
+        on every access, since a property that raises caches nothing: its
+        density dips below zero on the grid, or has no positive mass there.
         """
+        if not self.sampleable:
+            raise NotSampleableError(f"density dips to {self.min_density:.3g}, below zero")
         nodes, dens = self.density_grid
-        dens = np.maximum(dens, 0.0)
         dtheta = nodes[1] - nodes[0]
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dtheta)])
         total = cdf[-1]
         if total <= 0.0:
-            return None
-        levels = cdf / total
-        levels.flags.writeable = False
-        return levels
-
-    @cached_property
-    def _inverse_cdf(self) -> "InverseCdf":
-        """``inverse_cdf_table`` of ``rotation_cdf``'s table, built on first use and read-only.
-
-        Raises as ``rotation_cdf`` does, on every access, for a distribution
-        that cannot be sampled.
-        """
-        return inverse_cdf_table(*rotation_cdf(self))
+            raise NotSampleableError("density has no positive mass on the grid")
+        (levels,) = _frozen(cdf / total)
+        return inverse_cdf_table(levels, nodes)
 
     @cached_property
     def min_density(self) -> float:
@@ -426,25 +419,12 @@ def rotate_signal(signal: FBImage, angle: float) -> FBImage:
     return FBImage(signal.B, signal.radial_bandwidths, coeffs, signal.is_real)
 
 
-def rotation_cdf(rho: RotationDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Grid inverse-CDF table: ``np.interp(u, levels, nodes)`` maps uniform ``u`` to angles.
-
-    ``levels`` is ``rho.cdf_levels`` and ``nodes`` the ``density_grid`` nodes,
-    both built once per distribution and read-only; the checks run on every call.
-    """
-    if not rho.sampleable:
-        raise NotSampleableError(f"density dips to {rho.min_density:.3g}, below zero")
-    levels = rho.cdf_levels
-    if levels is None:
-        raise NotSampleableError("density has no positive mass on the grid")
-    return levels, rho.density_grid[0]
-
-
 class InverseCdf(NamedTuple):
-    """``rotation_cdf``'s table and a bucket index over its levels, built by ``inverse_cdf_table``.
+    """A CDF table and a bucket index over its levels, built by ``inverse_cdf_table``.
 
-    ``slopes`` and ``first`` are read-only; ``levels`` and ``nodes`` are the
-    arrays given, which a distribution keeps read-only.
+    ``RotationDistribution.sampler`` is the table a distribution's rotations
+    are drawn with.  ``slopes`` and ``first`` are read-only; ``levels`` and
+    ``nodes`` are the arrays given, which a distribution keeps read-only.
     """
 
     levels: np.ndarray
@@ -514,12 +494,13 @@ def inverse_cdf(table: InverseCdf, u: np.ndarray, angles: np.ndarray, index: np.
 
 
 def sample_rotations(rho: RotationDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` angles in ``[0, 2*pi)``: ``np.interp(u, *rotation_cdf(rho))`` of ``n`` uniforms, bit for bit.
+    """Draw ``n`` angles in ``[0, 2*pi)``: ``np.interp(u, rho.sampler.levels, rho.sampler.nodes)`` of ``n`` uniforms, bit for bit.
 
-    The angles come from ``inverse_cdf``, which the simulator's angle sums
-    also use.
+    The angles come from ``inverse_cdf`` on ``rho.sampler``, which the
+    simulator's angle sums also use.  A ``rho`` that cannot be sampled
+    raises ``NotSampleableError`` before any draw.
     """
-    table = rho._inverse_cdf
+    table = rho.sampler
     u = rng.random(n)
     angles = np.empty(n)
     inverse_cdf(table, u, angles, np.empty(n, np.int64))

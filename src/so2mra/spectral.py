@@ -29,7 +29,6 @@ from .freq_march import RecoveryResult, _refuse
 from .metrics import _grid_overlap
 from .moments import MomentPair, _debias_in_place
 from .signal_model import (
-    CirculantApprox,
     FBImage,
     RotationDistribution,
     TWO_PI,

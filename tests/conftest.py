@@ -34,10 +34,12 @@ def random_signal_1d(B, rng, real=True):
 
 
 def _clamped_cdf(shift, freq, phase):
-    """``rotation_cdf``'s table for the density ``max(cos(freq*theta + phase) + shift, 0)``.
+    """A trapezoid CDF table ``(levels, nodes)`` for the density ``max(cos(freq*theta + phase) + shift, 0)``.
 
     With ``shift < 1`` the density is clamped to zero on whole arcs, where
-    the CDF is flat: runs of equal levels, intervals of zero width.
+    the CDF is flat: runs of equal levels, intervals of zero width.  No
+    ``RotationDistribution`` is clamped (one that dips below zero is
+    refused), so such tables come from here, for ``inverse_cdf_table``.
     """
     nodes = np.linspace(0.0, TWO_PI, 8193)
     dens = np.maximum(np.cos(freq * nodes + phase) + shift, 0.0)

@@ -325,6 +325,31 @@ class TestTrialFailureRule:
         assert len(handed) == 6 and all(rho.sampleable for rho in handed)
         assert [row["failures"] for row in rows] == [2] * 6
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tasks_whose_every_instance_fails_score_nothing(self, tmp_path, monkeypatch, threads):
+        # Every trial's instance draw fails, so no task hands a trial to the
+        # simulator and no stacked recovery core runs.
+        def unsampleable(cfg, gi, ti):
+            raise NotSampleableError("stand-in: the density dips below zero")
+
+        def core(*args):
+            raise AssertionError("a stacked recovery core ran")
+
+        monkeypatch.setattr(harness, "_instance", unsampleable)
+        monkeypatch.setattr(harness, "_fm_estimates", core)
+        monkeypatch.setattr(harness, "_spectral_estimates", core)
+        cfg_file, out = tmp_path / "cfg.txt", tmp_path / "res.csv"
+        cfg_file.write_text(
+            "experiment = n_sweep\nb = 3\nq = 2\nn_grid = 100, 1000\ntrials = 4\nseed = 7\n", encoding="utf-8"
+        )
+        assert main([str(cfg_file), "--threads", str(threads), "--out", str(out)]) == 3
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 * len(ALGORITHMS)
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert row["failures"] == row["trials"] == "4"
+            assert (row["median_error"], row["lower"], row["upper"]) == ("nan", "nan", "nan")
+
 
 class TestSnrSweepSharesDraws:
     """An SNR-sweep trial draws its instance and Gram factor once and reuses them at every SNR."""

@@ -39,7 +39,6 @@ from so2mra.signal_model import (
     make_experiment_signal_2d,
     observation_map,
     perturb_distribution,
-    rotation_cdf,
 )
 
 from conftest import _Uniforms, _clamped_cdf, random_image, random_rho, random_signal_1d
@@ -216,7 +215,7 @@ def _fourier_sums(angles, order):
 def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
     """The simulator with per-angle complex-power sums, on the same draws in the same order."""
     p, dim = 2 * signal.B + 1, signal.size
-    levels, nodes = rotation_cdf(rho)
+    levels, nodes = rho.sampler.levels, rho.sampler.nodes
     sums = np.zeros(p, dtype=np.complex128)
     for start in range(0, n, chunk):
         u = rng.random(min(chunk, n - start))
@@ -266,7 +265,8 @@ def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
 
 def _experiment_cdf(B, seed):
     rng = np.random.default_rng(seed)
-    return rotation_cdf(perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1))
+    table = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), 0.1).sampler
+    return table.levels, table.nodes
 
 
 def _one_trial_factor(signal, rho, n, rng):
@@ -275,7 +275,7 @@ def _one_trial_factor(signal, rho, n, rng):
     p, dim = 2 * signal.B + 1, signal.size
     if n < p + dim:
         return _observation_draws(signal, rho, n, rng).T
-    sums = _angle_sums(rho._inverse_cdf, n, 2 * signal.B, rng, 65536)
+    sums = _angle_sums(rho.sampler, n, 2 * signal.B, rng, 65536)
     gram = _gram_from_sums(sums)
     factor = np.zeros((p + dim, p + dim))
     try:
@@ -398,7 +398,7 @@ class TestSufficientStatisticSimulator:
         assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk))
 
     def test_angle_sums_of_order_zero_count_the_angles(self):
-        table = RotationDistribution.uniform(0)._inverse_cdf
+        table = RotationDistribution.uniform(0).sampler
         for n in (1, 7, 100_000):
             sums = _angle_sums(table, n, 0, np.random.default_rng(n), 4096)
             assert sums.shape == (1,) and sums[0] == n
@@ -656,7 +656,7 @@ class TestSufficientStatisticSimulator:
         for seed in range(5):
             for n in (42, 63, 100, 150):
                 m = simulate_empirical_moments(img, rho, n, 0.0, np.random.default_rng(seed))
-                sums = _angle_sums(rho._inverse_cdf, n, 2 * B, np.random.default_rng(seed), 65536)
+                sums = _angle_sums(rho.sampler, n, 2 * B, np.random.default_rng(seed), 65536)
                 gram = _gram_from_sums(sums)
                 m2 = design @ gram @ design.conj().T / n
                 m1 = design @ gram[:, 0] / n

@@ -30,12 +30,11 @@ from so2mra.signal_model import (
     perturb_distribution,
     rotate_distribution,
     rotate_signal,
-    rotation_cdf,
     sample_rotations,
 )
 from so2mra.moments import simulate_empirical_moments
 
-from conftest import _Uniforms, _clamped_cdf, random_rho, random_signal_1d
+from conftest import _Uniforms, _clamped_cdf, random_rho, random_signal_1d, signal_1d
 
 
 class TestExperimentSignal:
@@ -376,10 +375,10 @@ class TestLazyDensity:
         with pytest.raises(ValueError):
             rho.density_grid[1][0] = 1.0
 
-    def test_non_sampleable_draw_raises_in_rotation_cdf(self):
+    def test_non_sampleable_draw_raises_in_sampler(self):
         rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
         with pytest.raises(NotSampleableError, match="dips to"):
-            rotation_cdf(rho)
+            rho.sampler
 
 
 class TestCdfTable:
@@ -388,13 +387,15 @@ class TestCdfTable:
         base = make_experiment_distribution(10, rng, tol_pos=0.05)
         draws = [base, perturb_distribution(base, 0.1), RotationDistribution.uniform(2)]
         draws += [make_experiment_distribution(3, rng), make_experiment_distribution(2048, rng)]
-        # Negative on arcs, where the clamp acts: the table is read, but not sampled.
+        # Negative on arcs, where the clamp would act: refused, no table.
         draws += [random_rho(2, rng, min_mod=0.9, max_mod=1.0)]
         for rho in draws:
-            levels, nodes = rho.cdf_levels, rho.density_grid[0]
-            if rho.sampleable:
-                for again in (rotation_cdf(rho), rotation_cdf(rho)):
-                    assert again[0] is levels and again[1] is nodes
+            if not rho.sampleable:
+                with pytest.raises(NotSampleableError, match="dips to"):
+                    rho.sampler
+                continue
+            levels, nodes = rho.sampler.levels, rho.sampler.nodes
+            assert rho.sampler is rho.sampler and nodes is rho.density_grid[0]
             for a in (levels, nodes):
                 with pytest.raises(ValueError):
                     a[0] = 1.0
@@ -408,13 +409,13 @@ class TestCdfTable:
     def test_concurrent_first_use(self):
         # Threads racing to build one distribution's table all read the same values.
         rho = make_experiment_distribution(10, np.random.default_rng(46), tol_pos=0.05)
-        reference = rotation_cdf(make_experiment_distribution(10, np.random.default_rng(46), tol_pos=0.05))
+        reference = make_experiment_distribution(10, np.random.default_rng(46), tol_pos=0.05).sampler
         barrier = threading.Barrier(8)
         results = []
 
         def first_use():
             barrier.wait(timeout=10)
-            results.append(rotation_cdf(rho))
+            results.append(rho.sampler)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -428,17 +429,42 @@ class TestCdfTable:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert len(results) == 8
-        for levels, nodes in results:
-            assert np.array_equal(levels, reference[0]) and np.array_equal(nodes, reference[1])
-        assert rotation_cdf(rho)[0] is rho.cdf_levels
+        for table in results:
+            assert np.array_equal(table.levels, reference.levels) and np.array_equal(table.nodes, reference.nodes)
+        assert rho.sampler is rho.sampler
 
     def test_non_sampleable_raises_on_every_call(self):
         rho = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
         for _ in range(3):
             with pytest.raises(NotSampleableError, match="dips to"):
-                rotation_cdf(rho)
+                rho.sampler
         with pytest.raises(NotSampleableError):
             sample_rotations(rho, 10, np.random.default_rng(0))
+
+    def test_no_positive_mass_is_refused_before_any_draw(self):
+        # (1 - cos(8192 theta)) / 2pi is nonnegative, but at B = 4096 it
+        # aliases to exactly 0 at every node of the 8192-point grid: it
+        # passes the sign check and has no mass to sample.
+        pos = np.zeros(2 * 4096, dtype=np.complex128)
+        pos[-1] = -1.0 / (4.0 * np.pi)
+        rho = RotationDistribution.from_positive(4096, pos)
+        assert rho.sampleable and rho.min_density == 0.0
+        for _ in range(2):
+            with pytest.raises(NotSampleableError, match="no positive mass"):
+                rho.sampler
+        signal = signal_1d(np.ones(2 * 4096 + 1))
+        # n = 10 draws the observations themselves, n = 30000 >= p + d the
+        # angle sums: both refuse before the generator moves.
+        draws = [
+            lambda rng: sample_rotations(rho, 10, rng),
+            lambda rng: simulate_empirical_moments(signal, rho, 10, 0.5, rng),
+            lambda rng: simulate_empirical_moments(signal, rho, 30_000, 0.5, rng),
+        ]
+        for draw in draws:
+            rng = np.random.default_rng(97)
+            with pytest.raises(NotSampleableError, match="no positive mass"):
+                draw(rng)
+            assert rng.random() == np.random.default_rng(97).random()
 
 
 def _looked_up(levels, nodes, u):
@@ -469,13 +495,13 @@ class TestInverseCdfLookup:
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=0.05), eta)
         if not rho.sampleable:
             pytest.skip("this draw dips below zero")
-        levels, nodes = rotation_cdf(rho)
+        levels, nodes = rho.sampler.levels, rho.sampler.nodes
         u = np.concatenate([self.edges(levels), levels[:-1], rng.random(100_000)])
         self.check(levels, nodes, u)
         # A density at or above 0.05, about a third of the uniform level,
         # keeps every bucket below two level boundaries.
         if rho.min_density >= 0.05:
-            assert not rho._inverse_cdf.crowded
+            assert not rho.sampler.crowded
 
     @pytest.mark.parametrize(
         "shift, freq, phase", [(-0.5, 1, 0.0), (0.0, 3, 1.0), (0.5, 5, 2.5), (-0.9, 2, 0.3), (0.9, 1, 4.0)]
@@ -507,11 +533,10 @@ class TestInverseCdfLookup:
         u = np.concatenate([levels[:-1], [0.015, 0.025, 0.035, 1.0 - 2.0**-53], np.random.default_rng(93).random(1000)])
         self.check(levels, nodes, u)
 
-    def test_table_cached_read_only_and_refused_like_rotation_cdf(self):
+    def test_sampler_cached_read_only_and_refused(self):
         rho = perturb_distribution(make_experiment_distribution(10, np.random.default_rng(94), tol_pos=0.05), 0.1)
-        table = rho._inverse_cdf
-        assert rho._inverse_cdf is table
-        assert table.levels is rho.cdf_levels and table.nodes is rho.density_grid[0]
+        table = rho.sampler
+        assert rho.sampler is table and table.nodes is rho.density_grid[0]
         for a in table[:4]:
             with pytest.raises(ValueError):
                 a[0] = 1
@@ -520,12 +545,13 @@ class TestInverseCdfLookup:
         bad = random_rho(2, np.random.default_rng(1), min_mod=0.9, max_mod=1.0)
         for _ in range(2):
             with pytest.raises(NotSampleableError, match="dips to"):
-                bad._inverse_cdf
+                bad.sampler
 
     def test_sample_rotations_is_the_lookup(self):
         rho = perturb_distribution(make_experiment_distribution(10, np.random.default_rng(95), tol_pos=0.05), 0.1)
         u = np.random.default_rng(96).random(5000)
-        angles, _index = _looked_up(*rotation_cdf(rho), u)
+        angles, _index = _looked_up(rho.sampler.levels, rho.sampler.nodes, u)
+        assert np.array_equal(angles, np.interp(u, rho.sampler.levels, rho.sampler.nodes))
         assert np.array_equal(sample_rotations(rho, 5000, np.random.default_rng(96)), angles)
 
 
@@ -614,7 +640,7 @@ class TestRotationSampling:
         assert -0.05 < rho.min_density < 0.0
         assert not rho.sampleable
         with pytest.raises(NotSampleableError, match="dips to"):
-            rotation_cdf(rho)
+            rho.sampler
 
 
 def _complex_image(qk, rng):
