@@ -74,6 +74,23 @@ def _refuse(failures: list, cells: np.ndarray, bad: np.ndarray, error, *arrays: 
     return tuple(a[~bad] for a in (cells, *arrays))
 
 
+def _one_pair(core, m: MomentPair, image_shape: tuple, setting) -> tuple[FBImage, dict]:
+    """A stacked core (``_fm_estimates``, ``spectral._spectral_estimates``) on one pair: the one-pair recoveries' path.
+
+    Debiases a copy of ``m.M2`` in place, runs ``core`` on a stack of that
+    pair alone with ``setting`` (its options or rank tolerance) and raises
+    the pair's failure if it has one.  Builds and checks no debiased
+    ``MomentPair``.  Returns the estimate as an ``FBImage`` and the pair's
+    row of each of the core's named diagnostics.
+    """
+    m2 = np.array(m.M2[None])
+    _debias_in_place(m2, [m.sigma])
+    x_est, [failure], diagnostics = core(m.M1[None], m2, image_shape, setting)
+    if failure is not None:
+        raise failure
+    return FBImage(*image_shape, x_est[0]), {name: rows[0] for name, rows in diagnostics.items()}
+
+
 def _ratio_matrix(m1: np.ndarray, m2: np.ndarray, starts: np.ndarray, robust: bool) -> np.ndarray:
     """The reduced ``(S, 2B+1, 2B+1)`` ratio matrices of a stack of debiased pairs (``(S, d)`` and ``(S, d, d)``).
 
@@ -182,7 +199,7 @@ def _high_gather(B: int) -> tuple[np.ndarray, ...]:
 
 def _fm_estimates(
     m1: np.ndarray, m2: np.ndarray, image_shape: tuple, opts: FMOptions
-) -> tuple[np.ndarray, list, tuple]:
+) -> tuple[np.ndarray, list, dict]:
     """Marching recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
 
     A pair is refused, and dropped from the stack, at the first check it
@@ -191,12 +208,13 @@ def _fm_estimates(
     Returns the passing pairs' ``(P, d)`` image estimates, in order; a list
     with each pair's failure, ``None`` or the exception that
     ``fm_recover_2d`` raises on that pair (the core raises none); and the
-    passing pairs' ``(P, 2B+1)`` coefficients ``rho[0..2B]``, ``min|M1|``,
-    guard and residuals.  Each pair's values are those of a stack of that
-    pair alone, bit for bit.  The estimates are not checked here: ``fm_recover_2d``'s
-    value types refuse a non-finite one, and so does the sweep
-    (``harness._cell_errors``).  The variant is read here once;
-    ``_ratio_matrix`` and ``_march`` take it as ``robust``.
+    passing pairs' diagnostics, one row per pair: ``rho``, the ``(P, 2B+1)``
+    coefficients ``rho[0..2B]``; ``min_abs_m1``, ``min|M1|``; ``tol_m1``,
+    the guard; and ``residuals``, ``(P, B)``.  Each pair's values are those
+    of a stack of that pair alone, bit for bit.  The estimates are not
+    checked here: ``fm_recover_2d``'s value types refuse a non-finite one,
+    and so does the sweep (``harness._cell_errors``).  The variant is read
+    here once; ``_ratio_matrix`` and ``_march`` take it as ``robust``.
     """
     B, qk = image_shape
     k_index, starts = _image_layout(B, qk, m1.shape[1])
@@ -216,7 +234,8 @@ def _fm_estimates(
     # rho[k] for k = -B..B, the negative ones mirrored as RotationDistribution does.
     signed = np.concatenate([rho[:, B:0:-1].conj(), rho[:, : B + 1]], axis=1)
     x_est = m1[cells] / (TWO_PI * signed[:, k_index + B])
-    return x_est, failures, (rho, min_abs[cells], tol[cells], residuals)
+    diagnostics = {"rho": rho, "min_abs_m1": min_abs[cells], "tol_m1": tol[cells], "residuals": residuals}
+    return x_est, failures, diagnostics
 
 
 def fm_recover_2d(
@@ -227,21 +246,16 @@ def fm_recover_2d(
     ``image_shape`` is ``(B, radial_bandwidths)`` with ``radial_bandwidths``
     holding ``Q_k`` for ``k = 0..B``; all ``Q_k = 1`` is the 1-D model.  The
     marching recursion is plain or robust per ``opts.variant``.  This is the
-    stacked core ``_fm_estimates`` on one pair, which raises the pair's
-    failure if it has one.
+    stacked core ``_fm_estimates`` on one pair (``_one_pair``), which raises
+    the pair's failure if it has one.
     """
-    B, qk = image_shape
-    m2 = np.array(m.M2[None])
-    _debias_in_place(m2, [m.sigma])
-    x_est, [failure], (rho, min_abs_m1, tol, residuals) = _fm_estimates(m.M1[None], m2, image_shape, opts)
-    if failure is not None:
-        raise failure
+    signal, cell = _one_pair(_fm_estimates, m, image_shape, opts)
     diagnostics = {
         "variant": opts.variant,
         "gauge": "rho[1] phase fixed to zero",
-        "min_abs_m1": float(min_abs_m1[0]),
-        "tol_m1": float(tol[0]),
-        "residuals": residuals[0],
+        "min_abs_m1": float(cell["min_abs_m1"]),
+        "tol_m1": float(cell["tol_m1"]),
+        "residuals": cell["residuals"],
     }
-    rho_est = RotationDistribution.from_positive(B, rho[0, 1:])
-    return RecoveryResult(FBImage(B, qk, x_est[0]), rho_est, diagnostics)
+    rho_est = RotationDistribution.from_positive(signal.B, cell["rho"][1:])
+    return RecoveryResult(signal, rho_est, diagnostics)

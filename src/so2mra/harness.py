@@ -85,13 +85,17 @@ from .spectral import (
 
 # Each sweep algorithm on a stack of debiased moments, ``(S, d)`` first and
 # ``(S, d, d)`` second, and the image shape: the passing cells' image
-# estimates and each cell's failure (``None`` where it passed).  The lambdas
-# look the stacked cores up when called, so a patched module attribute (a
-# test's stand-in) is what a sweep runs.
+# estimates, each cell's failure (``None`` where it passed) and the passing
+# cells' diagnostics, a dict of arrays with one row per passing cell, named
+# as the one-pair recoveries name them: ``rho``, ``min_abs_m1``, ``tol_m1``
+# and ``residuals`` for FM; ``eigenvalues``, ``count``, ``kappa``, ``gap`` and
+# ``x_tilde`` for spectral.  The lambdas look the stacked cores up when
+# called, so a patched module attribute (a test's stand-in) is what a sweep
+# runs.
 _RECOVERIES = {
-    "fm_plain": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="plain"))[:2],
-    "fm_robust": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="robust"))[:2],
-    "spectral": lambda m1, m2, shape: _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)[:2],
+    "fm_plain": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="plain")),
+    "fm_robust": lambda m1, m2, shape: _fm_estimates(m1, m2, shape, FMOptions(variant="robust")),
+    "spectral": lambda m1, m2, shape: _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL),
 }
 ALGORITHMS = tuple(_RECOVERIES)
 # experiment: (code keying its trial generators, grid field, grid element type,
@@ -328,12 +332,13 @@ def _cell_errors(recover, m1, m2, truths, shape, k_values) -> list:
     """One algorithm's relative error on each cell of a stack, ``None`` where the cell failed.
 
     The algorithm runs once on the whole stack and returns the passing
-    cells' estimates and each cell's failure; only the passing cells are
+    cells' estimates, each cell's failure and the passing cells'
+    diagnostics, which are dropped here; only the passing cells are
     scored.  This is where the sweep checks every algorithm's estimates: a
     non-finite one is a programming error, a ``ValueError`` that aborts the
     sweep, as the value types of the public recoveries refuse it.
     """
-    estimates, failures = recover(m1, m2, shape)
+    estimates, failures, _diagnostics = recover(m1, m2, shape)
     _check_finite(estimates, "image coefficients")
     passed = [failure is None for failure in failures]
     scores = iter(_alignment_errors(estimates, truths[passed], k_values)[0])

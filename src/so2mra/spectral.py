@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import MomentConsistencyError
-from .freq_march import RecoveryResult, _refuse
+from .freq_march import RecoveryResult, _one_pair, _refuse
 from .metrics import _grid_overlap
-from .moments import MomentPair, _debias_in_place
+from .moments import MomentPair
 from .signal_model import (
     FBImage,
     RotationDistribution,
@@ -213,7 +213,7 @@ def _lapack_failure(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> Optional[
 
 def _spectral_estimates(
     m1: np.ndarray, m2: np.ndarray, image_shape: tuple, rank_tol: float
-) -> tuple[np.ndarray, list, tuple]:
+) -> tuple[np.ndarray, list, dict]:
     """Spectral recovery of every debiased pair of a stack: ``(S, d)`` first and ``(S, d, d)`` second moments.
 
     A pair is refused, and dropped from the stack, at the first check it
@@ -230,11 +230,13 @@ def _spectral_estimates(
 
     Returns the passing pairs' ``(P, d)`` image estimates, in order; a list
     with each pair's failure, ``None`` or the exception that
-    ``spectral_recover_2d`` raises on that pair (the core raises none); and,
-    stacked over the passing pairs, ``_phase_vectors``' kept eigenvalues,
-    their count, ``kappa`` and its gap, and the phase vector ``x_tilde``.
-    Every other step runs row by row, so each pair's values are those of a
-    stack of that pair alone, bit for bit.
+    ``spectral_recover_2d`` raises on that pair (the core raises none); and
+    the passing pairs' diagnostics, one row per pair, from
+    ``_phase_vectors``: ``eigenvalues``, each spectrum with the kept ones
+    first (descending); ``count``, how many are kept; ``kappa``, the chosen
+    one's index into them, and ``gap``, its isolation gap; and ``x_tilde``,
+    the anchored phase vector.  Every other step runs row by row, so each
+    pair's values are those of a stack of that pair alone, bit for bit.
     """
     B, qk = image_shape
     _k_index, starts = _image_layout(B, qk, m1.shape[1])
@@ -265,7 +267,8 @@ def _spectral_estimates(
     live = (m1, p, kept, counts, kappa, gap, x_tilde)
     _cells, m1, p, kept, counts, kappa, gap, x_tilde = _refuse(failures, cells, vanishing, unanchored, *live)
     x_tilde *= np.exp(1j * (np.angle(m1[:, anchor]) - np.angle(x_tilde[:, anchor])))[:, None]
-    return np.sqrt(p) * x_tilde, failures, (kept, counts, kappa, gap, x_tilde)
+    diagnostics = {"eigenvalues": kept, "count": counts, "kappa": kappa, "gap": gap, "x_tilde": x_tilde}
+    return np.sqrt(p) * x_tilde, failures, diagnostics
 
 
 def spectral_recover_2d(
@@ -278,28 +281,18 @@ def spectral_recover_2d(
     ``2B+1``, the rest of the spectrum is structural zeros.  The chosen
     eigenvector carries the signal phases up to a grid rotation and a global
     phase, which the first ``k = 0`` entry of the first moment fixes.  This
-    is the stacked core ``_spectral_estimates`` on one pair, which raises the
-    pair's failure if it has one: the report's ``eigenvalues`` come from
-    ``eigvalsh``, and the eigenvector from inverse iteration at the chosen
-    one, which is ``eigh``'s vector up to a unit phase (the anchor removes
-    that phase), to rounding.
+    is the stacked core ``_spectral_estimates`` on one pair (``_one_pair``),
+    which raises the pair's failure if it has one: the report's
+    ``eigenvalues`` come from ``eigvalsh``, and the eigenvector from inverse
+    iteration at the chosen one, which is ``eigh``'s vector up to a unit
+    phase (the anchor removes that phase), to rounding.
     """
-    B, qk = image_shape
-    m2 = np.array(m.M2[None])
-    _debias_in_place(m2, [m.sigma])
-    x_est, [failure], (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
-        m.M1[None], m2, image_shape, opts.rank_tol
-    )
-    if failure is not None:
-        raise failure
-    rho_est = _rho_from_first_moment(m.M1, x_est[0], coefficient_layout(B, qk)[1], B)
-    kappa, gap = int(kappa[0]), float(gap[0])
-    result = RecoveryResult(
-        FBImage(B, qk, x_est[0]),
-        rho_est,
-        {"x_tilde": x_tilde[0], "kappa": kappa, "gap": gap},
-    )
-    report = SpectralReport(eigenvalues=kept[0, : counts[0]], kappa=kappa, gap=gap)
+    signal, cell = _one_pair(_spectral_estimates, m, image_shape, opts.rank_tol)
+    starts = coefficient_layout(signal.B, signal.radial_bandwidths)[1]
+    rho_est = _rho_from_first_moment(m.M1, signal.coeffs, starts, signal.B)
+    kappa, gap = int(cell["kappa"]), float(cell["gap"])
+    result = RecoveryResult(signal, rho_est, {"x_tilde": cell["x_tilde"], "kappa": kappa, "gap": gap})
+    report = SpectralReport(eigenvalues=cell["eigenvalues"][: cell["count"]], kappa=kappa, gap=gap)
     return result, report
 
 

@@ -378,7 +378,7 @@ class TestMixedFailures:
             assert [err is None for err in errors] == [name in failing for name in names]
             if algo != "spectral":  # the distribution is not circulant
                 assert all(err < 1e-10 for err, name in zip(errors, names) if name == "good")
-            estimates, failures = _RECOVERIES[algo](m1, m2, shape)
+            estimates, failures, _diagnostics = _RECOVERIES[algo](m1, m2, shape)
             passing = iter(estimates)
             for name, failure in zip(names, failures, strict=True):
                 pair = MomentPair(*pairs[name], 0.0)
@@ -420,10 +420,10 @@ class TestReducedRatioMatrix:
             # The core reports min|M1| and its guard for the pairs it passes,
             # in order; a random M2 makes the march refuse some of them.
             opts = FMOptions(variant="robust" if robust else "plain")
-            _est, failures, (_rho, min_abs, tol, _res) = _fm_estimates(m1, m2, (B, qk), opts)
+            _est, failures, diagnostics = _fm_estimates(m1, m2, (B, qk), opts)
             passed = [i for i, failure in enumerate(failures) if failure is None]
-            assert np.array_equal(min_abs, np.abs(m1).min(axis=1)[passed])
-            assert np.array_equal(tol, RELATIVE_M1_TOL * np.abs(m1).max(axis=1)[passed])
+            assert np.array_equal(diagnostics["min_abs_m1"], np.abs(m1).min(axis=1)[passed])
+            assert np.array_equal(diagnostics["tol_m1"], RELATIVE_M1_TOL * np.abs(m1).max(axis=1)[passed])
 
     @pytest.mark.parametrize("cell", [0, 2])
     def test_guard_reads_entries_off_the_block_starts(self, cell):

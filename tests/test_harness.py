@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so2mra import harness, moments
+from so2mra import freq_march, harness, moments
 from so2mra.errors import ConfigError, DegenerateDrawError, MomentConsistencyError, NotSampleableError
 from so2mra.harness import (
     ALGORITHMS,
@@ -442,6 +442,12 @@ N_FIXED_GT = dict(
 )
 
 
+def assert_same_bits(a, b) -> None:
+    """``a`` and ``b`` hold the same bits, as arrays of the same dtype and shape (a Python scalar as numpy's)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 class TestStacks:
     """A task's cells form one stack per algorithm; a cell's result does not depend on its stack."""
 
@@ -501,35 +507,66 @@ class TestStacks:
             assert sorted(groups) == expected
         assert csvs == [csvs[0]] * 3
 
-    def test_public_recovery_makes_no_second_pair(self, monkeypatch):
-        # A public recovery debiases a copy of its pair's M2 and runs its
-        # core on it, bit for bit as the core on debias(m), without building
-        # (and checking) a debiased MomentPair.
+    @staticmethod
+    def desk_pair() -> tuple:
+        """A B = 4, Q = 2 image and one pair of its sampled moments at SNR 100."""
         rng = np.random.default_rng(3)
         image = make_experiment_signal_2d(4, 2, rng)
         rho = perturb_distribution(make_experiment_distribution(4, rng, tol_pos=harness.TOL_POS), 0.1)
-        m = simulate_empirical_moments(image, rho, 20_000, sigma_for_snr(image, 100.0), rng)
+        return image, simulate_empirical_moments(image, rho, 20_000, sigma_for_snr(image, 100.0), rng)
+
+    def test_public_recovery_makes_no_second_pair(self, monkeypatch):
+        # A public recovery debiases a copy of its pair's M2 once, through
+        # the one-pair path (freq_march._one_pair, where the debias is looked
+        # up), and runs its core on it, bit for bit as the core on
+        # debias(m), without building (and checking) a debiased MomentPair.
+        image, m = self.desk_pair()
         md = debias(m)
         shape = (image.B, image.radial_bandwidths)
-        checks = []
-        real_check = moments._check_pairs
+        checks, debiased = [], []
+        real_check, real_debias = moments._check_pairs, freq_march._debias_in_place
 
         def counting_check(*args):
             checks.append(args)
             real_check(*args)
 
+        def counting_debias(m2, sigmas):
+            debiased.append((m2.shape, list(sigmas)))
+            real_debias(m2, sigmas)
+
         monkeypatch.setattr(moments, "_check_pairs", counting_check)
+        monkeypatch.setattr(freq_march, "_debias_in_place", counting_debias)
         for algo, one_pair in [
             ("fm_plain", lambda: fm_recover_2d(m, shape, FMOptions(variant="plain"))),
             ("fm_robust", lambda: fm_recover_2d(m, shape, FMOptions(variant="robust"))),
             ("spectral", lambda: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0]),
         ]:
             checks.clear()
+            debiased.clear()
             estimate = one_pair().signal_est.coeffs
             assert checks == []
-            estimates, failures = harness._RECOVERIES[algo](md.M1[None], md.M2[None], shape)
+            assert debiased == [((1, *m.M2.shape), [m.sigma])]
+            estimates, failures, _diagnostics = harness._RECOVERIES[algo](md.M1[None], md.M2[None], shape)
             assert failures == [None]
             assert np.array_equal(estimate, estimates[0])
+
+    def test_public_diagnostics_keep_their_keys(self):
+        # The one-pair path hands a public recovery its cell's row of every
+        # diagnostic its core names; the public results keep their own keys
+        # and types, so a core-only one (rho, count, eigenvalues) does not
+        # leak through.
+        image, m = self.desk_pair()
+        shape = (image.B, image.radial_bandwidths)
+        for variant in ("plain", "robust"):
+            diagnostics = fm_recover_2d(m, shape, FMOptions(variant=variant)).diagnostics
+            assert set(diagnostics) == {"variant", "gauge", "min_abs_m1", "tol_m1", "residuals"}
+            assert diagnostics["variant"] == variant
+            assert type(diagnostics["min_abs_m1"]) is float and type(diagnostics["tol_m1"]) is float
+            assert diagnostics["residuals"].shape == (image.B,)
+        result, report = spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
+        assert set(result.diagnostics) == {"x_tilde", "kappa", "gap"}
+        assert type(result.diagnostics["kappa"]) is int and type(result.diagnostics["gap"]) is float
+        assert (report.kappa, report.gap) == (result.diagnostics["kappa"], result.diagnostics["gap"])
 
     def test_one_stacked_call_per_stack_and_algorithm(self, monkeypatch):
         # Half of this sweep's results fail, yet each algorithm runs once on
@@ -567,9 +604,9 @@ class TestStacks:
             real_core = harness._spectral_estimates
 
             def nan_entry(m1, m2, shape, rank_tol):
-                x_est, failures, spectra = real_core(m1, m2, shape, rank_tol)
+                x_est, failures, diagnostics = real_core(m1, m2, shape, rank_tol)
                 x_est[0, 0] = np.nan
-                return x_est, failures, spectra
+                return x_est, failures, diagnostics
 
             monkeypatch.setattr(harness, "_spectral_estimates", nan_entry)
         else:
@@ -599,10 +636,10 @@ class TestStacks:
     def test_each_cell_equals_its_one_cell_call(self, B, uniform, cells, seed):
         # The stacked cores against the public one-pair functions on every
         # cell: a failed cell carries the exception its one-pair call raises,
-        # and a passing cell's estimate, error, angle and aligned estimate
-        # are the one-pair call's, bit for bit.  At SNRs down to 0.01 a stack
-        # often mixes failing and passing cells.  Spectral runs at uniform Q_k
-        # only.
+        # and a passing cell's estimate, error, angle, aligned estimate and
+        # each named diagnostic are the one-pair call's, bit for bit.  At SNRs
+        # down to 0.01 a stack often mixes failing and passing cells.
+        # Spectral runs at uniform Q_k only.
         rng = np.random.default_rng(seed)
         qk = np.full(B + 1, int(rng.integers(1, 4))) if uniform else rng.integers(1, 5, B + 1)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=harness.TOL_POS), 0.1)
@@ -618,14 +655,15 @@ class TestStacks:
         harness._debias_in_place(m2, [m.sigma for m in pairs])
         truths = np.array([image.coeffs for image in images])
         shape = (B, qk)
+        # algorithm: its one-pair call, as (result, spectral report or None)
         algos = {
-            "fm_plain": lambda m: fm_recover_2d(m, shape, FMOptions(variant="plain")),
-            "fm_robust": lambda m: fm_recover_2d(m, shape, FMOptions(variant="robust")),
+            "fm_plain": lambda m: (fm_recover_2d(m, shape, FMOptions(variant="plain")), None),
+            "fm_robust": lambda m: (fm_recover_2d(m, shape, FMOptions(variant="robust")), None),
         }
         if uniform:
-            algos["spectral"] = lambda m: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))[0]
+            algos["spectral"] = lambda m: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
         for algo, one_pair in algos.items():
-            estimates, failures = harness._RECOVERIES[algo](m1, m2, shape)
+            estimates, failures, diagnostics = harness._RECOVERIES[algo](m1, m2, shape)
             passed = [failure is None for failure in failures]
             assert len(estimates) == sum(passed)
             errors, angles, aligned = _alignment_errors(estimates, truths[passed], images[0].k_values)
@@ -636,11 +674,22 @@ class TestStacks:
                         one_pair(m)
                     assert type(raised.value) is type(failure) and str(raised.value) == str(failure)
                     continue
-                result = one_pair(m)
+                result, spectral_report = one_pair(m)
                 report = recovery_error(result.signal_est, image)
                 assert np.array_equal(result.signal_est.coeffs, estimates[i])
                 assert (report.relative_error, report.best_angle) == (errors[i], angles[i])
                 assert np.array_equal(report.aligned_estimate, aligned[i])
+                cell = {name: rows[i] for name, rows in diagnostics.items()}
+                public = result.diagnostics
+                if spectral_report is None:
+                    assert_same_bits(cell["rho"][1:], result.rho_est.positive_coeffs)
+                    for name in ("min_abs_m1", "tol_m1", "residuals"):
+                        assert_same_bits(cell[name], public[name])
+                else:
+                    assert_same_bits(cell["eigenvalues"][: cell["count"]], spectral_report.eigenvalues)
+                    for name in ("x_tilde", "kappa", "gap"):
+                        assert_same_bits(cell[name], public[name])
+                    assert (spectral_report.kappa, spectral_report.gap) == (public["kappa"], public["gap"])
                 i += 1
 
 

@@ -784,7 +784,14 @@ def eigh_spectral_estimates(m1, m2, image_shape, rank_tol):
     kappa, gap = select_isolated(lams[keep])
     x_tilde = np.sqrt(float(m1.shape[1])) * vecs[:, keep[kappa]]
     x_tilde *= np.exp(1j * (np.angle(m1[0, anchor]) - np.angle(x_tilde[anchor])))
-    return np.sqrt(p) * x_tilde, [None], (lams[keep][None], [keep.size], [kappa], [gap], x_tilde[None])
+    diagnostics = {
+        "eigenvalues": lams[keep][None],
+        "count": [keep.size],
+        "kappa": [kappa],
+        "gap": [gap],
+        "x_tilde": x_tilde[None],
+    }
+    return np.sqrt(p) * x_tilde, [None], diagnostics
 
 
 @st.composite
@@ -832,8 +839,9 @@ class TestStackedCore:
         """The core's phase vectors against ``eigh``'s vectors of the chosen
         eigenvalues, up to a unit phase; returns the chosen eigenvalues."""
         d = m1.shape[1]
-        _est, failures, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(m1, m2, image_shape, rank_tol)
+        _est, failures, diagnostics = _spectral_estimates(m1, m2, image_shape, rank_tol)
         assert failures == [None] * len(m1)
+        kept, kappa, x_tilde = diagnostics["eigenvalues"], diagnostics["kappa"], diagnostics["x_tilde"]
         p = np.diagonal(m2, axis1=1, axis2=2).real
         lams, vecs = np.linalg.eigh(m2 / np.sqrt(p[:, :, None] * p[:, None, :]))
         chosen = kept[np.arange(len(m1)), kappa]
@@ -959,13 +967,13 @@ class TestStackedCore:
         # a failed cell, and the vector is a unit phase vector times sqrt(d).
         for d in (1, 5, 42):
             m2 = np.broadcast_to(c * np.eye(d, dtype=complex), (3, d, d)).copy()
-            est, failures, (kept, counts, kappa, gap, x_tilde) = _spectral_estimates(
+            est, failures, diagnostics = _spectral_estimates(
                 np.ones((3, d), dtype=complex), m2, (0, np.array([d])), RANK_TOL_EMPIRICAL
             )
             assert failures == [None] * 3
-            assert (counts == d).all() and (kappa == 0).all()
+            assert (diagnostics["count"] == d).all() and (diagnostics["kappa"] == 0).all()
             assert np.isfinite(est).all()
-            assert np.allclose(np.linalg.norm(x_tilde, axis=1), np.sqrt(d), rtol=1e-14)
+            assert np.allclose(np.linalg.norm(diagnostics["x_tilde"], axis=1), np.sqrt(d), rtol=1e-14)
 
     def test_population_moments_at_uniform_rho(self):
         # At a uniform rho the normalised second moment is Q times a rank
