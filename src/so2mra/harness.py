@@ -26,22 +26,26 @@ every SNR and never reaches the simulator, and a fixed instance that fails
 fails every trial of the sweep, which then simulates nothing.
 
 A task is a few trials that share ``n``: as many as keep its stack of
-``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with the
-trials split evenly between tasks.  A grid point's trials form at least as
-many tasks as the sweep has workers, so that none idles, unless there are
-fewer trials.  The task simulates its trials as one stack
+``(d, d)`` second moments within ``_STACK_BYTES``, at least one, with
+the trials split evenly between tasks.  A grid point's trials form at
+least as many tasks as the sweep has workers, so that none idles, unless
+there are fewer trials.  Every sweep runs its tasks in a thread pool of
+that many workers (the ``threads`` setting, capped at the core count), a
+pool of one thread included: one execution path at every thread
+count.  The task simulates its trials as one stack
 (``moments._simulate_stack``): one stacked Cholesky for their Gram
-matrices and one factor stack, each trial drawing from its own
-generators, so a cell has the bits of ``simulate_empirical_moments``
-on its trial's generator.  Its (trial, SNR) cells form one stack,
-and each algorithm recovers and scores the whole stack in one call to its
-stacked core; the public one-pair functions are those cores on one cell.
-A core raises no expected failure: it returns each cell's failure beside
-the passing cells' estimates, so a failure stays with its cell and only
-the passing cells are scored.  A task returns its cells' errors keyed by
-(grid index, trial index), and the sweep merges them.  A cell's result
-does not depend on the stack it is in, bit for bit, so neither the
-grouping nor the thread count changes the CSV.
+matrices, one factor stack and one angle-sum scratch, each trial drawing
+from its own generators, so a cell has the bits of
+``simulate_empirical_moments`` on its trial's generator, and no thread
+keeps state from one task to the next.  Its (trial, SNR) cells form one
+stack, and each algorithm recovers and scores the whole stack in one
+call to its stacked core; the public one-pair functions are those cores
+on one cell.  A core raises no expected failure: it returns each cell's
+failure beside the passing cells' estimates, so a failure stays with its
+cell and only the passing cells are scored.  A task returns its cells'
+errors keyed by (grid index, trial index), and the sweep merges them.  A
+cell's result does not depend on the stack it is in, bit for bit, so
+neither the grouping nor the thread count changes the CSV.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .moments import (
     _debias_in_place,
     _simulate_stack,
     population_moments_2d,
-    simulate_empirical_moments,  # noqa: F401  (callers import it from here)
+    simulate_empirical_moments,  # noqa: F401  (perfbench/tracing.py imports it from here; ROADMAP 9f)
 )
 from .signal_model import (
     FBImage,
@@ -380,13 +384,8 @@ def _run_sampling_sweep(cfg: ExperimentConfig) -> list[dict]:
         # Every trial would have drawn this failing instance.
         errors = {(gi, ti): dict.fromkeys(cfg.algos) for gi in range(len(grid)) for ti in range(cfg.trials)}
     else:
-        run = functools.partial(_sampling_task, cfg, instance=fixed)
-        if workers == 1:
-            # In the calling thread, whose simulator workspace outlives the sweep.
-            outcomes = list(map(run, tasks))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, tasks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(functools.partial(_sampling_task, cfg, instance=fixed), tasks))
         errors = {cell: errs for outcome in outcomes for cell, errs in outcome.items()}
 
     rows = []

@@ -16,8 +16,6 @@ is that code on a stack of one.
 from __future__ import annotations
 
 import math
-import operator
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +28,7 @@ from .signal_model import (
     RotationDistribution,
     _frozen,
     _gram_from_sums,
+    _integer,
     _noise_level,
     _observation_draws,
     _readonly,
@@ -40,7 +39,6 @@ from .signal_model import (
 DEFAULT_CHUNK = 4096
 # The simulator's default chunk of angles.
 _ANGLE_CHUNK = 65536
-_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -180,55 +178,21 @@ def debias(m: MomentPair) -> MomentPair:
     return MomentPair(m.M1, m2[0], 0.0)
 
 
-def _workspace_array(name: str, size: int, dtype) -> np.ndarray:
-    """A length-``size`` array of ``dtype`` from this thread's workspace, contents undefined.
-
-    Each ``name`` keeps one array per thread, grown on demand and reused by
-    later calls, so ``_angle_sums`` takes no fresh pages from the kernel for
-    a call no larger than one the thread has already run.  A thread keeps
-    the largest array it has asked for under each name until it ends.
-    """
-    array = getattr(_workspace, name, None)
-    if array is None or array.size < size:
-        array = np.empty(size, dtype)
-        setattr(_workspace, name, array)
-    return array[:size]
-
-
-def _angle_sums(table: InverseCdf, n: int, order: int, rng: np.random.Generator, chunk: int) -> np.ndarray:
-    """``S_m = sum_i exp(1j*m*a_i)``, ``m = 0..order``, over ``n`` angles drawn like ``sample_rotations``.
-
-    The angles are ``inverse_cdf`` of ``chunk`` uniforms at a time, in the
-    order drawn, so the random stream and each angle are
-    ``sample_rotations``'.  They are
-    gridded, not summed one by one: angle ``a`` falls in cell
-    ``j = floor(a / h)`` with centre ``c_j = (j + 1/2) h``, ``h = 2 pi / cells``,
-    and offset ``delta = a - c_j``.  ``np.bincount`` accumulates the offset
-    powers ``P[r, j] = sum (delta / h)^r``, ``r < terms``, and a Taylor
-    expansion of ``exp(1j*m*delta)`` gives
-    ``S_m = exp(1j*m*h/2) sum_r (1j*m*h)^r / r! * sum_j P[r, j] exp(2j*pi*m*j/cells)``,
-    one ``rfft`` per power (the gridding step of a non-uniform FFT: Dutt and
-    Rokhlin, SIAM J. Sci. Comput. 1993).
-
-    ``cells`` is the power of two nearest ``n / 8`` (about eight angles per
-    cell), clamped to ``[512, 8192]`` (with fewer cells, the extra Taylor
-    terms cost more than the shorter FFTs save) and then doubled until it
-    is at least ``4 * order``.  So ``|m * delta| <= x = order * pi / cells <= pi / 4``,
-    and ``terms - 1`` is the smallest ``R >= 1`` with ``x^(R+1) / (R+1)! <= 1e-15``,
-    which bounds each angle's truncation error.  The work is O(n * terms)
-    for the powers plus ``terms`` real FFTs of ``cells`` points.
+def _angle_scratch(n: int, order: int, chunk: int) -> tuple:
+    """The four scratch arrays of ``_angle_sums`` for ``n`` angles, sums up to ``order`` and draws of ``chunk``; contents undefined.
 
     The uniforms (reused for the lookup's gathers and the offset powers),
-    the offsets, the cell indices (which first hold each angle's CDF
-    interval) and the ``terms x cells`` table live in this thread's
-    workspace (``_workspace_array``) and are filled in place, so a thread's
-    later calls allocate only ``rfft``'s output and small temporaries (the
-    lookup's boolean masks, ``np.bincount``'s ``cells``-long counts).  A
-    thread keeps each array at the largest size it has asked for until it
-    ends: at the default chunk, three 512 KiB arrays and the table (384 KiB
-    at ``cells = 8192``, ``terms = 6``).  The draws and the operations are
-    those of the same loop on fresh arrays with ``np.interp`` in place of
-    the lookup, so the sums are bit for bit the same.
+    the offsets and the int64 cell indices (which first hold each angle's
+    CDF interval) are ``min(chunk, n)`` long, and the table is
+    ``terms x cells``.  ``cells`` is the power of two nearest ``n / 8``
+    (about eight angles per cell), clamped to ``[512, 8192]`` (with fewer
+    cells, the extra Taylor terms cost more than the shorter FFTs save)
+    and then doubled until it is at least ``4 * order``.  So
+    ``|m * delta| <= x = order * pi / cells <= pi / 4``, and ``terms - 1``
+    is the smallest ``R >= 1`` with ``x^(R+1) / (R+1)! <= 1e-15``, which
+    bounds each angle's truncation error.  At the default chunk and
+    B = 10, n >= 65,536, that is three 512 KiB arrays and a 384 KiB
+    (``6 x 8192``) table.
     """
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
@@ -239,10 +203,36 @@ def _angle_sums(table: InverseCdf, n: int, order: int, rng: np.random.Generator,
         terms += 1
         bound *= x / terms
     size = min(chunk, n)
-    uniform = _workspace_array("uniform", size, np.float64)
-    offset_buf = _workspace_array("offset", size, np.float64)
-    cell_buf = _workspace_array("cell", size, np.int64)
-    power_sums = _workspace_array("table", terms * cells, np.float64).reshape(terms, cells)
+    return np.empty(size), np.empty(size), np.empty(size, np.int64), np.empty((terms, cells))
+
+
+def _angle_sums(table: InverseCdf, n: int, order: int, rng: np.random.Generator, scratch: tuple) -> np.ndarray:
+    """``S_m = sum_i exp(1j*m*a_i)``, ``m = 0..order``, over ``n`` angles drawn like ``sample_rotations``.
+
+    ``scratch`` is ``_angle_scratch(n, order, chunk)``, which fixes the
+    chunk and the grid.  The angles are ``inverse_cdf`` of ``chunk``
+    uniforms at a time, in the order drawn, so the random stream and each
+    angle are ``sample_rotations``'.  They are gridded, not summed one by
+    one: angle ``a`` falls in cell ``j = floor(a / h)`` with centre
+    ``c_j = (j + 1/2) h``, ``h = 2 pi / cells``, and offset
+    ``delta = a - c_j``.  ``np.bincount`` accumulates the offset powers
+    ``P[r, j] = sum (delta / h)^r``, ``r < terms``, and a Taylor expansion
+    of ``exp(1j*m*delta)`` gives
+    ``S_m = exp(1j*m*h/2) sum_r (1j*m*h)^r / r! * sum_j P[r, j] exp(2j*pi*m*j/cells)``,
+    one ``rfft`` per power (the gridding step of a non-uniform FFT: Dutt and
+    Rokhlin, SIAM J. Sci. Comput. 1993).  The work is O(n * terms) for the
+    powers plus ``terms`` real FFTs of ``cells`` points.
+
+    Every scratch array is filled in place, so a call allocates only
+    ``rfft``'s output and small temporaries (the lookup's boolean masks,
+    ``np.bincount``'s ``cells``-long counts), and the caller may hand the
+    same scratch to its next call.  The draws and the operations are those
+    of the same loop on fresh arrays with ``np.interp`` in place of the
+    lookup, so the sums are bit for bit the same.
+    """
+    uniform, offset_buf, cell_buf, power_sums = scratch
+    terms, cells = power_sums.shape
+    chunk = uniform.size
     power_sums.fill(0.0)
     rows = list(power_sums)
     for start in range(0, n, chunk):
@@ -326,12 +316,17 @@ def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK) -> tuple:
     its own generator, as ``simulate_empirical_moments`` does.  The Gram
     matrices form one stack with one Cholesky call (``_gram_roots``), the
     factors one ``(T, p + d, min(n, p + d))`` stack, and each cell's
-    moments are written into the returned stacks in place.
+    moments are written into the returned stacks in place.  The stack owns
+    the angle sums' scratch (``_angle_scratch``): its trials share ``n``,
+    ``chunk`` and the order ``2B``, so one allocation, made at the first
+    trial that draws angle sums, serves every trial and is freed when the
+    call returns.  ``n`` and ``chunk`` are integers (``_integer``: a bool is
+    a ``TypeError``).
     """
-    n, chunk = operator.index(n), operator.index(chunk)
+    n, chunk = _integer(n, "n"), _integer(chunk, "chunk")
     if n < 1 or chunk < 1:
         raise ValueError("n and chunk must be positive integers")
-    firsts, kept = [], []
+    firsts, kept, scratch = [], [], None
     for signal, rho, rng, sigmas in trials:
         if signal.B != rho.B:
             raise ValueError("signal and distribution bandwidths must agree")
@@ -339,7 +334,9 @@ def _simulate_stack(trials, n: int, chunk: int = _ANGLE_CHUNK) -> tuple:
         if n < p + dim:
             firsts.append(_observation_draws(signal, rho, n, rng).T)
         else:
-            firsts.append(_angle_sums(rho.sampler, n, 2 * signal.B, rng, chunk))
+            if scratch is None:
+                scratch = _angle_scratch(n, 2 * signal.B, chunk)
+            firsts.append(_angle_sums(rho.sampler, n, 2 * signal.B, rng, scratch))
         kept.append((signal, rng, sigmas))
     if not kept:
         return np.empty((0, 0), np.complex128), np.empty((0, 0, 0), np.complex128)
@@ -391,13 +388,11 @@ def simulate_empirical_moments(
     refusal) before any draw.
 
     This is ``_simulate_stack``, the sweeps' simulator, on a stack of one
-    trial with one noise level.  The angle sums fill buffers that each
-    thread keeps (``_angle_sums``), so once a thread has simulated at the
-    default ``chunk``, a further call at the same bandwidth takes no fresh
-    pages for them, whatever its ``n``.  A thread keeps the largest buffers
-    it has asked for until it ends: at B = 10 and n >= 65,536, about
-    1.9 MiB (three 65,536-element arrays and the ``6 x 8192`` table); a
-    larger ``chunk`` or bandwidth grows them.
+    trial with one noise level, so each call allocates its own angle-sum
+    scratch and frees it on return: at B = 10 and n >= 65,536, about
+    1.9 MiB (three 65,536-element arrays and the ``6 x 8192`` table),
+    more for a larger ``chunk`` or bandwidth.  A bool ``n`` or ``chunk``
+    is a ``TypeError``.
     """
     sigma = _noise_level(sigma)
     m1, m2 = _simulate_stack([(signal, rho, rng, (sigma,))], n, chunk)

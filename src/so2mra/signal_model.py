@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
@@ -70,6 +71,13 @@ def _noise_level(sigma) -> float:
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
     return sigma
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, the one rule for a count: a bool, or anything ``operator.index`` refuses, is a ``TypeError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def _conj_tol(coeffs: np.ndarray) -> float:

@@ -34,6 +34,7 @@ from .signal_model import (
     TWO_PI,
     circulant_project,
     _image_layout,
+    _integer,
     coefficient_layout,
     radial_block_mean,
     rotate_distribution,
@@ -369,9 +370,10 @@ def min_bound_over_rotations(
     computed once; only the circulant projection moves.  ``inner_sign`` is
     checked only against a supplied recovery.  Returns the first angle with
     the smallest applicable bound and its report, or angle 0 and the
-    unrotated report (``bound=None``) if no angle has one.
+    unrotated report (``bound=None``) if no angle has one.  A bool
+    ``grid_size`` is a ``TypeError``.
     """
-    if grid_size < 1:
+    if _integer(grid_size, "grid_size") < 1:
         raise ValueError("grid_size must be at least 1")
     if x.B != rho.B:
         raise ValueError("image and distribution bandwidths must agree")

@@ -14,7 +14,7 @@ from scipy import stats
 
 from so2mra.harness import ExperimentConfig, rows_to_csv, run_experiment
 from so2mra.metrics import recovery_error
-from so2mra.moments import population_moments_2d
+from so2mra.moments import population_moments_2d, simulate_empirical_moments
 from so2mra.signal_model import (
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -22,7 +22,6 @@ from so2mra.signal_model import (
 )
 from so2mra.freq_march import fm_recover_2d
 from so2mra.spectral import circulant_project, spectral_recover_2d
-from so2mra.harness import simulate_empirical_moments
 
 from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
 

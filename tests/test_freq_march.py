@@ -12,9 +12,15 @@ from so2mra.freq_march import (
     _ratio_matrix,
     fm_recover_2d,
 )
-from so2mra.harness import _RECOVERIES, _cell_errors, simulate_empirical_moments
+from so2mra.harness import _RECOVERIES, _cell_errors
 from so2mra.metrics import recovery_error, sigma_for_snr
-from so2mra.moments import MomentPair, _debias_in_place, debias, population_moments_2d
+from so2mra.moments import (
+    MomentPair,
+    _debias_in_place,
+    debias,
+    population_moments_2d,
+    simulate_empirical_moments,
+)
 from so2mra.spectral import RANK_TOL_EMPIRICAL, EigOptions, spectral_recover_2d
 from so2mra.signal_model import (
     FBImage,

@@ -621,8 +621,17 @@ class TestStacks:
                 return m1, m2
 
             monkeypatch.setattr(harness, "_simulate_stack", zero_blocks)
+        # The floating-point error state is per thread, so it is set in the
+        # pool thread that runs each task.
+        task = harness._sampling_task
+
+        def quiet_task(*args, **kwargs):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return task(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_sampling_task", quiet_task)
         cfg = ExperimentConfig(**{**TINY_N, "algos": (algo,)})
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="image coefficients must"):
+        with pytest.raises(ValueError, match="image coefficients must"):
             run_experiment(cfg)
 
     @settings(max_examples=25, deadline=None)
@@ -804,10 +813,10 @@ class TestDeterminism:
         assert pooled == rows_to_csv(run_experiment(cfg))
 
     @pytest.mark.parametrize("threads, cores", [(1, 3), (2, 1), (4, None)])
-    def test_one_worker_runs_in_calling_thread(self, monkeypatch, threads, cores):
+    def test_one_worker_runs_a_one_thread_pool(self, monkeypatch, threads, cores):
         # One worker, asked for or left by the core count (None counts as
-        # one core), makes no pool: every trial runs in the calling thread.
-        sizes = self.recording_pool(monkeypatch)
+        # one core), takes the one pool path: a pool of one thread, not the
+        # calling thread, runs every task of a sweep.
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
         seen = []
         trial = harness._sampling_task
@@ -817,10 +826,15 @@ class TestDeterminism:
             return trial(cfg, task, instance)
 
         monkeypatch.setattr(harness, "_sampling_task", recording_trial)
-        for cfg in (ExperimentConfig(**TINY_SNR), ExperimentConfig(**TINY_N)):
-            run_experiment(dataclasses.replace(cfg, threads=threads))
-        assert sizes == []
-        assert seen and set(seen) == {threading.get_ident()}
+        configs = [dataclasses.replace(ExperimentConfig(**c), threads=threads) for c in (TINY_SNR, TINY_N)]
+        for cfg in configs:
+            seen.clear()
+            run_experiment(cfg)
+            assert len(set(seen)) == 1 and threading.get_ident() not in seen
+        sizes = self.recording_pool(monkeypatch)
+        for cfg in configs:
+            run_experiment(cfg)
+        assert sizes == [1, 1]
 
     def test_blas_serial_during_sweep_and_restored(self, monkeypatch):
         controls = harness._openblas_thread_controls()

@@ -14,6 +14,7 @@ from so2mra.errors import NotSampleableError
 from so2mra.moments import (
     MomentAccumulator,
     MomentPair,
+    _angle_scratch,
     _angle_sums,
     _bartlett_factor,
     _check_pairs,
@@ -231,7 +232,7 @@ def _per_angle_simulation(signal, rho, n, sigma, rng, chunk=65536):
 def _fresh_array_angle_sums(levels, nodes, n, order, rng, chunk):
     """``_angle_sums``' loop on arrays allocated afresh for every chunk, with
     np.interp in place of the bucket lookup: the reference that its
-    per-thread workspace and its lookup must match bit for bit."""
+    in-place scratch and its lookup must match bit for bit."""
     cells = 1 << min(max(round(math.log2(n / 8)), 9), 13)
     while cells < 4 * order:
         cells *= 2
@@ -275,7 +276,7 @@ def _one_trial_factor(signal, rho, n, rng):
     p, dim = 2 * signal.B + 1, signal.size
     if n < p + dim:
         return _observation_draws(signal, rho, n, rng).T
-    sums = _angle_sums(rho.sampler, n, 2 * signal.B, rng, 65536)
+    sums = _angle_sums(rho.sampler, n, 2 * signal.B, rng, _angle_scratch(n, 2 * signal.B, 65536))
     gram = _gram_from_sums(sums)
     factor = np.zeros((p + dim, p + dim))
     try:
@@ -392,7 +393,7 @@ class TestSufficientStatisticSimulator:
         # Angles at 0, in the flat (zero-density) part of the table and just below 2*pi.
         edges = [0.0, levels[np.argmax(np.diff(levels) == 0.0)], 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)]
         u[: len(edges)] = edges
-        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 2 * B, _Uniforms(u), chunk)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 2 * B, _Uniforms(u), _angle_scratch(n, 2 * B, chunk))
         want = _fourier_sums(np.interp(u, levels, nodes), 2 * B)
         assert np.abs(got - want).max() <= 1e-13 * n
         assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, n, 2 * B, _Uniforms(u), chunk))
@@ -400,7 +401,7 @@ class TestSufficientStatisticSimulator:
     def test_angle_sums_of_order_zero_count_the_angles(self):
         table = RotationDistribution.uniform(0).sampler
         for n in (1, 7, 100_000):
-            sums = _angle_sums(table, n, 0, np.random.default_rng(n), 4096)
+            sums = _angle_sums(table, n, 0, np.random.default_rng(n), _angle_scratch(n, 0, 4096))
             assert sums.shape == (1,) and sums[0] == n
 
     @pytest.mark.parametrize("Q", [1, 2])
@@ -419,51 +420,62 @@ class TestSufficientStatisticSimulator:
         u = np.random.default_rng(40).random(3001)
         angles = np.interp(u, levels, nodes)
         assert (angles == TWO_PI).sum() > 1000
-        got = _angle_sums(inverse_cdf_table(levels, nodes), u.size, 20, _Uniforms(u), 1024)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), u.size, 20, _Uniforms(u), _angle_scratch(u.size, 20, 1024))
         assert np.abs(got - _fourier_sums(angles, 20)).max() <= 1e-13 * u.size
         assert np.array_equal(got, _fresh_array_angle_sums(levels, nodes, u.size, 20, _Uniforms(u), 1024))
 
     @pytest.mark.parametrize("n", [777, 4096, 65536, 100_000])
     @pytest.mark.parametrize("chunk", [4096, 5000, 65536])
-    def test_workspace_sums_equal_fresh_array_sums(self, n, chunk):
+    def test_scratch_sums_equal_fresh_array_sums(self, n, chunk):
         # n below, equal to, a multiple of and not a multiple of the chunk:
-        # filling the workspace in place changes no bit of the sums.
+        # filling the scratch in place changes no bit of the sums.
         levels, nodes = _experiment_cdf(10, 50)
-        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 20, np.random.default_rng(n + chunk), chunk)
+        scratch = _angle_scratch(n, 20, chunk)
+        got = _angle_sums(inverse_cdf_table(levels, nodes), n, 20, np.random.default_rng(n + chunk), scratch)
         want = _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n + chunk), chunk)
         assert np.array_equal(got, want)
 
-    def test_no_stale_workspace_across_sizes(self):
-        # One thread, starting with an empty workspace: a large call, a small
-        # one that reuses the front of its buffers and table, then a large one.
+    @pytest.mark.parametrize("n, chunk", [(100_000, 65536), (5000, 4096), (1000, 65536)])
+    def test_reused_scratch_leaves_no_stale_state(self, n, chunk):
+        # One scratch handed to three calls, as a stack hands it to its
+        # trials: each call's sums equal fresh arrays' sums, the last chunk
+        # of a call included, which leaves the previous chunk's tail behind.
         levels, nodes = _experiment_cdf(10, 52)
-        table = inverse_cdf_table(levels, nodes)
-
-        def calls():
-            return [
-                (
-                    _angle_sums(table, n, 20, np.random.default_rng(n), 65536),
-                    _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(n), 65536),
-                )
-                for n in (100_000, 1000, 100_000)
-            ]
-
-        with ThreadPoolExecutor(1) as pool:
-            results = pool.submit(calls).result(timeout=60)
-        for got, want in results:
+        table, scratch = inverse_cdf_table(levels, nodes), _angle_scratch(n, 20, chunk)
+        for seed in range(3):
+            got = _angle_sums(table, n, 20, np.random.default_rng(seed), scratch)
+            want = _fresh_array_angle_sums(levels, nodes, n, 20, np.random.default_rng(seed), chunk)
             assert np.array_equal(got, want)
+
+    def test_scratch_fixes_the_chunk_and_the_grid(self):
+        # The angle arrays are min(chunk, n) long; the table is terms x cells,
+        # and at B = 100 and n = 70,000 it is 9 x 8192, above the default
+        # chunk.  The bucket lookup keeps no array of its own: its intervals
+        # and scratch share the offsets and the int64 cell indices.
+        for (n, order, chunk), size, table in [
+            ((70_000, 200, 65536), 65536, (9, 8192)),
+            ((100_000, 20, 65536), 65536, (6, 8192)),
+            ((1000, 20, 65536), 1000, (10, 512)),
+            ((200_000, 20, 200_000), 200_000, (6, 8192)),
+        ]:
+            uniform, offset, cell, power_sums = _angle_scratch(n, order, chunk)
+            assert [a.shape for a in (uniform, offset, cell)] == [(size,)] * 3
+            assert (uniform.dtype, offset.dtype, cell.dtype) == (np.float64, np.float64, np.int64)
+            assert power_sums.shape == table and power_sums.dtype == np.float64
 
     def test_concurrent_threads_equal_serial_calls(self):
         # More threads than cores, each with its own n, all started together
         # and switching often: every thread's sums equal the serial ones.
         table = inverse_cdf_table(*_experiment_cdf(10, 53))
         sizes = [100_000, 1000, 70_000, 4096]
-        serial = {n: _angle_sums(table, n, 20, np.random.default_rng(n), 65536) for n in sizes}
+        serial = {n: _angle_sums(table, n, 20, np.random.default_rng(n), _angle_scratch(n, 20, 65536)) for n in sizes}
         start = threading.Barrier(len(sizes))
 
         def run(n):
+            # Each thread owns its scratch, as each task's stack does.
+            scratch = _angle_scratch(n, 20, 65536)
             start.wait(timeout=30)
-            return [_angle_sums(table, n, 20, np.random.default_rng(n), 65536) for _ in range(5)]
+            return [_angle_sums(table, n, 20, np.random.default_rng(n), scratch) for _ in range(5)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -476,59 +488,40 @@ class TestSufficientStatisticSimulator:
         for n in sizes:
             assert all(np.array_equal(got, serial[n]) for got in results[n])
 
-    def test_workspace_keeps_every_array_it_grows(self):
-        # One thread, starting with an empty workspace: each array is kept at
-        # the largest size asked for, the table and a chunk above the default
-        # included, and a call no larger reuses the same array objects.
-        table = inverse_cdf_table(*_experiment_cdf(100, 54))
-
-        def kept_arrays():
-            kept = []
-            calls = [(70_000, 200, 65536), (70_000, 200, 65536), (200_000, 20, 200_000), (100_000, 20, 65536)]
-            for n, order, chunk in calls:
-                _angle_sums(table, n, order, np.random.default_rng(n), chunk)
-                kept.append(dict(vars(moments._workspace)))
-            return kept
-
-        with ThreadPoolExecutor(1) as pool:
-            first, second, large, default = pool.submit(kept_arrays).result(timeout=60)
-        # At B = 100 and n = 70,000 the table is 9 x 8192, above the default
-        # chunk.  The bucket lookup keeps no array of its own: its intervals
-        # and scratch share the offsets and the int64 cell indices.
-        assert {name: a.size for name, a in first.items()} == {
-            "uniform": 65536, "offset": 65536, "cell": 65536, "table": 9 * 8192
-        }
-        assert first["cell"].dtype == np.int64
-        assert all(second[name] is first[name] for name in first)
-        # The 200,000-angle chunk grows the angle arrays; its 6 x 8192 table fits the kept one.
-        assert {name: a.size for name, a in large.items()} == {
-            "uniform": 200_000, "offset": 200_000, "cell": 200_000, "table": 9 * 8192
-        }
-        assert large["table"] is first["table"]
-        assert all(default[name] is large[name] for name in large)
-
-    def test_second_call_allocates_little(self):
-        # Once a thread has simulated at n = 1e5, another call allocates only
-        # rfft's output (6 x 4097 complex, 384 KiB), the lookup's boolean
-        # masks and small temporaries: its traced peak stays below 512 KiB,
-        # a bound that still separates it from fresh arrays per chunk, which
-        # peak at 2.6 MiB.
+    def test_stack_allocates_its_scratch_once(self, monkeypatch):
+        # A stack's trials share n, chunk and 2B, so one scratch serves them
+        # all: a stack of four n = 1e5 trials peaks within 256 KiB of a
+        # one-trial stack (each further trial adds its 63 x 63 factor and
+        # its 42 x 42 complex second moment, 59 KiB), far below a second
+        # scratch (1.9 MiB: three 512 KiB arrays and the 6 x 8192 table).
         rng = np.random.default_rng(55)
-        img = make_experiment_signal_2d(10, 2, rng)
-        rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
-        simulate_empirical_moments(img, rho, 100_000, 0.5, rng)
+        instances = []
+        for _ in range(4):
+            img = make_experiment_signal_2d(10, 2, rng)
+            rho = perturb_distribution(make_experiment_distribution(10, rng, tol_pos=0.05), 0.1)
+            rho.sampler
+            instances.append((img, rho))
+        allocations, scratch = [], moments._angle_scratch
+        monkeypatch.setattr(moments, "_angle_scratch", lambda *args: allocations.append(args) or scratch(*args))
+
+        def peak(count):
+            trials = [(img, rho, np.random.default_rng(t), (0.5,)) for t, (img, rho) in enumerate(instances[:count])]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _simulate_stack(trials, 100_000)
+            return tracemalloc.get_traced_memory()[1] - base
+
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            simulate_empirical_moments(img, rho, 100_000, 0.5, rng)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            peak(1)
+            one, four = peak(1), peak(4)
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 512 * 1024
+        assert allocations == [(100_000, 20, 65536)] * 3
+        assert one <= 3 * 1024 * 1024 and four <= one + 256 * 1024
 
     @pytest.mark.parametrize(
         "B, Q, n, chunk",
@@ -656,7 +649,7 @@ class TestSufficientStatisticSimulator:
         for seed in range(5):
             for n in (42, 63, 100, 150):
                 m = simulate_empirical_moments(img, rho, n, 0.0, np.random.default_rng(seed))
-                sums = _angle_sums(rho.sampler, n, 2 * B, np.random.default_rng(seed), 65536)
+                sums = _angle_sums(rho.sampler, n, 2 * B, np.random.default_rng(seed), _angle_scratch(n, 2 * B, 65536))
                 gram = _gram_from_sums(sums)
                 m2 = design @ gram @ design.conj().T / n
                 m1 = design @ gram[:, 0] / n
@@ -710,6 +703,8 @@ class TestSufficientStatisticSimulator:
             (0, 0.1, ValueError),
             (-5, 0.1, ValueError),
             (2.5, 0.1, TypeError),
+            (True, 0.1, TypeError),
+            (np.True_, 0.1, TypeError),
             (100, True, TypeError),
             (100, "0.1", TypeError),
         ],
@@ -722,7 +717,9 @@ class TestSufficientStatisticSimulator:
             simulate_empirical_moments(img, RotationDistribution.uniform(2), n, sigma, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("chunk, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)])
+    @pytest.mark.parametrize(
+        "chunk, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError), (False, TypeError)]
+    )
     def test_bad_chunk_fails_before_any_draw(self, chunk, error):
         img = make_experiment_signal_2d(2, 2, np.random.default_rng(36))
         rng = np.random.default_rng(0)
@@ -730,6 +727,16 @@ class TestSufficientStatisticSimulator:
         with pytest.raises(error, match="chunk|integer"):
             simulate_empirical_moments(img, RotationDistribution.uniform(2), 100, 0.1, rng, chunk)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [30, 5000])
+    def test_numpy_integer_counts_are_accepted(self, n):
+        # Only a bool is refused among the integers: np.int64 counts give the
+        # bits of Python ints, on the direct-draw path and the angle-sum path.
+        img = make_experiment_signal_2d(2, 2, np.random.default_rng(36))
+        rho = perturb_distribution(make_experiment_distribution(2, np.random.default_rng(37), tol_pos=0.05), 0.1)
+        got = simulate_empirical_moments(img, rho, np.int64(n), 0.1, np.random.default_rng(1), np.int64(777))
+        want = simulate_empirical_moments(img, rho, n, 0.1, np.random.default_rng(1), 777)
+        assert np.array_equal(got.M1, want.M1) and np.array_equal(got.M2, want.M2)
 
     @pytest.mark.parametrize("dim", [1, 2, 42])
     def test_bartlett_factor_fills_tril_indices(self, dim):
@@ -769,27 +776,31 @@ class TestStackedSimulator:
             for key, (rho, sigma) in enumerate(zip(rhos, sigmas), start=8)
         ]
 
-    @pytest.mark.parametrize("n", [30, 42, 63, 150, 5000])
-    def test_each_cell_is_the_one_trial_simulators(self, monkeypatch, n):
+    @pytest.mark.parametrize(
+        "n, chunk", [(30, 65536), (42, 65536), (63, 65536), (150, 65536), (5000, 65536), (5000, 4096)]
+    )
+    def test_each_cell_is_the_one_trial_simulators(self, monkeypatch, n, chunk):
         # n = 30 lies below p + d = 42 (the draws are the factor); from 42 on
         # the Gram matrices form one stack.  The trial that cannot be
         # sampled makes the stack of all five raise; the Fejer trial's
         # singular matrix fails the stacked Cholesky of the other four, and
-        # every matrix is then factored alone.
+        # every matrix is then factored alone.  At n = 5000 and chunk = 4096
+        # each trial draws two chunks into the stack's one scratch, which
+        # the next trial reuses.
         specs = self.specs(98)
         trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in specs]
         with pytest.raises(NotSampleableError, match="dips to"):
-            _simulate_stack(iter(trials), n)
+            _simulate_stack(iter(trials), n, chunk)
         sampleable = [spec for t, spec in enumerate(specs) if t != 1]
         outcomes = _record_cholesky(monkeypatch)
         trials = [(img, rho, np.random.default_rng(key), sigmas) for img, rho, key, sigmas in sampleable]
-        m1, m2 = _simulate_stack(iter(trials), n)
+        m1, m2 = _simulate_stack(iter(trials), n, chunk)
         stacked = list(outcomes)
         assert m1.shape == (7, 21) and m2.shape == (7, 21, 21)
         cell = 0
         for img, rho, key, sigmas in sampleable:
             for sigma in sigmas:
-                want = simulate_empirical_moments(img, rho, n, sigma, np.random.default_rng(key))
+                want = simulate_empirical_moments(img, rho, n, sigma, np.random.default_rng(key), chunk)
                 assert np.array_equal(m1[cell], want.M1) and np.array_equal(m2[cell], want.M2)
                 cell += 1
         if n < 42:

@@ -464,6 +464,15 @@ class TestMinBoundOverRotations:
         with pytest.raises(ValueError, match=message):
             min_bound_over_rotations(x, rho, grid_size)
 
+    def test_grid_size_is_an_integer_not_a_bool(self):
+        # True would otherwise evaluate a grid of one rotation.
+        x, rho = FBImage(1, [1, 1], np.ones(3)), RotationDistribution.uniform(1)
+        for flag in (True, False, np.True_):
+            with pytest.raises(TypeError, match="grid_size must be an integer"):
+                min_bound_over_rotations(x, rho, flag)
+        (angle, report), (want_angle, want) = (min_bound_over_rotations(x, rho, g) for g in (np.int64(3), 3))
+        assert angle == want_angle and report.s_b == want.s_b and report.bound == want.bound
+
 
 def per_angle_scan(x, rho, grid_size, recovery=None):
     """Reference rotation scan: a full one-angle evaluation of every rotated pair.
