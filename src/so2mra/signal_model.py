@@ -180,10 +180,6 @@ class FBImage:
         """Angular index of every flat coefficient, in storage order (read-only)."""
         return self._layout[0]
 
-    @property
-    def uniform_q(self) -> bool:
-        return bool((self.radial_bandwidths == self.radial_bandwidths[0]).all())
-
     def block_start(self, k: int) -> int:
         if abs(k) > self.B:
             raise IndexError(f"angular index {k} outside -{self.B}..{self.B}")

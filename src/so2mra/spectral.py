@@ -1,13 +1,19 @@
 """Spectral recovery and its perturbation-bound evaluators.
 
-The debiased second moment, conjugated by the inverse square root of the
-power spectrum, equals ``2*pi * D_xt * T * D_xt^H`` where ``xt`` is the unit
-phase vector of the signal and ``T`` is the (block) Toeplitz matrix of the
-rotation distribution.  When ``T`` is (block) circulant the matrix has an
-eigenvector equal to ``xt`` up to a grid rotation and a global phase, which
-the algorithm extracts from the most isolated eigenvalue.  When ``T`` is not
-circulant, the recovery error is controlled by the Frobenius distance to the
-nearest circulant through a sin-theta eigenvector perturbation bound.
+Entry ``(k, q)`` of the debiased second moment is conjugated by
+``1/sqrt(p * Q_k/Q_max)``, with ``p`` the power spectrum and ``Q_k`` the
+radial bandwidth of block ``k``.  With ``E`` the ``d x (2B+1)`` indicator of
+the blocks, ``U = E diag(Q_k)^-1/2`` has orthonormal columns, and the
+conjugated matrix equals ``2*pi * Q_max * D_xt U T U^T D_xt^H`` where ``xt``
+is the unit phase vector of the signal and ``T`` the Toeplitz matrix of the
+rotation distribution; its nonzero spectrum is ``2*pi * Q_max * eig(T)``, for
+any layout of ``Q_k``.  When ``T`` is circulant the matrix has an
+eigenvector ``D_xt U u`` with ``u`` a Fourier vector, so entry ``(k, q)`` of
+the unit eigenvector times ``sqrt(Q_k * (2B+1))`` is ``xt`` up to a grid
+rotation and a global phase, which the algorithm extracts from the most
+isolated eigenvalue.  When ``T`` is not circulant, the recovery error is
+controlled by the Frobenius distance to the nearest circulant through a
+sin-theta eigenvector perturbation bound.
 
 The recovery needs the whole spectrum (to choose the eigenvalue) but only
 one eigenvector.  So a stack of moments takes its spectra from one
@@ -148,7 +154,7 @@ def _pick_isolated(lams: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nd
     """
     # Every row keeps its largest |lambda|, since rank_tol < 1 (EigOptions)
     # and no caller passes a zero matrix: the spectral core's normalised M2
-    # has a unit diagonal, the bound's T has rho[0] = 1/(2*pi) on its own.
+    # has the diagonal Q_max/Q_k >= 1, the bound's T has rho[0] = 1/(2*pi).
     kept, counts, gaps = _isolation_gaps(lams, rank_tol)
     tied = gaps >= gaps.max(axis=1, keepdims=True) - TIE_TOL
     kappa = np.argmax(np.where(tied, np.abs(kept), -np.inf), axis=1)
@@ -167,11 +173,13 @@ def _rho_from_first_moment(
     return RotationDistribution.from_positive(B, np.concatenate([means[B + 1 :], np.zeros(B)]))
 
 
-def _phase_vectors(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
-    """The spectral pick and its eigenvector for each pair of a stack whose power spectra ``p`` are positive.
+def _phase_vectors(m2: np.ndarray, pw: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
+    """The spectral pick and its eigenvector for each pair of a stack whose weighted power spectra ``pw`` are positive.
 
-    One ``eigvalsh`` call gives the spectra of the normalised second moments
-    ``A``, and ``_pick_isolated`` chooses each pair's eigenvalue.  Only that
+    ``pw`` is each pair's power spectrum times ``Q_k/Q_max``
+    (``_spectral_estimates``).  One ``eigvalsh`` call gives the spectra of
+    the normalised second moments ``A = M2 / sqrt(pw pw^T)``, and
+    ``_pick_isolated`` chooses each pair's eigenvalue.  Only that
     eigenvector is formed, by two steps of inverse iteration from a fixed
     start ``b`` (``_start_vector``): solves of ``(A - mu*I) x = b`` with
     ``mu`` the chosen eigenvalue moved by ``_INVERSE_SHIFT * max|lambda|``.
@@ -187,8 +195,8 @@ def _phase_vectors(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> tuple[np.n
     (``A = c*I``).  Returns the kept eigenvalues (descending, at each row's
     front), their count, ``kappa``, its gap and the unit vectors ``x``.
     """
-    size, d = p.shape
-    inv_sqrt = 1.0 / np.sqrt(p)
+    size, d = pw.shape
+    inv_sqrt = 1.0 / np.sqrt(pw)
     a = m2 * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
     lams = np.linalg.eigvalsh(a)[:, ::-1]
     kept, counts, kappa, gap = _pick_isolated(lams, rank_tol)
@@ -203,10 +211,10 @@ def _phase_vectors(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> tuple[np.n
     return kept, counts, kappa, gap, x
 
 
-def _lapack_failure(m2: np.ndarray, p: np.ndarray, rank_tol: float) -> Optional[np.linalg.LinAlgError]:
+def _lapack_failure(m2: np.ndarray, pw: np.ndarray, rank_tol: float) -> Optional[np.linalg.LinAlgError]:
     """The ``LinAlgError`` that ``_phase_vectors`` raises on a stack, or ``None``."""
     try:
-        _phase_vectors(m2, p, rank_tol)
+        _phase_vectors(m2, pw, rank_tol)
     except np.linalg.LinAlgError as exc:
         return exc
     return None
@@ -236,13 +244,16 @@ def _spectral_estimates(
     ``_phase_vectors``: ``eigenvalues``, each spectrum with the kept ones
     first (descending); ``count``, how many are kept; ``kappa``, the chosen
     one's index into them, and ``gap``, its isolation gap; and ``x_tilde``,
-    the anchored phase vector.  Every other step runs row by row, so each
-    pair's values are those of a stack of that pair alone, bit for bit.
+    the anchored phase vector, ``sqrt(Q_k * (2B+1))`` times the unit
+    eigenvector at entry ``(k, q)``.  Every other step runs row by row, so
+    each pair's values are those of a stack of that pair alone, bit for bit.
+    The weights ``Q_k/Q_max`` are computed once per call; at a uniform
+    ``Q_k`` each is exactly 1.0 and ``Q_k * (2B+1)`` is ``d``.
     """
     B, qk = image_shape
-    _k_index, starts = _image_layout(B, qk, m1.shape[1])
-    if not (np.asarray(qk) == qk[0]).all():
-        raise ValueError("the spectral path requires a uniform radial bandwidth")
+    k_index, starts = _image_layout(B, qk, m1.shape[1])
+    q_k = np.asarray(qk)[np.abs(k_index)]  # Q_|k| of each entry
+    weights = q_k / q_k.max()
     anchor = int(starts[B])
     failures = [None] * len(m1)
     p = np.diagonal(m2, axis1=1, axis2=2).real
@@ -252,14 +263,15 @@ def _spectral_estimates(
         return MomentConsistencyError(f"power-spectrum entry {low[row]:.3g} is not positive after debiasing")
 
     cells, m1, m2, p = _refuse(failures, np.arange(len(m1)), low <= 0.0, nonpositive, m1, m2, p)
+    pw = p * weights
     try:
-        kept, counts, kappa, gap, x = _phase_vectors(m2, p, rank_tol)
+        kept, counts, kappa, gap, x = _phase_vectors(m2, pw, rank_tol)
     except np.linalg.LinAlgError:
-        raised = [_lapack_failure(m2[i : i + 1], p[i : i + 1], rank_tol) for i in range(len(m2))]
+        raised = [_lapack_failure(m2[i : i + 1], pw[i : i + 1], rank_tol) for i in range(len(m2))]
         bad = np.array([exc is not None for exc in raised])
-        cells, m1, m2, p = _refuse(failures, cells, bad, raised.__getitem__, m1, m2, p)
-        kept, counts, kappa, gap, x = _phase_vectors(m2, p, rank_tol)
-    x_tilde = np.sqrt(float(m1.shape[1])) * x
+        cells, m1, m2, p, pw = _refuse(failures, cells, bad, raised.__getitem__, m1, m2, p, pw)
+        kept, counts, kappa, gap, x = _phase_vectors(m2, pw, rank_tol)
+    x_tilde = np.sqrt(q_k * (2 * B + 1)) * x
 
     def unanchored(_row: int) -> MomentConsistencyError:
         return MomentConsistencyError("phase anchor entry of the eigenvector vanishes")
@@ -275,7 +287,7 @@ def _spectral_estimates(
 def spectral_recover_2d(
     m: MomentPair, image_shape: tuple, opts: EigOptions = EigOptions()
 ) -> tuple[RecoveryResult, SpectralReport]:
-    """Spectral recovery from block moments (uniform radial bandwidth only).
+    """Spectral recovery from block moments, at any radial bandwidths ``Q_k``.
 
     Only eigenvalues above ``opts.rank_tol`` (relative) are scanned for the
     most isolated one: the conjugated second moment has rank at most
@@ -327,12 +339,12 @@ def _inner_sign_condition(
     The check cannot fail for an estimate ``c * R_theta(true)`` with
     ``c > 0``, which is what the spectral recovery returns when it finds a
     rotated copy (its gauge gives the first ``k = 0`` entry the phase of
-    ``M1``'s).  With unit phases and ``Q`` coefficients per ``k``, the
-    overlaps are ``c * Q * D(theta - phi)`` for the real Dirichlet kernel
-    ``D(t) = sum_{|k| <= B} exp(1j*k*t)``, whose values at the ``2B+1`` grid
-    angles sum to ``2B+1``; so one of them is positive.  The check can only
-    fail for an estimate far from every rotated copy, and in the bound sweep
-    it gates nothing.
+    ``M1``'s).  With unit phases and ``Q_k`` coefficients per ``k``, the
+    overlaps are ``c * D(theta - phi)`` for the real weighted Dirichlet
+    kernel ``D(t) = sum_{|k| <= B} Q_|k| * exp(1j*k*t)``, whose values at the
+    ``2B+1`` grid angles sum to ``(2B+1) * Q_0 > 0``; so one of them is
+    positive.  The check can only fail for an estimate far from every
+    rotated copy, and in the bound sweep it gates nothing.
     """
     c = np.zeros(2 * B + 1, dtype=np.complex128)
     np.add.at(c, B - k_index, x_tilde_est.conj() * x_tilde_true)
@@ -357,11 +369,16 @@ def min_bound_over_rotations(
 ) -> tuple[float, SpectralReport]:
     """Minimise the spectral algorithm's error bound over rotated representatives of ``rho``.
 
-    The block matrices expand each Toeplitz/circulant entry into a constant
-    ``Q x Q`` block, so their nonzero spectra are ``Q * eig(T)`` and
-    ``Q * Re fft(v_opt)`` (a circulant is diagonalised by the DFT); only
-    eigenvalues above ``RANK_TOL_POPULATION`` (relative) count.  Where
-    applicable the bound is ``2*Q*(2B+1)*P_max*(1 - sqrt(1 - Q^2*s_b/delta^2))``.
+    The block matrices are the spectral core's: ``Q_max * U T U^T`` and
+    ``Q_max * U C U^T`` with ``U = E diag(Q_k)^-1/2`` (module docstring),
+    whose columns are orthonormal.  So their nonzero spectra are
+    ``Q_max * eig(T)`` and ``Q_max * Re fft(v_opt)`` (a circulant is
+    diagonalised by the DFT), and their Frobenius distance squared is
+    ``Q_max^2 * s_b``; only eigenvalues above ``RANK_TOL_POPULATION``
+    (relative) count.  Where applicable the bound is
+    ``2*Q_max*(2B+1)*P_max*(1 - sqrt(1 - Q_max^2*s_b/delta^2))`` with
+    ``P_max = max Q_k*|x[k, q]|^2/Q_max``: entry ``(k, q)`` of the estimate is
+    ``sqrt(Q_k*(2B+1))*|x[k, q]|`` times that of the unit eigenvector.
 
     At ``a = 2*pi*j/grid_size``, ``rho[k] -> exp(-1j*k*a)*rho[k]`` pairs with
     the image rotated by ``-a``: the moments, and hence the error, stay the
@@ -377,17 +394,15 @@ def min_bound_over_rotations(
         raise ValueError("grid_size must be at least 1")
     if x.B != rho.B:
         raise ValueError("image and distribution bandwidths must agree")
-    if not x.uniform_q:
-        raise ValueError("the bound requires a uniform radial bandwidth")
     B, k = rho.B, x.k_values
-    q = int(x.radial_bandwidths[0])
+    q = int(x.radial_bandwidths.max())
     # The isolation pick on a stack of one spectrum, ascending from eigvalsh.
     lam_t = (q * np.linalg.eigvalsh(toeplitz_matrix(rho)))[None, ::-1]
     kept, counts, kappa, gap = _pick_isolated(lam_t, RANK_TOL_POPULATION)
     lam_t, kappa, gap = kept[0, : counts[0]], int(kappa[0]), float(gap[0])
     others_t = np.delete(lam_t, kappa)
     scale_t = np.abs(lam_t).max(initial=0.0)
-    p_max = float(x.power_spectrum.max())
+    p_max = float((x.power_spectrum * (x.radial_bandwidths[np.abs(k)] / q)).max())
     nonvanishing = bool(np.abs(x.coeffs).min() > 1e-12 * max(1.0, np.abs(x.coeffs).max()))
     est = None if recovery is None else recovery.diagnostics.get("x_tilde")
     x_tilde = None if est is None else x.coeffs / np.abs(x.coeffs)

@@ -55,14 +55,19 @@ def random_rho(B, rng, min_mod=0.2, max_mod=1.0):
 
 
 def random_image(B, Q, rng):
-    """Non-vanishing real image with moduli in [0.5, 1.5]."""
-    mods = rng.uniform(0.5, 1.5, B * Q)
-    phases = rng.uniform(0, 2 * np.pi, B * Q)
-    pos = (mods * np.exp(1j * phases)).reshape(B, Q)
-    zero = rng.uniform(0.5, 1.5, Q) * np.where(rng.integers(0, 2, Q) == 0, -1.0, 1.0)
+    """Non-vanishing real image with moduli in [0.5, 1.5].
+
+    ``Q`` is one radial bandwidth for every ``k``, or ``Q_k`` for
+    ``k = 0..B``; a uniform layout draws the same image either way.
+    """
+    qk = np.broadcast_to(np.asarray(Q, dtype=np.int64), (B + 1,))
+    mods = rng.uniform(0.5, 1.5, qk[1:].sum())
+    phases = rng.uniform(0, 2 * np.pi, qk[1:].sum())
+    pos = np.split(mods * np.exp(1j * phases), np.cumsum(qk[1:-1]))  # blocks k = 1..B
+    zero = rng.uniform(0.5, 1.5, qk[0]) * np.where(rng.integers(0, 2, qk[0]) == 0, -1.0, 1.0)
     blocks = [pos[k - 1].conj() for k in range(B, 0, -1)] + [zero.astype(complex)]
     blocks += [pos[k - 1] for k in range(1, B + 1)]
-    return FBImage(B, np.full(B + 1, Q, dtype=np.int64), np.concatenate(blocks), is_real=True)
+    return FBImage(B, qk.copy(), np.concatenate(blocks), is_real=True)
 
 
 def rho_truncation(rho, B):

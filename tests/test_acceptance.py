@@ -16,12 +16,13 @@ from so2mra.harness import ExperimentConfig, rows_to_csv, run_experiment
 from so2mra.metrics import recovery_error
 from so2mra.moments import population_moments_2d, simulate_empirical_moments
 from so2mra.signal_model import (
+    circulant_project,
     make_experiment_distribution,
     make_experiment_signal_2d,
     perturb_distribution,
 )
 from so2mra.freq_march import fm_recover_2d
-from so2mra.spectral import circulant_project, spectral_recover_2d
+from so2mra.spectral import spectral_recover_2d
 
 from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
 

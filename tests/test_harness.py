@@ -648,7 +648,6 @@ class TestStacks:
         # and a passing cell's estimate, error, angle, aligned estimate and
         # each named diagnostic are the one-pair call's, bit for bit.  At SNRs
         # down to 0.01 a stack often mixes failing and passing cells.
-        # Spectral runs at uniform Q_k only.
         rng = np.random.default_rng(seed)
         qk = np.full(B + 1, int(rng.integers(1, 4))) if uniform else rng.integers(1, 5, B + 1)
         rho = perturb_distribution(make_experiment_distribution(B, rng, tol_pos=harness.TOL_POS), 0.1)
@@ -668,9 +667,8 @@ class TestStacks:
         algos = {
             "fm_plain": lambda m: (fm_recover_2d(m, shape, FMOptions(variant="plain")), None),
             "fm_robust": lambda m: (fm_recover_2d(m, shape, FMOptions(variant="robust")), None),
+            "spectral": lambda m: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL)),
         }
-        if uniform:
-            algos["spectral"] = lambda m: spectral_recover_2d(m, shape, EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
         for algo, one_pair in algos.items():
             estimates, failures, diagnostics = harness._RECOVERIES[algo](m1, m2, shape)
             passed = [failure is None for failure in failures]

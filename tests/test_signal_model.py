@@ -42,7 +42,7 @@ class TestExperimentSignal:
         img = make_experiment_signal_2d(10, 2, np.random.default_rng(0))
         assert img.size == 42
         assert np.allclose(np.abs(img.coeffs), 1.0)
-        assert img.is_real and img.uniform_q
+        assert img.is_real and img.radial_bandwidths.tolist() == [2] * 11
 
     def test_b0_single_real_sign(self):
         seen = set()

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from so2mra import harness, signal_model, spectral
 from so2mra.errors import MomentConsistencyError
 from so2mra.freq_march import RecoveryResult
-from so2mra.metrics import recovery_error
-from so2mra.moments import MomentPair, debias, population_moments_2d
+from so2mra.metrics import recovery_error, sigma_for_snr
+from so2mra.moments import MomentPair, debias, population_moments_2d, simulate_empirical_moments
 from so2mra.signal_model import (
     FBImage,
     RotationDistribution,
     UNIFORM_DENSITY,
+    circulant_project,
     coefficient_layout,
     make_experiment_distribution,
     make_experiment_signal_2d,
@@ -35,7 +36,6 @@ from so2mra.spectral import (
     _pick_isolated,
     _rho_from_first_moment,
     _spectral_estimates,
-    circulant_project,
     davis_kahan_bound_2d,
     min_bound_over_rotations,
     spectral_recover_2d,
@@ -43,6 +43,10 @@ from so2mra.spectral import (
 )
 
 from conftest import random_image, random_rho, random_signal_1d, rho_truncation, shape_1d
+
+# Radial bandwidths Q_k, k = 0..10, that fall as |k| grows, as a real image's
+# Fourier-Bessel expansion's do: d = 72 coefficients.
+DECAYING_QK = np.array([6, 6, 5, 4, 4, 4, 3, 2, 2, 2, 1])
 
 
 def neighbour_gaps(lams):
@@ -303,14 +307,46 @@ class TestSpectralRecovery2D:
                 j = img.block_start(-k) + q
                 assert abs(xt[j] - np.conj(xt[i])) < 1e-10
 
-    def test_nonuniform_q_rejected(self):
-        rng = np.random.default_rng(12)
-        qk = np.array([2, 2, 1])
-        with pytest.raises(ValueError):
-            spectral_recover_2d(
-                MomentPair(np.ones(8, dtype=complex), np.eye(8, dtype=complex), 0.0),
-                (2, qk),
-            )
+    def test_exact_recovery_nonuniform_q(self):
+        # Entry (k, q) is normalised by 1/sqrt(p * Q_k/Q_max), so the
+        # conjugated M2 has the nonzero spectrum 2*pi*Q_max*eig(T) at any
+        # layout, and a circulant rho gives the image back to rounding.
+        B, qk = 10, DECAYING_QK
+        for seed in range(10):
+            rng = np.random.default_rng((12, seed))
+            img = random_image(B, qk, rng)
+            rho = make_experiment_distribution(B, rng)
+            rec, report = spectral_recover_2d(population_moments_2d(img, rho, sigma=0.5), (B, qk))
+            assert recovery_error(rec.signal_est, img).relative_error <= 1e-20
+            est, truth = rho_truncation(rec.rho_est, B), rho_truncation(rho, B)
+            assert recovery_error(est, truth).relative_error < 1e-20
+            lam_t = 2 * np.pi * qk.max() * np.sort(np.linalg.eigvalsh(toeplitz_matrix(rho)))[::-1]
+            assert report.eigenvalues.shape == lam_t.shape
+            assert np.abs(report.eigenvalues - lam_t).max() <= 1e-12 * np.abs(lam_t).max()
+
+    @pytest.mark.parametrize("snr", [1.0, 100.0])
+    def test_sampled_error_falls_as_one_over_n_nonuniform_q(self, snr):
+        # At eta = 0 rho is circulant, so the median error has no bias floor
+        # and falls as 1/n.  A pilot over 30 instances (seeds (7, 0..29), 16
+        # trials each) put the slope from n = 1e4 to 1e5 in [-1.26, -0.70]
+        # at SNR 100 and in [-1.16, -0.84] at SNR 1; the window leaves 0.2 or
+        # more on either side.  Without the Q_k/Q_max weights the estimate is
+        # biased and the slope reads about 0.
+        B, qk, ns = 10, DECAYING_QK, (10_000, 100_000)
+        rng = np.random.default_rng((7, 0))
+        img = random_image(B, qk, rng)
+        rho = make_experiment_distribution(B, rng, tol_pos=harness.TOL_POS)
+        sigma = sigma_for_snr(img, snr)
+        medians = []
+        for n in ns:
+            errors = []
+            for trial in range(16):
+                m = simulate_empirical_moments(img, rho, n, sigma, np.random.default_rng((7, 0, trial, n)))
+                rec, _ = spectral_recover_2d(m, (B, qk), EigOptions(rank_tol=RANK_TOL_EMPIRICAL))
+                errors.append(recovery_error(rec.signal_est, img).relative_error)
+            medians.append(np.median(errors))
+        slope = np.log10(medians[1] / medians[0]) / np.log10(ns[1] / ns[0])
+        assert -1.5 < slope < -0.5
 
 
 class TestEigOptions:
@@ -369,6 +405,28 @@ class TestDavisKahan2D:
                         c_big[i * Q : (i + 1) * Q, j * Q : (j + 1) * Q] = ca.v_opt[(i - j) % n]
                 dist = np.linalg.norm(t_big - c_big, "fro") ** 2
                 assert dist == pytest.approx(Q**2 * ca.s_b, rel=1e-12, abs=1e-18)
+
+    def test_bound_dominates_at_nonuniform_q(self):
+        # The bound at Q_max, with P_max = max Q_k*|x|^2/Q_max, against the
+        # error of the recovery it bounds, on exact moments: every point
+        # where it applies meets every condition and is dominated.
+        B, qk = 10, DECAYING_QK
+        applicable = 0
+        for seed in range(10):
+            rng = np.random.default_rng((29, seed))
+            img = random_image(B, qk, rng)
+            base = make_experiment_distribution(B, rng)
+            norm_sq = float(np.vdot(img.coeffs, img.coeffs).real)
+            for eta in (0.01, 0.1):
+                rho = perturb_distribution(base, eta)
+                rec, _ = spectral_recover_2d(population_moments_2d(img, rho, 0.0), (B, qk))
+                report = davis_kahan_bound_2d(img, rho, recovery=rec)
+                if report.bound is None:
+                    continue
+                assert report.all_conditions_met()
+                assert recovery_error(rec.signal_est, img).relative_error * norm_sq <= report.bound
+                applicable += 1
+        assert applicable >= 15
 
 
 class TestMinBoundOverRotations:
@@ -456,9 +514,8 @@ class TestMinBoundOverRotations:
         [
             (FBImage(1, [1, 1], np.ones(3)), RotationDistribution.uniform(1), 0, "grid_size"),
             (FBImage(1, [1, 1], np.ones(3)), RotationDistribution.uniform(2), 1, "bandwidths"),
-            (FBImage(1, [2, 1], np.ones(4)), RotationDistribution.uniform(1), 1, "uniform radial"),
         ],
-        ids=["empty_grid", "bandwidth_mismatch", "non_uniform_q"],
+        ids=["empty_grid", "bandwidth_mismatch"],
     )
     def test_input_checks(self, x, rho, grid_size, message):
         with pytest.raises(ValueError, match=message):
@@ -599,20 +656,36 @@ class TestRotationScan:
         assert not hasattr(spectral, "rotate_signal")
 
 
-def block_matrix_bound(x, rho, recovery=None):
-    """Reference bound from the explicit ``Q``-times-larger block matrices.
+def block_embedding(x):
+    """``W E``: ``E`` marks each coefficient's block ``k`` (``d x (2B+1)``), and
+    ``W`` is the diagonal ``sqrt(Q_max/Q_k)`` of the spectral core's weights.
 
-    Builds ``kron(T, 1_Q)`` and ``kron(C, 1_Q)`` and runs a general
-    eigensolver on them; the selection, gap and applicability rules are those
-    of ``davis_kahan_bound_2d``.
+    ``W E M E^T W`` is the block matrix of a ``(2B+1) x (2B+1)`` matrix ``M``
+    as the core's normalised second moment holds it; at a uniform ``Q`` it
+    is ``kron(M, 1_Q)``.
+    """
+    qk = x.radial_bandwidths
+    w = np.sqrt(qk.max() / qk[np.abs(x.k_values)])
+    return w[:, None] * (x.k_values[:, None] == np.arange(-x.B, x.B + 1))
+
+
+def block_matrix_bound(x, rho, recovery=None):
+    """Reference bound from the explicit ``d x d`` block matrices.
+
+    Builds ``W E T E^T W`` and ``W E C E^T W`` (``block_embedding``) and runs
+    a general eigensolver on them; the selection, gap and applicability
+    rules are those of ``davis_kahan_bound_2d``.  The prefactor is
+    ``2*(2B+1)*max Q_k*|x[k, q]|^2``: entry ``(k, q)`` of the estimate is
+    ``sqrt(Q_k*(2B+1))*|x[k, q]|`` times that of the unit eigenvector.
     """
     B = rho.B
-    q = int(x.radial_bandwidths[0])
+    q = int(x.radial_bandwidths.max())
     ca = circulant_project(rho)
     s_b_eff = q**2 * ca.s_b
+    embed = block_embedding(x)
 
     def nonzero_desc(mat):
-        lams = np.sort(np.linalg.eigvalsh(np.kron(mat, np.ones((q, q)))))[::-1]
+        lams = np.sort(np.linalg.eigvalsh(embed @ mat @ embed.T))[::-1]
         return lams[np.abs(lams) > RANK_TOL_POPULATION * np.abs(lams).max()]
 
     lam_t = nonzero_desc(toeplitz_matrix(rho))
@@ -645,12 +718,40 @@ def block_matrix_bound(x, rho, recovery=None):
         conditions["inner_sign"] = _inner_sign_condition(
             recovery.diagnostics["x_tilde"], x.coeffs / np.abs(x.coeffs), x.k_values, B
         )
-    bound = bound_value(s_b_eff, delta, float(x.power_spectrum.max()), float(q * (2 * B + 1)))
+    weighted_power = x.power_spectrum * x.radial_bandwidths[np.abs(x.k_values)]
+    bound = bound_value(s_b_eff, delta, float(weighted_power.max()), float(2 * B + 1))
     return lam_t, lam_c, kappa, gap, delta, conditions, bound
 
 
 def rel_close(a, b, rtol=1e-12):
     return abs(a - b) <= rtol * abs(b)
+
+
+def assert_bound_matches_block_matrices(img, base):
+    """``davis_kahan_bound_2d`` against ``block_matrix_bound`` on the spectral
+    recoveries of ``img`` from exact moments at perturbations of ``base``;
+    the bound must apply at some of them and not at others."""
+    B = img.B
+    applicable = set()
+    for eta in (0.003, 0.05, 0.1, 0.3, 1.0):
+        rho = perturb_distribution(base, eta)
+        rec, _ = spectral_recover_2d(population_moments_2d(img, rho, 0.0), (B, img.radial_bandwidths))
+        report = davis_kahan_bound_2d(img, rho, recovery=rec)
+        lam_t, lam_c, kappa, gap, delta, conditions, bound = block_matrix_bound(img, rho, rec)
+        assert report.kappa == kappa
+        assert report.conditions_met == conditions
+        assert rel_close(report.gap, gap) and rel_close(report.delta_kappa, delta)
+        assert report.eigenvalues.shape == lam_t.shape
+        assert report.eigenvalues_circ.shape == lam_c.shape
+        scale = np.abs(lam_t).max()
+        assert np.abs(report.eigenvalues - lam_t).max() <= 1e-12 * scale
+        assert np.abs(report.eigenvalues_circ - lam_c).max() <= 1e-12 * scale
+        if bound is None:
+            assert report.bound is None
+        else:
+            assert rel_close(report.bound, bound)
+        applicable.add(bound is not None)
+    assert applicable == {True, False}
 
 
 class TestClosedFormSpectra:
@@ -680,27 +781,22 @@ class TestClosedFormSpectra:
     def test_bound_matches_block_matrices(self, B, Q):
         rng = np.random.default_rng((24, B, Q))
         img = make_experiment_signal_2d(B, Q, rng)
+        assert_bound_matches_block_matrices(img, make_experiment_distribution(B, rng))
+
+    @pytest.mark.parametrize("B, qk", [(2, [3, 2, 1]), (3, [1, 3, 2, 2]), (10, DECAYING_QK)])
+    def test_nonuniform_bound_matches_block_matrices(self, B, qk):
+        rng = np.random.default_rng((31, B))
+        img = random_image(B, qk, rng)
         base = make_experiment_distribution(B, rng)
-        applicable = set()
-        for eta in (0.003, 0.05, 0.1, 0.3, 1.0):
-            rho = perturb_distribution(base, eta)
-            rec, _ = spectral_recover_2d(population_moments_2d(img, rho, 0.0), (B, np.full(B + 1, Q)))
-            report = davis_kahan_bound_2d(img, rho, recovery=rec)
-            lam_t, lam_c, kappa, gap, delta, conditions, bound = block_matrix_bound(img, rho, rec)
-            assert report.kappa == kappa
-            assert report.conditions_met == conditions
-            assert rel_close(report.gap, gap) and rel_close(report.delta_kappa, delta)
-            assert report.eigenvalues.shape == lam_t.shape
-            assert report.eigenvalues_circ.shape == lam_c.shape
-            scale = np.abs(lam_t).max()
-            assert np.abs(report.eigenvalues - lam_t).max() <= 1e-12 * scale
-            assert np.abs(report.eigenvalues_circ - lam_c).max() <= 1e-12 * scale
-            if bound is None:
-                assert report.bound is None
-            else:
-                assert rel_close(report.bound, bound)
-            applicable.add(bound is not None)
-        assert applicable == {True, False}
+        assert_bound_matches_block_matrices(img, base)
+        # The block matrices are Q_max*U T U^T with U = E diag(Q_k)^-1/2,
+        # whose columns are orthonormal: their Frobenius distance squared is
+        # Q_max^2 * s_b.
+        rho = perturb_distribution(base, 0.1)
+        embed = block_embedding(img)
+        diff = embed @ (toeplitz_matrix(rho) - circulant_matrix(circulant_project(rho).v_opt)) @ embed.T
+        dist = np.linalg.norm(diff, "fro") ** 2
+        assert dist == pytest.approx(max(qk) ** 2 * circulant_project(rho).s_b, rel=1e-12)
 
     def test_random_toeplitz_matches_block_matrices(self):
         for seed in range(10):
@@ -969,6 +1065,46 @@ class TestStackedCore:
             else:
                 assert failure is None and failure_alone is None
                 assert np.array_equal(next(passing), alone[0])
+
+    def test_mixed_stack_at_nonuniform_layout(self):
+        # Passing cells beside a cell refused at each check: a power spectrum
+        # that is not positive; a LAPACK failure, for which a NaN entry stands
+        # in as above; and a vanishing phase anchor, from a diagonal M2, whose
+        # eigenvectors at unequal Q_k are coordinate vectors.  Each cell's
+        # failure, or its estimate and diagnostics, are those of a stack of
+        # that cell alone, bit for bit.
+        B, qk = 3, np.array([3, 2, 2, 1])
+        shape = (B, qk)
+        rng = np.random.default_rng(33)
+        pairs = []
+        for _ in range(6):
+            img = random_image(B, qk, rng)
+            rho = perturb_distribution(make_experiment_distribution(B, rng), 0.1)
+            pairs.append(debias(population_moments_2d(img, rho, 0.0)))
+        m1 = np.array([m.M1 for m in pairs])
+        m2 = np.array([m.M2 for m in pairs])
+        d = m1.shape[1]
+        m2[1, 4, 4] = -1.0
+        m2[3, 0, d - 1] = m2[3, d - 1, 0] = np.nan
+        m2[4] = np.diag(rng.uniform(0.5, 1.5, d))
+        estimates, failures, diagnostics = _spectral_estimates(m1, m2, shape, RANK_TOL_EMPIRICAL)
+        kinds = [None, MomentConsistencyError, None, np.linalg.LinAlgError, MomentConsistencyError, None]
+        assert [None if f is None else type(f) for f in failures] == kinds
+        assert "not positive" in str(failures[1]) and "anchor" in str(failures[4])
+        passing = 0
+        for i, failure in enumerate(failures):
+            alone, [failure_alone], diagnostics_alone = _spectral_estimates(
+                m1[i : i + 1], m2[i : i + 1], shape, RANK_TOL_EMPIRICAL
+            )
+            if failure is not None:
+                assert type(failure_alone) is type(failure) and str(failure_alone) == str(failure)
+                assert len(alone) == 0
+                continue
+            assert alone[0].tobytes() == estimates[passing].tobytes()
+            for name, rows in diagnostics.items():
+                assert np.asarray(diagnostics_alone[name][0]).tobytes() == np.asarray(rows[passing]).tobytes()
+            passing += 1
+        assert passing == len(estimates) == 3
 
     @pytest.mark.parametrize("c", [1.0, 2.5])
     def test_exactly_degenerate_spectrum(self, c):
